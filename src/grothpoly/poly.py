@@ -5,12 +5,12 @@ polynomials.
 
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
-difference is computed by subtract-swap-and-divide, with an inexactness
-check guarding every division.
+differences are written in closed form, one monomial at a time.  Terms are
+checked once, where they enter through `Poly(...)` or `from_text`; results
+derived from valid polynomials skip the checks.
 """
 from __future__ import annotations
 
-import heapq
 from typing import Dict, Iterator, Tuple
 
 from . import perms
@@ -33,6 +33,14 @@ class Poly:
                 raise ValueError(f"bad exponent vector {expo} for nvars={nvars}")
         self.terms = dict(terms)
         self.nvars = nvars
+
+    @classmethod
+    def _trusted(cls, terms: Dict[tuple, int], nvars: int) -> "Poly":
+        """Wrap terms derived from valid polynomials, skipping the checks."""
+        out = object.__new__(cls)
+        out.terms = terms
+        out.nvars = nvars
+        return out
 
     @classmethod
     def zero(cls, nvars: int) -> "Poly":
@@ -67,7 +75,12 @@ class Poly:
     def __hash__(self):
         return hash((self.nvars, frozenset(self.terms.items())))
 
+    def _check_nvars(self, other: "Poly") -> None:
+        if self.nvars != other.nvars:
+            raise ValueError(f"nvars mismatch: {self.nvars} and {other.nvars}")
+
     def __add__(self, other: "Poly") -> "Poly":
+        self._check_nvars(other)
         out = dict(self.terms)
         for expo, coeff in other.terms.items():
             c = out.get(expo, 0) + coeff
@@ -75,15 +88,16 @@ class Poly:
                 out[expo] = c
             else:
                 out.pop(expo, None)
-        return Poly(out, self.nvars)
+        return Poly._trusted(out, self.nvars)
 
     def __neg__(self) -> "Poly":
-        return Poly({e: -c for e, c in self.terms.items()}, self.nvars)
+        return Poly._trusted({e: -c for e, c in self.terms.items()}, self.nvars)
 
     def __sub__(self, other: "Poly") -> "Poly":
         return self + (-other)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        self._check_nvars(other)
         out: Dict[tuple, int] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -93,7 +107,7 @@ class Poly:
                     out[e] = c
                 else:
                     out.pop(e, None)
-        return Poly(out, self.nvars)
+        return Poly._trusted(out, self.nvars)
 
     def swap_vars(self, j: int) -> "Poly":
         """Exchange x_j and x_{j+1} (1-based j)."""
@@ -102,7 +116,7 @@ class Poly:
             e = list(expo)
             e[j - 1], e[j] = e[j], e[j - 1]
             out[tuple(e)] = coeff
-        return Poly(out, self.nvars)
+        return Poly._trusted(out, self.nvars)
 
     def support(self) -> frozenset:
         return frozenset(self.terms)
@@ -118,7 +132,9 @@ class Poly:
         return min(sum(e) for e in self.terms)
 
     def graded_component(self, d: int) -> "Poly":
-        return Poly({e: c for e, c in self.terms.items() if sum(e) == d}, self.nvars)
+        return Poly._trusted(
+            {e: c for e, c in self.terms.items() if sum(e) == d}, self.nvars
+        )
 
     def top_component(self) -> "Poly":
         return self.graded_component(self.degree())
@@ -169,61 +185,40 @@ def term_key(expo: tuple) -> tuple:
 
 
 def divided_difference(f: Poly, j: int) -> Poly:
-    """The operator (f - s_j.f) / (x_j - x_{j+1}), computed exactly.
+    """The operator (f - s_j.f) / (x_j - x_{j+1}), written monomial by
+    monomial in closed form (see `_closed_form`)."""
+    return _closed_form(f, j, ((0, 1),))
 
-    The numerator is antisymmetric in x_j, x_{j+1}, so the division is always
-    exact; an inexact division aborts loudly (it would indicate a bug).
+
+def isobaric_divided_difference(f: Poly, j: int) -> Poly:
+    """The operator f -> divided_difference((1 - x_{j+1}) f, j), that is
+    d_j f - d_j(x_{j+1} f), both parts in the same pass over f."""
+    return _closed_form(f, j, ((0, 1), (1, -1)))
+
+
+def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
+    """The sum of sign * divided_difference(x_{j+1}^lift f, j) over the
+    (lift, sign) pairs in parts, in one pass over the monomials of f.
+
+    With a, b the exponents of x_j, x_{j+1}, the divided difference of
+    x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
+    min(a, b) <= p < max(a, b), negated when a < b (so 0 when a = b).
     """
     global OPERATOR_APPLICATIONS
     OPERATOR_APPLICATIONS += 1
     if not 1 <= j <= f.nvars - 1:
         raise ValueError(f"operator index {j} out of range for nvars={f.nvars}")
-    numerator = f - f.swap_vars(j)
-    return Poly(_exact_divide(numerator.terms, j - 1, f.nvars), f.nvars)
-
-
-def isobaric_divided_difference(f: Poly, j: int) -> Poly:
-    """The operator f -> divided_difference((1 - x_{j+1}) f, j)."""
-    one_minus_x = Poly.one(f.nvars) - Poly.variable(j + 1, f.nvars)
-    return divided_difference(one_minus_x * f, j)
-
-
-def _exact_divide(terms: Dict[tuple, int], j0: int, nvars: int) -> Dict[tuple, int]:
-    """Divide by (x_{j0+1} - x_{j0+2}) (0-based column j0), raising on any
-    nonzero remainder.
-
-    Works through the terms in decreasing order of (exponent of x_j, rest),
-    peeling off one quotient term at a time; each peel pushes a single
-    correction term that is strictly smaller in that order.
-    """
-    heap = []
-    for expo, coeff in terms.items():
-        heapq.heappush(heap, (_div_key(expo, j0), expo, coeff))
-    quotient: Dict[tuple, int] = {}
-    while heap:
-        key, expo, coeff = heapq.heappop(heap)
-        while heap and heap[0][1] == expo:
-            coeff += heapq.heappop(heap)[2]
-        if coeff == 0:
-            continue
-        if expo[j0] == 0:
-            raise ArithmeticError(
-                f"inexact division by x_{j0 + 1} - x_{j0 + 2}: remainder term {expo}"
-            )
-        q = list(expo)
-        q[j0] -= 1
-        q = tuple(q)
-        quotient[q] = quotient.get(q, 0) + coeff
-        rest = list(q)
-        rest[j0 + 1] += 1
-        rest = tuple(rest)
-        heapq.heappush(heap, (_div_key(rest, j0), rest, coeff))
-    return {e: c for e, c in quotient.items() if c}
-
-
-def _div_key(expo: tuple, j0: int) -> tuple:
-    # Max-order on (expo[j0], expo), negated for heapq's min-heap.
-    return (-expo[j0],) + tuple(-e for e in expo)
+    j0 = j - 1
+    out: Dict[tuple, int] = {}
+    for expo, coeff in f.terms.items():
+        head, tail = expo[:j0], expo[j0 + 2 :]
+        for lift, sign in parts:
+            a, b = expo[j0], expo[j0 + 1] + lift
+            c = sign * coeff if a > b else -sign * coeff
+            for p in range(min(a, b), max(a, b)):
+                e = head + (p, a + b - 1 - p) + tail
+                out[e] = out.get(e, 0) + c
+    return Poly._trusted({e: c for e, c in out.items() if c}, f.nvars)
 
 
 def staircase_monomial(n: int) -> Poly:

@@ -31,10 +31,15 @@ class TestCache:
         cache.write_table(tables[(3, "G")], path)  # wrong n in header
         assert cache.read_table(path, 4, "G") is None
 
-    def test_corrupt_line_is_hard_error(self, tmp_path):
+    @pytest.mark.parametrize(
+        "body",
+        ["not-a-polynomial", "0:1,0,0", "1:1,0", "1:-1,0,0"],
+        ids=["garbage", "zero-coefficient", "short-exponent", "negative-exponent"],
+    )
+    def test_corrupt_line_is_hard_error(self, tmp_path, body):
         path = str(tmp_path / "bad.txt")
         with open(path, "w") as fh:
-            fh.write("grothcache v1 n=3 flavor=G\n1,2,3|not-a-polynomial\n")
+            fh.write(f"grothcache v1 n=3 flavor=G\n1,2,3|{body}\n")
         with pytest.raises(ValueError, match=":2:"):
             cache.read_table(path, 3, "G")
 

@@ -48,6 +48,14 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             Poly({(1, 0): 0}, 2)
 
+    def test_nvars_mismatch_rejected(self):
+        with pytest.raises(ValueError):
+            Poly.variable(1, 2) * Poly.variable(3, 3)
+        with pytest.raises(ValueError):
+            Poly.variable(3, 3) * Poly.variable(1, 2)
+        with pytest.raises(ValueError):
+            Poly.variable(1, 2) + Poly.variable(3, 3)
+
     def test_add_cancels(self):
         f = P("1:1,0", 2)
         assert (f - f) == Poly.zero(2)
@@ -91,6 +99,19 @@ class TestDividedDifference:
     @given(small_polys, st.integers(min_value=1, max_value=3))
     def test_dd_squares_to_zero(self, f, j):
         assert divided_difference(divided_difference(f, j), j) == Poly.zero(4)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, st.integers(min_value=1, max_value=3))
+    def test_dd_times_divisor_is_numerator(self, f, j):
+        # (x_j - x_{j+1}) * d_j f == f - s_j f, checked by multiplication
+        divisor = Poly.variable(j, 4) - Poly.variable(j + 1, 4)
+        assert divisor * divided_difference(f, j) == f - f.swap_vars(j)
+
+    @settings(max_examples=150, deadline=None)
+    @given(small_polys, st.integers(min_value=1, max_value=3))
+    def test_isobaric_is_dd_of_one_minus_x(self, f, j):
+        one_minus_x = Poly.one(4) - Poly.variable(j + 1, 4)
+        assert isobaric_divided_difference(f, j) == divided_difference(one_minus_x * f, j)
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
@@ -150,11 +171,12 @@ class TestTables:
 
     def test_ascent_chain_independence_S5(self, tables):
         # every ascent of w yields the same polynomial from its parent
-        table = tables[(5, "G")]
-        for w in perms.all_perms(5):
-            for j in perms.ascents(w):
-                parent = perms.apply_s(w, j)
-                assert isobaric_divided_difference(table[parent], j) == table[w]
+        for flavor, operator in (("S", divided_difference), ("G", isobaric_divided_difference)):
+            table = tables[(5, flavor)]
+            for w in perms.all_perms(5):
+                for j in perms.ascents(w):
+                    parent = perms.apply_s(w, j)
+                    assert operator(table[parent], j) == table[w]
 
     def test_leading_term_is_rajcode_S5(self, tables):
         for w in perms.all_perms(5):
