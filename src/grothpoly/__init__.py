@@ -25,13 +25,7 @@ from .poly import (
     isobaric_divided_difference,
     schubert,
 )
-from .pipedreams import (
-    demazure_product,
-    enumerate_pipe_dreams,
-    interior_euler_check,
-    pd_polynomial,
-    trace_strands,
-)
+from .pipedreams import enumerate_pipe_dreams, interior_euler_check, pd_polynomial
 from .posets import VectorPoset, build_Pw, componentwise_leq, mobius
 from .verdicts import Verdict
 

@@ -15,27 +15,86 @@ import os
 import sys
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from . import cache, perms, pipedreams, poly, posets, polytopes
 from .verdicts import Verdict
 
 ENGINE = "grothpoly 0.1.0"
 
-ALL_CHECKS = (
-    "conj1",
-    "conj2",
-    "conj3",
-    "conj4",
-    "coeff",
-    "mobius",
-    "superset",
-    "fms",
-    "converse",
-    "oracle",
-    "euler",
-    "rajchgot",
-)
+
+def _needs_pd(check):
+    """Wrap a check that reads the pipe-dream polynomials (pd_g, pd_s); it
+    skips when they were not computed."""
+
+    def run(w, g, s, pd):
+        if pd is None:
+            return _skip(f"pipe dream oracle limited to n <= {pipedreams.MAX_GRID}")
+        return check(w, g, s, pd)
+
+    return run
+
+
+def _oracle(w, g, s, pd) -> dict:
+    """The tables must equal the pipe-dream polynomials; a failure names the
+    flavor, the first differing exponent in term order and both
+    coefficients."""
+    for flavor, table_poly, pd_poly in (("G", g, pd[0][w]), ("S", s, pd[1][w])):
+        if table_poly != pd_poly:
+            table_c, pd_c = table_poly.terms, pd_poly.terms
+            expo = min(
+                (e for e in table_c.keys() | pd_c.keys() if table_c.get(e, 0) != pd_c.get(e, 0)),
+                key=poly.term_key,
+            )
+            witness = {
+                "flavor": flavor,
+                "exponent": list(expo),
+                "table": table_c.get(expo, 0),
+                "pipe_dreams": pd_c.get(expo, 0),
+            }
+            return {"status": "fail", "witness": witness}
+    return {"status": "pass"}
+
+
+def _euler(w, g, s, pd) -> dict:
+    total = pd[0][w].principal_specialization()
+    if total == 1:
+        return {"status": "pass"}
+    return {"status": "fail", "witness": total}
+
+
+def _rajchgot(w, g, s, pd) -> dict:
+    rc = perms.rajcode(w)
+    if g.degree() == sum(rc) and g.leading_exponent() == rc:
+        return {"status": "pass"}
+    return {"status": "fail", "witness": list(g.leading_exponent())}
+
+
+def _mobius(w, g, s, pd) -> dict:
+    if perms.is_zero_one(w):
+        return _from_verdict(posets.check_conjecture_mobius(w, g))
+    return _skip("not a zero-one permutation")
+
+
+# Each check maps (w, G_w, S_w, pipe-dream polynomials or None) to a report
+# entry.  The checkers are looked up on their modules at call time, so a
+# wrapper installed on a module attribute sees every call.
+CHECKS = {
+    "conj1": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_1(w, g)),
+    "conj2": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_2(w, g)),
+    "conj3": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_3(w, g)),
+    "conj4": lambda w, g, s, pd: _from_verdict(polytopes.check_conjecture_4(w, g)),
+    "coeff": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_coeff(w, g)),
+    "mobius": _mobius,
+    "superset": lambda w, g, s, pd: _from_verdict(polytopes.check_superset(w, g)),
+    "fms": lambda w, g, s, pd: _from_verdict(polytopes.check_fms(w, s)),
+    "converse": lambda w, g, s, pd: _from_verdict(polytopes.check_prop_converse(w, g)),
+    "oracle": _needs_pd(_oracle),
+    "euler": _needs_pd(_euler),
+    "rajchgot": _rajchgot,
+}
+
+ALL_CHECKS = tuple(CHECKS)
 
 DEFAULT_MAX_N = 8
 
@@ -66,7 +125,7 @@ class RunConfig:
 
 
 # Shared read-only state for fork-based workers: (config, G table, S table,
-# pipe dream buckets or None).
+# (pipe-dream G, pipe-dream S) or None).
 _CTX = None
 
 
@@ -95,7 +154,7 @@ def _jsonable(obj):
 
 
 def _check_one(w: tuple) -> dict:
-    config, table_g, table_s, pd_g, pd_s = _CTX
+    config, table_g, table_s, pd = _CTX
     started = time.perf_counter()
     g = table_g[w]
     s = table_s[w]
@@ -104,54 +163,8 @@ def _check_one(w: tuple) -> dict:
         "length": perms.length(w),
         "deg_g": g.degree(),
         "rajcode": list(perms.rajcode(w)),
-        "checks": {},
+        "checks": {name: CHECKS[name](w, g, s, pd) for name in config.checks},
     }
-    checks: Dict[str, dict] = record["checks"]
-    for name in config.checks:
-        if name == "conj1":
-            checks[name] = _from_verdict(posets.check_conjecture_1(w, g))
-        elif name == "conj2":
-            checks[name] = _from_verdict(posets.check_conjecture_2(w, g))
-        elif name == "conj3":
-            checks[name] = _from_verdict(posets.check_conjecture_3(w, g))
-        elif name == "conj4":
-            checks[name] = _from_verdict(polytopes.check_conjecture_4(w, g))
-        elif name == "coeff":
-            checks[name] = _from_verdict(posets.check_conjecture_coeff(w, g))
-        elif name == "mobius":
-            if perms.is_zero_one(w):
-                checks[name] = _from_verdict(posets.check_conjecture_mobius(w, g))
-            else:
-                checks[name] = _skip("not a zero-one permutation")
-        elif name == "superset":
-            checks[name] = _from_verdict(polytopes.check_superset(w, g))
-        elif name == "fms":
-            checks[name] = _from_verdict(polytopes.check_fms(w, s))
-        elif name == "converse":
-            checks[name] = _from_verdict(polytopes.check_prop_converse(w, g))
-        elif name == "oracle":
-            if pd_g is None:
-                checks[name] = _skip(f"pipe dream oracle limited to n <= {pipedreams.MAX_GRID}")
-            else:
-                ok = pd_g[w] == g and pd_s[w] == s
-                checks[name] = {"status": "pass" if ok else "fail"}
-        elif name == "euler":
-            if pd_g is None:
-                checks[name] = _skip(f"pipe dream oracle limited to n <= {pipedreams.MAX_GRID}")
-            else:
-                total = pd_g[w].principal_specialization()
-                ok = total == 1
-                entry = {"status": "pass" if ok else "fail"}
-                if not ok:
-                    entry["witness"] = total
-                checks[name] = entry
-        elif name == "rajchgot":
-            rc = perms.rajcode(w)
-            ok = g.degree() == sum(rc) and g.leading_exponent() == rc
-            entry = {"status": "pass" if ok else "fail"}
-            if not ok:
-                entry["witness"] = list(g.leading_exponent())
-            checks[name] = entry
     if config.timings:
         record["seconds"] = round(time.perf_counter() - started, 6)
     return record
@@ -164,15 +177,17 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
     table_s = cache.load_or_build(config.cache_dir, config.n, "S")
     need_pd = bool({"oracle", "euler"} & set(config.checks))
-    pd_g = pd_s = None
+    pd = None
     if need_pd and config.n <= pipedreams.MAX_GRID:
-        pd_g = pipedreams.pd_polynomial_all(config.n, "grothendieck")
-        pd_s = pipedreams.pd_polynomial_all(config.n, "schubert")
+        pd = (
+            pipedreams.pd_polynomial_all(config.n, "grothendieck"),
+            pipedreams.pd_polynomial_all(config.n, "schubert"),
+        )
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
     global _CTX
-    _CTX = (config, table_g, table_s, pd_g, pd_s)
+    _CTX = (config, table_g, table_s, pd)
     try:
         if config.jobs == 1:
             results = [_check_one(w) for w in targets]

@@ -1,16 +1,19 @@
 """
-Brute-force pipe dream enumeration: the independent oracle for Schubert and
-Grothendieck polynomials.
+Pipe dream enumeration: the independent oracle for Schubert and Grothendieck
+polynomials.
 
 A pipe dream on the n x n grid may place crosses only in the strict
 north-west staircase (cells (i,j) with i + j <= n); everything else is an
-elbow.  Strands enter at the top labelled 1..n and exit on the left; a second
-crossing of the same pair of strands acts as an elbow.
+elbow.  Read in reading order (rows top to bottom, each row right to left),
+cross (i,j) is the generator s_{i+j-1}, and a cross set is a pipe dream of w
+exactly when the Demazure (0-Hecke) product of that word is w
+(Knutson-Miller, subword complexes).  One depth-first walk over the cells in
+reading order carries that product, so every node costs one generator step.
 """
 from __future__ import annotations
 
-import itertools
-from typing import Dict, Iterable, List, Optional, Tuple
+from collections import defaultdict
+from typing import Callable, Dict, Iterable, List
 
 from . import perms
 from .poly import Poly
@@ -23,100 +26,60 @@ def staircase_cells(n: int) -> List[tuple]:
     return [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
 
 
-def check_grid(crosses: Iterable[tuple], n: int) -> frozenset:
-    crosses = frozenset(crosses)
-    for (i, j) in crosses:
-        if i + j > n:
-            raise ValueError(f"cross {(i, j)} lies in the south-east triangle")
-    return crosses
+def _walk(n: int, reduced: bool, leaf: Callable[[list, list, list, int], None]) -> None:
+    """Visit every cross subset of the staircase, depth first in reading
+    order, calling leaf(crosses, w, weight, absorbed) once per subset.
 
-
-def demazure_product(word: Iterable[int], n: int) -> tuple:
-    """0-Hecke product: fold generators left to right, absorbing any s_j that
-    would shorten the running permutation."""
-    u = perms.identity(n)
-    for j in word:
-        if u[j - 1] < u[j]:
-            u = perms.apply_s(u, j)
-    return u
-
-
-def reading_word(crosses: Iterable[tuple], n: int) -> List[int]:
-    """Cross (i,j) contributes s_{i+j-1}; rows read top to bottom, each row
-    right to left.  This convention is validated against trace_strands."""
-    word = []
-    for i in range(1, n):
-        row = sorted((j for (ii, j) in crosses if ii == i), reverse=True)
-        word.extend(i + j - 1 for j in row)
-    return word
-
-
-def trace_strands(crosses: Iterable[tuple], n: int) -> tuple:
-    """Follow the strands through the grid and read the permutation down the
-    left edge, treating second crossings among the same strands as elbows.
-
-    Tile behaviour: a cross passes the top strand down and the right strand
-    left; an elbow turns the top strand left and the right strand down.
+    The walk carries the running Demazure product u: a cross (i,j) applies
+    s_k, k = i+j-1, when u(k) < u(k+1) and is absorbed otherwise.  At a leaf
+    u is the permutation w of the cross set, and the number of absorbed
+    crosses is #crosses - l(w).  With reduced=True the walk prunes at the
+    first absorbed cross, so it visits only the reduced pipe dreams.  The
+    lists passed to leaf are the walk's own; copy what must be kept.
     """
-    crosses = check_grid(crosses, n)
-    crossed = set()
-    left_out = {}  # (i, j) -> strand exiting the left edge of the cell
-    bottom_out = {}  # (i, j) -> strand exiting the bottom edge
-    w = [0] * n
-    for i in range(1, n + 1):
-        for j in range(n, 0, -1):
-            top = bottom_out.get((i - 1, j)) if i > 1 else j
-            right = left_out.get((i, j + 1)) if j < n else None
-            acts_as_cross = False
-            if (i, j) in crosses and top is not None and right is not None:
-                pair = frozenset((top, right))
-                if pair not in crossed:
-                    crossed.add(pair)
-                    acts_as_cross = True
-            if acts_as_cross:
-                left_out[(i, j)], bottom_out[(i, j)] = right, top
-            else:
-                left_out[(i, j)], bottom_out[(i, j)] = top, right
-        exiting = left_out[(i, 1)]
-        if exiting is None:
-            raise AssertionError(f"no strand exits row {i}")
-        w[i - 1] = exiting
-    return tuple(w)
+    _check_size(n)
+    reading_order = sorted(staircase_cells(n), key=lambda c: (c[0], -c[1]))
+    cells = [(i, j, i + j - 1) for i, j in reading_order]
+    last = len(cells)
+    u = list(range(1, n + 1))
+    weight = [0] * n
+    crosses: List[tuple] = []
 
+    def visit(t: int, absorbed: int) -> None:
+        if t == last:
+            leaf(crosses, u, weight, absorbed)
+            return
+        i, j, k = cells[t]
+        visit(t + 1, absorbed)
+        crosses.append((i, j))
+        weight[i - 1] += 1
+        if u[k - 1] < u[k]:
+            u[k - 1], u[k] = u[k], u[k - 1]
+            visit(t + 1, absorbed)
+            u[k - 1], u[k] = u[k], u[k - 1]
+        elif not reduced:
+            visit(t + 1, absorbed + 1)
+        crosses.pop()
+        weight[i - 1] -= 1
 
-def weight_of(crosses: Iterable[tuple], n: int) -> tuple:
-    wt = [0] * n
-    for (i, _) in crosses:
-        wt[i - 1] += 1
-    return tuple(wt)
-
-
-def _all_cross_subsets(n: int):
-    cells = staircase_cells(n)
-    for r in range(len(cells) + 1):
-        yield from (frozenset(sub) for sub in itertools.combinations(cells, r))
+    visit(0, 0)
+    del visit  # break the closure's reference to itself, freeing leaf's state now
 
 
 def enumerate_pipe_dreams(w: tuple, mode: str) -> set:
     """All pipe dreams of w.  mode="reduced" keeps only those with exactly
-    l(w) crosses (RPD); mode="all" keeps every cross set whose strands trace
-    to w (PD)."""
-    n = len(w)
-    _check_size(n)
+    l(w) crosses (RPD); mode="all" keeps every cross set whose Demazure
+    product is w (PD)."""
     if mode not in ("reduced", "all"):
         raise ValueError(f"unknown mode {mode!r}")
-    lw = perms.length(w)
+    target = list(w)
     found = set()
-    for crosses in _all_cross_subsets(n):
-        if mode == "reduced":
-            # RPD: exactly l(w) crosses and the strands trace to w.
-            if len(crosses) == lw and trace_strands(crosses, n) == w:
-                found.add(crosses)
-        else:
-            # PD: the reading word's 0-Hecke product is w (equivalent to the
-            # second-crossings-as-elbows trace; validated exhaustively).
-            if demazure_product(reading_word(crosses, n), n) == w:
-                found.add(crosses)
+
+    def leaf(crosses, u, weight, absorbed):
+        if u == target:
+            found.add(frozenset(crosses))
+
+    _walk(len(w), mode == "reduced", leaf)
     return found
 
 
@@ -124,53 +87,33 @@ def pd_polynomial(w: tuple, mode: str) -> Poly:
     """Monomial-sum formula over pipe dreams: unsigned over RPD for
     mode="schubert", signed by (-1)^(#crosses - l(w)) over PD for
     mode="grothendieck"."""
-    if mode not in ("schubert", "grothendieck"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n = len(w)
-    dreams = enumerate_pipe_dreams(w, "reduced" if mode == "schubert" else "all")
-    lw = perms.length(w)
-    terms: Dict[tuple, int] = {}
-    for crosses in dreams:
-        sign = 1 if mode == "schubert" else (-1) ** (len(crosses) - lw)
-        expo = weight_of(crosses, n)
-        c = terms.get(expo, 0) + sign
-        if c:
-            terms[expo] = c
-        else:
-            terms.pop(expo, None)
-    return Poly(terms, n)
+    return pd_polynomial_all(len(w), mode)[w]
 
 
 def pd_polynomial_all(n: int, mode: str) -> Dict[tuple, Poly]:
-    """One enumeration pass over every cross subset, bucketed by permutation.
-    Much cheaper than per-permutation enumeration for batch oracle checks."""
+    """One walk over every cross subset (every reduced one for
+    mode="schubert"), bucketed by permutation."""
     if mode not in ("schubert", "grothendieck"):
         raise ValueError(f"unknown mode {mode!r}")
-    _check_size(n)
-    lengths = {w: perms.length(w) for w in perms.all_perms(n)}
-    buckets: Dict[tuple, Dict[tuple, int]] = {w: {} for w in lengths}
-    for crosses in _all_cross_subsets(n):
-        w = trace_strands(crosses, n)
-        if mode == "schubert" and len(crosses) != lengths[w]:
-            continue
-        sign = 1 if mode == "schubert" else (-1) ** (len(crosses) - lengths[w])
-        expo = weight_of(crosses, n)
-        terms = buckets[w]
-        c = terms.get(expo, 0) + sign
-        if c:
-            terms[expo] = c
-        else:
-            terms.pop(expo, None)
-    return {w: Poly(terms, n) for w, terms in buckets.items()}
+    buckets: Dict[tuple, Dict[tuple, int]] = defaultdict(dict)
+
+    def leaf(crosses, u, weight, absorbed):
+        terms = buckets[tuple(u)]
+        expo = tuple(weight)
+        terms[expo] = terms.get(expo, 0) + (-1 if absorbed & 1 else 1)
+
+    _walk(n, mode == "schubert", leaf)
+    return {
+        w: Poly({e: c for e, c in buckets[w].items() if c}, n)
+        for w in perms.all_perms(n)
+    }
 
 
 def interior_euler_check(w: tuple) -> int:
-    """Alternating sum (-1)^(#crosses - l(w)) over PD(w); equals 1 for every
-    permutation."""
-    lw = perms.length(w)
-    return sum(
-        (-1) ** (len(crosses) - lw) for crosses in enumerate_pipe_dreams(w, "all")
-    )
+    """Alternating sum (-1)^(#crosses - l(w)) over PD(w), the principal
+    specialization of the pipe-dream Grothendieck polynomial; equals 1 for
+    every permutation."""
+    return pd_polynomial(w, "grothendieck").principal_specialization()
 
 
 def dream_to_text(crosses: Iterable[tuple], n: int) -> str:

@@ -110,7 +110,9 @@ class Poly:
         return Poly._trusted(out, self.nvars)
 
     def swap_vars(self, j: int) -> "Poly":
-        """Exchange x_j and x_{j+1} (1-based j)."""
+        """Exchange x_j and x_{j+1} (1-based j, 1 <= j <= nvars - 1)."""
+        if not 1 <= j <= self.nvars - 1:
+            raise ValueError(f"swap index {j} out of range for nvars={self.nvars}")
         out = {}
         for expo, coeff in self.terms.items():
             e = list(expo)
@@ -170,6 +172,8 @@ class Poly:
             for chunk in text.split(";"):
                 coeff_part, expo_part = chunk.split(":")
                 expo = tuple(int(e) for e in expo_part.split(","))
+                if expo in terms:
+                    raise ValueError(f"repeated exponent {expo}")
                 terms[expo] = int(coeff_part)
         return cls(terms, nvars)
 

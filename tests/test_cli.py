@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from grothpoly import cache, cli, perms, poly
+from grothpoly import cache, cli, perms, pipedreams, poly
 
 
 class TestCache:
@@ -33,8 +33,14 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "body",
-        ["not-a-polynomial", "0:1,0,0", "1:1,0", "1:-1,0,0"],
-        ids=["garbage", "zero-coefficient", "short-exponent", "negative-exponent"],
+        ["not-a-polynomial", "0:1,0,0", "1:1,0", "1:-1,0,0", "1:1,0,0;2:1,0,0"],
+        ids=[
+            "garbage",
+            "zero-coefficient",
+            "short-exponent",
+            "negative-exponent",
+            "repeated-exponent",
+        ],
     )
     def test_corrupt_line_is_hard_error(self, tmp_path, body):
         path = str(tmp_path / "bad.txt")
@@ -75,6 +81,26 @@ class TestRun:
         report, status = cli.run(cli.RunConfig(n=4, checks=("oracle",)))
         assert status == 0
         assert report["summary"]["pass"] == 24
+
+    def test_oracle_failure_witness(self, monkeypatch):
+        real = pipedreams.pd_polynomial_all
+
+        def perturbed(n, mode):
+            out = real(n, mode)
+            if mode == "schubert":
+                w = (1, 3, 2)
+                out[w] = out[w] + poly.Poly.from_text("5:0,1,0;7:2,0,0", 3)
+            return out
+
+        monkeypatch.setattr(pipedreams, "pd_polynomial_all", perturbed)
+        report, status = cli.run(cli.RunConfig(n=3, checks=("oracle",)))
+        assert status == 1
+        assert report["summary"]["failures"] == [{"perm": "1,3,2", "check": "oracle"}]
+        entry = report["results"][1]["checks"]["oracle"]
+        assert entry == {
+            "status": "fail",
+            "witness": {"flavor": "S", "exponent": [2, 0, 0], "table": 0, "pipe_dreams": 7},
+        }
 
     def test_mobius_skip_reason(self):
         config = cli.RunConfig(n=5, perm=(1, 2, 5, 4, 3), checks=("mobius",))

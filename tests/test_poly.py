@@ -56,6 +56,11 @@ class TestPolyBasics:
         with pytest.raises(ValueError):
             Poly.variable(1, 2) + Poly.variable(3, 3)
 
+    @pytest.mark.parametrize("j", [0, 3])
+    def test_swap_vars_index_out_of_range(self, j):
+        with pytest.raises(ValueError):
+            Poly.variable(1, 3).swap_vars(j)
+
     def test_add_cancels(self):
         f = P("1:1,0", 2)
         assert (f - f) == Poly.zero(2)
