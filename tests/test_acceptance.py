@@ -177,6 +177,19 @@ def test_criterion_09_conjecture_suite():
     report("09 conjecture suite S6/S5", ok and elapsed < 600.0, elapsed)
 
 
+@pytest.mark.slow
+def test_conjecture_battery_S7_slow():
+    config = cli.RunConfig(
+        n=7,
+        checks=("conj1", "conj2", "conj3", "conj4", "coeff", "mobius"),
+        jobs=2,
+    )
+    report7, status = cli.run(config)
+    assert status == 0
+    assert report7["summary"]["all_pass"]
+    assert report7["summary"]["permutations"] == 5040
+
+
 def test_criterion_10_implication_consistency(t6g):
     start = time.monotonic()
     ok = True

@@ -3,7 +3,7 @@ import os
 
 import pytest
 
-from grothpoly import cache, cli, perms, pipedreams, poly
+from grothpoly import cache, cli, perms, pipedreams, poly, posets
 
 
 class TestCache:
@@ -101,6 +101,43 @@ class TestRun:
             "status": "fail",
             "witness": {"flavor": "S", "exponent": [2, 0, 0], "table": 0, "pipe_dreams": 7},
         }
+
+    def test_checker_exception_is_an_error(self, monkeypatch):
+        real = posets.check_conjecture_1
+
+        def broken(w, g):
+            if w == (1, 3, 2):
+                raise RuntimeError("boom")
+            return real(w, g)
+
+        monkeypatch.setattr(posets, "check_conjecture_1", broken)
+        report, status = cli.run(cli.RunConfig(n=3, checks=("conj1", "conj2"), jobs=2))
+        assert status == 3
+        summary = report["summary"]
+        assert (summary["pass"], summary["fail"], summary["error"]) == (11, 0, 1)
+        assert summary["errors"] == [{"perm": "1,3,2", "check": "conj1"}]
+        assert summary["failures"] == [] and not summary["all_pass"]
+        checks = report["results"][1]["checks"]
+        assert checks["conj1"] == {"status": "error", "witness": "RuntimeError: boom"}
+        assert checks["conj2"]["status"] == "pass"
+        text = cli.render(report, "text")
+        assert "error=1" in text and "ERROR 1,3,2 conj1" in text
+
+    def test_exit_three_on_error(self, monkeypatch, capsys):
+        def broken(w, g):
+            raise ValueError("bad input")
+
+        monkeypatch.setattr(posets, "check_conjecture_2", broken)
+        assert cli.main(["--n", "3", "--checks", "conj1,conj2"]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["summary"]["error"] == 6
+        assert "error: check conj2 on 1,3,2:" in err and "ValueError: bad input" in err
+
+    def test_no_error_keys_without_errors(self):
+        report, status = cli.run(cli.RunConfig(n=3, checks=("conj1",)))
+        assert status == 0
+        assert "error" not in report["summary"] and "errors" not in report["summary"]
+        assert "error" not in cli.render(report, "text")
 
     def test_mobius_skip_reason(self):
         config = cli.RunConfig(n=5, perm=(1, 2, 5, 4, 3), checks=("mobius",))

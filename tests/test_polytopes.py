@@ -1,8 +1,11 @@
 import itertools
+import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from grothpoly import perms, polytopes
+from grothpoly import cli, perms, polytopes
+from grothpoly.poly import Poly
 from grothpoly.polytopes import (
     SetFunctionPair,
     base_points,
@@ -299,3 +302,164 @@ class TestGrassmannian:
             if perms.grassmannian_shape(w) is None:
                 continue
             assert check_grassmannian_pair(w, tables[(5, "G")][w]).ok
+
+
+# Reference definitions: the direct scans the kernels in `polytopes` replace.
+
+
+def recover_pair_scan(A):
+    """Min and max of the coordinate sum over every mask, point by point."""
+    A = list(A)
+    n = len(A[0])
+    y, z = [0] * (1 << n), [0] * (1 << n)
+    for mask in range(1, 1 << n):
+        sums = [sum(a[i] for i in range(n) if mask >> i & 1) for a in A]
+        y[mask], z[mask] = min(sums), max(sums)
+    return SetFunctionPair(y, z, n)
+
+
+def is_paramodular_scan(pair):
+    """Submodularity, supermodularity and the cross inequality over all
+    O(4^n) pairs of subsets."""
+    y, z, n = pair.y, pair.z, pair.n
+    for I in range(1 << n):
+        for J in range(1 << n):
+            if z[I] + z[J] < z[I | J] + z[I & J]:
+                return False
+            if y[I] + y[J] > y[I | J] + y[I & J]:
+                return False
+            if z[I] - y[J] < z[I & ~J] - y[J & ~I]:
+                return False
+    return True
+
+
+def lattice_points_scan(pair):
+    """Every vector of the singleton box, tested against every mask."""
+    n = pair.n
+    singles = [range(pair.y[1 << i], pair.z[1 << i] + 1) for i in range(n)]
+    return frozenset(
+        t
+        for t in itertools.product(*singles)
+        if all(
+            pair.y[mask] <= sum(t[i] for i in range(n) if mask >> i & 1) <= pair.z[mask]
+            for mask in range(1 << n)
+        )
+    )
+
+
+def assert_failing_inequality(pair, witness):
+    """The witness of `paramodular_violation` names an inequality lhs >= rhs
+    of its test that the pair breaks."""
+    y, z, n = pair.y, pair.z, pair.n
+    S, i, j = witness["mask"], witness["i"], witness["j"]
+    a = S | 1 << (i - 1)
+    if witness["test"] == "f monotone":
+        full = (1 << n) - 1
+        assert j is None and a != S
+        sides = (z[a] + y[full ^ a], z[S] + y[full ^ S])
+    else:
+        b = S | 1 << (j - 1)
+        assert i < j and a != S and b != S
+        sides = {
+            "z submodular": (z[a] + z[b], z[a | b] + z[S]),
+            "y supermodular": (y[a | b] + y[S], y[a] + y[b]),
+        }[witness["test"]]
+    assert sides == (witness["lhs"], witness["rhs"])
+    assert witness["lhs"] < witness["rhs"]
+
+
+def assert_conj4_kernels_match(supp):
+    pair = recover_pair(supp)
+    assert pair == recover_pair_scan(supp)
+    assert is_paramodular(pair) == is_paramodular_scan(pair)
+    assert lattice_points_of_pair(pair) == lattice_points_scan(pair)
+    return pair
+
+
+@st.composite
+def set_function_pairs(draw):
+    """The pair recovered from a few points of {0,1,2}^n, n <= 4, with one
+    entry moved by -2..2: of 2000 examples, a third were paramodular."""
+    n = draw(st.integers(min_value=1, max_value=4))
+    points = draw(st.sets(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
+    base = recover_pair(frozenset(points))
+    tables = [list(base.y), list(base.z)]
+    mask = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
+    tables[draw(st.integers(0, 1))][mask] += draw(st.integers(-2, 2))
+    return SetFunctionPair(tables[0], tables[1], n)
+
+
+point_sets = st.integers(min_value=1, max_value=4).flatmap(
+    lambda n: st.sets(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8)
+)
+
+
+class TestKernelsAgainstScans:
+    def test_S6(self, tables):
+        for w in perms.all_perms(6):
+            assert_conj4_kernels_match(tables[(6, "G")][w].support())
+
+    def test_terms_deleted_S5(self, tables):
+        # Supports with one or two terms removed, so that the failing
+        # branches of conj4 run too.
+        rng = random.Random(5)
+        failures = 0
+        for w in perms.all_perms(5):
+            g = tables[(5, "G")][w]
+            if len(g.terms) < 3:
+                continue
+            dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
+            cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
+            pair = assert_conj4_kernels_match(cut.support())
+            verdict = check_conjecture_4(w, cut)
+            if not is_paramodular(pair):
+                assert not verdict.ok
+                assert verdict.witness == polytopes.paramodular_violation(pair)
+                assert_failing_inequality(pair, verdict.witness)
+            failures += not verdict.ok
+        assert failures > 0
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_function_pairs())
+    def test_is_paramodular(self, pair):
+        assert is_paramodular(pair) == is_paramodular_scan(pair)
+        witness = polytopes.paramodular_violation(pair)
+        assert (witness is None) == is_paramodular(pair)
+        if witness is not None:
+            assert_failing_inequality(pair, witness)
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_function_pairs())
+    def test_lattice_points(self, pair):
+        assert lattice_points_of_pair(pair) == lattice_points_scan(pair)
+
+    @settings(max_examples=300, deadline=None)
+    @given(point_sets)
+    def test_recover_pair(self, A):
+        assert recover_pair(A) == recover_pair_scan(A)
+
+
+class TestParamodularWitness:
+    def test_hand_made_pair(self):
+        # The pair of {(1,1,0), (0,0,1)}: z({3}) + z({1,2,3}) = 1 + 2 exceeds
+        # z({1,3}) + z({2,3}) = 1 + 1, so z is not submodular at S = {3}.
+        pair = recover_pair(frozenset({(1, 1, 0), (0, 0, 1)}))
+        assert not is_paramodular_scan(pair)
+        witness = polytopes.paramodular_violation(pair)
+        assert witness == {"test": "z submodular", "mask": 0b100, "i": 1, "j": 2, "lhs": 2, "rhs": 3}
+        assert_failing_inequality(pair, witness)
+
+    def test_monotone_failure(self):
+        # y and z modular, but y({1}) = 1 > z({1}) = 0: f({1}) = z({1}) < f({}) = y({1}).
+        pair = SetFunctionPair([0, 1], [0, 0], 1)
+        assert not is_paramodular_scan(pair)
+        assert polytopes.paramodular_violation(pair) == {
+            "test": "f monotone", "mask": 0, "i": 1, "j": None, "lhs": 0, "rhs": 1,
+        }
+
+    def test_conj4_failure_carries_witness(self):
+        verdict = check_conjecture_4((1, 3, 2), Poly({(1, 1, 0): 1, (0, 0, 1): 1}, 3))
+        assert not verdict.ok
+        assert verdict.detail == "recovered pair not paramodular"
+        assert verdict.witness["test"] == "z submodular"
+        assert cli._from_verdict(verdict)["witness"]["mask"] == 0b100

@@ -1,6 +1,12 @@
+import collections
+import itertools
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothpoly import perms, posets
+from grothpoly.poly import Poly, term_key
 from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
 
 
@@ -71,6 +77,31 @@ class TestMobius:
         P = VectorPoset({(1, 0), (0, 1), (1, 1)}, 2, has_bottom=True)
         mu = mobius(P)
         assert mu[(1, 1)] == 1
+
+    @pytest.mark.parametrize(
+        "elements",
+        [{(1, 0), (0, 1)}, {(0,), (2,)}, {(-1,), (0,)}],
+        ids=["missing-join", "gap", "negative"],
+    )
+    def test_requires_upper_set_of_box(self, elements):
+        with pytest.raises(ValueError, match="upper set"):
+            mobius(VectorPoset(elements, len(next(iter(elements))), has_bottom=True))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=3).flatmap(
+            lambda n: st.sets(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4)
+        )
+    )
+    def test_matches_recursion_on_upper_sets(self, generators):
+        top = tuple(map(max, zip(*generators)))
+        upper = {
+            v
+            for v in itertools.product(*(range(t + 1) for t in top))
+            if any(posets.componentwise_leq(g, v) for g in generators)
+        }
+        P = VectorPoset(upper, len(top), has_bottom=True)
+        assert mobius(P) == mobius_recursion(P)
 
     def test_defining_identity(self, tables):
         for w in perms.all_perms(4):
@@ -166,3 +197,155 @@ class TestConjectureCheckers:
         verdict = posets.check_conjecture_1((2, 1), f)
         assert not verdict.ok
         assert verdict.witness == (0, 1)
+
+
+# Reference definitions: the pair and box scans the kernels in `posets`
+# replace.  The *_failures functions return every exponent at which a check
+# fails; the checker must report the first of them in degree, then term order.
+
+
+def order(v):
+    return (sum(v), term_key(v))
+
+
+def maximal_pairwise(elements):
+    return frozenset(
+        a for a in elements if not any(b != a and posets.componentwise_leq(a, b) for b in elements)
+    )
+
+
+def build_Pw_scan(w, groth):
+    """Every vector of the box [0, closure weight] tested against every
+    support point."""
+    bound = perms.weight(perms.upper_closure(perms.rothe_diagram(w)))
+    supp = groth.support()
+    return VectorPoset(
+        {
+            v
+            for v in itertools.product(*(range(b + 1) for b in bound))
+            if any(posets.componentwise_leq(a, v) for a in supp)
+        },
+        len(w),
+        has_bottom=True,
+    )
+
+
+def mobius_recursion(P):
+    """mu(0^, q) = -sum_{0^ <= r < q} mu(0^, r) along a linear extension."""
+    table = {BOTTOM: 1}
+    for q in sorted(P.elements, key=order):
+        table[q] = -sum(m for r, m in table.items() if r == BOTTOM or P.leq(r, q))
+    return table
+
+
+def conj1_failures(w, groth):
+    deg = groth.degree()
+    return {a for a in maximal_pairwise(groth.support()) if sum(a) < deg}
+
+
+def conj2_failures(w, groth):
+    supp, deg = groth.support(), groth.degree()
+    return {
+        a
+        for a in supp
+        if sum(a) < deg
+        and not any(sum(b) == sum(a) + 1 and posets.componentwise_leq(a, b) for b in supp)
+    }
+
+
+def conj3_failures(w, groth):
+    supp = groth.support()
+    maxima = maximal_pairwise(supp)
+    return {
+        beta
+        for a in supp
+        for m in maxima
+        if posets.componentwise_leq(a, m)
+        for beta in itertools.product(*(range(x, y + 1) for x, y in zip(a, m)))
+        if beta not in supp
+    }
+
+
+def mobius_failures(w, groth):
+    P = build_Pw_scan(w, groth)
+    mu = mobius_recursion(P)
+    return {a for a in P.elements if groth.terms.get(a, 0) != -mu[a]}
+
+
+CHECKERS = (
+    (posets.check_conjecture_1, conj1_failures),
+    (posets.check_conjecture_2, conj2_failures),
+    (posets.check_conjecture_3, conj3_failures),
+)
+
+
+def assert_matches_scan(checker, failures, w, groth):
+    verdict = checker(w, groth)
+    expected = failures(w, groth)
+    assert verdict.ok == (not expected)
+    if expected:
+        assert verdict.witness == min(expected, key=order)
+    return verdict
+
+
+class TestKernelsAgainstScans:
+    def test_S6(self, tables):
+        for w in perms.all_perms(6):
+            g = tables[(6, "G")][w]
+            assert VectorPoset(g.support(), 6).maximal_elements() == maximal_pairwise(g.support())
+            P = build_Pw(w, g)
+            assert P.elements == build_Pw_scan(w, g).elements
+            assert mobius(P) == mobius_recursion(P)
+            for checker, failures in CHECKERS:
+                assert_matches_scan(checker, failures, w, g)
+
+    def test_terms_deleted_S5(self, tables):
+        # One or two terms removed from each G_w, so that the failing
+        # branches run too.
+        rng = random.Random(5)
+        failed = collections.Counter()
+        for w in perms.all_perms(5):
+            g = tables[(5, "G")][w]
+            if len(g.terms) < 3:
+                continue
+            dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
+            cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
+            assert VectorPoset(cut.support(), 5).maximal_elements() == maximal_pairwise(cut.support())
+            P = build_Pw(w, cut)
+            assert P.elements == build_Pw_scan(w, cut).elements
+            assert mobius(P) == mobius_recursion(P)
+            checkers = CHECKERS
+            if perms.is_zero_one(w):
+                checkers += ((posets.check_conjecture_mobius, mobius_failures),)
+            for checker, failures in checkers:
+                failed[checker.__name__] += not assert_matches_scan(checker, failures, w, cut).ok
+        assert len(failed) == 4 and all(failed.values())
+
+
+class TestWitnessOrder:
+    # G_15324 with one term deleted.  conj1, conj2, coeff and mobius then
+    # fail at two, two, two and seven exponents; the witness is the first in
+    # degree, then term order, whatever order the terms were inserted in.
+    @pytest.mark.parametrize(
+        "deleted, checker, witness, detail",
+        [
+            ((3, 2, 1, 0, 0), posets.check_conjecture_1, (3, 2, 0, 0, 0), "maximal below top degree"),
+            ((3, 2, 1, 0, 0), posets.check_conjecture_2, (3, 2, 0, 0, 0), "no cover one degree up"),
+            (
+                (3, 2, 0, 0, 0),
+                posets.check_conjecture_3,
+                (3, 2, 0, 0, 0),
+                "missing in box [(3, 1, 0, 0, 0), (3, 2, 1, 0, 0)]",
+            ),
+            ((2, 2, 0, 0, 0), posets.check_conjecture_coeff, (3, 2, 1, 0, 0), "coefficient sum 0"),
+            ((2, 2, 0, 0, 0), posets.check_conjecture_mobius, (3, 2, 0, 0, 0), "coefficient -1 != -mu = 0"),
+        ],
+        ids=["conj1", "conj2", "conj3", "coeff", "mobius"],
+    )
+    def test_term_deleted_15324(self, tables, deleted, checker, witness, detail):
+        w = (1, 5, 3, 2, 4)
+        terms = [(e, c) for e, c in tables[(5, "G")][w].terms.items() if e != deleted]
+        for ordered in (terms, terms[::-1], sorted(terms)):
+            verdict = checker(w, Poly(dict(ordered), 5))
+            assert not verdict.ok
+            assert (verdict.witness, verdict.detail) == (witness, detail)
