@@ -4,9 +4,16 @@ Byte-stable on-disk cache of polynomial tables.
 Format: first line `grothcache v1 n=<n> flavor=<S|G>`, then one line per
 permutation `<comma one-line word>|<canonical polynomial text>`, sorted by
 one-line word.
+
+The reader validates what it loads: the header (a mismatch means rebuild),
+the line shape `word|text`, and through `poly.parse_text` nonzero
+coefficients, exponent vectors of length n with entries >= 0, and no
+repeated exponent within a polynomial.  It parses each distinct exponent
+vector once per file, so equal vectors across the table share one tuple.
 """
 from __future__ import annotations
 
+import math
 import os
 from typing import Optional
 
@@ -29,19 +36,23 @@ def write_table(table: poly.PolynomialTable, path: str) -> None:
 
 def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]:
     """Read a cache file.  A header mismatch returns None (caller rebuilds);
-    a corrupt body line is a hard error naming the line."""
+    a corrupt body line (bad `word|text` shape, zero coefficient, exponent
+    vector of the wrong length or with a negative entry, repeated exponent)
+    is a hard error naming the line.  Equal exponent vectors in the returned
+    table are one shared tuple."""
     with open(path) as fh:
         lines = fh.read().splitlines()
     if not lines or lines[0] != f"{HEADER_PREFIX} n={n} flavor={flavor}":
         return None
     polys = {}
+    vectors: dict = {}
     for lineno, line in enumerate(lines[1:], start=2):
         if not line:
             continue
         try:
             word, body = line.split("|", 1)
             w = perms.parse_perm(word)
-            polys[w] = poly.Poly.from_text(body, n)
+            polys[w] = poly.parse_text(body, n, vectors)
         except Exception as exc:
             raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
     return poly.PolynomialTable(n, flavor, polys)
@@ -54,7 +65,7 @@ def load_or_build(cache_dir: Optional[str], n: int, flavor: str) -> poly.Polynom
         path = cache_path(cache_dir, n, flavor)
         if os.path.exists(path):
             table = read_table(path, n, flavor)
-            if table is not None and len(table) == _factorial(n):
+            if table is not None and len(table) == math.factorial(n):
                 return table
     table = poly.build_table(n, flavor)
     if cache_dir:
@@ -73,9 +84,3 @@ def cache_roundtrip(table: poly.PolynomialTable, cache_dir: str) -> poly.Polynom
         raise AssertionError("freshly written cache failed its own header check")
     return reloaded
 
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out

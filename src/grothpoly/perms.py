@@ -234,10 +234,22 @@ ZERO_ONE_PATTERNS = (
 )
 
 
+# The same patterns standardized by `_ranking`, one set per length.
+_ZERO_ONE_RANKS = {
+    k: frozenset(_ranking(p) for p in ZERO_ONE_PATTERNS if len(p) == k)
+    for k in sorted({len(p) for p in ZERO_ONE_PATTERNS})
+}
+
+
 def is_zero_one(w: tuple) -> bool:
     """True iff w avoids the twelve patterns characterizing 0/1 Schubert
-    coefficients."""
-    return not any(contains_pattern(w, p) for p in ZERO_ONE_PATTERNS)
+    coefficients: each subsequence of a pattern's length is standardized
+    once and looked up among the patterns of that length."""
+    return not any(
+        _ranking(sub) in ranks
+        for k, ranks in _ZERO_ONE_RANKS.items()
+        for sub in itertools.combinations(w, k)
+    )
 
 
 def diagram_precedes(R: frozenset, S: frozenset) -> bool:

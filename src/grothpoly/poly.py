@@ -6,8 +6,9 @@ polynomials.
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
 differences are written in closed form, one monomial at a time.  Terms are
-checked once, where they enter through `Poly(...)` or `from_text`; results
-derived from valid polynomials skip the checks.
+checked once, where they enter: through `Poly(...)`, or through `parse_text`
+(behind `from_text` and the cache reader); results derived from valid
+polynomials skip the checks.
 """
 from __future__ import annotations
 
@@ -167,15 +168,8 @@ class Poly:
 
     @classmethod
     def from_text(cls, text: str, nvars: int) -> "Poly":
-        terms: Dict[tuple, int] = {}
-        if text:
-            for chunk in text.split(";"):
-                coeff_part, expo_part = chunk.split(":")
-                expo = tuple(int(e) for e in expo_part.split(","))
-                if expo in terms:
-                    raise ValueError(f"repeated exponent {expo}")
-                terms[expo] = int(coeff_part)
-        return cls(terms, nvars)
+        """Parse the canonical text form (see `parse_text`)."""
+        return parse_text(text, nvars, {})
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r}, nvars={self.nvars})"
@@ -186,6 +180,41 @@ def term_key(expo: tuple) -> tuple:
     first, then x_{n-1}, and so on.  This is a term order with
     x_1 < x_2 < ... < x_n."""
     return expo[::-1]
+
+
+def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
+    """Parse the canonical text form `coeff:e1,...,en;...` into a Poly.
+
+    `vectors` maps exponent text to its tuple and grows as new vectors are
+    seen: each distinct vector is converted and checked (length nvars,
+    entries >= 0) once per table, and every polynomial parsed against the
+    same table shares that one tuple.  Each term costs one split, one lookup
+    and one `int`; the polynomial as a whole must have nonzero coefficients
+    and no repeated exponent.  The empty text is the zero polynomial.
+    """
+    terms: Dict[tuple, int] = {}
+    if not text:
+        return Poly._trusted(terms, nvars)
+    chunks = text.split(";")
+    for chunk in chunks:
+        coeff, key = chunk.split(":")
+        expo = vectors.get(key)
+        if expo is None:
+            expo = vectors[key] = _parse_vector(key, nvars)
+        terms[expo] = int(coeff)
+    if len(terms) != len(chunks):
+        raise ValueError(f"repeated exponent: {len(chunks)} terms, {len(terms)} exponents")
+    if 0 in terms.values():
+        zero = next(e for e, c in terms.items() if c == 0)
+        raise ValueError(f"zero coefficient stored at {zero}")
+    return Poly._trusted(terms, nvars)
+
+
+def _parse_vector(key: str, nvars: int) -> tuple:
+    expo = tuple(map(int, key.split(",")))
+    if len(expo) != nvars or min(expo) < 0:
+        raise ValueError(f"bad exponent vector {expo} for nvars={nvars}")
+    return expo
 
 
 def divided_difference(f: Poly, j: int) -> Poly:

@@ -7,10 +7,24 @@ from grothpoly import cache, cli, perms, pipedreams, poly, posets
 
 
 class TestCache:
-    def test_roundtrip_identity(self, tables, tmp_path):
-        table = tables[(3, "G")]
+    # The keys of the `tables` fixture.
+    @pytest.mark.parametrize("n, flavor", [(n, f) for n in (3, 4, 5, 6) for f in "SG"])
+    def test_roundtrip_identity(self, tables, tmp_path, n, flavor):
+        table = tables[(n, flavor)]
         reloaded = cache.cache_roundtrip(table, str(tmp_path))
         assert reloaded.polys == table.polys
+        # Equal exponent vectors are one shared tuple in the reloaded table.
+        shared = {}
+        for p in reloaded.polys.values():
+            for expo in p.terms:
+                assert shared.setdefault(expo, expo) is expo
+
+    @pytest.mark.slow
+    def test_cache_roundtrip_S7_slow(self, tmp_path):
+        for flavor in ("S", "G"):
+            table = poly.build_table(7, flavor)
+            reloaded = cache.cache_roundtrip(table, str(tmp_path))
+            assert reloaded.polys == table.polys
 
     def test_byte_stable(self, tables, tmp_path):
         table = tables[(3, "G")]
@@ -33,13 +47,27 @@ class TestCache:
 
     @pytest.mark.parametrize(
         "body",
-        ["not-a-polynomial", "0:1,0,0", "1:1,0", "1:-1,0,0", "1:1,0,0;2:1,0,0"],
+        [
+            "not-a-polynomial",
+            "0:1,0,0",
+            "1:1,0",
+            "1:-1,0,0",
+            "1:1,0,0;2:1,0,0",
+            "1:1,0,0:2",
+            "1:1,0,0;",
+            "x:1,0,0",
+            "1:1,,0",
+        ],
         ids=[
             "garbage",
             "zero-coefficient",
             "short-exponent",
             "negative-exponent",
             "repeated-exponent",
+            "two-colons",
+            "empty-chunk",
+            "non-integer-coefficient",
+            "empty-exponent-entry",
         ],
     )
     def test_corrupt_line_is_hard_error(self, tmp_path, body):
@@ -48,6 +76,22 @@ class TestCache:
             fh.write(f"grothcache v1 n=3 flavor=G\n1,2,3|{body}\n")
         with pytest.raises(ValueError, match=":2:"):
             cache.read_table(path, 3, "G")
+
+    def test_corrupt_line_after_good_line(self, tmp_path):
+        """Line 3 reuses line 2's exponent text, already in the reader's
+        vector table, with a zero coefficient."""
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as fh:
+            fh.write("grothcache v1 n=3 flavor=G\n1,2,3|1:1,0,0\n1,3,2|0:1,0,0\n")
+        with pytest.raises(ValueError, match=":3:"):
+            cache.read_table(path, 3, "G")
+
+    def test_empty_body_is_zero(self, tmp_path):
+        path = str(tmp_path / "zero.txt")
+        with open(path, "w") as fh:
+            fh.write("grothcache v1 n=3 flavor=G\n1,2,3|\n")
+        table = cache.read_table(path, 3, "G")
+        assert table[(1, 2, 3)] == poly.Poly.zero(3)
 
     def test_warm_cache_skips_recompute(self, tmp_path):
         cache_dir = str(tmp_path)

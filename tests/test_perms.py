@@ -209,6 +209,17 @@ class TestPatterns:
         assert not perms.is_zero_one((1, 2, 5, 4, 3))
         assert perms.is_zero_one((3, 5, 1, 6, 2, 4))
 
+    @pytest.mark.parametrize("n, count", [(6, 605), (7, 3343)])
+    def test_zero_one_matches_twelve_scans(self, n, count):
+        """The grouped lookup agrees with one `contains_pattern` scan per
+        pattern on every permutation of S_n."""
+        found = 0
+        for w in perms.all_perms(n):
+            scans = not any(perms.contains_pattern(w, p) for p in perms.ZERO_ONE_PATTERNS)
+            assert perms.is_zero_one(w) == scans, w
+            found += scans
+        assert found == count
+
 
 class TestDiagramPrecedes:
     def test_examples(self):
