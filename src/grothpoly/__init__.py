@@ -25,7 +25,6 @@ from .poly import (
     isobaric_divided_difference,
     schubert,
 )
-from .pipedreams import enumerate_pipe_dreams, interior_euler_check, pd_polynomial
 from .posets import VectorPoset, build_Pw, componentwise_leq, mobius
 from .verdicts import Verdict
 

@@ -24,18 +24,6 @@ from .verdicts import Verdict
 ENGINE = "grothpoly 0.1.0"
 
 
-def _needs_pd(check):
-    """Wrap a check that reads the pipe-dream polynomials (pd_g, pd_s); it
-    skips when they were not computed."""
-
-    def run(w, g, s, pd):
-        if pd is None:
-            return _skip(f"pipe dream oracle limited to n <= {pipedreams.MAX_GRID}")
-        return check(w, g, s, pd)
-
-    return run
-
-
 def _oracle(w, g, s, pd) -> dict:
     """The tables must equal the pipe-dream polynomials; a failure names the
     flavor, the first differing exponent in term order and both
@@ -90,8 +78,8 @@ CHECKS = {
     "superset": lambda w, g, s, pd: _from_verdict(polytopes.check_superset(w, g)),
     "fms": lambda w, g, s, pd: _from_verdict(polytopes.check_fms(w, s)),
     "converse": lambda w, g, s, pd: _from_verdict(polytopes.check_prop_converse(w, g)),
-    "oracle": _needs_pd(_oracle),
-    "euler": _needs_pd(_euler),
+    "oracle": _oracle,
+    "euler": _euler,
     "rajchgot": _rajchgot,
 }
 
@@ -191,9 +179,8 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
     table_s = cache.load_or_build(config.cache_dir, config.n, "S")
-    need_pd = bool({"oracle", "euler"} & set(config.checks))
     pd = None
-    if need_pd and config.n <= pipedreams.MAX_GRID:
+    if {"oracle", "euler"} & set(config.checks):
         pd = (
             pipedreams.pd_polynomial_all(config.n, "grothendieck"),
             pipedreams.pd_polynomial_all(config.n, "schubert"),

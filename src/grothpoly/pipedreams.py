@@ -1,24 +1,31 @@
-"""
-Pipe dream enumeration: the independent oracle for Schubert and Grothendieck
-polynomials.
+"""Pipe dreams: the independent oracle for Schubert and Grothendieck polynomials.
 
-A pipe dream on the n x n grid may place crosses only in the strict
-north-west staircase (cells (i,j) with i + j <= n); everything else is an
-elbow.  Read in reading order (rows top to bottom, each row right to left),
-cross (i,j) is the generator s_{i+j-1}, and a cross set is a pipe dream of w
-exactly when the Demazure (0-Hecke) product of that word is w
-(Knutson-Miller, subword complexes).  One depth-first walk over the cells in
-reading order carries that product, so every node costs one generator step.
-"""
-from __future__ import annotations
+A pipe dream places crosses only in the staircase cells (i,j), i + j <= n.
+Read in reading order (rows top to bottom, each row right to left), cross
+(i,j) is the generator s_{i+j-1}, and a cross set is a pipe dream of w exactly
+when the Demazure (0-Hecke) product of that word is w (Knutson-Miller).  𝔊_w
+sums (-1)^(#crosses - l(w)) x^weight over them, the weight counting crosses
+per row; 𝔖_w sums x^weight over the reduced ones (#crosses = l(w)).
 
-from collections import defaultdict
-from typing import Callable, Dict, Iterable, List
+As an ordered product over the cells in the 0-Hecke (𝔊) or nilCoxeter (𝔖)
+algebra over Z[x] (Fomin-Kirillov 1994), this is a transfer-matrix recursion.
+After a prefix of the cells the state maps each Demazure product u to the
+signed weight sum of the prefix's cross sets with product u.  What a cell does
+to a cross set depends only on u, so merging them is exact.  Skipping the cell
+keeps every entry.  A cross in row i with generator s_k, where u(k) < u(k+1),
+moves x_i times the entry of u onto u s_k.  Where u(k) > u(k+1) the cross is
+absorbed: for 𝔊 it adds -x_i times the entry of u to u itself; for 𝔖 the
+cross set is not reduced and is dropped.  The Demazure products of a prefix's
+subwords form the Bruhat lower interval below the product of the whole prefix,
+so there are at most n! states, and the cost follows the size of the output,
+not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
+fixed by its exponent, so contributions never cancel to a zero coefficient.
+The module shares only `Poly` and `perms.all_perms` with the table engine.
+"""
+from typing import Dict, List
 
 from . import perms
 from .poly import Poly
-
-MAX_GRID = 7  # 2^21 cross subsets; anything larger is infeasible by design
 
 
 def staircase_cells(n: int) -> List[tuple]:
@@ -26,105 +33,37 @@ def staircase_cells(n: int) -> List[tuple]:
     return [(i, j) for i in range(1, n) for j in range(1, n - i + 1)]
 
 
-def _walk(n: int, reduced: bool, leaf: Callable[[list, list, list, int], None]) -> None:
-    """Visit every cross subset of the staircase, depth first in reading
-    order, calling leaf(crosses, w, weight, absorbed) once per subset.
+class _Times(dict):
+    """e -> the exponent of x_i x^e, one shared tuple per vector in `vectors`."""
 
-    The walk carries the running Demazure product u: a cross (i,j) applies
-    s_k, k = i+j-1, when u(k) < u(k+1) and is absorbed otherwise.  At a leaf
-    u is the permutation w of the cross set, and the number of absorbed
-    crosses is #crosses - l(w).  With reduced=True the walk prunes at the
-    first absorbed cross, so it visits only the reduced pipe dreams.  The
-    lists passed to leaf are the walk's own; copy what must be kept.
-    """
-    _check_size(n)
-    reading_order = sorted(staircase_cells(n), key=lambda c: (c[0], -c[1]))
-    cells = [(i, j, i + j - 1) for i, j in reading_order]
-    last = len(cells)
-    u = list(range(1, n + 1))
-    weight = [0] * n
-    crosses: List[tuple] = []
+    def __init__(self, i: int, vectors: Dict[tuple, tuple]):
+        super().__init__()
+        self.i, self.vectors = i, vectors
 
-    def visit(t: int, absorbed: int) -> None:
-        if t == last:
-            leaf(crosses, u, weight, absorbed)
-            return
-        i, j, k = cells[t]
-        visit(t + 1, absorbed)
-        crosses.append((i, j))
-        weight[i - 1] += 1
-        if u[k - 1] < u[k]:
-            u[k - 1], u[k] = u[k], u[k - 1]
-            visit(t + 1, absorbed)
-            u[k - 1], u[k] = u[k], u[k - 1]
-        elif not reduced:
-            visit(t + 1, absorbed + 1)
-        crosses.pop()
-        weight[i - 1] -= 1
-
-    visit(0, 0)
-    del visit  # break the closure's reference to itself, freeing leaf's state now
-
-
-def enumerate_pipe_dreams(w: tuple, mode: str) -> set:
-    """All pipe dreams of w.  mode="reduced" keeps only those with exactly
-    l(w) crosses (RPD); mode="all" keeps every cross set whose Demazure
-    product is w (PD)."""
-    if mode not in ("reduced", "all"):
-        raise ValueError(f"unknown mode {mode!r}")
-    target = list(w)
-    found = set()
-
-    def leaf(crosses, u, weight, absorbed):
-        if u == target:
-            found.add(frozenset(crosses))
-
-    _walk(len(w), mode == "reduced", leaf)
-    return found
-
-
-def pd_polynomial(w: tuple, mode: str) -> Poly:
-    """Monomial-sum formula over pipe dreams: unsigned over RPD for
-    mode="schubert", signed by (-1)^(#crosses - l(w)) over PD for
-    mode="grothendieck"."""
-    return pd_polynomial_all(len(w), mode)[w]
+    def __missing__(self, e: tuple) -> tuple:
+        up = e[: self.i - 1] + (e[self.i - 1] + 1,) + e[self.i :]
+        self[e] = self.vectors.setdefault(up, up)
+        return self[e]
 
 
 def pd_polynomial_all(n: int, mode: str) -> Dict[tuple, Poly]:
-    """One walk over every cross subset (every reduced one for
-    mode="schubert"), bucketed by permutation."""
+    """The pipe-dream polynomial of every w in S_n: 𝔖_w for
+    mode="schubert", 𝔊_w for mode="grothendieck"."""
     if mode not in ("schubert", "grothendieck"):
         raise ValueError(f"unknown mode {mode!r}")
-    buckets: Dict[tuple, Dict[tuple, int]] = defaultdict(dict)
-
-    def leaf(crosses, u, weight, absorbed):
-        terms = buckets[tuple(u)]
-        expo = tuple(weight)
-        terms[expo] = terms.get(expo, 0) + (-1 if absorbed & 1 else 1)
-
-    _walk(n, mode == "schubert", leaf)
-    return {
-        w: Poly({e: c for e, c in buckets[w].items() if c}, n)
-        for w in perms.all_perms(n)
-    }
-
-
-def interior_euler_check(w: tuple) -> int:
-    """Alternating sum (-1)^(#crosses - l(w)) over PD(w), the principal
-    specialization of the pipe-dream Grothendieck polynomial; equals 1 for
-    every permutation."""
-    return pd_polynomial(w, "grothendieck").principal_specialization()
-
-
-def dream_to_text(crosses: Iterable[tuple], n: int) -> str:
-    """Debug form: n, then the sorted cross list."""
-    body = " ".join(f"({i},{j})" for (i, j) in sorted(crosses))
-    return f"{n} {body}".rstrip()
-
-
-def _check_size(n: int) -> None:
-    if n > MAX_GRID:
-        raise ValueError(
-            f"pipe dream enumeration over 2^{n * (n - 1) // 2} subsets refused "
-            f"for n={n} (limit n <= {MAX_GRID})"
-        )
+    vectors: Dict[tuple, tuple] = {}  # one tuple per exponent vector, as in poly.parse_text
+    times = {i: _Times(i, vectors) for i in range(1, n)}
+    states = {tuple(range(1, n + 1)): {(0,) * n: 1}}
+    for i, j in sorted(staircase_cells(n), key=lambda c: (c[0], -c[1])):
+        x_i, k, before = times[i], i + j - 1, list(states.items())
+        for u, terms in before:
+            if u[k - 1] > u[k] and mode == "grothendieck":
+                for e, c in [(x_i[e], c) for e, c in terms.items()]:
+                    terms[e] = terms.get(e, 0) - c
+        for u, terms in before:
+            if u[k - 1] < u[k]:
+                target = states.setdefault(u[: k - 1] + (u[k], u[k - 1]) + u[k + 1 :], {})
+                for e, c in terms.items():
+                    e = x_i[e]
+                    target[e] = target.get(e, 0) + c
+    return {w: Poly._trusted(states[w], n) for w in perms.all_perms(n)}

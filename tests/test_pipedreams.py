@@ -1,14 +1,16 @@
 import itertools
-from typing import Iterable, List
+from collections import defaultdict
+from typing import Callable, Dict, Iterable, List
 
 import pytest
 
 from grothpoly import perms, pipedreams
 from grothpoly.poly import Poly, build_table
 
-# Reference definitions the pipe-dream walk is checked against: the strand
-# trace (the definition of the permutation of a cross set) and the Demazure
-# product of the reading word (Knutson-Miller).
+# Reference definitions: the strand trace (the definition of the permutation
+# of a cross set), the Demazure product of the reading word (Knutson-Miller),
+# and a walk over every cross subset, checked against both.  The transfer-
+# matrix recursion in `pipedreams` is checked against the walk.
 
 
 def check_grid(crosses: Iterable[tuple], n: int) -> frozenset:
@@ -78,6 +80,80 @@ def all_cross_subsets(n: int):
         yield from (frozenset(sub) for sub in itertools.combinations(cells, k))
 
 
+def walk(n: int, reduced: bool, leaf: Callable[[list, list, list, int], None]) -> None:
+    """Visit every cross subset of the staircase, depth first in reading
+    order, calling leaf(crosses, w, weight, absorbed) once per subset.
+
+    The walk carries the running Demazure product u: a cross (i,j) applies
+    s_k, k = i+j-1, when u(k) < u(k+1) and is absorbed otherwise.  At a leaf
+    u is the permutation w of the cross set, and the number of absorbed
+    crosses is #crosses - l(w).  With reduced=True the walk prunes at the
+    first absorbed cross, so it visits only the reduced pipe dreams.  The
+    lists passed to leaf are the walk's own; copy what must be kept.
+    """
+    reading_order = sorted(pipedreams.staircase_cells(n), key=lambda c: (c[0], -c[1]))
+    cells = [(i, j, i + j - 1) for i, j in reading_order]
+    last = len(cells)
+    u = list(range(1, n + 1))
+    weight = [0] * n
+    crosses: List[tuple] = []
+
+    def visit(t: int, absorbed: int) -> None:
+        if t == last:
+            leaf(crosses, u, weight, absorbed)
+            return
+        i, j, k = cells[t]
+        visit(t + 1, absorbed)
+        crosses.append((i, j))
+        weight[i - 1] += 1
+        if u[k - 1] < u[k]:
+            u[k - 1], u[k] = u[k], u[k - 1]
+            visit(t + 1, absorbed)
+            u[k - 1], u[k] = u[k], u[k - 1]
+        elif not reduced:
+            visit(t + 1, absorbed + 1)
+        crosses.pop()
+        weight[i - 1] -= 1
+
+    visit(0, 0)
+    del visit  # break the closure's reference to itself, freeing leaf's state now
+
+
+def enumerate_pipe_dreams(w: tuple, mode: str) -> set:
+    """All pipe dreams of w.  mode="reduced" keeps only those with exactly
+    l(w) crosses (RPD); mode="all" keeps every cross set whose Demazure
+    product is w (PD)."""
+    if mode not in ("reduced", "all"):
+        raise ValueError(f"unknown mode {mode!r}")
+    target = list(w)
+    found = set()
+
+    def leaf(crosses, u, weight, absorbed):
+        if u == target:
+            found.add(frozenset(crosses))
+
+    walk(len(w), mode == "reduced", leaf)
+    return found
+
+
+def walk_polynomials(n: int, mode: str) -> Dict[tuple, Poly]:
+    """The pipe-dream polynomials summed leaf by leaf over the walk: unsigned
+    over RPD for mode="schubert", signed by (-1)^(#crosses - l(w)) over PD
+    for mode="grothendieck"."""
+    buckets: Dict[tuple, Dict[tuple, int]] = defaultdict(dict)
+
+    def leaf(crosses, u, weight, absorbed):
+        terms = buckets[tuple(u)]
+        expo = tuple(weight)
+        terms[expo] = terms.get(expo, 0) + (-1 if absorbed & 1 else 1)
+
+    walk(n, mode == "schubert", leaf)
+    return {
+        w: Poly({e: c for e, c in buckets[w].items() if c}, n)
+        for w in perms.all_perms(n)
+    }
+
+
 def walk_leaves(n: int, reduced: bool) -> list:
     """(cross set, w, absorbed) for every leaf of the pipe-dream walk."""
     leaves = []
@@ -87,7 +163,7 @@ def walk_leaves(n: int, reduced: bool) -> list:
         assert weight == [rows.count(r) for r in range(1, n + 1)]
         leaves.append((frozenset(crosses), tuple(u), absorbed))
 
-    pipedreams._walk(n, reduced, leaf)
+    walk(n, reduced, leaf)
     return leaves
 
 
@@ -141,18 +217,18 @@ class TestWalk:
 
 class TestEnumeration:
     def test_identity_reduced(self):
-        assert pipedreams.enumerate_pipe_dreams(perms.identity(3), "reduced") == {
+        assert enumerate_pipe_dreams(perms.identity(3), "reduced") == {
             frozenset()
         }
 
     def test_w0_single_dream(self):
         w0 = perms.longest_element(4)
         full = frozenset(pipedreams.staircase_cells(4))
-        assert pipedreams.enumerate_pipe_dreams(w0, "reduced") == {full}
-        assert pipedreams.enumerate_pipe_dreams(w0, "all") == {full}
+        assert enumerate_pipe_dreams(w0, "reduced") == {full}
+        assert enumerate_pipe_dreams(w0, "all") == {full}
 
     def test_132_all(self):
-        dreams = pipedreams.enumerate_pipe_dreams((1, 3, 2), "all")
+        dreams = enumerate_pipe_dreams((1, 3, 2), "all")
         assert dreams == {
             frozenset({(1, 2)}),
             frozenset({(2, 1)}),
@@ -161,8 +237,8 @@ class TestEnumeration:
 
     def test_rpd_subset_of_pd_S4(self):
         for w in perms.all_perms(4):
-            rpd = pipedreams.enumerate_pipe_dreams(w, "reduced")
-            pd = pipedreams.enumerate_pipe_dreams(w, "all")
+            rpd = enumerate_pipe_dreams(w, "reduced")
+            pd = enumerate_pipe_dreams(w, "all")
             lw = perms.length(w)
             assert rpd <= pd
             for P in pd:
@@ -171,20 +247,16 @@ class TestEnumeration:
 
     def test_pd_1432_cardinality_frozen(self):
         # regression value, cross-validated by the oracle equivalence tests
-        assert len(pipedreams.enumerate_pipe_dreams((1, 4, 3, 2), "all")) == 11
-
-    def test_size_guard(self):
-        with pytest.raises(ValueError):
-            pipedreams.enumerate_pipe_dreams(perms.identity(8), "all")
+        assert len(enumerate_pipe_dreams((1, 4, 3, 2), "all")) == 11
 
 
 class TestPolynomials:
     def test_132_grothendieck(self):
-        f = pipedreams.pd_polynomial((1, 3, 2), "grothendieck")
+        f = pipedreams.pd_polynomial_all(3, "grothendieck")[(1, 3, 2)]
         assert f == Poly.from_text("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
 
     def test_w0_staircase(self):
-        f = pipedreams.pd_polynomial(perms.longest_element(4), "grothendieck")
+        f = pipedreams.pd_polynomial_all(4, "grothendieck")[perms.longest_element(4)]
         assert f == Poly.monomial((3, 2, 1, 0), 4)
 
     def test_oracle_equivalence_S4(self, tables):
@@ -201,29 +273,41 @@ class TestPolynomials:
                 assert pd[w] == tables[(6, flavor)][w]
 
     def test_1432_oracle(self, tables):
-        f = pipedreams.pd_polynomial((1, 4, 3, 2), "grothendieck")
+        f = pipedreams.pd_polynomial_all(4, "grothendieck")[(1, 4, 3, 2)]
         assert f == tables[(4, "G")][(1, 4, 3, 2)]
 
     def test_rpd_count_is_schubert_specialization_S4(self, tables):
         for w in perms.all_perms(4):
-            rpd = pipedreams.enumerate_pipe_dreams(w, "reduced")
+            rpd = enumerate_pipe_dreams(w, "reduced")
             assert len(rpd) == tables[(4, "S")][w].principal_specialization()
+
+    @pytest.mark.parametrize("mode", ["schubert", "grothendieck"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_recursion_matches_walk(self, n, mode):
+        assert pipedreams.pd_polynomial_all(n, mode) == walk_polynomials(n, mode)
+
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError):
+            pipedreams.pd_polynomial_all(3, "bogus")
+
+
+def euler_characteristic(w: tuple) -> int:
+    """Alternating sum (-1)^(#crosses - l(w)) over PD(w), the principal
+    specialization of the pipe-dream Grothendieck polynomial; equals 1 for
+    every permutation."""
+    return pipedreams.pd_polynomial_all(len(w), "grothendieck")[w].principal_specialization()
 
 
 class TestEuler:
     def test_132(self):
-        assert pipedreams.interior_euler_check((1, 3, 2)) == 1
+        assert euler_characteristic((1, 3, 2)) == 1
 
     def test_w0(self):
-        assert pipedreams.interior_euler_check(perms.longest_element(3)) == 1
+        assert euler_characteristic(perms.longest_element(3)) == 1
 
     def test_all_S4(self):
         for w in perms.all_perms(4):
-            assert pipedreams.interior_euler_check(w) == 1
-
-
-def test_dream_text_form():
-    assert pipedreams.dream_to_text({(2, 1), (1, 2)}, 3) == "3 (1,2) (2,1)"
+            assert euler_characteristic(w) == 1
 
 
 @pytest.mark.slow
@@ -233,3 +317,11 @@ def test_oracle_equivalence_S7_slow():
         pd = pipedreams.pd_polynomial_all(7, mode)
         for w in perms.all_perms(7):
             assert pd[w] == table[w]
+
+
+@pytest.mark.slow
+def test_oracle_equivalence_S8_schubert_slow():
+    table = build_table(8, "S")
+    pd = pipedreams.pd_polynomial_all(8, "schubert")
+    for w in perms.all_perms(8):
+        assert pd[w] == table[w]
