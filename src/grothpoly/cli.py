@@ -105,6 +105,9 @@ class RunConfig:
         unknown = set(self.checks) - set(ALL_CHECKS)
         if unknown:
             raise ValueError(f"unknown checks: {sorted(unknown)}")
+        repeated = {name for name in self.checks if self.checks.count(name) > 1}
+        if repeated:
+            raise ValueError(f"repeated checks: {sorted(repeated)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.fmt not in ("json", "text"):
@@ -188,15 +191,17 @@ def run(config: RunConfig) -> Tuple[dict, int]:
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
+    # The fork context starts every worker up front: no more than the targets.
+    workers = min(config.jobs, len(targets))
     global _CTX
     _CTX = (config, table_g, table_s, pd)
     try:
-        if config.jobs == 1:
+        if workers == 1:
             results = [_check_one(w) for w in targets]
         else:
             mp = multiprocessing.get_context("fork")
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=config.jobs, mp_context=mp
+                max_workers=workers, mp_context=mp
             ) as pool:
                 results = list(pool.map(_check_one, targets, chunksize=16))
     finally:

@@ -7,6 +7,7 @@ swaps positions j and j+1 (1-based), not values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -144,11 +145,7 @@ def rajcode(w: tuple) -> tuple:
     # lis[j] = longest increasing subsequence of w(j..n) starting with w(j)
     lis = [1] * n
     for j in range(n - 2, -1, -1):
-        best = 0
-        for k in range(j + 1, n):
-            if w[k] > w[j] and lis[k] > best:
-                best = lis[k]
-        lis[j] = 1 + best
+        lis[j] = 1 + max((lis[k] for k in range(j + 1, n) if w[k] > w[j]), default=0)
     return tuple((n - j) - lis[j] for j in range(n))
 
 
@@ -243,8 +240,13 @@ _ZERO_ONE_RANKS = {
 
 def is_zero_one(w: tuple) -> bool:
     """True iff w avoids the twelve patterns characterizing 0/1 Schubert
-    coefficients: each subsequence of a pattern's length is standardized
-    once and looked up among the patterns of that length."""
+    coefficients, each subsequence standardized once and looked up among the
+    patterns of its length.  Kept for the last w: mobius asks twice per w."""
+    return _avoids_zero_one_patterns(w)
+
+
+@functools.lru_cache(maxsize=1)
+def _avoids_zero_one_patterns(w: tuple) -> bool:
     return not any(
         _ranking(sub) in ranks
         for k, ranks in _ZERO_ONE_RANKS.items()

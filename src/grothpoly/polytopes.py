@@ -78,24 +78,22 @@ def base_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
 
 
 def spanning_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
-    """Indicator vectors of the spanning sets (supersets of a basis)."""
-    bases = schubert_matroid_bases(S, n)
-    points = set()
-    for spanning in itertools.chain.from_iterable(
-        itertools.combinations(range(1, n + 1), k) for k in range(n + 1)
-    ):
-        span = frozenset(spanning)
-        if any(B <= span for B in bases):
-            points.add(indicator(span, n))
-    return frozenset(points)
+    """Indicator vectors of the spanning sets (supersets of a basis), by the
+    Gale count: with S sorted s_1 < ... < s_r, X spans iff
+    |X & [s_k]| >= k for every k.  A basis B in X has b_k <= s_k, so
+    b_1..b_k lie in X & [s_k]; conversely the count puts the k-th smallest
+    element of X at or below s_k, so the r smallest form a basis."""
+    s = sorted(S)
+    points = itertools.product((0, 1), repeat=n)
+    return frozenset(p for p in points if all(sum(p[:sk]) >= k for k, sk in enumerate(s, 1)))
 
 
 def sumset(A: FrozenSet[tuple], B: FrozenSet[tuple]) -> FrozenSet[tuple]:
     """Deduplicated pointwise sumset {a + b}."""
-    dims = {len(a) for a in A} | {len(b) for b in B}
+    dims = set(map(len, A)) | set(map(len, B))
     if len(dims) > 1:
         raise ValueError(f"ambient dimension mismatch: {sorted(dims)}")
-    return frozenset(tuple(x + y for x, y in zip(a, b)) for a in A for b in B)
+    return frozenset(tuple(map(add, a, b)) for a in A for b in B)
 
 
 def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
@@ -257,32 +255,30 @@ def _pad(v: tuple, n: int) -> tuple:
     return tuple(v) + (0,) * (n - len(v))
 
 
-def spanning_sumset(w: tuple) -> FrozenSet[tuple]:
-    """Iterated sumset of the spanning-point sets of the column Schubert
-    matroids SM_{d_j}(D_j), zero-appended into dimension n."""
+def _column_sumset(w: tuple, points) -> FrozenSet[tuple]:
+    """Iterated sumset of points(D_j, n) over the nonempty Rothe columns D_j
+    of w (an empty column adds only the zero vector; column n is empty)."""
     n = len(w)
     if n > MAX_SUMSET_N:
         raise ValueError(f"sumset refused for n={n} > {MAX_SUMSET_N}")
     total = frozenset({(0,) * n})
-    for col in _rothe_columns(w):
-        if not col:
-            continue
-        d = max(col)
-        pts = frozenset(_pad(p, n) for p in spanning_points(col, d))
-        total = sumset(total, pts)
+    for col in filter(None, _rothe_columns(w)):
+        total = sumset(total, points(col, n))
     return total
+
+
+@functools.lru_cache(maxsize=1)
+def spanning_sumset(w: tuple) -> FrozenSet[tuple]:
+    """Iterated sumset of the spanning-point sets of the column Schubert
+    matroids SM_{d_j}(D_j), zero-appended into dimension n; kept for the last
+    permutation, so superset and converse share one build."""
+    return _column_sumset(w, lambda S, n: {_pad(p, n) for p in spanning_points(S, max(S))})
 
 
 def base_sumset(w: tuple) -> FrozenSet[tuple]:
     """Iterated sumset of the base-point sets of the column Schubert matroids
     SM_n(D_j)."""
-    n = len(w)
-    if n > MAX_SUMSET_N:
-        raise ValueError(f"sumset refused for n={n} > {MAX_SUMSET_N}")
-    total = frozenset({(0,) * n})
-    for col in _rothe_columns(w):
-        total = sumset(total, base_points(col, n))
-    return total
+    return _column_sumset(w, base_points)
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:
@@ -350,14 +346,10 @@ def decompose_support_point(w: tuple, alpha: tuple, groth: Poly, schub: Poly) ->
     parts = _basis_decomposition(beta, columns, n)
     if parts is None:
         raise AssertionError(f"no column-basis decomposition of {beta} exists")
-    closure_cols = [
-        tuple(1 if i <= (max(col) if col else 0) else 0 for i in range(1, n + 1))
-        for col in columns
-    ]
-    matrix = [list(col) for col in closure_cols]  # matrix[j][i0]
+    # matrix[j][i0]: the upper closure of column j, minus the erased boxes.
+    matrix = [[int(i <= max(col, default=0)) for i in range(1, n + 1)] for col in columns]
     for i0 in range(n):
-        delta_i = sum(col[i0] for col in closure_cols)
-        surplus = delta_i - alpha[i0]
+        surplus = sum(row[i0] for row in matrix) - alpha[i0]
         for j in range(n):
             if surplus == 0:
                 break

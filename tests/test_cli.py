@@ -190,6 +190,39 @@ class TestRun:
         assert entry["status"] == "skip"
         assert "zero-one" in entry["reason"]
 
+    def test_mobius_scans_each_perm_once(self):
+        scan = perms._avoids_zero_one_patterns
+        scan.cache_clear()
+        report, status = cli.run(cli.RunConfig(n=5, checks=("mobius",)))
+        assert status == 0
+        info = scan.cache_info()
+        assert info.misses == 120
+        # The second call, inside the checker, comes only for zero-one perms.
+        zero_one = sum(map(perms.is_zero_one, perms.all_perms(5)))
+        assert info.hits == report["summary"]["pass"] == zero_one
+
+    def test_workers_capped_by_targets(self, monkeypatch):
+        requested = []
+
+        class Recorder:
+            def __init__(self, max_workers, mp_context):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items, chunksize):
+                return map(fn, items)
+
+        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
+        assert requested == [] and len(report["results"]) == 1
+        report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
+        assert requested == [6] and len(report["results"]) == 6
+
     def test_determinism_across_jobs(self):
         config1 = cli.RunConfig(n=4, jobs=1)
         config4 = cli.RunConfig(n=4, jobs=4)
@@ -212,6 +245,13 @@ class TestRun:
             cli.RunConfig(n=4, jobs=0).validate()
         with pytest.raises(ValueError):
             cli.RunConfig(n=4, perm=(1, 2, 3)).validate()
+
+    def test_repeated_check_rejected(self, capsys):
+        with pytest.raises(ValueError, match=r"repeated checks: \['conj1'\]"):
+            cli.RunConfig(n=3, checks=("conj1", "conj2", "conj1")).validate()
+        assert cli.main(["--n", "3", "--checks", "conj1,conj1", "--format", "text"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and "repeated checks: ['conj1']" in err
 
     def test_max_n_env_override(self, monkeypatch):
         monkeypatch.setenv("GROTH_MAX_N", "9")

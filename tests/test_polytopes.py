@@ -394,6 +394,75 @@ point_sets = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def spanning_points_def(S, n):
+    """Spanning sets as supersets of a basis, every subset against every
+    basis."""
+    bases = schubert_matroid_bases(S, n)
+    return frozenset(
+        polytopes.indicator(span, n)
+        for span in subsets(n)
+        if any(B <= span for B in bases)
+    )
+
+
+def spanning_sumset_loop(w):
+    """The spanning-set sumset column by column, by the basis definition."""
+    n = len(w)
+    total = frozenset({(0,) * n})
+    for col in polytopes._rothe_columns(w):
+        if not col:
+            continue
+        pts = frozenset(polytopes._pad(p, n) for p in spanning_points_def(col, max(col)))
+        total = sumset(total, pts)
+    return total
+
+
+def base_sumset_loop(w):
+    """The base-point sumset over every Rothe column, empty ones included."""
+    total = frozenset({(0,) * len(w)})
+    for col in polytopes._rothe_columns(w):
+        total = sumset(total, base_points(col, len(w)))
+    return total
+
+
+def assert_sumsets_match_loops(n):
+    for w in perms.all_perms(n):
+        assert polytopes.spanning_sumset(w) == spanning_sumset_loop(w), w
+        assert polytopes.base_sumset(w) == base_sumset_loop(w), w
+
+
+class TestColumnSumsets:
+    def test_gale_count_matches_basis_definition(self):
+        for n in range(7):
+            for S in subsets(n):
+                assert spanning_points(S, n) == spanning_points_def(S, n), (S, n)
+
+    def test_S6(self):
+        assert_sumsets_match_loops(6)
+
+    @pytest.mark.slow
+    def test_S7_slow(self):
+        assert_sumsets_match_loops(7)
+
+    def test_spanning_sumset_kept_for_last_perm(self):
+        w = (1, 5, 3, 2, 4)
+        assert polytopes.spanning_sumset(w) is polytopes.spanning_sumset(w)
+
+    def test_superset_and_converse_share_one_build(self, monkeypatch):
+        built = []
+        real = polytopes._column_sumset
+
+        def spy(w, points):
+            built.append(w)
+            return real(w, points)
+
+        monkeypatch.setattr(polytopes, "_column_sumset", spy)
+        polytopes.spanning_sumset.cache_clear()
+        report, status = cli.run(cli.RunConfig(n=5, checks=("superset", "converse")))
+        assert status == 0 and report["summary"]["pass"] == 240
+        assert built == perms.all_perms(5)
+
+
 class TestKernelsAgainstScans:
     def test_S6(self, tables):
         for w in perms.all_perms(6):
