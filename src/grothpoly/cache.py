@@ -9,7 +9,8 @@ The reader validates what it loads: the header (a mismatch means rebuild),
 the line shape `word|text`, and through `poly.parse_text` nonzero
 coefficients, exponent vectors of length n with entries >= 0, and no
 repeated exponent within a polynomial.  It parses each distinct exponent
-vector once per file, so equal vectors across the table share one tuple.
+vector once per file, so equal vectors across the table share one tuple; the
+writer likewise formats each distinct vector once per file.
 """
 from __future__ import annotations
 
@@ -28,8 +29,9 @@ def cache_path(cache_dir: str, n: int, flavor: str) -> str:
 
 def write_table(table: poly.PolynomialTable, path: str) -> None:
     lines = [f"{HEADER_PREFIX} n={table.n} flavor={table.flavor}"]
+    texts: dict = {}
     for w in sorted(table.polys):
-        lines.append(f"{perms.format_perm(w)}|{table[w].to_text()}")
+        lines.append(f"{perms.format_perm(w)}|{table[w].to_text(texts)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

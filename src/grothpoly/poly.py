@@ -12,7 +12,7 @@ polynomials skip the checks.
 """
 from __future__ import annotations
 
-from typing import Dict, Iterator, Tuple
+from typing import Dict, Optional
 
 from . import perms
 
@@ -155,16 +155,22 @@ class Poly:
             raise ValueError("leading exponent of the zero polynomial is undefined")
         return max(self.terms, key=term_key)
 
-    def sorted_terms(self) -> Iterator[Tuple[tuple, int]]:
-        for expo in sorted(self.terms, key=term_key):
-            yield expo, self.terms[expo]
+    def to_text(self, texts: Optional[Dict[tuple, str]] = None) -> str:
+        """Canonical text form: `coeff:e1,...,en` joined by `;`.
 
-    def to_text(self) -> str:
-        """Canonical text form: `coeff:e1,...,en` joined by `;`."""
-        return ";".join(
-            f"{coeff}:" + ",".join(str(e) for e in expo)
-            for expo, coeff in self.sorted_terms()
-        )
+        `texts` maps an exponent vector to its text and grows as new vectors
+        are seen, as `parse_text`'s `vectors` does the other way: a writer
+        that passes one dict per table formats each distinct vector once.
+        Without it, a fresh dict is used."""
+        if texts is None:
+            texts = {}
+        chunks = []
+        for expo in sorted(self.terms, key=term_key):
+            text = texts.get(expo)
+            if text is None:
+                text = texts[expo] = ",".join(map(str, expo))
+            chunks.append(f"{self.terms[expo]}:{text}")
+        return ";".join(chunks)
 
     @classmethod
     def from_text(cls, text: str, nvars: int) -> "Poly":
@@ -217,21 +223,28 @@ def _parse_vector(key: str, nvars: int) -> tuple:
     return expo
 
 
+# The (lift, sign) parts of the two operators (see `_closed_form`).
+_PLAIN = ((0, 1),)
+_ISOBARIC = ((0, 1), (1, -1))
+
+
 def divided_difference(f: Poly, j: int) -> Poly:
     """The operator (f - s_j.f) / (x_j - x_{j+1}), written monomial by
     monomial in closed form (see `_closed_form`)."""
-    return _closed_form(f, j, ((0, 1),))
+    return _closed_form(f, j, _PLAIN, {})
 
 
 def isobaric_divided_difference(f: Poly, j: int) -> Poly:
     """The operator f -> divided_difference((1 - x_{j+1}) f, j), that is
     d_j f - d_j(x_{j+1} f), both parts in the same pass over f."""
-    return _closed_form(f, j, ((0, 1), (1, -1)))
+    return _closed_form(f, j, _ISOBARIC, {})
 
 
-def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
+def _closed_form(f: Poly, j: int, parts: tuple, vectors: Dict[tuple, tuple]) -> Poly:
     """The sum of sign * divided_difference(x_{j+1}^lift f, j) over the
     (lift, sign) pairs in parts, in one pass over the monomials of f.
+    `vectors` maps each exponent vector to its shared tuple and grows as new
+    vectors are seen, so results built against one dict share their tuples.
 
     With a, b the exponents of x_j, x_{j+1}, the divided difference of
     x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
@@ -251,7 +264,7 @@ def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
             for p in range(min(a, b), max(a, b)):
                 e = head + (p, a + b - 1 - p) + tail
                 out[e] = out.get(e, 0) + c
-    return Poly._trusted({e: c for e, c in out.items() if c}, f.nvars)
+    return Poly._trusted({vectors.setdefault(e, e): c for e, c in out.items() if c}, f.nvars)
 
 
 def staircase_monomial(n: int) -> Poly:
@@ -289,14 +302,18 @@ def build_table(n: int, flavor: str) -> PolynomialTable:
 
     Every w != w_0 has an ascent j; its parent w.s_j is longer, so processing
     permutations in decreasing length order finds each parent already done.
+    Equal exponent vectors in the table are one shared tuple (S_n has at most
+    n! distinct ones, the points of the staircase box).
     """
-    operator = divided_difference if flavor == "S" else isobaric_divided_difference
-    polys: Dict[tuple, Poly] = {perms.longest_element(n): staircase_monomial(n)}
+    parts = _PLAIN if flavor == "S" else _ISOBARIC
+    top = staircase_monomial(n)
+    vectors = {e: e for e in top.terms}
+    polys: Dict[tuple, Poly] = {perms.longest_element(n): top}
     by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
     for w in by_length[1:]:
         j = perms.ascents(w)[0]
         parent = perms.apply_s(w, j)
-        polys[w] = operator(polys[parent], j)
+        polys[w] = _closed_form(polys[parent], j, parts, vectors)
     return PolynomialTable(n, flavor, polys)
 
 

@@ -2,6 +2,21 @@
 Componentwise-order posets on integer vectors, Moebius functions, the
 support poset of a Grothendieck polynomial, and the conjecture checkers
 that live on it.
+
+conj1, conj2, conj3 and coeff read one packed view of the support
+(`_SupportView`), built once per polynomial and kept for the last one, so
+the checks of one permutation share a single build.  The view codes an
+exponent vector with one byte per coordinate, x_1 lowest:
+code(alpha) = sum of alpha_i 256^(i-1) = `int.from_bytes(bytes(alpha),
+"little")`.  So the unit step alpha + e_i is code(alpha) + 256^(i-1), and
+the numeric order of the codes is the canonical term order (`term_key`:
+the last coordinate weighs most).  With H the mask that has 0x80 in every
+byte, alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
+== H.  Proof: while every entry is < 128, byte i of the difference is
+beta_i + 128 - alpha_i, which lies in 1..255, so no byte borrows from the
+next and its high bit is set iff beta_i >= alpha_i.  Every entry is at most
+the degree, so the view refuses a degree >= 127 with a ValueError; below
+that, the unit steps have entries < 128 too.
 """
 from __future__ import annotations
 
@@ -63,15 +78,10 @@ class VectorPoset:
         return result
 
     def maximal_elements(self) -> FrozenSet[tuple]:
-        """Scan the elements in decreasing degree and keep alpha iff no kept
-        maximum is >= alpha.  Anything strictly above alpha has larger degree,
-        so it was scanned first and is itself a kept maximum or lies below
-        one; either way some kept maximum is >= alpha."""
-        maxima: list = []
-        for alpha in sorted(self.elements, key=sum, reverse=True):
-            if not any(all(map(le, alpha, m)) for m in maxima):
-                maxima.append(alpha)
-        return frozenset(maxima)
+        """The maxima, as found by the packed support view (entries >= 0,
+        degree < 127)."""
+        view = _SupportView(self.elements, self.n)
+        return frozenset(_vector(m, self.n) for m in view.maxima)
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""
@@ -148,15 +158,99 @@ def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     return VectorPoset(elements, len(w), has_bottom=True)
 
 
+def _code(alpha: tuple) -> int:
+    """One byte per coordinate, x_1 lowest (see the module docstring)."""
+    return int.from_bytes(bytes(alpha), "little")
+
+
+def _vector(code: int, n: int) -> tuple:
+    """The exponent vector of a code of length n."""
+    return tuple(code.to_bytes(n, "little"))
+
+
+class _SupportView:
+    """Packed facts about a set of exponent vectors of length n, with
+    entries >= 0 and degree < 127 (see the module docstring):
+
+    - `codes`: the code of each vector, in the order given;
+    - `high`: H, the mask with 0x80 in each of the n bytes;
+    - `top_codes`: the codes of the top degree, in term order;
+    - `gaps`: for each code below the top degree, the mask with 0xFF in
+      byte i iff the unit step alpha + e_i is not in the set;
+    - `uncovered`: the codes below the top degree with no unit step in the
+      set, in degree, then term order;
+    - `maxima`: `top_codes`, then `low_maxima`, the maximal uncovered codes
+      in degree, then term order.
+
+    An element with a unit step in the set lies below that step, so only the
+    top-degree and the uncovered elements can be maximal; those of top
+    degree are.  The uncovered ones are scanned in decreasing degree, and
+    each is kept iff no kept maximum is >= it: anything strictly above it
+    has larger degree, so it is a kept maximum or lies below one."""
+
+    __slots__ = ("n", "codes", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima")
+
+    def __init__(self, vectors, n: int):
+        degrees = list(map(sum, vectors))
+        top = max(degrees, default=0)
+        if top >= 127:
+            raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
+        codes = list(map(_code, vectors))
+        present = set(codes)
+        steps = [(1 << 8 * i, 0xFF << 8 * i) for i in range(n)]
+        full = (1 << 8 * n) - 1
+        high = _code((0x80,) * n)
+        top_codes, gaps, uncovered = [], {}, []
+        for code, d in zip(codes, degrees):
+            if d == top:
+                top_codes.append(code)
+                continue
+            gap = 0
+            for unit, byte in steps:
+                if code + unit not in present:
+                    gap |= byte
+            gaps[code] = gap
+            if gap == full:
+                uncovered.append((d, code))
+        uncovered.sort()
+        maxima = sorted(top_codes)
+        self.top_codes = maxima[:]
+        low_maxima = []
+        for _, code in reversed(uncovered):
+            if not any(((m | high) - code) & high == high for m in maxima):
+                maxima.append(code)
+                low_maxima.append(code)
+        low_maxima.reverse()
+        self.n, self.codes, self.high, self.gaps = n, codes, high, gaps
+        self.uncovered = [code for _, code in uncovered]
+        self.maxima, self.low_maxima = maxima, low_maxima
+
+
+# The view of the last polynomial asked for, with a strong reference to that
+# polynomial, so that `is` cannot match a recycled id: the checks of one
+# permutation share one build.  (`functools.lru_cache` would hash every term.)
+_last_view: tuple = (None, None)
+
+
+def _support_view(groth: Poly) -> _SupportView:
+    global _last_view
+    source, view = _last_view
+    if source is not groth:
+        if not groth.terms:
+            raise ValueError("the zero polynomial has no support")
+        view = _SupportView(groth.terms, groth.nvars)
+        _last_view = (groth, view)
+    return view
+
+
 def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
     """Every support exponent below the top degree has a strict upper bound
     in the support; equivalently every maximal support element has full
     degree."""
-    deg = groth.degree()
-    supp_poset = VectorPoset(groth.support(), len(w))
-    low = [alpha for alpha in supp_poset.maximal_elements() if sum(alpha) < deg]
-    if low:
-        return Verdict(False, witness=min(low, key=_order), detail="maximal below top degree")
+    view = _support_view(groth)
+    if view.low_maxima:
+        witness = _vector(view.low_maxima[0], view.n)
+        return Verdict(False, witness=witness, detail="maximal below top degree")
     return Verdict(True)
 
 
@@ -165,15 +259,10 @@ def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
     support exactly one degree higher.  Such a bound beta >= alpha with
     |beta| = |alpha| + 1 exceeds alpha in exactly one coordinate by one, so
     it is alpha + e_i for some i."""
-    deg = groth.degree()
-    supp = groth.support()
-    missing = [
-        alpha
-        for alpha in supp
-        if sum(alpha) < deg and not any(beta in supp for beta in _unit_steps(alpha))
-    ]
-    if missing:
-        return Verdict(False, witness=min(missing, key=_order), detail="no cover one degree up")
+    view = _support_view(groth)
+    if view.uncovered:
+        witness = _vector(view.uncovered[0], view.n)
+        return Verdict(False, witness=witness, detail="no cover one degree up")
     return Verdict(True)
 
 
@@ -189,40 +278,44 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     reached from alpha by unit steps that stay below beta <= m.  A missing
     beta of least degree is itself such a failing step, so the witness (the
     first failing step in degree, then term order) is also the first missing
-    box point in that order."""
-    supp = groth.support()
-    maxima = sorted(VectorPoset(supp, len(w)).maximal_elements(), key=_order)
+    box point in that order.
 
-    # alpha + e_i lies below the maximum m iff alpha <= m and alpha_i < m_i.
-    missing = set()
-    for alpha in supp:
-        for m in maxima:
-            if all(map(le, alpha, m)):
-                for i, (a, b) in enumerate(zip(alpha, m)):
-                    if a < b:
-                        beta = alpha[:i] + (a + 1,) + alpha[i + 1:]
-                        if beta not in supp:
-                            missing.add(beta)
-    if missing:
-        beta = min(missing, key=_order)
-        alpha = min(
-            (a for a in supp if sum(a) + 1 == sum(beta) and all(map(le, a, beta))),
-            key=_order,
-        )
-        m = next(m for m in maxima if all(map(le, beta, m)))
-        return Verdict(False, witness=beta, detail=f"missing in box [{alpha}, {m}]")
+    For codes alpha <= m, byte i of m - alpha is m_i - alpha_i, so
+    (m - alpha) & gap(alpha) names the failing steps below m.  One pass
+    records every (beta, alpha, m); the alphas recorded for beta are all the
+    support points one step below it, and the ms all the maxima above it."""
+    view = _support_view(groth)
+    n, high = view.n, view.high
+    maxima = [(m | high, m) for m in view.maxima]
+    failing = []
+    for alpha, gap in view.gaps.items():
+        if gap:
+            for m_high, m in maxima:
+                if (m_high - alpha) & high == high and (bad := (m - alpha) & gap):
+                    steps = bad.to_bytes(n, "little")
+                    failing.extend((alpha + (1 << 8 * i), alpha, m) for i, s in enumerate(steps) if s)
+    if failing:
+        key = lambda code: (sum(code.to_bytes(n, "little")), code)  # `_order` on codes
+        beta = min((b for b, _, _ in failing), key=key)
+        alpha = min((a for b, a, _ in failing if b == beta), key=key)
+        m = min((m for b, _, m in failing if b == beta), key=key)
+        detail = f"missing in box [{_vector(alpha, n)}, {_vector(m, n)}]"
+        return Verdict(False, witness=_vector(beta, n), detail=detail)
     return Verdict(True)
 
 
 def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
     """For each top-degree support exponent beta, the coefficients over
-    {alpha in supp : alpha <= beta} sum to 1."""
-    for beta in sorted(groth.top_component().support(), key=term_key):
-        total = sum(
-            c for alpha, c in groth.terms.items() if componentwise_leq(alpha, beta)
-        )
+    {alpha in supp : alpha <= beta} sum to 1.  The view's codes follow the
+    order of `groth.terms`, so they pair with its coefficients."""
+    view = _support_view(groth)
+    high = view.high
+    terms = list(zip(view.codes, groth.terms.values()))
+    for beta in view.top_codes:
+        beta_high = beta | high
+        total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
         if total != 1:
-            return Verdict(False, witness=beta, detail=f"coefficient sum {total}")
+            return Verdict(False, witness=_vector(beta, view.n), detail=f"coefficient sum {total}")
     return Verdict(True)
 
 

@@ -19,6 +19,14 @@ class TestCache:
             for expo in p.terms:
                 assert shared.setdefault(expo, expo) is expo
 
+    def test_write_matches_to_text(self, tables, tmp_path):
+        # One vector-text dict per file gives the bytes of `to_text` per line.
+        for (n, flavor), table in tables.items():
+            path = cache.cache_path(str(tmp_path), n, flavor)
+            cache.write_table(table, path)
+            lines = open(path).read().splitlines()
+            assert lines[1:] == [f"{perms.format_perm(w)}|{table[w].to_text()}" for w in sorted(table.polys)]
+
     @pytest.mark.slow
     def test_cache_roundtrip_S7_slow(self, tmp_path):
         for flavor in ("S", "G"):
@@ -200,6 +208,40 @@ class TestRun:
         # The second call, inside the checker, comes only for zero-one perms.
         zero_one = sum(map(perms.is_zero_one, perms.all_perms(5)))
         assert info.hits == report["summary"]["pass"] == zero_one
+
+    def test_poset_checks_share_one_view(self, monkeypatch):
+        built = []
+        real = posets._SupportView
+
+        def counting(vectors, n):
+            built.append(n)
+            return real(vectors, n)
+
+        monkeypatch.setattr(posets, "_SupportView", counting)
+        report, status = cli.run(cli.RunConfig(n=5, checks=("conj1", "conj2", "conj3", "coeff")))
+        assert status == 0 and report["summary"]["pass"] == 4 * 120
+        assert len(built) == 120
+
+    def test_degree_limit_is_an_error(self, monkeypatch):
+        real = cache.load_or_build
+
+        def load(cache_dir, n, flavor):
+            table = real(cache_dir, n, flavor)
+            if flavor == "G":
+                table.polys[(1, 3, 2)] = poly.Poly({(127, 0, 0): 1}, 3)
+            return table
+
+        monkeypatch.setattr(cache, "load_or_build", load)
+        checks = ("conj1", "conj2", "conj3", "coeff")
+        report, status = cli.run(cli.RunConfig(n=3, checks=checks))
+        assert status == 3
+        summary = report["summary"]
+        assert (summary["fail"], summary["error"]) == (0, 4)
+        entries = report["results"][1]["checks"]
+        assert all(
+            e["status"] == "error" and e["witness"].startswith("ValueError: degree 127")
+            for e in entries.values()
+        )
 
     def test_workers_capped_by_targets(self, monkeypatch):
         requested = []

@@ -212,6 +212,14 @@ class TestTables:
                     for a in supp
                 )
 
+    def test_built_table_shares_vectors(self, tables):
+        # Equal exponent vectors in a built table are one shared tuple.
+        for table in tables.values():
+            shared = {}
+            for p in table.polys.values():
+                for expo in p.terms:
+                    assert shared.setdefault(expo, expo) is expo
+
     def test_flavor_enforced(self, tables):
         from grothpoly.poly import grothendieck, schubert
 

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import perms, posets
+from grothpoly import perms, poly, posets
 from grothpoly.poly import Poly, term_key
 from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
 
@@ -214,6 +214,17 @@ def maximal_pairwise(elements):
     )
 
 
+def maximal_by_degree(elements):
+    """Scan in decreasing degree and keep alpha iff no kept maximum is >=
+    alpha: a tuple loop, cheap enough for S_7, checked against
+    `maximal_pairwise` over S_6."""
+    maxima = []
+    for a in sorted(elements, key=sum, reverse=True):
+        if not any(posets.componentwise_leq(a, m) for m in maxima):
+            maxima.append(a)
+    return frozenset(maxima)
+
+
 def build_Pw_scan(w, groth):
     """Every vector of the box [0, closure weight] tested against every
     support point."""
@@ -253,6 +264,17 @@ def conj2_failures(w, groth):
     }
 
 
+def conj2_step_failures(w, groth):
+    """The unit-step tuple loop: a cover one degree up is alpha + e_i."""
+    supp, deg = groth.support(), groth.degree()
+    return {
+        a
+        for a in supp
+        if sum(a) < deg
+        and not any(a[:i] + (a[i] + 1,) + a[i + 1:] in supp for i in range(len(a)))
+    }
+
+
 def conj3_failures(w, groth):
     supp = groth.support()
     maxima = maximal_pairwise(supp)
@@ -266,6 +288,17 @@ def conj3_failures(w, groth):
     }
 
 
+def coeff_failures(w, groth):
+    """Top-degree beta whose coefficient sum over the support below it is
+    not 1.  They share one degree, so the first in degree, then term order
+    is the first in term order."""
+    return {
+        beta
+        for beta in groth.top_component().support()
+        if sum(c for a, c in groth.terms.items() if posets.componentwise_leq(a, beta)) != 1
+    }
+
+
 def mobius_failures(w, groth):
     P = build_Pw_scan(w, groth)
     mu = mobius_recursion(P)
@@ -276,6 +309,7 @@ CHECKERS = (
     (posets.check_conjecture_1, conj1_failures),
     (posets.check_conjecture_2, conj2_failures),
     (posets.check_conjecture_3, conj3_failures),
+    (posets.check_conjecture_coeff, coeff_failures),
 )
 
 
@@ -292,7 +326,10 @@ class TestKernelsAgainstScans:
     def test_S6(self, tables):
         for w in perms.all_perms(6):
             g = tables[(6, "G")][w]
-            assert VectorPoset(g.support(), 6).maximal_elements() == maximal_pairwise(g.support())
+            maxima = maximal_pairwise(g.support())
+            assert VectorPoset(g.support(), 6).maximal_elements() == maxima
+            assert maximal_by_degree(g.support()) == maxima
+            assert conj2_step_failures(w, g) == conj2_failures(w, g)
             P = build_Pw(w, g)
             assert P.elements == build_Pw_scan(w, g).elements
             assert mobius(P) == mobius_recursion(P)
@@ -310,7 +347,10 @@ class TestKernelsAgainstScans:
                 continue
             dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
             cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
-            assert VectorPoset(cut.support(), 5).maximal_elements() == maximal_pairwise(cut.support())
+            maxima = maximal_pairwise(cut.support())
+            assert VectorPoset(cut.support(), 5).maximal_elements() == maxima
+            assert maximal_by_degree(cut.support()) == maxima
+            assert conj2_step_failures(w, cut) == conj2_failures(w, cut)
             P = build_Pw(w, cut)
             assert P.elements == build_Pw_scan(w, cut).elements
             assert mobius(P) == mobius_recursion(P)
@@ -319,7 +359,65 @@ class TestKernelsAgainstScans:
                 checkers += ((posets.check_conjecture_mobius, mobius_failures),)
             for checker, failures in checkers:
                 failed[checker.__name__] += not assert_matches_scan(checker, failures, w, cut).ok
-        assert len(failed) == 4 and all(failed.values())
+        assert len(failed) == 5 and all(failed.values())
+
+    @pytest.mark.slow
+    def test_S7_slow(self):
+        # The pair scans cost |supp|^2 (2e8 pairs over S_7), so the maxima
+        # and conj2 are checked against the tuple loops above instead.
+        for w, g in poly.build_table(7, "G").items():
+            supp, deg = g.support(), g.degree()
+            maxima = maximal_by_degree(supp)
+            assert VectorPoset(supp, 7).maximal_elements() == maxima
+            low = {a for a in maxima if sum(a) < deg}
+            assert_matches_scan(posets.check_conjecture_1, lambda w, g: low, w, g)
+            assert_matches_scan(posets.check_conjecture_2, conj2_step_failures, w, g)
+            assert_matches_scan(posets.check_conjecture_coeff, coeff_failures, w, g)
+
+
+class TestSupportView:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=8).flatmap(
+            lambda n: st.tuples(
+                st.tuples(*[st.integers(0, 126)] * n),
+                st.tuples(*[st.integers(0, 126)] * n),
+                st.integers(0, n - 1),
+            )
+        )
+    )
+    def test_packed_leq_and_unit_step(self, case):
+        alpha, beta, i = case
+        code, n = posets._code, len(alpha)
+        high = code((0x80,) * n)
+        packed = ((code(beta) | high) - code(alpha)) & high == high
+        assert packed == posets.componentwise_leq(alpha, beta)
+        step = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+        assert code(alpha) + 256**i == code(step)
+        assert posets._vector(code(step), n) == step
+
+    @pytest.mark.parametrize(
+        "checker",
+        [
+            posets.check_conjecture_1,
+            posets.check_conjecture_2,
+            posets.check_conjecture_3,
+            posets.check_conjecture_coeff,
+        ],
+        ids=["conj1", "conj2", "conj3", "coeff"],
+    )
+    def test_degree_limit_and_zero(self, checker):
+        assert checker((2, 1), Poly({(126, 0): 2, (125, 0): -1}, 2)).ok
+        for g in (Poly({(127, 0): 1}, 2), Poly({(0, 0): 1, (64, 63): 1}, 2), Poly.zero(2)):
+            with pytest.raises(ValueError):
+                checker((2, 1), g)
+
+    def test_kept_for_last_poly(self, tables):
+        g, h = tables[(4, "G")][(1, 4, 3, 2)], tables[(4, "G")][(2, 1, 4, 3)]
+        view = posets._support_view(g)
+        assert posets._support_view(g) is view
+        assert posets._support_view(h) is not view
+        assert posets._support_view(Poly(g.terms, 4)) is not view
 
 
 class TestWitnessOrder:
@@ -349,3 +447,14 @@ class TestWitnessOrder:
             verdict = checker(w, Poly(dict(ordered), 5))
             assert not verdict.ok
             assert (verdict.witness, verdict.detail) == (witness, detail)
+
+    def test_conj3_box_names_first_maximum(self):
+        # (1, 0, 0) is missing below both maxima; the box names the first of
+        # them in degree, then term order.
+        terms = [((0, 0, 0), 1), ((1, 1, 0), 1), ((1, 0, 1), 1)]
+        for ordered in (terms, terms[::-1]):
+            verdict = posets.check_conjecture_3((1, 2, 3), Poly(dict(ordered), 3))
+            assert (verdict.witness, verdict.detail) == (
+                (1, 0, 0),
+                "missing in box [(0, 0, 0), (1, 1, 0)]",
+            )
