@@ -21,9 +21,7 @@ from .poly import (
     PolynomialTable,
     build_table,
     divided_difference,
-    grothendieck,
     isobaric_divided_difference,
-    schubert,
 )
 from .posets import VectorPoset, build_Pw, componentwise_leq, mobius
 from .verdicts import Verdict

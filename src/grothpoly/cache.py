@@ -14,6 +14,7 @@ writer likewise formats each distinct vector once per file.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 from typing import Optional
@@ -28,12 +29,22 @@ def cache_path(cache_dir: str, n: int, flavor: str) -> str:
 
 
 def write_table(table: poly.PolynomialTable, path: str) -> None:
+    """Write the file under a temporary name in the same directory, then
+    rename it over `path`, so a concurrent reader sees the old file or the
+    whole new one, never a torn last line."""
     lines = [f"{HEADER_PREFIX} n={table.n} flavor={table.flavor}"]
     texts: dict = {}
     for w in sorted(table.polys):
         lines.append(f"{perms.format_perm(w)}|{table[w].to_text(texts)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
 
 
 def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]:

@@ -15,16 +15,16 @@ import os
 import sys
 import time
 import traceback
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from . import cache, perms, pipedreams, poly, posets, polytopes
-from .verdicts import Verdict
+from .verdicts import NotApplicable, Verdict
 
 ENGINE = "grothpoly 0.1.0"
 
 
-def _oracle(w, g, s, pd) -> dict:
+def _oracle(w, g, s, pd) -> Verdict:
     """The tables must equal the pipe-dream polynomials; a failure names the
     flavor, the first differing exponent in term order and both
     coefficients."""
@@ -37,47 +37,40 @@ def _oracle(w, g, s, pd) -> dict:
             )
             witness = {
                 "flavor": flavor,
-                "exponent": list(expo),
+                "exponent": expo,
                 "table": table_c.get(expo, 0),
                 "pipe_dreams": pd_c.get(expo, 0),
             }
-            return {"status": "fail", "witness": witness}
-    return {"status": "pass"}
+            return Verdict(False, witness=witness)
+    return Verdict(True)
 
 
-def _euler(w, g, s, pd) -> dict:
+def _euler(w, g, s, pd) -> Verdict:
     total = pd[0][w].principal_specialization()
-    if total == 1:
-        return {"status": "pass"}
-    return {"status": "fail", "witness": total}
+    return Verdict(True) if total == 1 else Verdict(False, witness=total)
 
 
-def _rajchgot(w, g, s, pd) -> dict:
+def _rajchgot(w, g, s, pd) -> Verdict:
     rc = perms.rajcode(w)
     if g.degree() == sum(rc) and g.leading_exponent() == rc:
-        return {"status": "pass"}
-    return {"status": "fail", "witness": list(g.leading_exponent())}
+        return Verdict(True)
+    return Verdict(False, witness=g.leading_exponent())
 
 
-def _mobius(w, g, s, pd) -> dict:
-    if perms.is_zero_one(w):
-        return _from_verdict(posets.check_conjecture_mobius(w, g))
-    return _skip("not a zero-one permutation")
-
-
-# Each check maps (w, G_w, S_w, pipe-dream polynomials or None) to a report
-# entry.  The checkers are looked up on their modules at call time, so a
-# wrapper installed on a module attribute sees every call.
+# Each check maps (w, G_w, S_w, pipe-dream polynomials or None) to a
+# Verdict, NotApplicable when its statement does not cover w.  The checkers
+# are looked up on their modules at call time, so a wrapper installed on a
+# module attribute sees every call.
 CHECKS = {
-    "conj1": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_1(w, g)),
-    "conj2": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_2(w, g)),
-    "conj3": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_3(w, g)),
-    "conj4": lambda w, g, s, pd: _from_verdict(polytopes.check_conjecture_4(w, g)),
-    "coeff": lambda w, g, s, pd: _from_verdict(posets.check_conjecture_coeff(w, g)),
-    "mobius": _mobius,
-    "superset": lambda w, g, s, pd: _from_verdict(polytopes.check_superset(w, g)),
-    "fms": lambda w, g, s, pd: _from_verdict(polytopes.check_fms(w, s)),
-    "converse": lambda w, g, s, pd: _from_verdict(polytopes.check_prop_converse(w, g)),
+    "conj1": lambda w, g, s, pd: posets.check_conjecture_1(w, g),
+    "conj2": lambda w, g, s, pd: posets.check_conjecture_2(w, g),
+    "conj3": lambda w, g, s, pd: posets.check_conjecture_3(w, g),
+    "conj4": lambda w, g, s, pd: polytopes.check_conjecture_4(w, g),
+    "coeff": lambda w, g, s, pd: posets.check_conjecture_coeff(w, g),
+    "mobius": lambda w, g, s, pd: posets.check_conjecture_mobius(w, g),
+    "superset": lambda w, g, s, pd: polytopes.check_superset(w, g),
+    "fms": lambda w, g, s, pd: polytopes.check_fms(w, s),
+    "converse": lambda w, g, s, pd: polytopes.check_prop_converse(w, g),
     "oracle": _oracle,
     "euler": _euler,
     "rajchgot": _rajchgot,
@@ -94,7 +87,6 @@ class RunConfig:
     checks: Tuple[str, ...] = ALL_CHECKS
     jobs: int = 1
     cache_dir: Optional[str] = None
-    fmt: str = "json"
     perm: Optional[tuple] = None
     timings: bool = False
 
@@ -110,8 +102,6 @@ class RunConfig:
             raise ValueError(f"repeated checks: {sorted(repeated)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.fmt not in ("json", "text"):
-            raise ValueError(f"unknown format {self.fmt!r}")
         if self.perm is not None and len(self.perm) != self.n:
             raise ValueError("--perm length must match --n")
 
@@ -121,11 +111,9 @@ class RunConfig:
 _CTX = None
 
 
-def _skip(reason: str) -> dict:
-    return {"status": "skip", "reason": reason}
-
-
 def _from_verdict(v: Verdict) -> dict:
+    if isinstance(v, NotApplicable):
+        return {"status": "skip", "reason": v.detail}
     out = {"status": "pass" if v.ok else "fail"}
     if v.witness is not None:
         out["witness"] = _jsonable(v.witness)
@@ -146,12 +134,12 @@ def _jsonable(obj):
 
 
 def _run_check(name: str, w, g, s, pd) -> dict:
-    """One report entry.  An exception inside a checker is an internal
-    error, not a verdict on the conjecture: the entry gets status `error`
-    with the exception as its witness, the traceback goes to stderr, and the
-    sweep goes on."""
+    """One report entry, from the check's Verdict.  An exception inside a
+    checker is an internal error, not a verdict on the conjecture: the entry
+    gets status `error` with the exception as its witness, the traceback
+    goes to stderr, and the sweep goes on."""
     try:
-        return CHECKS[name](w, g, s, pd)
+        return _from_verdict(CHECKS[name](w, g, s, pd))
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
@@ -207,7 +195,6 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     finally:
         _CTX = None
 
-    results.sort(key=lambda rec: perms.parse_perm(rec["perm"]))
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     listed = {"fail": [], "error": []}
     for rec in results:
@@ -324,7 +311,6 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
         checks=checks,
         jobs=args.jobs,
         cache_dir=args.cache_dir,
-        fmt=args.format,
         perm=perm,
         timings=args.timings,
     )
@@ -352,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         cache.load_or_build(config.cache_dir, config.n, "S")
         return 0
     report, status = run(config)
-    sys.stdout.write(render(report, config.fmt))
+    sys.stdout.write(render(report, args.format))
     return status
 
 

@@ -7,7 +7,6 @@ swaps positions j and j+1 (1-based), not values.
 """
 from __future__ import annotations
 
-import functools
 import itertools
 from typing import Iterable, NamedTuple, Optional, Sequence
 
@@ -241,12 +240,7 @@ _ZERO_ONE_RANKS = {
 def is_zero_one(w: tuple) -> bool:
     """True iff w avoids the twelve patterns characterizing 0/1 Schubert
     coefficients, each subsequence standardized once and looked up among the
-    patterns of its length.  Kept for the last w: mobius asks twice per w."""
-    return _avoids_zero_one_patterns(w)
-
-
-@functools.lru_cache(maxsize=1)
-def _avoids_zero_one_patterns(w: tuple) -> bool:
+    patterns of its length."""
     return not any(
         _ranking(sub) in ranks
         for k, ranks in _ZERO_ONE_RANKS.items()

@@ -315,17 +315,3 @@ def build_table(n: int, flavor: str) -> PolynomialTable:
         parent = perms.apply_s(w, j)
         polys[w] = _closed_form(polys[parent], j, parts, vectors)
     return PolynomialTable(n, flavor, polys)
-
-
-def schubert(w: tuple, table: PolynomialTable) -> Poly:
-    """The Schubert polynomial of w, looked up from a flavor-"S" table."""
-    if table.flavor != "S":
-        raise ValueError("schubert lookup requires a flavor-S table")
-    return table[w]
-
-
-def grothendieck(w: tuple, table: PolynomialTable) -> Poly:
-    """The Grothendieck polynomial of w, looked up from a flavor-"G" table."""
-    if table.flavor != "G":
-        raise ValueError("grothendieck lookup requires a flavor-G table")
-    return table[w]

@@ -16,7 +16,7 @@ from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 from . import perms
 from .poly import Poly
 from .posets import componentwise_leq
-from .verdicts import Verdict
+from .verdicts import NotApplicable, Verdict
 
 MAX_SUBSET_N = 12
 MAX_SUMSET_N = 8
@@ -453,10 +453,10 @@ def check_escobar_yong(w: tuple, groth: Poly) -> Verdict:
     """Graded supports of a Grassmannian Grothendieck polynomial match the
     dominance-order ideals of the grown partition sequence (on the first r
     coordinates; only x_1..x_r occur), and the degree is the size of the
-    final partition."""
+    final partition.  NotApplicable on a non-Grassmannian w."""
     shape = perms.grassmannian_shape(w)
     if shape is None:
-        raise ValueError(f"{w} is not Grassmannian")
+        return NotApplicable("not Grassmannian")
     r, lam = shape
     n = len(w)
     seq = grassmannian_par(lam)
@@ -497,10 +497,11 @@ def truncate_support(supp: FrozenSet[tuple], r: int) -> FrozenSet[tuple]:
 
 def check_grassmannian_pair(w: tuple, groth: Poly) -> Verdict:
     """The explicit lambda/mu pair is paramodular and coincides, as complete
-    tables on 2^[r], with the pair recovered from the support."""
+    tables on 2^[r], with the pair recovered from the support.
+    NotApplicable on a non-Grassmannian w."""
     shape = perms.grassmannian_shape(w)
     if shape is None:
-        raise ValueError(f"{w} is not Grassmannian")
+        return NotApplicable("not Grassmannian")
     r, lam = shape
     seq = grassmannian_par(lam)
     pair = grassmannian_pair(lam, seq[-1], r)

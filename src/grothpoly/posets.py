@@ -25,7 +25,7 @@ from typing import Dict, FrozenSet, Set, Tuple
 
 from . import perms
 from .poly import Poly, term_key
-from .verdicts import Verdict
+from .verdicts import NotApplicable, Verdict
 
 # Adjoined minimum element: a distinguished sentinel, deliberately not the
 # zero vector (which is a legitimate element for w = identity).
@@ -40,22 +40,17 @@ def componentwise_leq(alpha: tuple, beta: tuple) -> bool:
 
 class VectorPoset:
     """A finite set of integer vectors of uniform length under componentwise
-    order, optionally with an adjoined bottom below everything."""
+    order."""
 
-    def __init__(self, elements, n: int, has_bottom: bool = False):
+    def __init__(self, elements, n: int):
         elements = frozenset(tuple(e) for e in elements)
         for e in elements:
             if len(e) != n:
                 raise ValueError(f"element {e} does not have length {n}")
         self.elements = elements
         self.n = n
-        self.has_bottom = has_bottom
 
     def leq(self, a, b) -> bool:
-        if a == BOTTOM:
-            return True
-        if b == BOTTOM:
-            return a == BOTTOM
         return componentwise_leq(a, b)
 
     def covers(self) -> Set[Tuple[tuple, tuple]]:
@@ -105,8 +100,9 @@ def _unit_steps(alpha: tuple):
 
 
 def mobius(P: VectorPoset) -> Dict[object, int]:
-    """The table mu(0^, q) for every q, for P an upper set of its box
-    [0, max P] (max taken componentwise), by inclusion-exclusion:
+    """The table mu(0^, q) for every q of P with the bottom 0^ adjoined
+    (the paper's P-hat_w), for P an upper set of its box [0, max P] (max
+    taken componentwise), by inclusion-exclusion:
     -mu(0^, q) = sum over S of [n] of (-1)^|S| h(q - e_S), where h is the
     indicator of P on Z^n.
 
@@ -118,8 +114,6 @@ def mobius(P: VectorPoset) -> Dict[object, int]:
     defining recursion.  The differences are taken one coordinate at a time,
     and each partial difference vanishes off P for the same reason, so the
     cost is O(n |P|)."""
-    if not P.has_bottom:
-        raise ValueError("mobius requires a poset with an adjoined bottom")
     elements = P.elements
     top = tuple(map(max, zip(*elements)))
     for i, t in enumerate(top):
@@ -141,11 +135,11 @@ def mobius(P: VectorPoset) -> Dict[object, int]:
 
 def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     """All integer vectors sandwiched between some support exponent of the
-    Grothendieck polynomial and the weight of the closed Rothe diagram, with
-    an adjoined bottom: the upward closure of the support inside the box
-    [0, weight], found by a search over +e_i steps.  Every v in the box above
-    some alpha in the support is reached from alpha by unit steps that stay
-    below v, hence inside the box."""
+    Grothendieck polynomial and the weight of the closed Rothe diagram (the
+    paper's P_w; `mobius` adjoins the bottom): the upward closure of the
+    support inside the box [0, weight], found by a search over +e_i steps.
+    Every v in the box above some alpha in the support is reached from alpha
+    by unit steps that stay below v, hence inside the box."""
     bound = perms.weight(perms.upper_closure(perms.rothe_diagram(w)))
     frontier = [alpha for alpha in groth.support() if all(map(le, alpha, bound))]
     elements = set(frontier)
@@ -155,7 +149,7 @@ def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
             if alpha[i] < bound[i] and beta not in elements:
                 elements.add(beta)
                 frontier.append(beta)
-    return VectorPoset(elements, len(w), has_bottom=True)
+    return VectorPoset(elements, len(w))
 
 
 def _code(alpha: tuple) -> int:
@@ -321,11 +315,10 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
 
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
-    negated Moebius values of the support poset with bottom."""
+    negated Moebius values of the support poset with bottom; NotApplicable
+    on any other w."""
     if not perms.is_zero_one(w):
-        raise ValueError(
-            f"{w} is not zero-one; the Moebius conjecture does not apply"
-        )
+        return NotApplicable("not a zero-one permutation")
     P = build_Pw(w, groth)
     mu = mobius(P)
     wrong = [alpha for alpha in P.elements if groth.terms.get(alpha, 0) != -mu[alpha]]

@@ -24,3 +24,13 @@ class Verdict:
 
 
 PASS = Verdict(True)
+
+
+class NotApplicable(Verdict):
+    """The statement does not cover the input: a vacuous pass, which the
+    report lists as `skip` with this reason.  Checkers return it rather than
+    raise it, so a wrapper that records each checker call (the perfbench
+    tracer) sees every call return."""
+
+    def __init__(self, reason: str):
+        super().__init__(True, detail=reason)

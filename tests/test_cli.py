@@ -1,9 +1,14 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets
+from grothpoly.verdicts import NotApplicable
+
+DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
 class TestCache:
@@ -41,6 +46,22 @@ class TestCache:
         first = open(path, "rb").read()
         cache.write_table(table, path)
         assert open(path, "rb").read() == first
+
+    def test_failed_write_keeps_old_file(self, tables, tmp_path, monkeypatch):
+        # The writer renames a finished temp file over the cache file, so a
+        # write that raises leaves the old file whole and no temp file.
+        path = cache.cache_path(str(tmp_path), 3, "G")
+        cache.write_table(tables[(3, "G")], path)
+        first = open(path, "rb").read()
+
+        def failing(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing)
+        with pytest.raises(OSError, match="disk full"):
+            cache.write_table(tables[(4, "G")], path)
+        assert open(path, "rb").read() == first
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
 
     def test_empty_table(self, tmp_path):
         table = poly.PolynomialTable(3, "G", {})
@@ -195,19 +216,55 @@ class TestRun:
         config = cli.RunConfig(n=5, perm=(1, 2, 5, 4, 3), checks=("mobius",))
         report, _ = cli.run(config)
         entry = report["results"][0]["checks"]["mobius"]
-        assert entry["status"] == "skip"
-        assert "zero-one" in entry["reason"]
+        assert entry == {"status": "skip", "reason": "not a zero-one permutation"}
 
-    def test_mobius_scans_each_perm_once(self):
-        scan = perms._avoids_zero_one_patterns
-        scan.cache_clear()
+    def test_mobius_scans_each_perm_once(self, monkeypatch):
+        real = perms.is_zero_one
+        scanned = []
+
+        def counting(w):
+            scanned.append(w)
+            return real(w)
+
+        monkeypatch.setattr(perms, "is_zero_one", counting)
         report, status = cli.run(cli.RunConfig(n=5, checks=("mobius",)))
         assert status == 0
-        info = scan.cache_info()
-        assert info.misses == 120
-        # The second call, inside the checker, comes only for zero-one perms.
-        zero_one = sum(map(perms.is_zero_one, perms.all_perms(5)))
-        assert info.hits == report["summary"]["pass"] == zero_one
+        assert sorted(scanned) == perms.all_perms(5)
+        summary = report["summary"]
+        zero_one = sum(map(real, perms.all_perms(5)))
+        assert (summary["pass"], summary["skip"]) == (zero_one, 120 - zero_one)
+
+    def test_not_applicable_is_a_skip(self, monkeypatch, capsys):
+        real = posets.check_conjecture_2
+
+        def partial(w, g):
+            if w == (1, 3, 2):
+                return NotApplicable("outside the statement")
+            return real(w, g)
+
+        monkeypatch.setattr(posets, "check_conjecture_2", partial)
+        assert cli.main(["--n", "3", "--checks", "conj1,conj2"]) == 0
+        out, err = capsys.readouterr()
+        report = json.loads(out)
+        assert report["results"][1]["checks"]["conj2"] == {
+            "status": "skip",
+            "reason": "outside the statement",
+        }
+        summary = report["summary"]
+        assert (summary["pass"], summary["skip"]) == (11, 1) and summary["all_pass"]
+        assert "error" not in summary and err == ""
+
+    @pytest.mark.parametrize(
+        "n, expected",
+        [
+            (5, "ec5b14b0779709c7dbf871d464833cbaafd2c88028a64dcf29db2de2a490383a"),
+            (6, json.loads(DIGESTS.read_text())["sweep-n6-all"]),
+        ],
+    )
+    def test_default_report_bytes(self, n, expected):
+        report, status = cli.run(cli.RunConfig(n=n))
+        assert status == 0
+        assert hashlib.sha256(cli.render(report, "json").encode()).hexdigest() == expected
 
     def test_poset_checks_share_one_view(self, monkeypatch):
         built = []

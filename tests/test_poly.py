@@ -220,14 +220,6 @@ class TestTables:
                 for expo in p.terms:
                     assert shared.setdefault(expo, expo) is expo
 
-    def test_flavor_enforced(self, tables):
-        from grothpoly.poly import grothendieck, schubert
-
-        with pytest.raises(ValueError):
-            schubert((1, 2, 3), tables[(3, "G")])
-        with pytest.raises(ValueError):
-            grothendieck((1, 2, 3), tables[(3, "S")])
-
 
 class TestTermOrder:
     def test_x1_less_than_xn(self):

@@ -27,6 +27,7 @@ from grothpoly.polytopes import (
     spanning_points,
     sumset,
 )
+from grothpoly.verdicts import NotApplicable
 
 
 def subsets(n):
@@ -294,8 +295,12 @@ class TestGrassmannian:
         assert check_escobar_yong((1, 3, 5, 2, 4), tables[(5, "G")][(1, 3, 5, 2, 4)]).ok
 
     def test_escobar_yong_rejects_non_grassmannian(self, tables):
-        with pytest.raises(ValueError):
-            check_escobar_yong((1, 5, 3, 2, 4), tables[(5, "G")][(1, 5, 3, 2, 4)])
+        verdict = check_escobar_yong((1, 5, 3, 2, 4), tables[(5, "G")][(1, 5, 3, 2, 4)])
+        assert verdict == NotApplicable("not Grassmannian")
+
+    def test_pair_rejects_non_grassmannian(self, tables):
+        verdict = check_grassmannian_pair((1, 5, 3, 2, 4), tables[(5, "G")][(1, 5, 3, 2, 4)])
+        assert verdict == NotApplicable("not Grassmannian")
 
     def test_pair_matches_recovered_S5(self, tables):
         for w in perms.all_perms(5):

@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 from grothpoly import perms, poly, posets
 from grothpoly.poly import Poly, term_key
 from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
+from grothpoly.verdicts import NotApplicable
 
 
 class TestComponentwise:
@@ -64,17 +65,13 @@ class TestHasse:
 
 
 class TestMobius:
-    def test_requires_bottom(self):
-        with pytest.raises(ValueError):
-            mobius(VectorPoset({(0,)}, 1, has_bottom=False))
-
     def test_chain(self):
-        P = VectorPoset({(1,), (2,)}, 1, has_bottom=True)
+        P = VectorPoset({(1,), (2,)}, 1)
         mu = mobius(P)
         assert mu == {BOTTOM: 1, (1,): -1, (2,): 0}
 
     def test_diamond(self):
-        P = VectorPoset({(1, 0), (0, 1), (1, 1)}, 2, has_bottom=True)
+        P = VectorPoset({(1, 0), (0, 1), (1, 1)}, 2)
         mu = mobius(P)
         assert mu[(1, 1)] == 1
 
@@ -85,7 +82,7 @@ class TestMobius:
     )
     def test_requires_upper_set_of_box(self, elements):
         with pytest.raises(ValueError, match="upper set"):
-            mobius(VectorPoset(elements, len(next(iter(elements))), has_bottom=True))
+            mobius(VectorPoset(elements, len(next(iter(elements)))))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -100,7 +97,7 @@ class TestMobius:
             for v in itertools.product(*(range(t + 1) for t in top))
             if any(posets.componentwise_leq(g, v) for g in generators)
         }
-        P = VectorPoset(upper, len(top), has_bottom=True)
+        P = VectorPoset(upper, len(top))
         assert mobius(P) == mobius_recursion(P)
 
     def test_defining_identity(self, tables):
@@ -116,7 +113,6 @@ class TestBuildPw:
     def test_identity(self, tables):
         P = build_Pw(perms.identity(3), tables[(3, "G")][perms.identity(3)])
         assert P.elements == {(0, 0, 0)}
-        assert P.has_bottom
 
     def test_15324(self, tables):
         g = tables[(5, "G")][(1, 5, 3, 2, 4)]
@@ -181,8 +177,8 @@ class TestConjectureCheckers:
 
     def test_mobius_rejects_non_zero_one(self, tables):
         w = (1, 2, 5, 4, 3)
-        with pytest.raises(ValueError):
-            posets.check_conjecture_mobius(w, tables[(5, "G")][w])
+        verdict = posets.check_conjecture_mobius(w, tables[(5, "G")][w])
+        assert verdict == NotApplicable("not a zero-one permutation")
 
     def test_fireworks_conj1_S5(self, tables):
         for w in perms.all_perms(5):
@@ -237,7 +233,6 @@ def build_Pw_scan(w, groth):
             if any(posets.componentwise_leq(a, v) for a in supp)
         },
         len(w),
-        has_bottom=True,
     )
 
 
