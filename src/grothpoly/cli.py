@@ -257,9 +257,7 @@ def render(report: dict, fmt: str) -> str:
 
 
 def print_permutation(config: RunConfig) -> str:
-    """--mode print: dump the computed objects for a single permutation."""
-    if config.perm is None:
-        raise ValueError("--mode print requires --perm")
+    """--mode print: dump the computed objects for `config.perm`."""
     w = config.perm
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
     table_s = cache.load_or_build(config.cache_dir, config.n, "S")
@@ -328,6 +326,9 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.mode == "print":
+        if config.perm is None:
+            print("error: --mode print requires --perm", file=sys.stderr)
+            return 2
         sys.stdout.write(print_permutation(config))
         return 0
     if args.mode == "cache":

@@ -51,14 +51,9 @@ class SetFunctionPair:
 
 
 def schubert_matroid_bases(S: FrozenSet[int], n: int) -> FrozenSet[frozenset]:
-    """Bases of SM_n(S): r-subsets of [n] dominated entrywise (sorted) by the
-    sorted column S."""
-    s = sorted(S)
-    r = len(s)
+    """Bases of SM_n(S), read off `base_points`."""
     return frozenset(
-        frozenset(a)
-        for a in itertools.combinations(range(1, n + 1), r)
-        if all(ai <= si for ai, si in zip(a, s))
+        frozenset(i for i, b in enumerate(p, 1) if b) for p in base_points(S, n)
     )
 
 
@@ -68,21 +63,20 @@ def matroid_rank(bases: FrozenSet[frozenset], A: FrozenSet[int]) -> int:
     return max(len(A & B) for B in bases)
 
 
-def indicator(subset: FrozenSet[int], n: int) -> tuple:
-    return tuple(1 if i in subset else 0 for i in range(1, n + 1))
-
-
 def base_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
-    """Indicator vectors of the bases of SM_n(S)."""
-    return frozenset(indicator(B, n) for B in schubert_matroid_bases(S, n))
+    """Indicator vectors of the bases of SM_n(S): its spanning sets of size |S|."""
+    return frozenset(p for p in spanning_points(S, n) if sum(p) == len(S))
 
 
+@functools.lru_cache(maxsize=None)
 def spanning_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
-    """Indicator vectors of the spanning sets (supersets of a basis), by the
-    Gale count: with S sorted s_1 < ... < s_r, X spans iff
-    |X & [s_k]| >= k for every k.  A basis B in X has b_k <= s_k, so
-    b_1..b_k lie in X & [s_k]; conversely the count puts the k-th smallest
-    element of X at or below s_k, so the r smallest form a basis."""
+    """Indicator vectors of the spanning sets of SM_n(S) (supersets of a
+    basis), by the Gale count: with S sorted s_1 < ... < s_r, X spans iff
+    |X & [s_k]| >= k for every k.  The bases are the r-subsets
+    b_1 < ... < b_r of [n] with b_k <= s_k.  A basis B in X puts b_1..b_k in
+    X & [s_k]; conversely the count puts the k-th smallest element of X at
+    or below s_k, so the r smallest form a basis.  Kept per (S, n): a Rothe
+    column of S_n takes at most 2^(n-1) values."""
     s = sorted(S)
     points = itertools.product((0, 1), repeat=n)
     return frozenset(p for p in points if all(sum(p[:sk]) >= k for k, sk in enumerate(s, 1)))
@@ -255,30 +249,33 @@ def _pad(v: tuple, n: int) -> tuple:
     return tuple(v) + (0,) * (n - len(v))
 
 
-def _column_sumset(w: tuple, points) -> FrozenSet[tuple]:
-    """Iterated sumset of points(D_j, n) over the nonempty Rothe columns D_j
-    of w (an empty column adds only the zero vector; column n is empty)."""
+@functools.lru_cache(maxsize=1)
+def spanning_sumset(w: tuple) -> FrozenSet[tuple]:
+    """Iterated sumset of the spanning-point sets of the column Schubert
+    matroids SM_{d_j}(D_j), d_j = max D_j, zero-appended into dimension n,
+    over the nonempty Rothe columns D_j of w (an empty column adds only the
+    zero vector; column n is empty).  Kept for the last permutation, so
+    superset, fms and converse share one build."""
     n = len(w)
     if n > MAX_SUMSET_N:
         raise ValueError(f"sumset refused for n={n} > {MAX_SUMSET_N}")
     total = frozenset({(0,) * n})
     for col in filter(None, _rothe_columns(w)):
-        total = sumset(total, points(col, n))
+        total = sumset(total, {_pad(p, n) for p in spanning_points(col, max(col))})
     return total
 
 
-@functools.lru_cache(maxsize=1)
-def spanning_sumset(w: tuple) -> FrozenSet[tuple]:
-    """Iterated sumset of the spanning-point sets of the column Schubert
-    matroids SM_{d_j}(D_j), zero-appended into dimension n; kept for the last
-    permutation, so superset and converse share one build."""
-    return _column_sumset(w, lambda S, n: {_pad(p, n) for p in spanning_points(S, max(S))})
-
-
 def base_sumset(w: tuple) -> FrozenSet[tuple]:
-    """Iterated sumset of the base-point sets of the column Schubert matroids
-    SM_n(D_j)."""
-    return _column_sumset(w, base_points)
+    """Iterated sumset of the base-point sets of the column Schubert
+    matroids SM_n(D_j): the points of `spanning_sumset(w)` of degree l(w).
+
+    Proof: a basis of SM_n(D_j) has b_k <= s_k <= d_j, so it lies in [d_j]
+    and is a basis of SM_{d_j}(D_j).  A spanning set of SM_{d_j}(D_j) has at
+    least |D_j| elements, and exactly |D_j| only when it is a basis.  The
+    columns partition the Rothe diagram, so the |D_j| sum to l(w): a sum of
+    spanning sets has degree l(w) iff every part is a basis."""
+    length = perms.length(w)
+    return frozenset(p for p in spanning_sumset(w) if sum(p) == length)
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:

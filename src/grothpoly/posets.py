@@ -55,21 +55,20 @@ class VectorPoset:
 
     def covers(self) -> Set[Tuple[tuple, tuple]]:
         """Hasse relation among the vector elements (the bottom is excluded;
-        its covers are the minimal vectors)."""
-        els = sorted(self.elements, key=lambda v: (sum(v), term_key(v)))
+        its covers are the minimal vectors).  The upper covers of a are the
+        minimal elements of its strict up-set.  That set is scanned in degree
+        order, and b is kept iff no kept cover of a lies below it: an element
+        strictly between a and b has smaller degree than b, and lies above a
+        minimal one, which was kept first."""
+        els = sorted(self.elements, key=_order)
         result = set()
-        for a in els:
-            for b in els:
-                if a == b or not componentwise_leq(a, b):
-                    continue
-                if any(
-                    c != a and c != b
-                    and componentwise_leq(a, c)
-                    and componentwise_leq(c, b)
-                    for c in els
-                ):
-                    continue
-                result.add((a, b))
+        for i, a in enumerate(els):
+            # Everything >= a other than a comes later in degree order.
+            kept = []
+            for b in els[i + 1:]:
+                if all(map(le, a, b)) and not any(all(map(le, c, b)) for c in kept):
+                    kept.append(b)
+            result.update((a, b) for b in kept)
         return result
 
     def maximal_elements(self) -> FrozenSet[tuple]:

@@ -23,9 +23,6 @@ class Verdict:
         return self.ok
 
 
-PASS = Verdict(True)
-
-
 class NotApplicable(Verdict):
     """The statement does not cover the input: a vacuous pass, which the
     report lists as `skip` with this reason.  Checkers return it rather than

@@ -391,6 +391,10 @@ class TestMain:
     def test_cache_mode_requires_dir(self, capsys):
         assert cli.main(["--n", "3", "--mode", "cache"]) == 2
 
+    def test_print_mode_requires_perm(self, capsys):
+        assert cli.main(["--n", "3", "--mode", "print"]) == 2
+        assert capsys.readouterr().err == "error: --mode print requires --perm\n"
+
 
 class TestTableRecursionInvariant:
     def test_stored_values_satisfy_recursion(self, tables):

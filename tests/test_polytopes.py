@@ -399,14 +399,27 @@ point_sets = st.integers(min_value=1, max_value=4).flatmap(
 )
 
 
+def schubert_matroid_bases_def(S, n):
+    """Bases of SM_n(S): the |S|-subsets of [n] dominated entrywise (sorted)
+    by the sorted column S."""
+    s = sorted(S)
+    return frozenset(
+        frozenset(a)
+        for a in itertools.combinations(range(1, n + 1), len(s))
+        if all(ai <= si for ai, si in zip(a, s))
+    )
+
+
+def indicator(subset, n):
+    return tuple(1 if i in subset else 0 for i in range(1, n + 1))
+
+
 def spanning_points_def(S, n):
     """Spanning sets as supersets of a basis, every subset against every
     basis."""
-    bases = schubert_matroid_bases(S, n)
+    bases = schubert_matroid_bases_def(S, n)
     return frozenset(
-        polytopes.indicator(span, n)
-        for span in subsets(n)
-        if any(B <= span for B in bases)
+        indicator(span, n) for span in subsets(n) if any(B <= span for B in bases)
     )
 
 
@@ -423,10 +436,13 @@ def spanning_sumset_loop(w):
 
 
 def base_sumset_loop(w):
-    """The base-point sumset over every Rothe column, empty ones included."""
-    total = frozenset({(0,) * len(w)})
+    """The base-point sumset over every Rothe column, empty ones included,
+    by the basis definition."""
+    n = len(w)
+    total = frozenset({(0,) * n})
     for col in polytopes._rothe_columns(w):
-        total = sumset(total, base_points(col, len(w)))
+        pts = frozenset(indicator(B, n) for B in schubert_matroid_bases_def(col, n))
+        total = sumset(total, pts)
     return total
 
 
@@ -440,6 +456,9 @@ class TestColumnSumsets:
     def test_gale_count_matches_basis_definition(self):
         for n in range(7):
             for S in subsets(n):
+                bases = schubert_matroid_bases_def(S, n)
+                assert schubert_matroid_bases(S, n) == bases, (S, n)
+                assert base_points(S, n) == {indicator(B, n) for B in bases}, (S, n)
                 assert spanning_points(S, n) == spanning_points_def(S, n), (S, n)
 
     def test_S6(self):
@@ -453,19 +472,14 @@ class TestColumnSumsets:
         w = (1, 5, 3, 2, 4)
         assert polytopes.spanning_sumset(w) is polytopes.spanning_sumset(w)
 
-    def test_superset_and_converse_share_one_build(self, monkeypatch):
-        built = []
-        real = polytopes._column_sumset
-
-        def spy(w, points):
-            built.append(w)
-            return real(w, points)
-
-        monkeypatch.setattr(polytopes, "_column_sumset", spy)
+    def test_superset_and_converse_share_one_build(self):
+        # fms reads the degree-l(w) slice of the same build.
         polytopes.spanning_sumset.cache_clear()
-        report, status = cli.run(cli.RunConfig(n=5, checks=("superset", "converse")))
-        assert status == 0 and report["summary"]["pass"] == 240
-        assert built == perms.all_perms(5)
+        config = cli.RunConfig(n=5, checks=("superset", "fms", "converse"))
+        report, status = cli.run(config)
+        assert status == 0 and report["summary"]["pass"] == 360
+        info = polytopes.spanning_sumset.cache_info()
+        assert (info.misses, info.hits) == (120, 240)
 
 
 class TestKernelsAgainstScans:

@@ -236,6 +236,21 @@ def build_Pw_scan(w, groth):
     )
 
 
+def covers_scan(P):
+    """Pairs a < b with no element strictly between, every pair against
+    every element."""
+    els = P.elements
+    leq = posets.componentwise_leq
+    return {
+        (a, b)
+        for a in els
+        for b in els
+        if a != b
+        and leq(a, b)
+        and not any(c != a and c != b and leq(a, c) and leq(c, b) for c in els)
+    }
+
+
 def mobius_recursion(P):
     """mu(0^, q) = -sum_{0^ <= r < q} mu(0^, r) along a linear extension."""
     table = {BOTTOM: 1}
@@ -355,6 +370,14 @@ class TestKernelsAgainstScans:
             for checker, failures in checkers:
                 failed[checker.__name__] += not assert_matches_scan(checker, failures, w, cut).ok
         assert len(failed) == 5 and all(failed.values())
+
+    def test_covers_S5(self, tables):
+        # On P_w, an upper set of its box, and on the raw support, which
+        # need not be one.
+        for w in perms.all_perms(5):
+            g = tables[(5, "G")][w]
+            for P in (build_Pw(w, g), VectorPoset(g.support(), 5)):
+                assert P.covers() == covers_scan(P), w
 
     @pytest.mark.slow
     def test_S7_slow(self):
