@@ -1,16 +1,19 @@
 """
-Byte-stable on-disk cache of polynomial tables.
+Polynomial tables.  `load_or_build` is the one place that picks the engine:
+every table the checkers read is built by the pipe-dream transfer matrix
+(`pipedreams.pd_polynomial_all`) and kept in a byte-stable on-disk cache.
 
 Format: first line `grothcache v1 n=<n> flavor=<S|G>`, then one line per
 permutation `<comma one-line word>|<canonical polynomial text>`, sorted by
 one-line word.
 
 The reader validates what it loads: the header (a mismatch means rebuild),
-the line shape `word|text`, and through `poly.parse_text` nonzero
-coefficients, exponent vectors of length n with entries >= 0, and no
-repeated exponent within a polynomial.  It parses each distinct exponent
-vector once per file, so equal vectors across the table share one tuple; the
-writer likewise formats each distinct vector once per file.
+the line shape `word|text`, a word that is a permutation of [n] not seen
+before in the file, and through `poly.parse_text` nonzero coefficients,
+exponent vectors of length n with entries >= 0, and no repeated exponent
+within a polynomial.  It parses each distinct exponent vector once per file,
+so equal vectors across the table share one tuple; the writer likewise
+formats each distinct vector once per file.
 """
 from __future__ import annotations
 
@@ -19,7 +22,7 @@ import math
 import os
 from typing import Optional
 
-from . import perms, poly
+from . import perms, pipedreams, poly
 
 HEADER_PREFIX = "grothcache v1"
 
@@ -49,7 +52,8 @@ def write_table(table: poly.PolynomialTable, path: str) -> None:
 
 def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]:
     """Read a cache file.  A header mismatch returns None (caller rebuilds);
-    a corrupt body line (bad `word|text` shape, zero coefficient, exponent
+    a corrupt body line (bad `word|text` shape, a word that is not a
+    permutation of [n] or repeats an earlier one, zero coefficient, exponent
     vector of the wrong length or with a negative entry, repeated exponent)
     is a hard error naming the line.  Equal exponent vectors in the returned
     table are one shared tuple."""
@@ -65,6 +69,10 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
         try:
             word, body = line.split("|", 1)
             w = perms.parse_perm(word)
+            if len(w) != n:
+                raise ValueError(f"{word!r} is not a permutation of [{n}]")
+            if w in polys:
+                raise ValueError(f"repeated permutation {word!r}")
             polys[w] = poly.parse_text(body, n, vectors)
         except Exception as exc:
             raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
@@ -72,28 +80,19 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
 
 
 def load_or_build(cache_dir: Optional[str], n: int, flavor: str) -> poly.PolynomialTable:
-    """Warm path: read a matching cache file.  Cold path: build and, when a
-    cache directory is configured, persist."""
+    """Warm path: read a matching cache file.  Cold path: build with the
+    pipe-dream transfer matrix and, when a cache directory is configured,
+    persist."""
     if cache_dir:
         path = cache_path(cache_dir, n, flavor)
         if os.path.exists(path):
             table = read_table(path, n, flavor)
             if table is not None and len(table) == math.factorial(n):
                 return table
-    table = poly.build_table(n, flavor)
+    mode = {"G": "grothendieck", "S": "schubert"}[flavor]
+    table = poly.PolynomialTable(n, flavor, pipedreams.pd_polynomial_all(n, mode))
     if cache_dir:
         os.makedirs(cache_dir, exist_ok=True)
         write_table(table, cache_path(cache_dir, n, flavor))
     return table
-
-
-def cache_roundtrip(table: poly.PolynomialTable, cache_dir: str) -> poly.PolynomialTable:
-    """Write the table, read it back, and return the reloaded copy."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, table.n, table.flavor)
-    write_table(table, path)
-    reloaded = read_table(path, table.n, table.flavor)
-    if reloaded is None:
-        raise AssertionError("freshly written cache failed its own header check")
-    return reloaded
 

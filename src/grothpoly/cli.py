@@ -2,8 +2,9 @@
 Batch verification driver.
 
 Builds (or loads from cache) the Schubert and Grothendieck tables for S_n,
-fans the requested checks across worker processes, and emits a deterministic
-machine-readable report.
+and the divided-difference tables when the oracle runs, fans the requested
+checks across worker processes, and emits a deterministic machine-readable
+report.
 """
 from __future__ import annotations
 
@@ -18,59 +19,59 @@ import traceback
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
-from . import cache, perms, pipedreams, poly, posets, polytopes
+from . import cache, perms, poly, posets, polytopes
 from .verdicts import NotApplicable, Verdict
 
 ENGINE = "grothpoly 0.1.0"
 
 
-def _oracle(w, g, s, pd) -> Verdict:
-    """The tables must equal the pipe-dream polynomials; a failure names the
-    flavor, the first differing exponent in term order and both
-    coefficients."""
-    for flavor, table_poly, pd_poly in (("G", g, pd[0][w]), ("S", s, pd[1][w])):
-        if table_poly != pd_poly:
-            table_c, pd_c = table_poly.terms, pd_poly.terms
+def _oracle(w, g, s, ref) -> Verdict:
+    """The pipe-dream tables must equal the divided-difference ones; a
+    failure names the flavor, the first differing exponent in term order
+    and both coefficients."""
+    for flavor, pd_poly, dd_poly in (("G", g, ref[0][w]), ("S", s, ref[1][w])):
+        if pd_poly != dd_poly:
+            pd_c, dd_c = pd_poly.terms, dd_poly.terms
             expo = min(
-                (e for e in table_c.keys() | pd_c.keys() if table_c.get(e, 0) != pd_c.get(e, 0)),
+                (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0)),
                 key=poly.term_key,
             )
             witness = {
                 "flavor": flavor,
                 "exponent": expo,
-                "table": table_c.get(expo, 0),
+                "divided_differences": dd_c.get(expo, 0),
                 "pipe_dreams": pd_c.get(expo, 0),
             }
             return Verdict(False, witness=witness)
     return Verdict(True)
 
 
-def _euler(w, g, s, pd) -> Verdict:
-    total = pd[0][w].principal_specialization()
+def _euler(w, g, s, ref) -> Verdict:
+    total = g.principal_specialization()
     return Verdict(True) if total == 1 else Verdict(False, witness=total)
 
 
-def _rajchgot(w, g, s, pd) -> Verdict:
+def _rajchgot(w, g, s, ref) -> Verdict:
     rc = perms.rajcode(w)
     if g.degree() == sum(rc) and g.leading_exponent() == rc:
         return Verdict(True)
     return Verdict(False, witness=g.leading_exponent())
 
 
-# Each check maps (w, G_w, S_w, pipe-dream polynomials or None) to a
+# Each check maps (w, G_w, S_w, the divided-difference tables or None) to a
 # Verdict, NotApplicable when its statement does not cover w.  The checkers
 # are looked up on their modules at call time, so a wrapper installed on a
 # module attribute sees every call.
 CHECKS = {
-    "conj1": lambda w, g, s, pd: posets.check_conjecture_1(w, g),
-    "conj2": lambda w, g, s, pd: posets.check_conjecture_2(w, g),
-    "conj3": lambda w, g, s, pd: posets.check_conjecture_3(w, g),
-    "conj4": lambda w, g, s, pd: polytopes.check_conjecture_4(w, g),
-    "coeff": lambda w, g, s, pd: posets.check_conjecture_coeff(w, g),
-    "mobius": lambda w, g, s, pd: posets.check_conjecture_mobius(w, g),
-    "superset": lambda w, g, s, pd: polytopes.check_superset(w, g),
-    "fms": lambda w, g, s, pd: polytopes.check_fms(w, s),
-    "converse": lambda w, g, s, pd: polytopes.check_prop_converse(w, g),
+    "conj1": lambda w, g, s, ref: posets.check_conjecture_1(w, g),
+    "conj2": lambda w, g, s, ref: posets.check_conjecture_2(w, g),
+    "conj3": lambda w, g, s, ref: posets.check_conjecture_3(w, g),
+    "conj4": lambda w, g, s, ref: polytopes.check_conjecture_4(w, g),
+    "coeff": lambda w, g, s, ref: posets.check_conjecture_coeff(w, g),
+    "mobius": lambda w, g, s, ref: posets.check_conjecture_mobius(w, g),
+    "superset": lambda w, g, s, ref: polytopes.check_superset(w, g),
+    "fms": lambda w, g, s, ref: polytopes.check_fms(w, s),
+    "converse": lambda w, g, s, ref: polytopes.check_prop_converse(w, g),
     "oracle": _oracle,
     "euler": _euler,
     "rajchgot": _rajchgot,
@@ -107,7 +108,7 @@ class RunConfig:
 
 
 # Shared read-only state for fork-based workers: (config, G table, S table,
-# (pipe-dream G, pipe-dream S) or None).
+# (divided-difference G, divided-difference S) or None).
 _CTX = None
 
 
@@ -133,13 +134,13 @@ def _jsonable(obj):
     return obj
 
 
-def _run_check(name: str, w, g, s, pd) -> dict:
+def _run_check(name: str, w, g, s, ref) -> dict:
     """One report entry, from the check's Verdict.  An exception inside a
     checker is an internal error, not a verdict on the conjecture: the entry
     gets status `error` with the exception as its witness, the traceback
     goes to stderr, and the sweep goes on."""
     try:
-        return _from_verdict(CHECKS[name](w, g, s, pd))
+        return _from_verdict(CHECKS[name](w, g, s, ref))
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
@@ -147,7 +148,7 @@ def _run_check(name: str, w, g, s, pd) -> dict:
 
 
 def _check_one(w: tuple) -> dict:
-    config, table_g, table_s, pd = _CTX
+    config, table_g, table_s, ref = _CTX
     started = time.perf_counter()
     g = table_g[w]
     s = table_s[w]
@@ -156,7 +157,7 @@ def _check_one(w: tuple) -> dict:
         "length": perms.length(w),
         "deg_g": g.degree(),
         "rajcode": list(perms.rajcode(w)),
-        "checks": {name: _run_check(name, w, g, s, pd) for name in config.checks},
+        "checks": {name: _run_check(name, w, g, s, ref) for name in config.checks},
     }
     if config.timings:
         record["seconds"] = round(time.perf_counter() - started, 6)
@@ -170,19 +171,16 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
     table_s = cache.load_or_build(config.cache_dir, config.n, "S")
-    pd = None
-    if {"oracle", "euler"} & set(config.checks):
-        pd = (
-            pipedreams.pd_polynomial_all(config.n, "grothendieck"),
-            pipedreams.pd_polynomial_all(config.n, "schubert"),
-        )
+    ref = None
+    if "oracle" in config.checks:
+        ref = (poly.build_table(config.n, "G"), poly.build_table(config.n, "S"))
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
     # The fork context starts every worker up front: no more than the targets.
     workers = min(config.jobs, len(targets))
     global _CTX
-    _CTX = (config, table_g, table_s, pd)
+    _CTX = (config, table_g, table_s, ref)
     try:
         if workers == 1:
             results = [_check_one(w) for w in targets]

@@ -1,4 +1,4 @@
-"""Pipe dreams: the independent oracle for Schubert and Grothendieck polynomials.
+"""Pipe dreams: the engine that builds every Schubert and Grothendieck table.
 
 A pipe dream places crosses only in the staircase cells (i,j), i + j <= n.
 Read in reading order (rows top to bottom, each row right to left), cross
@@ -20,7 +20,9 @@ subwords form the Bruhat lower interval below the product of the whole prefix,
 so there are at most n! states, and the cost follows the size of the output,
 not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
 fixed by its exponent, so contributions never cancel to a zero coefficient.
-The module shares only `Poly` and `perms.all_perms` with the table engine.
+`cache.load_or_build` is its caller.  The module shares only `Poly` and
+`perms.all_perms` with the divided-difference recursion (`poly.build_table`),
+which the oracle check compares against it.
 """
 from typing import Dict, List
 

@@ -1,7 +1,8 @@
 """
 Exact sparse multivariate polynomials over the integers, divided-difference
 operators, and the weak-order recursion for Schubert and Grothendieck
-polynomials.
+polynomials: the oracle's independent computation of the tables that
+`cache.load_or_build` builds from pipe dreams.
 
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
@@ -16,8 +17,8 @@ from typing import Dict, Optional
 
 from . import perms
 
-# Counts divided-difference applications; used to verify that a warm cache
-# never recomputes polynomials.
+# Counts divided-difference applications: the work of the oracle's
+# reference tables.
 OPERATOR_APPLICATIONS = 0
 
 
@@ -273,9 +274,9 @@ def staircase_monomial(n: int) -> Poly:
 
 
 class PolynomialTable:
-    """Memoized Schubert ("S") or Grothendieck ("G") polynomials for all of
-    S_n.  Built in one sweep descending from w_0 through the weak order;
-    read-only afterwards."""
+    """Schubert ("S") or Grothendieck ("G") polynomials for all of S_n, keyed
+    by permutation; read-only once built.  `cache.load_or_build` fills it
+    from pipe dreams, `build_table` from the divided differences."""
 
     def __init__(self, n: int, flavor: str, polys: Dict[tuple, Poly]):
         if flavor not in ("S", "G"):

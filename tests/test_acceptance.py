@@ -2,7 +2,7 @@
 
 Each test prints a single PASS/FAIL line (run with ``pytest -s`` to see them)
 and enforces the stated wall-clock budget.  Together they exercise the whole
-stack: exact polynomial tables, the pipe-dream oracle, the combinatorial
+stack: exact polynomial tables and their oracle, the combinatorial
 invariants, the conjecture checkers, and report determinism.
 """
 

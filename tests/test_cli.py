@@ -11,12 +11,19 @@ from grothpoly.verdicts import NotApplicable
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
 
+def _roundtrip(table, cache_dir):
+    """Write the table to the cache and return the copy read back."""
+    path = cache.cache_path(str(cache_dir), table.n, table.flavor)
+    cache.write_table(table, path)
+    return cache.read_table(path, table.n, table.flavor)
+
+
 class TestCache:
     # The keys of the `tables` fixture.
     @pytest.mark.parametrize("n, flavor", [(n, f) for n in (3, 4, 5, 6) for f in "SG"])
     def test_roundtrip_identity(self, tables, tmp_path, n, flavor):
         table = tables[(n, flavor)]
-        reloaded = cache.cache_roundtrip(table, str(tmp_path))
+        reloaded = _roundtrip(table, tmp_path)
         assert reloaded.polys == table.polys
         # Equal exponent vectors are one shared tuple in the reloaded table.
         shared = {}
@@ -36,7 +43,7 @@ class TestCache:
     def test_cache_roundtrip_S7_slow(self, tmp_path):
         for flavor in ("S", "G"):
             table = poly.build_table(7, flavor)
-            reloaded = cache.cache_roundtrip(table, str(tmp_path))
+            reloaded = _roundtrip(table, tmp_path)
             assert reloaded.polys == table.polys
 
     def test_byte_stable(self, tables, tmp_path):
@@ -115,6 +122,18 @@ class TestCache:
         with pytest.raises(ValueError, match=":3:"):
             cache.read_table(path, 3, "G")
 
+    @pytest.mark.parametrize(
+        "words",
+        [("1,2",), ("1,2,4",), ("1,1,2",), ("1,2,3", "1,3,2", "1,2,3")],
+        ids=["short-word", "out-of-range", "not-a-bijection", "repeated-word"],
+    )
+    def test_bad_word_is_hard_error(self, tmp_path, words):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as fh:
+            fh.write("grothcache v1 n=3 flavor=G\n" + "".join(f"{w}|1:1,0,0\n" for w in words))
+        with pytest.raises(ValueError, match=f":{len(words) + 1}: corrupt cache line"):
+            cache.read_table(path, 3, "G")
+
     def test_empty_body_is_zero(self, tmp_path):
         path = str(tmp_path / "zero.txt")
         with open(path, "w") as fh:
@@ -122,12 +141,21 @@ class TestCache:
         table = cache.read_table(path, 3, "G")
         assert table[(1, 2, 3)] == poly.Poly.zero(3)
 
-    def test_warm_cache_skips_recompute(self, tmp_path):
+    def test_warm_cache_skips_recompute(self, tmp_path, monkeypatch):
+        real = pipedreams.pd_polynomial_all
+        built = []
+
+        def counting(n, mode):
+            built.append((n, mode))
+            return real(n, mode)
+
+        monkeypatch.setattr(pipedreams, "pd_polynomial_all", counting)
         cache_dir = str(tmp_path)
-        cache.load_or_build(cache_dir, 4, "G")
-        before = poly.OPERATOR_APPLICATIONS
-        cache.load_or_build(cache_dir, 4, "G")
-        assert poly.OPERATOR_APPLICATIONS == before
+        cold = cache.load_or_build(cache_dir, 4, "G")
+        assert built == [(4, "grothendieck")]
+        warm = cache.load_or_build(cache_dir, 4, "G")
+        assert built == [(4, "grothendieck")]
+        assert warm.polys == cold.polys
 
 
 class TestRun:
@@ -156,24 +184,42 @@ class TestRun:
         assert report["summary"]["pass"] == 24
 
     def test_oracle_failure_witness(self, monkeypatch):
-        real = pipedreams.pd_polynomial_all
+        real = poly.build_table
 
-        def perturbed(n, mode):
-            out = real(n, mode)
-            if mode == "schubert":
+        def perturbed(n, flavor):
+            out = real(n, flavor)
+            if flavor == "S":
                 w = (1, 3, 2)
-                out[w] = out[w] + poly.Poly.from_text("5:0,1,0;7:2,0,0", 3)
+                out.polys[w] = out[w] + poly.Poly.from_text("5:0,1,0;7:2,0,0", 3)
             return out
 
-        monkeypatch.setattr(pipedreams, "pd_polynomial_all", perturbed)
+        monkeypatch.setattr(poly, "build_table", perturbed)
         report, status = cli.run(cli.RunConfig(n=3, checks=("oracle",)))
         assert status == 1
         assert report["summary"]["failures"] == [{"perm": "1,3,2", "check": "oracle"}]
         entry = report["results"][1]["checks"]["oracle"]
         assert entry == {
             "status": "fail",
-            "witness": {"flavor": "S", "exponent": [2, 0, 0], "table": 0, "pipe_dreams": 7},
+            "witness": {"flavor": "S", "exponent": [2, 0, 0], "divided_differences": 7, "pipe_dreams": 0},
         }
+
+    def test_divided_differences_run_only_for_oracle(self, monkeypatch, tmp_path, capsys):
+        real = poly.build_table
+        built = []
+
+        def counting(n, flavor):
+            built.append((n, flavor))
+            return real(n, flavor)
+
+        monkeypatch.setattr(poly, "build_table", counting)
+        _, status = cli.run(cli.RunConfig(n=4, checks=("euler", "conj1")))
+        assert status == 0
+        assert cli.main(["--mode", "print", "--perm", "1432"]) == 0
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
+        assert built == []
+        _, status = cli.run(cli.RunConfig(n=4, checks=("oracle",)))
+        assert status == 0
+        assert built == [(4, "G"), (4, "S")]
 
     def test_checker_exception_is_an_error(self, monkeypatch):
         real = posets.check_conjecture_1

@@ -17,7 +17,7 @@ def P(text, nvars):
 
 
 # The 14-term polynomial for w = 15324, frozen as a regression value and
-# cross-validated by the pipe-dream oracle tests.
+# cross-validated by the engine equivalence tests.
 G_15324 = {
     (3, 1, 0, 0, 0): 1,
     (3, 0, 1, 0, 0): 1,
