@@ -34,15 +34,15 @@ def cache_path(cache_dir: str, n: int, flavor: str) -> str:
 def write_table(table: poly.PolynomialTable, path: str) -> None:
     """Write the file under a temporary name in the same directory, then
     rename it over `path`, so a concurrent reader sees the old file or the
-    whole new one, never a torn last line."""
-    lines = [f"{HEADER_PREFIX} n={table.n} flavor={table.flavor}"]
+    whole new one, never a torn last line.  Each line is written as it is
+    formatted, so the file is never held in memory."""
     texts: dict = {}
-    for w in sorted(table.polys):
-        lines.append(f"{perms.format_perm(w)}|{table[w].to_text(texts)}")
     tmp = f"{path}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+            fh.write(f"{HEADER_PREFIX} n={table.n} flavor={table.flavor}\n")
+            for w in sorted(table.polys):
+                fh.write(f"{perms.format_perm(w)}|{table[w].to_text(texts)}\n")
         os.replace(tmp, path)
     except BaseException:
         with contextlib.suppress(FileNotFoundError):

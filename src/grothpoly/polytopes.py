@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, sub
-from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
+from operator import add, itemgetter
+from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
 from .poly import Poly
-from .posets import componentwise_leq
 from .verdicts import NotApplicable, Verdict
 
 MAX_SUBSET_N = 12
@@ -50,21 +49,10 @@ class SetFunctionPair:
         )
 
 
-def schubert_matroid_bases(S: FrozenSet[int], n: int) -> FrozenSet[frozenset]:
-    """Bases of SM_n(S), read off `base_points`."""
-    return frozenset(
-        frozenset(i for i, b in enumerate(p, 1) if b) for p in base_points(S, n)
-    )
-
-
-def matroid_rank(bases: FrozenSet[frozenset], A: FrozenSet[int]) -> int:
-    """r(A) = max over bases of #(A intersect B)."""
-    A = frozenset(A)
-    return max(len(A & B) for B in bases)
-
-
+@functools.lru_cache(maxsize=None)
 def base_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
-    """Indicator vectors of the bases of SM_n(S): its spanning sets of size |S|."""
+    """Indicator vectors of the bases of SM_n(S): its spanning sets of size
+    |S|.  Kept per (S, n), like `spanning_points`."""
     return frozenset(p for p in spanning_points(S, n) if sum(p) == len(S))
 
 
@@ -93,19 +81,37 @@ def sumset(A: FrozenSet[tuple], B: FrozenSet[tuple]) -> FrozenSet[tuple]:
 def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     """The unique candidate paramodular pair of conv(A): subset-wise min and
     max of coordinate sums over the point set (convexity makes the finite
-    min/max stand in for the polytope).  The sums of all points over a mask
-    m are those over m minus its lowest element, plus that coordinate:
-    s[m] = s[m & (m - 1)] + a[lowbit m]."""
+    min/max stand in for the polytope).
+
+    Packed by columns: after translating each coordinate by its minimum
+    low_i, column i becomes one int with one byte per point.  The sums of
+    all points over a mask are then one big-int add each, s[m + i] = s[m] +
+    col[i] for the masks m below bit i.  A byte of s[m] is at most the sum
+    of the ranges max_i - low_i, so no byte carries into the next while
+    that sum is below 256; a larger one is refused with a ValueError.  y(m)
+    and z(m) are the min and max byte of s[m], plus the sum of low_i over
+    m."""
     A = list(A)
     if not A:
         raise ValueError("cannot recover a pair from an empty point set")
-    n = len(A[0])
     columns = list(zip(*A))
-    sums = [[0] * len(A)]
-    for mask in range(1, 1 << n):
-        low = (mask & -mask).bit_length() - 1
-        sums.append(list(map(add, sums[mask & (mask - 1)], columns[low])))
-    return SetFunctionPair(list(map(min, sums)), list(map(max, sums)), n)
+    lows = list(map(min, columns))
+    spread = sum(map(max, columns)) - sum(lows)
+    if spread >= 256:
+        raise ValueError(
+            f"coordinate ranges sum to {spread}, too large for the packed columns (< 256)"
+        )
+    sums, offsets = [0], [0]
+    for col, low in zip(columns, lows):
+        packed = int.from_bytes(bytes(map((-low).__add__, col)), "little")
+        sums += [s + packed for s in sums]
+        offsets += [o + low for o in offsets]
+    # The set of each row's bytes first: min and max then scan a few values.
+    rows = map(int.to_bytes, sums, itertools.repeat(len(A)), itertools.repeat("little"))
+    rows = list(map(set, rows))
+    y = list(map(add, map(min, rows), offsets))
+    z = list(map(add, map(max, rows), offsets))
+    return SetFunctionPair(y, z, len(A[0]))
 
 
 def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
@@ -177,48 +183,141 @@ def is_paramodular(pair: SetFunctionPair) -> bool:
     return paramodular_violation(pair) is None
 
 
-def lattice_points_of_pair(pair: SetFunctionPair) -> FrozenSet[tuple]:
-    """All integer vectors t satisfying every subset inequality
-    y(I) <= sum_{i in I} t_i <= z(I).
+class _LatticeSearch:
+    """A depth-first search for the integer vectors t satisfying every subset
+    inequality y(I) <= sum_{i in I} t_i <= z(I) of a pair.
 
-    A depth-first search sets the coordinates one at a time.  When the k-th
-    coordinate is set, every mask whose last element (in that order) is the
-    k-th has all its coordinates fixed, and those masks are exactly the
-    constraints not yet checked; each bounds the new coordinate given the
-    sum over the rest of the mask, so the search tries only the values that
-    satisfy all of them.  The singleton mask is among them, so the search is
-    finite, and every leaf is a point.
-
-    A node at depth k checks 2^k masks, so the deep levels dominate.  The
+    It sets the coordinates one at a time.  When the k-th coordinate is set,
+    every mask whose last element (in that order) is the k-th has all its
+    coordinates fixed, and those masks are exactly the constraints not yet
+    checked; each bounds the new coordinate given the sum over the rest of
+    the mask, so the search tries only the values that satisfy all of them.
+    The singleton mask is among them, so the search is finite.  The
     coordinates go in order of increasing singleton range z(i) - y(i), which
-    keeps the number of distinct prefixes at those levels small: on the
-    supports of S_7 it cuts the work 2.7-fold against x_1 first."""
-    n = pair.n
-    if n == 0:
-        return frozenset({()})
-    order = sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i])
-    # masks[m]: the subset, as a mask of the pair, whose bit k is order[k].
+    keeps the number of distinct prefixes at the deep levels small: on the
+    supports of S_7 it cuts the work 2.7-fold against x_1 first.
+
+    Packed: a node at depth k is one int P with one byte per mask m < 2^k,
+    the prefix's coordinate sum over m plus the bias B = -lo, where [lo, hi]
+    spans every value of y and z.  The child that sets coordinate k to t is
+    P | (P + t R_k) << 8 * 2^k, with R_k the ones in 2^k bytes.  Y_k and Z_k
+    hold y and z of the masks whose last element is k, one byte per m, plus
+    D + B, with D = hi - lo; then byte m of Y_k - P is y(m + k) - sum(m) + D.
+    A node's sums lie in [y(m), z(m)], since its parent chose t within
+    them, so every byte of P lies in [0, D] and every byte of Y_k - P and
+    Z_k - P in [0, 2 D]: none borrows while D <= 127, and a wider pair is
+    refused with a ValueError.  The bounds on coordinate k are then
+    max((Y_k - P).to_bytes(2^k)) - D and min((Z_k - P).to_bytes(2^k)) - D,
+    a fixed number of big-int operations per node."""
+
+    def __init__(self, pair: SetFunctionPair):
+        n = self.n = pair.n
+        self.pair = pair
+        if n == 0:
+            return  # the one point () needs no search
+        lo = min(min(pair.y), min(pair.z))
+        span = max(max(pair.y), max(pair.z)) - lo
+        if span > 127:
+            raise ValueError(f"pair values span {span}, too wide for the packed search (< 128)")
+        self.span, self.bias = span, -lo
+        self.order = tuple(sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i]))
+        pick = _search_masks(self.order)
+
+        def packed(table):
+            # Y_k: the masks whose last element is k, positions 2^k .. 2^(k+1) - 1.
+            row = bytes(map((span - lo).__add__, pick(table)))
+            return [int.from_bytes(row[1 << k:2 << k], "little") for k in range(n)]
+
+        self.ys, self.zs = packed(pair.y), packed(pair.z)
+        # R_k: 2^k bytes equal to 1, for the levels the search expands.
+        self.ones = [((1 << (8 << k)) - 1) // 255 for k in range(n - 2)]
+
+    def leaves(self):
+        """(P, t, lo, hi) for each node P at depth n - 2, each value t of
+        coordinate n - 2 under it, and the values lo..hi, lo <= hi, that the
+        last coordinate then takes; n >= 2.
+
+        The last level is not searched: with L and H the low and high halves
+        of Y_{n-1} (the masks without and with coordinate n - 2), the last
+        coordinate is at least max((L - P).to_bytes) - D and
+        max((H - P).to_bytes) - D - t, and Z_{n-1} bounds it above the same
+        way, so four byte extrema at P give the range for every t."""
+        n, span, ys, zs, ones = self.n, self.span, self.ys, self.zs, self.ones
+        depth = n - 2
+        half = 8 << depth
+        low = (1 << half) - 1
+        y_low, y_high = ys[n - 1] & low, ys[n - 1] >> half
+        z_low, z_high = zs[n - 1] & low, zs[n - 1] >> half
+        stack = [(0, self.bias)]
+        while stack:
+            k, P = stack.pop()
+            width = 1 << k
+            lo = max((ys[k] - P).to_bytes(width, "little")) - span
+            hi = min((zs[k] - P).to_bytes(width, "little")) - span
+            if lo > hi:
+                continue
+            if k == depth:
+                a = max((y_low - P).to_bytes(width, "little")) - span
+                b = max((y_high - P).to_bytes(width, "little")) - span
+                c = min((z_low - P).to_bytes(width, "little")) - span
+                d = min((z_high - P).to_bytes(width, "little")) - span
+                for t in range(lo, hi + 1):
+                    u, v = max(a, b - t), min(c, d - t)
+                    if u <= v:
+                        yield P, t, u, v
+                continue
+            shift = 8 * width
+            step = ones[k]
+            Q = P + lo * step
+            for _ in range(lo, hi + 1):
+                stack.append((k + 1, P | Q << shift))
+                Q += step
+
+    def count(self, limit: int) -> int:
+        """The number of lattice points, or any number above `limit` once
+        the count passes it."""
+        if self.n < 2:
+            return len(self.points())
+        total = 0
+        for _, _, lo, hi in self.leaves():
+            total += hi - lo + 1
+            if total > limit:
+                break
+        return total
+
+    def points(self) -> FrozenSet[tuple]:
+        """Every lattice point.  Byte 2^j of a node is coordinate order[j]
+        plus the bias."""
+        n, bias = self.n, self.bias
+        if n == 0:
+            return frozenset({()})
+        if n == 1:
+            return frozenset((t,) for t in range(self.pair.y[1], self.pair.z[1] + 1))
+        position = [self.order.index(i) for i in range(n)]
+        out = []
+        for P, t, lo, hi in self.leaves():
+            prefix = [(P >> (8 << j) & 0xFF) - bias for j in range(n - 2)] + [t]
+            for u in range(lo, hi + 1):
+                p = prefix + [u]
+                out.append(tuple(p[k] for k in position))
+        return frozenset(out)
+
+
+@functools.lru_cache(maxsize=None)
+def _search_masks(order: Tuple[int, ...]) -> itemgetter:
+    """Picks the entries of a subset table in search order: entry m is the
+    subset whose bit k is order[k]."""
     masks = [0]
     for i in order:
         masks += [m | 1 << i for m in masks]
-    # The masks whose last element is k: positions 2^k .. 2^(k+1) - 1.
-    ys = [[pair.y[m] for m in masks[1 << k:2 << k]] for k in range(n)]
-    zs = [[pair.z[m] for m in masks[1 << k:2 << k]] for k in range(n)]
-    points = []
+    return itemgetter(*masks)
 
-    def visit(k: int, sums: list, prefix: tuple) -> None:
-        # sums[m]: the coordinate sum of the prefix over each mask m < 2^k.
-        lo = max(map(sub, ys[k], sums))
-        hi = min(map(sub, zs[k], sums))
-        if k == n - 1:
-            points.extend(prefix + (t,) for t in range(lo, hi + 1))
-            return
-        for t in range(lo, hi + 1):
-            visit(k + 1, sums + [s + t for s in sums], prefix + (t,))
 
-    visit(0, [0], ())
-    position = [order.index(i) for i in range(n)]
-    return frozenset(tuple(p[k] for k in position) for p in points)
+def lattice_points_of_pair(pair: SetFunctionPair) -> FrozenSet[tuple]:
+    """All integer vectors t satisfying every subset inequality
+    y(I) <= sum_{i in I} t_i <= z(I), by the packed search of
+    `_LatticeSearch`."""
+    return _LatticeSearch(pair).points()
 
 
 def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
@@ -226,16 +325,21 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     as its lattice points.  Together these are equivalent to saturation plus
     the Newton polytope being a generalized polymatroid: the recovered pair
     is the only candidate, and an integral paramodular pair cuts out an
-    integral polytope."""
+    integral polytope.
+
+    Every support point satisfies the pair it was recovered from, so the
+    lattice points contain the support, and equal it iff there are |supp|
+    of them: the search counts and stops past |supp|, and enumerates only
+    to name the witness, the first point in sorted order outside the
+    support."""
     supp = groth.support()
     pair = recover_pair(supp)
     if not is_paramodular(pair):
         return Verdict(
             False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"
         )
-    points = lattice_points_of_pair(pair)
-    if points != supp:
-        diff = sorted(points ^ supp)
+    if _LatticeSearch(pair).count(len(supp)) != len(supp):
+        diff = sorted(lattice_points_of_pair(pair) ^ supp)
         return Verdict(False, witness=diff[0], detail="lattice points != support")
     return Verdict(True)
 
@@ -324,18 +428,13 @@ def decompose_support_point(w: tuple, alpha: tuple, groth: Poly, schub: Poly) ->
     supp_g = groth.support()
     if alpha not in supp_g:
         raise ValueError(f"{alpha} is not in the support")
-    # Walk down one degree at a time until hitting the Schubert support.
+    # Walk down one unit step beta - e_i at a time, the first i whose step is
+    # in the support, until hitting the Schubert support.
     lw = perms.length(w)
     beta = alpha
     while sum(beta) > lw:
-        step = next(
-            (
-                b
-                for b in supp_g
-                if sum(b) == sum(beta) - 1 and componentwise_leq(b, beta)
-            ),
-            None,
-        )
+        steps = (beta[:i] + (beta[i] - 1,) + beta[i + 1:] for i in range(n) if beta[i])
+        step = next((b for b in steps if b in supp_g), None)
         if step is None:
             raise AssertionError(f"no one-step descent below {beta} in supp")
         beta = step

@@ -70,6 +70,27 @@ class TestCache:
         assert open(path, "rb").read() == first
         assert os.listdir(tmp_path) == [os.path.basename(path)]
 
+    def test_failed_format_keeps_old_file(self, tables, tmp_path, monkeypatch):
+        # The writer streams lines into the temp file; a failure after some
+        # lines are written still leaves the old file whole and no temp file.
+        path = cache.cache_path(str(tmp_path), 3, "G")
+        cache.write_table(tables[(3, "G")], path)
+        first = open(path, "rb").read()
+        to_text = poly.Poly.to_text
+        calls = []
+
+        def failing(self, texts=None):
+            calls.append(self)
+            if len(calls) > 2:
+                raise MemoryError("out of memory")
+            return to_text(self, texts)
+
+        monkeypatch.setattr(poly.Poly, "to_text", failing)
+        with pytest.raises(MemoryError):
+            cache.write_table(tables[(4, "G")], path)
+        assert open(path, "rb").read() == first
+        assert os.listdir(tmp_path) == [os.path.basename(path)]
+
     def test_empty_table(self, tmp_path):
         table = poly.PolynomialTable(3, "G", {})
         path = cache.cache_path(str(tmp_path), 3, "G")

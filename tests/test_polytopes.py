@@ -4,7 +4,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import cli, perms, polytopes
+from grothpoly import cache, cli, perms, polytopes
 from grothpoly.poly import Poly
 from grothpoly.polytopes import (
     SetFunctionPair,
@@ -21,9 +21,7 @@ from grothpoly.polytopes import (
     grassmannian_par,
     is_paramodular,
     lattice_points_of_pair,
-    matroid_rank,
     recover_pair,
-    schubert_matroid_bases,
     spanning_points,
     sumset,
 )
@@ -34,6 +32,19 @@ def subsets(n):
     for k in range(n + 1):
         for s in itertools.combinations(range(1, n + 1), k):
             yield frozenset(s)
+
+
+def schubert_matroid_bases(S, n):
+    """Bases of SM_n(S), read off `base_points`."""
+    return frozenset(
+        frozenset(i for i, b in enumerate(p, 1) if b) for p in base_points(S, n)
+    )
+
+
+def matroid_rank(bases, A):
+    """r(A) = max over bases of #(A intersect B)."""
+    A = frozenset(A)
+    return max(len(A & B) for B in bases)
 
 
 class TestSchubertMatroids:
@@ -323,6 +334,60 @@ def recover_pair_scan(A):
     return SetFunctionPair(y, z, n)
 
 
+def recover_pair_loop(A):
+    """Mask sums as one list per mask, s[m] = s[m & (m - 1)] + a[lowbit m],
+    then their min and max."""
+    A = list(A)
+    n = len(A[0])
+    columns = list(zip(*A))
+    sums = [[0] * len(A)]
+    for mask in range(1, 1 << n):
+        low = (mask & -mask).bit_length() - 1
+        sums.append([s + a for s, a in zip(sums[mask & (mask - 1)], columns[low])])
+    return SetFunctionPair(list(map(min, sums)), list(map(max, sums)), n)
+
+
+def lattice_points_dfs(pair):
+    """The search that `polytopes._LatticeSearch` packs, unpacked: the
+    prefix sums of each node as a list, every level searched, and the points
+    collected as tuples."""
+    n = pair.n
+    if n == 0:
+        return frozenset({()})
+    order = sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i])
+    masks = [0]
+    for i in order:
+        masks += [m | 1 << i for m in masks]
+    ys = [[pair.y[m] for m in masks[1 << k:2 << k]] for k in range(n)]
+    zs = [[pair.z[m] for m in masks[1 << k:2 << k]] for k in range(n)]
+    points = []
+
+    def visit(k, sums, prefix):
+        lo = max(y - s for y, s in zip(ys[k], sums))
+        hi = min(z - s for z, s in zip(zs[k], sums))
+        if k == n - 1:
+            points.extend(prefix + (t,) for t in range(lo, hi + 1))
+            return
+        for t in range(lo, hi + 1):
+            visit(k + 1, sums + [s + t for s in sums], prefix + (t,))
+
+    visit(0, [0], ())
+    position = [order.index(i) for i in range(n)]
+    return frozenset(tuple(p[k] for k in position) for p in points)
+
+
+def assert_conj4_kernels_match_previous(table):
+    """The packed kernels against the list-based loop and search, on every
+    support of a table: the same pair, and a lattice count of |supp|."""
+    for w, g in table.items():
+        supp = g.support()
+        pair = recover_pair(supp)
+        assert pair == recover_pair_loop(supp), w
+        points = lattice_points_dfs(pair)
+        assert points == supp, w
+        assert polytopes._LatticeSearch(pair).count(len(supp)) == len(points), w
+
+
 def is_paramodular_scan(pair):
     """Submodularity, supermodularity and the cross inequality over all
     O(4^n) pairs of subsets."""
@@ -457,7 +522,6 @@ class TestColumnSumsets:
         for n in range(7):
             for S in subsets(n):
                 bases = schubert_matroid_bases_def(S, n)
-                assert schubert_matroid_bases(S, n) == bases, (S, n)
                 assert base_points(S, n) == {indicator(B, n) for B in bases}, (S, n)
                 assert spanning_points(S, n) == spanning_points_def(S, n), (S, n)
 
@@ -491,7 +555,7 @@ class TestKernelsAgainstScans:
         # Supports with one or two terms removed, so that the failing
         # branches of conj4 run too.
         rng = random.Random(5)
-        failures = 0
+        failures = lattice_failures = 0
         for w in perms.all_perms(5):
             g = tables[(5, "G")][w]
             if len(g.terms) < 3:
@@ -504,8 +568,30 @@ class TestKernelsAgainstScans:
                 assert not verdict.ok
                 assert verdict.witness == polytopes.paramodular_violation(pair)
                 assert_failing_inequality(pair, verdict.witness)
+            elif not verdict.ok:
+                assert verdict.detail == "lattice points != support"
+                diff = lattice_points_scan(pair) ^ cut.support()
+                assert verdict.witness == sorted(diff)[0]
+                lattice_failures += 1
             failures += not verdict.ok
-        assert failures > 0
+        assert failures > lattice_failures > 0
+
+    def test_previous_kernels_S6(self, tables):
+        assert_conj4_kernels_match_previous(tables[(6, "G")])
+
+    @pytest.mark.slow
+    def test_previous_kernels_S7_slow(self):
+        assert_conj4_kernels_match_previous(cache.load_or_build(None, 7, "G"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(set_function_pairs())
+    def test_count_matches_previous_search(self, pair):
+        points = lattice_points_dfs(pair)
+        assert lattice_points_of_pair(pair) == points
+        count = polytopes._LatticeSearch(pair).count(len(points))
+        assert count == len(points)
+        if points:
+            assert polytopes._LatticeSearch(pair).count(len(points) - 1) == len(points)
 
     @settings(max_examples=300, deadline=None)
     @given(set_function_pairs())
@@ -525,6 +611,36 @@ class TestKernelsAgainstScans:
     @given(point_sets)
     def test_recover_pair(self, A):
         assert recover_pair(A) == recover_pair_scan(A)
+        assert recover_pair(A) == recover_pair_loop(A)
+
+
+class TestPackedRefusal:
+    # The packed kernels refuse inputs whose bytes would carry or borrow;
+    # the driver reports the refusal as an internal error, not a verdict.
+
+    def test_recover_pair_refuses_wide_columns(self):
+        # Coordinate ranges 200 + 100 >= 256.
+        g = Poly({(0, 0): 1, (200, 100): 1}, 2)
+        with pytest.raises(ValueError, match="packed columns"):
+            recover_pair(g.support())
+        entry = cli._run_check("conj4", (2, 1), g, None, None)
+        assert entry["status"] == "error"
+        assert entry["witness"].startswith("ValueError: coordinate ranges sum to 300")
+
+    def test_lattice_search_refuses_wide_pair(self):
+        # recover_pair accepts a range of 130, the search needs a span < 128.
+        g = Poly({(0,): 1, (130,): 1}, 1)
+        pair = recover_pair(g.support())
+        assert is_paramodular(pair)
+        with pytest.raises(ValueError, match="packed search"):
+            lattice_points_of_pair(pair)
+        entry = cli._run_check("conj4", (1,), g, None, None)
+        assert entry["status"] == "error"
+        assert entry["witness"].startswith("ValueError: pair values span 130")
+
+    def test_widest_accepted_pair(self):
+        verdict = check_conjecture_4((1,), Poly({(0,): 1, (127,): 1}, 1))
+        assert verdict.witness == (1,) and verdict.detail == "lattice points != support"
 
 
 class TestParamodularWitness:
@@ -544,6 +660,17 @@ class TestParamodularWitness:
         assert polytopes.paramodular_violation(pair) == {
             "test": "f monotone", "mask": 0, "i": 1, "j": None, "lhs": 0, "rhs": 1,
         }
+
+    def test_conj4_lattice_failure_witness(self):
+        # The pair of {(0,0), (2,0)} is paramodular, and its lattice points
+        # add (1,0): the first point of the difference in sorted order.
+        g = Poly({(0, 0): 1, (2, 0): 1}, 2)
+        assert is_paramodular(recover_pair(g.support()))
+        verdict = check_conjecture_4((2, 1), g)
+        assert not verdict.ok
+        assert verdict.witness == (1, 0)
+        assert verdict.detail == "lattice points != support"
+        assert cli._from_verdict(verdict)["witness"] == [1, 0]
 
     def test_conj4_failure_carries_witness(self):
         verdict = check_conjecture_4((1, 3, 2), Poly({(1, 1, 0): 1, (0, 0, 1): 1}, 3))
