@@ -1,10 +1,10 @@
 """
 Batch verification driver.
 
-Builds (or loads from cache) the Schubert and Grothendieck tables for S_n,
-and the divided-difference tables when the oracle runs, fans the requested
-checks across worker processes, and emits a deterministic machine-readable
-report.
+Builds (or loads from cache) the Grothendieck table for S_n, the Schubert
+table when a check reads it, and the divided-difference tables when the
+oracle runs, fans the requested checks across worker processes, and emits a
+deterministic machine-readable report.
 """
 from __future__ import annotations
 
@@ -51,17 +51,10 @@ def _euler(w, g, s, ref) -> Verdict:
     return Verdict(True) if total == 1 else Verdict(False, witness=total)
 
 
-def _rajchgot(w, g, s, ref) -> Verdict:
-    rc = perms.rajcode(w)
-    if g.degree() == sum(rc) and g.leading_exponent() == rc:
-        return Verdict(True)
-    return Verdict(False, witness=g.leading_exponent())
-
-
-# Each check maps (w, G_w, S_w, the divided-difference tables or None) to a
-# Verdict, NotApplicable when its statement does not cover w.  The checkers
-# are looked up on their modules at call time, so a wrapper installed on a
-# module attribute sees every call.
+# Each check maps (w, G_w, S_w or None, the divided-difference tables or
+# None) to a Verdict, NotApplicable when its statement does not cover w.
+# The checkers are looked up on their modules at call time, so a wrapper
+# installed on a module attribute sees every call.
 CHECKS = {
     "conj1": lambda w, g, s, ref: posets.check_conjecture_1(w, g),
     "conj2": lambda w, g, s, ref: posets.check_conjecture_2(w, g),
@@ -74,10 +67,13 @@ CHECKS = {
     "converse": lambda w, g, s, ref: polytopes.check_prop_converse(w, g),
     "oracle": _oracle,
     "euler": _euler,
-    "rajchgot": _rajchgot,
+    "rajchgot": lambda w, g, s, ref: posets.check_rajchgot(w, g),
 }
 
 ALL_CHECKS = tuple(CHECKS)
+
+# The checks that read S_w: the 𝔖 table is loaded only for them.
+READS_S = frozenset({"fms", "oracle"})
 
 DEFAULT_MAX_N = 8
 
@@ -107,8 +103,8 @@ class RunConfig:
             raise ValueError("--perm length must match --n")
 
 
-# Shared read-only state for fork-based workers: (config, G table, S table,
-# (divided-difference G, divided-difference S) or None).
+# Shared read-only state for fork-based workers: (config, G table, S table
+# or None, (divided-difference G, divided-difference S) or None).
 _CTX = None
 
 
@@ -151,7 +147,7 @@ def _check_one(w: tuple) -> dict:
     config, table_g, table_s, ref = _CTX
     started = time.perf_counter()
     g = table_g[w]
-    s = table_s[w]
+    s = table_s[w] if table_s is not None else None
     record = {
         "perm": perms.format_perm(w),
         "length": perms.length(w),
@@ -170,7 +166,9 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     config.validate()
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
-    table_s = cache.load_or_build(config.cache_dir, config.n, "S")
+    table_s = None
+    if READS_S.intersection(config.checks):
+        table_s = cache.load_or_build(config.cache_dir, config.n, "S")
     ref = None
     if "oracle" in config.checks:
         ref = (poly.build_table(config.n, "G"), poly.build_table(config.n, "S"))

@@ -10,6 +10,14 @@ differences are written in closed form, one monomial at a time.  Terms are
 checked once, where they enter: through `Poly(...)`, or through `parse_text`
 (behind `from_text` and the cache reader); results derived from valid
 polynomials skip the checks.
+
+The support checks read an exponent vector alpha of length n as one integer,
+its code: one byte per coordinate, x_1 lowest, and the degree above them,
+code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n.  `codes` computes it
+once per distinct vector, and `decode` masks off the degree.  While every
+entry is < 256 no byte carries, so the code of a sum is the sum of the
+codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the numeric
+order of the codes is degree, then the canonical term order (`term_key`).
 """
 from __future__ import annotations
 
@@ -111,17 +119,6 @@ class Poly:
                     out.pop(e, None)
         return Poly._trusted(out, self.nvars)
 
-    def swap_vars(self, j: int) -> "Poly":
-        """Exchange x_j and x_{j+1} (1-based j, 1 <= j <= nvars - 1)."""
-        if not 1 <= j <= self.nvars - 1:
-            raise ValueError(f"swap index {j} out of range for nvars={self.nvars}")
-        out = {}
-        for expo, coeff in self.terms.items():
-            e = list(expo)
-            e[j - 1], e[j] = e[j], e[j - 1]
-            out[tuple(e)] = coeff
-        return Poly._trusted(out, self.nvars)
-
     def support(self) -> frozenset:
         return frozenset(self.terms)
 
@@ -130,31 +127,14 @@ class Poly:
             raise ValueError("degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
 
-    def min_degree(self) -> int:
-        if not self.terms:
-            raise ValueError("min degree of the zero polynomial is undefined")
-        return min(sum(e) for e in self.terms)
-
     def graded_component(self, d: int) -> "Poly":
         return Poly._trusted(
             {e: c for e, c in self.terms.items() if sum(e) == d}, self.nvars
         )
 
-    def top_component(self) -> "Poly":
-        return self.graded_component(self.degree())
-
-    def lowest_component(self) -> "Poly":
-        return self.graded_component(self.min_degree())
-
     def principal_specialization(self) -> int:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
         return sum(self.terms.values())
-
-    def leading_exponent(self) -> tuple:
-        """Maximal exponent under the canonical term order (x_n weighs most)."""
-        if not self.terms:
-            raise ValueError("leading exponent of the zero polynomial is undefined")
-        return max(self.terms, key=term_key)
 
     def to_text(self, texts: Optional[Dict[tuple, str]] = None) -> str:
         """Canonical text form: `coeff:e1,...,en` joined by `;`.
@@ -187,6 +167,25 @@ def term_key(expo: tuple) -> tuple:
     first, then x_{n-1}, and so on.  This is a term order with
     x_1 < x_2 < ... < x_n."""
     return expo[::-1]
+
+
+class _Codes(dict):
+    """alpha -> code(alpha) (see the module docstring), computed once per
+    distinct vector.  An entry outside 0..255 is refused with a ValueError
+    by `bytes`."""
+
+    def __missing__(self, alpha: tuple) -> int:
+        low = int.from_bytes(bytes(alpha), "little")
+        code = self[alpha] = low + (sum(alpha) << 8 * len(alpha))
+        return code
+
+
+codes = _Codes()
+
+
+def decode(code: int, n: int) -> tuple:
+    """The exponent vector of length n with this code."""
+    return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
 
 
 def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:

@@ -14,7 +14,7 @@ from operator import add, itemgetter
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly
+from .poly import Poly, codes, decode
 from .verdicts import NotApplicable, Verdict
 
 MAX_SUBSET_N = 12
@@ -68,14 +68,6 @@ def spanning_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
     s = sorted(S)
     points = itertools.product((0, 1), repeat=n)
     return frozenset(p for p in points if all(sum(p[:sk]) >= k for k, sk in enumerate(s, 1)))
-
-
-def sumset(A: FrozenSet[tuple], B: FrozenSet[tuple]) -> FrozenSet[tuple]:
-    """Deduplicated pointwise sumset {a + b}."""
-    dims = set(map(len, A)) | set(map(len, B))
-    if len(dims) > 1:
-        raise ValueError(f"ambient dimension mismatch: {sorted(dims)}")
-    return frozenset(tuple(map(add, a, b)) for a in A for b in B)
 
 
 def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
@@ -353,54 +345,73 @@ def _pad(v: tuple, n: int) -> tuple:
     return tuple(v) + (0,) * (n - len(v))
 
 
+@functools.lru_cache(maxsize=None)
+def _spanning_codes(S: FrozenSet[int], n: int) -> FrozenSet[int]:
+    """The codes (`poly.codes`) of the spanning points of SM_{max S}(S),
+    zero-appended into dimension n.  Kept per (S, n), like
+    `spanning_points`."""
+    return frozenset(codes[_pad(p, n)] for p in spanning_points(S, max(S)))
+
+
 @functools.lru_cache(maxsize=1)
-def spanning_sumset(w: tuple) -> FrozenSet[tuple]:
+def spanning_sumset(w: tuple) -> FrozenSet[int]:
     """Iterated sumset of the spanning-point sets of the column Schubert
     matroids SM_{d_j}(D_j), d_j = max D_j, zero-appended into dimension n,
     over the nonempty Rothe columns D_j of w (an empty column adds only the
-    zero vector; column n is empty).  Kept for the last permutation, so
-    superset, fms and converse share one build."""
+    zero vector; column n is empty), as the set of its codes
+    (`poly.codes`).  Every entry is below n, so the code of a sum is the sum
+    of the codes.  Kept for the last permutation, so superset, fms and
+    converse share one build."""
     n = len(w)
     if n > MAX_SUMSET_N:
         raise ValueError(f"sumset refused for n={n} > {MAX_SUMSET_N}")
-    total = frozenset({(0,) * n})
+    total = {0}  # the zero vector
     for col in filter(None, _rothe_columns(w)):
-        total = sumset(total, {_pad(p, n) for p in spanning_points(col, max(col))})
-    return total
+        points = _spanning_codes(col, n)
+        total = {a + b for a in total for b in points}
+    return frozenset(total)
 
 
-def base_sumset(w: tuple) -> FrozenSet[tuple]:
+def base_sumset(w: tuple) -> FrozenSet[int]:
     """Iterated sumset of the base-point sets of the column Schubert
-    matroids SM_n(D_j): the points of `spanning_sumset(w)` of degree l(w).
+    matroids SM_n(D_j), as codes: the points of `spanning_sumset(w)` of
+    degree l(w), whose codes are those with l(w) in the degree byte.
 
     Proof: a basis of SM_n(D_j) has b_k <= s_k <= d_j, so it lies in [d_j]
     and is a basis of SM_{d_j}(D_j).  A spanning set of SM_{d_j}(D_j) has at
     least |D_j| elements, and exactly |D_j| only when it is a basis.  The
     columns partition the Rothe diagram, so the |D_j| sum to l(w): a sum of
     spanning sets has degree l(w) iff every part is a basis."""
-    length = perms.length(w)
-    return frozenset(p for p in spanning_sumset(w) if sum(p) == length)
+    length, shift = perms.length(w), 8 * len(w)
+    return frozenset(c for c in spanning_sumset(w) if c >> shift == length)
+
+
+def _within(total: FrozenSet[int], f: Poly) -> bool:
+    """Whether the code of every support point of f is in total.  No support
+    set is built: a support that lies within total and has as many points
+    equals it.  `poly.codes` refuses an entry above 255 with a ValueError."""
+    return all(map(total.__contains__, map(codes.__getitem__, f.terms)))
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:
     """The support sits inside the spanning-set sumset; also reports whether
-    the two lattice sets are equal."""
-    supp = groth.support()
+    the two lattice sets are equal.  A failure names the first support point
+    outside it, in sorted order."""
     total = spanning_sumset(w)
-    missing = sorted(supp - total)
-    if missing:
-        return Verdict(False, witness=missing[0], detail="support point outside sumset")
-    return Verdict(True, info={"equality": supp == total})
+    if not _within(total, groth):
+        missing = min(e for e in groth.terms if codes[e] not in total)
+        return Verdict(False, witness=missing, detail="support point outside sumset")
+    return Verdict(True, info={"equality": len(groth.terms) == len(total)})
 
 
 def check_fms(w: tuple, schub: Poly) -> Verdict:
     """The Schubert support equals the iterated base-point sumset over the
-    Rothe columns."""
-    supp = schub.support()
+    Rothe columns.  A failure names the first point of the symmetric
+    difference, in sorted order."""
     total = base_sumset(w)
-    if supp != total:
-        diff = sorted(supp ^ total)
-        return Verdict(False, witness=diff[0], detail="support != base sumset")
+    if len(schub.terms) != len(total) or not _within(total, schub):
+        diff = schub.support() ^ {decode(c, len(w)) for c in total}
+        return Verdict(False, witness=min(diff), detail="support != base sumset")
     return Verdict(True)
 
 
@@ -410,7 +421,8 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
     verdict records both sides."""
     closure = perms.upper_closure(perms.rothe_diagram(w))
     degree_side = groth.degree() == len(closure.boxes)
-    polytope_side = groth.support() == spanning_sumset(w)
+    total = spanning_sumset(w)
+    polytope_side = len(groth.terms) == len(total) and _within(total, groth)
     ok = degree_side == polytope_side
     return Verdict(
         ok,

@@ -3,20 +3,23 @@ Componentwise-order posets on integer vectors, Moebius functions, the
 support poset of a Grothendieck polynomial, and the conjecture checkers
 that live on it.
 
-conj1, conj2, conj3 and coeff read one packed view of the support
+conj1, conj2, conj3, coeff and rajchgot read one packed view of the support
 (`_SupportView`), built once per polynomial and kept for the last one, so
-the checks of one permutation share a single build.  The view codes an
-exponent vector with one byte per coordinate, x_1 lowest:
-code(alpha) = sum of alpha_i 256^(i-1) = `int.from_bytes(bytes(alpha),
-"little")`.  So the unit step alpha + e_i is code(alpha) + 256^(i-1), and
-the numeric order of the codes is the canonical term order (`term_key`:
-the last coordinate weighs most).  With H the mask that has 0x80 in every
-byte, alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
-== H.  Proof: while every entry is < 128, byte i of the difference is
-beta_i + 128 - alpha_i, which lies in 1..255, so no byte borrows from the
-next and its high bit is set iff beta_i >= alpha_i.  Every entry is at most
+the checks of one permutation share a single build.  The view reads the
+exponent codes of `poly.codes`: one byte per coordinate, x_1 lowest, and the
+degree in byte n, code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n.
+So the unit step alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the
+numeric order of the codes is `_order`: degree, then the canonical term
+order (`term_key`: the last coordinate weighs most).  With H the mask that
+has 0x80 in each of the n + 1 bytes, alpha <= beta componentwise iff
+((code(beta) | H) - code(alpha)) & H == H.  Proof: while every entry and
+both degrees are < 128, byte i < n of the difference is
+beta_i + 128 - alpha_i and byte n is |beta| + 128 - |alpha|; each lies in
+1..255, so no byte borrows from the next.  The high bit of byte i < n is
+set iff beta_i >= alpha_i, and that of byte n is set whenever every
+beta_i >= alpha_i, since then |beta| >= |alpha|.  Every entry is at most
 the degree, so the view refuses a degree >= 127 with a ValueError; below
-that, the unit steps have entries < 128 too.
+that, the unit steps have entries and degrees < 128 too.
 """
 from __future__ import annotations
 
@@ -24,7 +27,7 @@ from operator import le
 from typing import Dict, FrozenSet, Set, Tuple
 
 from . import perms
-from .poly import Poly, term_key
+from .poly import Poly, codes, decode, term_key
 from .verdicts import NotApplicable, Verdict
 
 # Adjoined minimum element: a distinguished sentinel, deliberately not the
@@ -75,7 +78,7 @@ class VectorPoset:
         """The maxima, as found by the packed support view (entries >= 0,
         degree < 127)."""
         view = _SupportView(self.elements, self.n)
-        return frozenset(_vector(m, self.n) for m in view.maxima)
+        return frozenset(decode(m, self.n) for m in view.maxima)
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""
@@ -151,22 +154,13 @@ def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     return VectorPoset(elements, len(w))
 
 
-def _code(alpha: tuple) -> int:
-    """One byte per coordinate, x_1 lowest (see the module docstring)."""
-    return int.from_bytes(bytes(alpha), "little")
-
-
-def _vector(code: int, n: int) -> tuple:
-    """The exponent vector of a code of length n."""
-    return tuple(code.to_bytes(n, "little"))
-
-
 class _SupportView:
     """Packed facts about a set of exponent vectors of length n, with
     entries >= 0 and degree < 127 (see the module docstring):
 
     - `codes`: the code of each vector, in the order given;
-    - `high`: H, the mask with 0x80 in each of the n bytes;
+    - `degree`: the top degree;
+    - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
     - `top_codes`: the codes of the top degree, in term order;
     - `gaps`: for each code below the top degree, the mask with 0xFF in
       byte i iff the unit step alpha + e_i is not in the set;
@@ -181,21 +175,24 @@ class _SupportView:
     each is kept iff no kept maximum is >= it: anything strictly above it
     has larger degree, so it is a kept maximum or lies below one."""
 
-    __slots__ = ("n", "codes", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima")
+    __slots__ = (
+        "n", "codes", "degree", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima"
+    )
 
     def __init__(self, vectors, n: int):
-        degrees = list(map(sum, vectors))
-        top = max(degrees, default=0)
+        self.codes = list(map(codes.__getitem__, vectors))
+        top = max(self.codes, default=0) >> 8 * n
         if top >= 127:
             raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
-        codes = list(map(_code, vectors))
-        present = set(codes)
-        steps = [(1 << 8 * i, 0xFF << 8 * i) for i in range(n)]
-        full = (1 << 8 * n) - 1
-        high = _code((0x80,) * n)
+        present = set(self.codes)
+        up = 1 << 8 * n  # one more in the degree byte
+        steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
+        full = up - 1
+        high = int.from_bytes(b"\x80" * (n + 1), "little")
+        bottom = top * up  # the least code of the top degree
         top_codes, gaps, uncovered = [], {}, []
-        for code, d in zip(codes, degrees):
-            if d == top:
+        for code in self.codes:
+            if code >= bottom:
                 top_codes.append(code)
                 continue
             gap = 0
@@ -204,19 +201,18 @@ class _SupportView:
                     gap |= byte
             gaps[code] = gap
             if gap == full:
-                uncovered.append((d, code))
+                uncovered.append(code)
         uncovered.sort()
         maxima = sorted(top_codes)
         self.top_codes = maxima[:]
         low_maxima = []
-        for _, code in reversed(uncovered):
+        for code in reversed(uncovered):
             if not any(((m | high) - code) & high == high for m in maxima):
                 maxima.append(code)
                 low_maxima.append(code)
         low_maxima.reverse()
-        self.n, self.codes, self.high, self.gaps = n, codes, high, gaps
-        self.uncovered = [code for _, code in uncovered]
-        self.maxima, self.low_maxima = maxima, low_maxima
+        self.n, self.degree, self.high, self.gaps = n, top, high, gaps
+        self.uncovered, self.maxima, self.low_maxima = uncovered, maxima, low_maxima
 
 
 # The view of the last polynomial asked for, with a strong reference to that
@@ -242,7 +238,7 @@ def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
     degree."""
     view = _support_view(groth)
     if view.low_maxima:
-        witness = _vector(view.low_maxima[0], view.n)
+        witness = decode(view.low_maxima[0], view.n)
         return Verdict(False, witness=witness, detail="maximal below top degree")
     return Verdict(True)
 
@@ -254,7 +250,7 @@ def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
     it is alpha + e_i for some i."""
     view = _support_view(groth)
     if view.uncovered:
-        witness = _vector(view.uncovered[0], view.n)
+        witness = decode(view.uncovered[0], view.n)
         return Verdict(False, witness=witness, detail="no cover one degree up")
     return Verdict(True)
 
@@ -273,12 +269,13 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     first failing step in degree, then term order) is also the first missing
     box point in that order.
 
-    For codes alpha <= m, byte i of m - alpha is m_i - alpha_i, so
+    For codes alpha <= m, byte i < n of m - alpha is m_i - alpha_i, so
     (m - alpha) & gap(alpha) names the failing steps below m.  One pass
     records every (beta, alpha, m); the alphas recorded for beta are all the
     support points one step below it, and the ms all the maxima above it."""
     view = _support_view(groth)
     n, high = view.n, view.high
+    up = 1 << 8 * n
     maxima = [(m | high, m) for m in view.maxima]
     failing = []
     for alpha, gap in view.gaps.items():
@@ -286,14 +283,15 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
             for m_high, m in maxima:
                 if (m_high - alpha) & high == high and (bad := (m - alpha) & gap):
                     steps = bad.to_bytes(n, "little")
-                    failing.extend((alpha + (1 << 8 * i), alpha, m) for i, s in enumerate(steps) if s)
+                    failing.extend(
+                        (alpha + up + (1 << 8 * i), alpha, m) for i, s in enumerate(steps) if s
+                    )
     if failing:
-        key = lambda code: (sum(code.to_bytes(n, "little")), code)  # `_order` on codes
-        beta = min((b for b, _, _ in failing), key=key)
-        alpha = min((a for b, a, _ in failing if b == beta), key=key)
-        m = min((m for b, _, m in failing if b == beta), key=key)
-        detail = f"missing in box [{_vector(alpha, n)}, {_vector(m, n)}]"
-        return Verdict(False, witness=_vector(beta, n), detail=detail)
+        beta = min(b for b, _, _ in failing)
+        alpha = min(a for b, a, _ in failing if b == beta)
+        m = min(m for b, _, m in failing if b == beta)
+        detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
+        return Verdict(False, witness=decode(beta, n), detail=detail)
     return Verdict(True)
 
 
@@ -308,8 +306,23 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
         beta_high = beta | high
         total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
         if total != 1:
-            return Verdict(False, witness=_vector(beta, view.n), detail=f"coefficient sum {total}")
+            return Verdict(False, witness=decode(beta, view.n), detail=f"coefficient sum {total}")
     return Verdict(True)
+
+
+def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
+    """The top degree of the Grothendieck polynomial is |rajcode(w)|, and its
+    leading exponent in term order is rajcode(w); a failure names the
+    leading exponent.  With the degree byte masked off, the numeric order of
+    the codes is term order, so the leading exponent is the largest masked
+    code.  Reads the support view, so it refuses degree >= 127 too."""
+    view = _support_view(groth)
+    rc = perms.rajcode(w)
+    coordinates = (1 << 8 * view.n) - 1
+    leading = decode(max(map(coordinates.__and__, view.codes)), view.n)
+    if view.degree == sum(rc) and leading == rc:
+        return Verdict(True)
+    return Verdict(False, witness=leading)
 
 
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:

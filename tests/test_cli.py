@@ -242,6 +242,32 @@ class TestRun:
         assert status == 0
         assert built == [(4, "G"), (4, "S")]
 
+    def test_schubert_table_loaded_only_when_read(self, monkeypatch, tmp_path, capsys):
+        real = cache.load_or_build
+        loaded = []
+
+        def counting(cache_dir, n, flavor):
+            loaded.append(flavor)
+            return real(cache_dir, n, flavor)
+
+        monkeypatch.setattr(cache, "load_or_build", counting)
+        battery = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
+        for checks, flavors in [
+            (battery, ["G"]),
+            (("conj4", "mobius", "superset", "converse", "euler"), ["G"]),
+            (("fms",), ["G", "S"]),
+            (("conj1", "oracle"), ["G", "S"]),
+        ]:
+            loaded.clear()
+            _, status = cli.run(cli.RunConfig(n=4, checks=checks))
+            assert status == 0 and loaded == flavors, checks
+        loaded.clear()
+        assert cli.main(["--mode", "print", "--perm", "1432"]) == 0
+        assert loaded == ["G", "S"]
+        loaded.clear()
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
+        assert loaded == ["G", "S"]
+
     def test_checker_exception_is_an_error(self, monkeypatch):
         real = posets.check_conjecture_1
 
@@ -342,8 +368,9 @@ class TestRun:
             return real(vectors, n)
 
         monkeypatch.setattr(posets, "_SupportView", counting)
-        report, status = cli.run(cli.RunConfig(n=5, checks=("conj1", "conj2", "conj3", "coeff")))
-        assert status == 0 and report["summary"]["pass"] == 4 * 120
+        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
+        report, status = cli.run(cli.RunConfig(n=5, checks=checks))
+        assert status == 0 and report["summary"]["pass"] == 5 * 120
         assert len(built) == 120
 
     def test_degree_limit_is_an_error(self, monkeypatch):
@@ -356,11 +383,11 @@ class TestRun:
             return table
 
         monkeypatch.setattr(cache, "load_or_build", load)
-        checks = ("conj1", "conj2", "conj3", "coeff")
+        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
         report, status = cli.run(cli.RunConfig(n=3, checks=checks))
         assert status == 3
         summary = report["summary"]
-        assert (summary["fail"], summary["error"]) == (0, 4)
+        assert (summary["fail"], summary["error"]) == (0, 5)
         entries = report["results"][1]["checks"]
         assert all(
             e["status"] == "error" and e["witness"].startswith("ValueError: degree 127")

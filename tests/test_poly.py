@@ -16,6 +16,30 @@ def P(text, nvars):
     return Poly.from_text(text, nvars)
 
 
+# Reference definitions of operations the engine does not need.
+
+
+def swap_vars(f, j):
+    """Exchange x_j and x_{j+1} (1-based j, 1 <= j <= nvars - 1)."""
+    if not 1 <= j <= f.nvars - 1:
+        raise ValueError(f"swap index {j} out of range for nvars={f.nvars}")
+    swapped = {e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :]: c for e, c in f.terms.items()}
+    return Poly(swapped, f.nvars)
+
+
+def top_component(f):
+    return f.graded_component(f.degree())
+
+
+def lowest_component(f):
+    return f.graded_component(min(map(sum, f.terms)))
+
+
+def leading_exponent(f):
+    """Maximal exponent under the canonical term order (x_n weighs most)."""
+    return max(f.terms, key=term_key)
+
+
 # The 14-term polynomial for w = 15324, frozen as a regression value and
 # cross-validated by the engine equivalence tests.
 G_15324 = {
@@ -59,7 +83,7 @@ class TestPolyBasics:
     @pytest.mark.parametrize("j", [0, 3])
     def test_swap_vars_index_out_of_range(self, j):
         with pytest.raises(ValueError):
-            Poly.variable(1, 3).swap_vars(j)
+            swap_vars(Poly.variable(1, 3), j)
 
     def test_add_cancels(self):
         f = P("1:1,0", 2)
@@ -80,7 +104,7 @@ class TestPolyBasics:
     def test_graded_component(self):
         f = P("1:1,0;1:0,1;-1:1,1", 2)
         assert f.graded_component(1) == P("1:1,0;1:0,1", 2)
-        assert f.top_component() == P("-1:1,1", 2)
+        assert top_component(f) == P("-1:1,1", 2)
 
 
 class TestDividedDifference:
@@ -98,7 +122,7 @@ class TestDividedDifference:
     def test_result_symmetric(self):
         f = P("3:3,1,0;-2:2,0,2", 3)
         g = divided_difference(f, 1)
-        assert g == g.swap_vars(1)
+        assert g == swap_vars(g, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
@@ -110,7 +134,7 @@ class TestDividedDifference:
     def test_dd_times_divisor_is_numerator(self, f, j):
         # (x_j - x_{j+1}) * d_j f == f - s_j f, checked by multiplication
         divisor = Poly.variable(j, 4) - Poly.variable(j + 1, 4)
-        assert divisor * divided_difference(f, j) == f - f.swap_vars(j)
+        assert divisor * divided_difference(f, j) == f - swap_vars(f, j)
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
@@ -168,7 +192,7 @@ class TestTables:
     def test_lowest_component_is_schubert_S5(self, tables):
         for w in perms.all_perms(5):
             g = tables[(5, "G")][w]
-            assert g.lowest_component() == tables[(5, "S")][w]
+            assert lowest_component(g) == tables[(5, "S")][w]
 
     def test_principal_specialization_S5(self, tables):
         for w in perms.all_perms(5):
@@ -188,7 +212,7 @@ class TestTables:
             g = tables[(5, "G")][w]
             rc = perms.rajcode(w)
             assert g.degree() == sum(rc)
-            assert g.leading_exponent() == rc
+            assert leading_exponent(g) == rc
 
     def test_upwards_divisibility_S5(self, tables):
         for w in perms.all_perms(5):

@@ -1,11 +1,12 @@
 import itertools
+import operator
 import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly import cache, cli, perms, polytopes
-from grothpoly.poly import Poly
+from grothpoly.poly import Poly, decode
 from grothpoly.polytopes import (
     SetFunctionPair,
     base_points,
@@ -23,9 +24,21 @@ from grothpoly.polytopes import (
     lattice_points_of_pair,
     recover_pair,
     spanning_points,
-    sumset,
 )
 from grothpoly.verdicts import NotApplicable
+
+
+def sumset(A, B):
+    """Deduplicated pointwise sumset {a + b} of two sets of tuples."""
+    dims = set(map(len, A)) | set(map(len, B))
+    if len(dims) > 1:
+        raise ValueError(f"ambient dimension mismatch: {sorted(dims)}")
+    return frozenset(tuple(map(operator.add, a, b)) for a in A for b in B)
+
+
+def decoded(codes, n):
+    """The exponent vectors of a set of codes of length n."""
+    return frozenset(decode(c, n) for c in codes)
 
 
 def subsets(n):
@@ -133,7 +146,7 @@ class TestSumset:
 
     def test_fms_sum_is_schubert_support_15324(self, tables):
         w = (1, 5, 3, 2, 4)
-        assert polytopes.base_sumset(w) == tables[(5, "S")][w].support()
+        assert decoded(polytopes.base_sumset(w), 5) == tables[(5, "S")][w].support()
 
 
 class TestPairs:
@@ -199,7 +212,7 @@ class TestConjecture4AndSuperset:
         g = tables[(3, "G")][w]
         v = check_superset(w, g)
         assert v.ok and v.info["equality"]
-        assert polytopes.spanning_sumset(w) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
+        assert decoded(polytopes.spanning_sumset(w), 3) == {(1, 0, 0), (0, 1, 0), (1, 1, 0)}
 
     def test_all_S4(self, tables):
         for w in perms.all_perms(4):
@@ -209,6 +222,43 @@ class TestConjecture4AndSuperset:
             assert check_superset(w, g).ok
             assert check_fms(w, s).ok
             assert check_prop_converse(w, g).ok
+
+
+class TestSumsetWitnesses:
+    # The witness is the first point of the difference in tuple order,
+    # which is not the order of degree, then term order: where there are two
+    # candidates, the degree-first order would name the other one.
+
+    def test_superset_names_first_point_outside(self, tables):
+        w = (1, 5, 3, 2, 4)
+        terms = dict(tables[(5, "G")][w].terms)
+        terms.update({(0, 0, 0, 0, 5): 1, (0, 0, 0, 1, 0): 1})
+        for ordered in (terms.items(), list(terms.items())[::-1]):
+            verdict = check_superset(w, Poly(dict(ordered), 5))
+            assert not verdict.ok
+            assert (verdict.witness, verdict.detail, verdict.info) == (
+                (0, 0, 0, 0, 5),
+                "support point outside sumset",
+                {},
+            )
+
+    @pytest.mark.parametrize(
+        "deleted, added, witness",
+        [
+            ((2, 2, 0, 0, 0), None, (2, 2, 0, 0, 0)),
+            ((3, 1, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 4, 0, 0)),
+        ],
+        ids=["deleted", "deleted-and-added"],
+    )
+    def test_fms_names_first_point_of_difference(self, tables, deleted, added, witness):
+        w = (1, 5, 3, 2, 4)
+        terms = {e: c for e, c in tables[(5, "S")][w].terms.items() if e != deleted}
+        if added:
+            terms[added] = 1
+        for ordered in (terms.items(), list(terms.items())[::-1]):
+            verdict = check_fms(w, Poly(dict(ordered), 5))
+            assert not verdict.ok
+            assert (verdict.witness, verdict.detail) == (witness, "support != base sumset")
 
 
 class TestConverse:
@@ -513,8 +563,8 @@ def base_sumset_loop(w):
 
 def assert_sumsets_match_loops(n):
     for w in perms.all_perms(n):
-        assert polytopes.spanning_sumset(w) == spanning_sumset_loop(w), w
-        assert polytopes.base_sumset(w) == base_sumset_loop(w), w
+        assert decoded(polytopes.spanning_sumset(w), n) == spanning_sumset_loop(w), w
+        assert decoded(polytopes.base_sumset(w), n) == base_sumset_loop(w), w
 
 
 class TestColumnSumsets:

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import perms, poly, posets
+from grothpoly import cli, perms, poly, posets
 from grothpoly.poly import Poly, term_key
 from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
 from grothpoly.verdicts import NotApplicable
@@ -195,6 +195,29 @@ class TestConjectureCheckers:
         assert verdict.witness == (0, 1)
 
 
+class TestRajchgot:
+    # G_15324 has degree 6 and leading exponent rajcode(15324) = (2,3,1,0,0).
+    @pytest.mark.parametrize(
+        "added, witness",
+        [
+            # x_5 weighs most in term order: it leads, the degree stays 6.
+            ((0, 0, 0, 0, 1), [0, 0, 0, 0, 1]),
+            # Degree 9, last in term order: the leading exponent stays.
+            ((9, 0, 0, 0, 0), [2, 3, 1, 0, 0]),
+        ],
+        ids=["leading-exponent", "degree"],
+    )
+    def test_failure_names_leading_exponent(self, tables, added, witness):
+        w = (1, 5, 3, 2, 4)
+        g = tables[(5, "G")][w]
+        assert cli._run_check("rajchgot", w, g, None, None) == {"status": "pass"}
+        terms = dict(g.terms)
+        terms[added] = 1
+        for ordered in (terms.items(), list(terms.items())[::-1]):
+            entry = cli._run_check("rajchgot", w, Poly(dict(ordered), 5), None, None)
+            assert entry == {"status": "fail", "witness": witness}
+
+
 # Reference definitions: the pair and box scans the kernels in `posets`
 # replace.  The *_failures functions return every exponent at which a check
 # fails; the checker must report the first of them in degree, then term order.
@@ -304,7 +327,7 @@ def coeff_failures(w, groth):
     is the first in term order."""
     return {
         beta
-        for beta in groth.top_component().support()
+        for beta in groth.graded_component(groth.degree()).support()
         if sum(c for a, c in groth.terms.items() if posets.componentwise_leq(a, beta)) != 1
     }
 
@@ -397,22 +420,26 @@ class TestSupportView:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
+            # Entries and degrees below 127, as the support view requires.
             lambda n: st.tuples(
-                st.tuples(*[st.integers(0, 126)] * n),
-                st.tuples(*[st.integers(0, 126)] * n),
+                st.tuples(*[st.integers(0, 126 // n)] * n),
+                st.tuples(*[st.integers(0, 126 // n)] * n),
                 st.integers(0, n - 1),
             )
         )
     )
     def test_packed_leq_and_unit_step(self, case):
         alpha, beta, i = case
-        code, n = posets._code, len(alpha)
-        high = code((0x80,) * n)
+        n = len(alpha)
+        code = poly.codes.__getitem__
+        high = sum(0x80 << 8 * k for k in range(n + 1))
         packed = ((code(beta) | high) - code(alpha)) & high == high
         assert packed == posets.componentwise_leq(alpha, beta)
         step = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-        assert code(alpha) + 256**i == code(step)
-        assert posets._vector(code(step), n) == step
+        assert code(alpha) + 256**i + 256**n == code(step)
+        assert poly.decode(code(step), n) == step
+        assert poly.decode(code(alpha), n) == alpha
+        assert (code(alpha) < code(beta)) == (posets._order(alpha) < posets._order(beta))
 
     @pytest.mark.parametrize(
         "checker",
