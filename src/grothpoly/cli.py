@@ -280,7 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact batch verifier for Grothendieck/Schubert polynomial "
         "support structure over S_n.",
     )
-    parser.add_argument("--n", type=int, default=5, help="symmetric group size (default 5)")
+    parser.add_argument(
+        "--n", type=int, default=None, help="symmetric group size (default: the length of --perm, else 5)"
+    )
     parser.add_argument("--perm", type=str, default=None, help="single permutation, one-line notation")
     parser.add_argument(
         "--checks",
@@ -299,7 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> RunConfig:
     checks = ALL_CHECKS if args.checks == "all" else tuple(args.checks.split(","))
     perm = perms.parse_perm(args.perm) if args.perm else None
-    n = len(perm) if perm else args.n
+    n = args.n
+    if n is None:
+        n = len(perm) if perm else RunConfig.n
     return RunConfig(
         n=n,
         checks=checks,

@@ -8,7 +8,7 @@ swaps positions j and j+1 (1-based), not values.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, NamedTuple, Optional, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class Diagram(NamedTuple):
@@ -33,10 +33,6 @@ def check_perm(w: Sequence[int]) -> tuple:
     return w
 
 
-def identity(n: int) -> tuple:
-    return tuple(range(1, n + 1))
-
-
 def longest_element(n: int) -> tuple:
     return tuple(range(n, 0, -1))
 
@@ -55,13 +51,6 @@ def apply_s(w: tuple, j: int) -> tuple:
     u = list(w)
     u[j - 1], u[j] = u[j], u[j - 1]
     return tuple(u)
-
-
-def embed(w: tuple, n: int) -> tuple:
-    """Explicit embedding into S_n by appending fixed points."""
-    if n < len(w):
-        raise ValueError("cannot embed into a smaller symmetric group")
-    return w + tuple(range(len(w) + 1, n + 1))
 
 
 def all_perms(n: int) -> list:
@@ -94,10 +83,6 @@ def length(w: tuple) -> int:
     """Number of inversions of w."""
     n = len(w)
     return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
-
-
-def descents(w: tuple) -> list:
-    return [j for j in range(1, len(w)) if w[j - 1] > w[j]]
 
 
 def ascents(w: tuple) -> list:
@@ -148,64 +133,6 @@ def rajcode(w: tuple) -> tuple:
     return tuple((n - j) - lis[j] for j in range(n))
 
 
-def decreasing_runs(w: tuple) -> list:
-    """Maximal decreasing runs of w, left to right."""
-    runs = []
-    current = [w[0]]
-    for v in w[1:]:
-        if v < current[-1]:
-            current.append(v)
-        else:
-            runs.append(current)
-            current = [v]
-    runs.append(current)
-    return runs
-
-
-def is_fireworks(w: tuple) -> bool:
-    """True iff the initial elements of the maximal decreasing runs increase."""
-    initials = [run[0] for run in decreasing_runs(w)]
-    return all(a < b for a, b in zip(initials, initials[1:]))
-
-
-def rajcode_fireworks(w: tuple) -> tuple:
-    """Rajchgot code of a fireworks permutation via the descent-count recursion:
-    r_n = 0 and r_i = r_{i+1} + [w(i) > w(i+1)].
-    """
-    if not is_fireworks(w):
-        raise ValueError(f"{w} is not a fireworks permutation")
-    n = len(w)
-    r = [0] * n
-    for i in range(n - 2, -1, -1):
-        r[i] = r[i + 1] + (1 if w[i] > w[i + 1] else 0)
-    return tuple(r)
-
-
-def grassmannian_shape(w: tuple) -> Optional[tuple]:
-    """If w has exactly one descent at position r, return (r, lambda) with
-    lambda = (w(r)-r, ..., w(2)-2, w(1)-1), exactly r parts (zeros kept).
-    Otherwise return None.
-    """
-    des = descents(w)
-    if len(des) != 1:
-        return None
-    r = des[0]
-    lam = tuple(w[i - 1] - i for i in range(r, 0, -1))
-    return r, lam
-
-
-def contains_pattern(w: tuple, p: tuple) -> bool:
-    """True iff some subsequence of w is order-isomorphic to p (brute force)."""
-    k = len(p)
-    if k > len(w):
-        return False
-    rank = _ranking(p)
-    for sub in itertools.combinations(w, k):
-        if _ranking(sub) == rank:
-            return True
-    return False
-
-
 def _ranking(seq: Iterable[int]) -> tuple:
     seq = tuple(seq)
     order = sorted(seq)
@@ -246,10 +173,3 @@ def is_zero_one(w: tuple) -> bool:
         for k, ranks in _ZERO_ONE_RANKS.items()
         for sub in itertools.combinations(w, k)
     )
-
-
-def diagram_precedes(R: frozenset, S: frozenset) -> bool:
-    """Column order: #R == #S and sorted elements compare entrywise <=."""
-    if len(R) != len(S):
-        return False
-    return all(a <= b for a, b in zip(sorted(R), sorted(S)))

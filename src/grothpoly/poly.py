@@ -8,8 +8,8 @@ A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
 differences are written in closed form, one monomial at a time.  Terms are
 checked once, where they enter: through `Poly(...)`, or through `parse_text`
-(behind `from_text` and the cache reader); results derived from valid
-polynomials skip the checks.
+(behind the cache reader); results derived from valid polynomials skip the
+checks.
 
 The support checks read an exponent vector alpha of length n as one integer,
 its code: one byte per coordinate, x_1 lowest, and the degree above them,
@@ -52,72 +52,12 @@ class Poly:
         out.nvars = nvars
         return out
 
-    @classmethod
-    def zero(cls, nvars: int) -> "Poly":
-        return cls({}, nvars)
-
-    @classmethod
-    def monomial(cls, expo: tuple, nvars: int, coeff: int = 1) -> "Poly":
-        if coeff == 0:
-            return cls.zero(nvars)
-        return cls({tuple(expo): coeff}, nvars)
-
-    @classmethod
-    def one(cls, nvars: int) -> "Poly":
-        return cls.monomial((0,) * nvars, nvars)
-
-    @classmethod
-    def variable(cls, j: int, nvars: int) -> "Poly":
-        """The variable x_j (1-based)."""
-        expo = tuple(1 if k == j else 0 for k in range(1, nvars + 1))
-        return cls.monomial(expo, nvars)
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, Poly)
             and self.nvars == other.nvars
             and self.terms == other.terms
         )
-
-    def __hash__(self):
-        return hash((self.nvars, frozenset(self.terms.items())))
-
-    def _check_nvars(self, other: "Poly") -> None:
-        if self.nvars != other.nvars:
-            raise ValueError(f"nvars mismatch: {self.nvars} and {other.nvars}")
-
-    def __add__(self, other: "Poly") -> "Poly":
-        self._check_nvars(other)
-        out = dict(self.terms)
-        for expo, coeff in other.terms.items():
-            c = out.get(expo, 0) + coeff
-            if c:
-                out[expo] = c
-            else:
-                out.pop(expo, None)
-        return Poly._trusted(out, self.nvars)
-
-    def __neg__(self) -> "Poly":
-        return Poly._trusted({e: -c for e, c in self.terms.items()}, self.nvars)
-
-    def __sub__(self, other: "Poly") -> "Poly":
-        return self + (-other)
-
-    def __mul__(self, other: "Poly") -> "Poly":
-        self._check_nvars(other)
-        out: Dict[tuple, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = out.get(e, 0) + c1 * c2
-                if c:
-                    out[e] = c
-                else:
-                    out.pop(e, None)
-        return Poly._trusted(out, self.nvars)
 
     def support(self) -> frozenset:
         return frozenset(self.terms)
@@ -126,11 +66,6 @@ class Poly:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
         return max(sum(e) for e in self.terms)
-
-    def graded_component(self, d: int) -> "Poly":
-        return Poly._trusted(
-            {e: c for e, c in self.terms.items() if sum(e) == d}, self.nvars
-        )
 
     def principal_specialization(self) -> int:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
@@ -152,11 +87,6 @@ class Poly:
                 text = texts[expo] = ",".join(map(str, expo))
             chunks.append(f"{self.terms[expo]}:{text}")
         return ";".join(chunks)
-
-    @classmethod
-    def from_text(cls, text: str, nvars: int) -> "Poly":
-        """Parse the canonical text form (see `parse_text`)."""
-        return parse_text(text, nvars, {})
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r}, nvars={self.nvars})"
@@ -269,7 +199,7 @@ def _closed_form(f: Poly, j: int, parts: tuple, vectors: Dict[tuple, tuple]) -> 
 
 def staircase_monomial(n: int) -> Poly:
     """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the w_0 base case."""
-    return Poly.monomial(tuple(range(n - 1, -1, -1)), n)
+    return Poly({tuple(range(n - 1, -1, -1)): 1}, n)
 
 
 class PolynomialTable:
@@ -287,14 +217,8 @@ class PolynomialTable:
     def __getitem__(self, w: tuple) -> Poly:
         return self.polys[w]
 
-    def __contains__(self, w: tuple) -> bool:
-        return w in self.polys
-
     def __len__(self) -> int:
         return len(self.polys)
-
-    def items(self):
-        return self.polys.items()
 
 
 def build_table(n: int, flavor: str) -> PolynomialTable:

@@ -1,7 +1,7 @@
 """
-Schubert matroids, their base and spanning-set lattice points, paramodular
-pairs and generalized-polymatroid lattice machinery, the Grassmannian
-partition-sequence construction, and the polytopal checkers.
+Schubert matroids, their spanning-set lattice points and sumsets, paramodular
+pairs and generalized-polymatroid lattice machinery, and the polytopal
+checkers.
 
 Subset functions on 2^[n] are stored as dense tuples indexed by bitmask
 (bit i-1 set means i is in the subset); n is hard-capped at 12.
@@ -15,7 +15,7 @@ from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
 from .poly import Poly, codes, decode
-from .verdicts import NotApplicable, Verdict
+from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
 MAX_SUMSET_N = 8
@@ -47,13 +47,6 @@ class SetFunctionPair:
         return "\n".join(
             f"{mask} {self.y[mask]} {self.z[mask]}" for mask in range(1 << self.n)
         )
-
-
-@functools.lru_cache(maxsize=None)
-def base_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
-    """Indicator vectors of the bases of SM_n(S): its spanning sets of size
-    |S|.  Kept per (S, n), like `spanning_points`."""
-    return frozenset(p for p in spanning_points(S, n) if sum(p) == len(S))
 
 
 @functools.lru_cache(maxsize=None)
@@ -429,196 +422,6 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
         witness=None if ok else (degree_side, polytope_side),
         info={"degree_saturated": degree_side, "sumset_equality": polytope_side},
     )
-
-
-def decompose_support_point(w: tuple, alpha: tuple, groth: Poly, schub: Poly) -> List[tuple]:
-    """Write alpha as a sum of one spanning-set indicator per Rothe column
-    (zero for empty columns), by the marked-matrix peeling construction:
-    descend from alpha to a Schubert support point beta, decompose beta into
-    column bases, then erase surplus closure boxes row by row."""
-    n = len(w)
-    supp_g = groth.support()
-    if alpha not in supp_g:
-        raise ValueError(f"{alpha} is not in the support")
-    # Walk down one unit step beta - e_i at a time, the first i whose step is
-    # in the support, until hitting the Schubert support.
-    lw = perms.length(w)
-    beta = alpha
-    while sum(beta) > lw:
-        steps = (beta[:i] + (beta[i] - 1,) + beta[i + 1:] for i in range(n) if beta[i])
-        step = next((b for b in steps if b in supp_g), None)
-        if step is None:
-            raise AssertionError(f"no one-step descent below {beta} in supp")
-        beta = step
-    columns = _rothe_columns(w)
-    parts = _basis_decomposition(beta, columns, n)
-    if parts is None:
-        raise AssertionError(f"no column-basis decomposition of {beta} exists")
-    # matrix[j][i0]: the upper closure of column j, minus the erased boxes.
-    matrix = [[int(i <= max(col, default=0)) for i in range(1, n + 1)] for col in columns]
-    for i0 in range(n):
-        surplus = sum(row[i0] for row in matrix) - alpha[i0]
-        for j in range(n):
-            if surplus == 0:
-                break
-            if matrix[j][i0] == 1 and parts[j][i0] == 0:
-                matrix[j][i0] = 0
-                surplus -= 1
-        if surplus != 0:
-            raise AssertionError(f"row {i0 + 1} cannot shed {surplus} more boxes")
-    eps = [tuple(col) for col in matrix]
-    assert tuple(map(sum, zip(*eps))) == alpha
-    return eps
-
-
-def _basis_decomposition(
-    beta: tuple, columns: List[FrozenSet[int]], n: int
-) -> Optional[List[tuple]]:
-    """Backtracking search for beta = sum of basis indicators, one per column."""
-    bases_per_col = [sorted(base_points(col, n), reverse=True) for col in columns]
-
-    def recurse(j: int, remaining: tuple) -> Optional[List[tuple]]:
-        if j == len(bases_per_col):
-            return [] if not any(remaining) else None
-        for point in bases_per_col[j]:
-            if all(p <= r for p, r in zip(point, remaining)):
-                rest = recurse(j + 1, tuple(r - p for r, p in zip(remaining, point)))
-                if rest is not None:
-                    return [point] + rest
-        return None
-
-    return recurse(0, beta)
-
-
-def grassmannian_par(lam: Sequence[int]) -> List[tuple]:
-    """The maximal partition sequence grown from lam: each step adds a box to
-    the northmost row r that keeps a partition while row r has gained fewer
-    than r - 1 boxes.  Row counts are fixed; no new rows are ever created."""
-    lam = tuple(lam)
-    if any(a < b for a, b in zip(lam, lam[1:])) or any(a < 0 for a in lam):
-        raise ValueError(f"{lam} is not a partition")
-    seq = [lam]
-    current = list(lam)
-    while True:
-        row = next(
-            (
-                i
-                for i in range(len(lam))
-                if (i == 0 or current[i] < current[i - 1])
-                and current[i] - lam[i] < i
-            ),
-            None,
-        )
-        if row is None:
-            break
-        current[row] += 1
-        seq.append(tuple(current))
-    return seq
-
-
-def dominance_leq(rho: Sequence[int], nu: Sequence[int]) -> bool:
-    """Dominance order: prefix sums compare <= and the totals agree."""
-    if len(rho) != len(nu):
-        raise ValueError("dominance comparison needs equal lengths")
-    s_r = s_n = 0
-    for a, b in zip(rho, nu):
-        s_r += a
-        s_n += b
-        if s_r > s_n:
-            return False
-    return s_r == s_n
-
-
-def dominance_sorted_leq(alpha: Sequence[int], mu: Sequence[int]) -> bool:
-    """Dominance after sorting alpha descendingly.  The raw entrywise-prefix
-    reading admits vectors like (0,0,2) against mu=(1,1,0) that no symmetric
-    polynomial support contains; sorting first matches the subset-sum bounds
-    that actually cut out these supports."""
-    return dominance_leq(sorted(alpha, reverse=True), list(mu))
-
-
-def _dominated_vectors(mu: tuple, r: int, n: int):
-    """Nonnegative vectors of Z^n supported on the first r coordinates whose
-    descending sort is dominated by mu (an r-part partition)."""
-    mu = tuple(mu)
-    total = sum(mu)
-    cap = mu[0] if mu else 0
-
-    def recurse(i: int, running: int, partial: list):
-        if i == r:
-            if running == total and dominance_sorted_leq(partial, mu):
-                yield tuple(partial) + (0,) * (n - r)
-            return
-        for v in range(min(cap, total - running) + 1):
-            partial.append(v)
-            yield from recurse(i + 1, running + v, partial)
-            partial.pop()
-
-    yield from recurse(0, 0, [])
-
-
-def check_escobar_yong(w: tuple, groth: Poly) -> Verdict:
-    """Graded supports of a Grassmannian Grothendieck polynomial match the
-    dominance-order ideals of the grown partition sequence (on the first r
-    coordinates; only x_1..x_r occur), and the degree is the size of the
-    final partition.  NotApplicable on a non-Grassmannian w."""
-    shape = perms.grassmannian_shape(w)
-    if shape is None:
-        return NotApplicable("not Grassmannian")
-    r, lam = shape
-    n = len(w)
-    seq = grassmannian_par(lam)
-    lw = perms.length(w)
-    if groth.degree() != sum(seq[-1]):
-        return Verdict(False, detail=f"degree {groth.degree()} != |mu^(N)|")
-    for j, mu in enumerate(seq):
-        expected = set(_dominated_vectors(mu, r, n))
-        actual = set(groth.graded_component(lw + j).support())
-        if expected != actual:
-            diff = sorted(expected ^ actual)
-            return Verdict(False, witness=diff[0], detail=f"mismatch at grade {lw + j}")
-    return Verdict(True)
-
-
-def grassmannian_pair(lam: Sequence[int], muN: Sequence[int], n: int) -> SetFunctionPair:
-    """The explicit pair: y(I) sums the #I smallest parts of lam, z(I) the #I
-    largest parts of the final partition (both zero-padded to length n)."""
-    lam_sorted = sorted(_pad(tuple(lam), n))
-    mu_sorted = sorted(_pad(tuple(muN), n), reverse=True)
-    y = [0] * (1 << n)
-    z = [0] * (1 << n)
-    for mask in range(1, 1 << n):
-        k = mask.bit_count()
-        y[mask] = sum(lam_sorted[:k])
-        z[mask] = sum(mu_sorted[:k])
-    return SetFunctionPair(y, z, n)
-
-
-def truncate_support(supp: FrozenSet[tuple], r: int) -> FrozenSet[tuple]:
-    """Drop trailing coordinates beyond r, which must all be zero (a
-    Grassmannian polynomial with descent r only uses x_1..x_r)."""
-    for alpha in supp:
-        if any(alpha[r:]):
-            raise ValueError(f"{alpha} has a nonzero entry past coordinate {r}")
-    return frozenset(alpha[:r] for alpha in supp)
-
-
-def check_grassmannian_pair(w: tuple, groth: Poly) -> Verdict:
-    """The explicit lambda/mu pair is paramodular and coincides, as complete
-    tables on 2^[r], with the pair recovered from the support.
-    NotApplicable on a non-Grassmannian w."""
-    shape = perms.grassmannian_shape(w)
-    if shape is None:
-        return NotApplicable("not Grassmannian")
-    r, lam = shape
-    seq = grassmannian_par(lam)
-    pair = grassmannian_pair(lam, seq[-1], r)
-    if not is_paramodular(pair):
-        return Verdict(False, detail="explicit pair not paramodular")
-    recovered = recover_pair(truncate_support(groth.support(), r))
-    if pair != recovered:
-        return Verdict(False, detail="explicit pair != recovered pair")
-    return Verdict(True)
 
 
 def lattice_set_text(A: FrozenSet[tuple]) -> str:

@@ -24,7 +24,7 @@ that, the unit steps have entries and degrees < 128 too.
 from __future__ import annotations
 
 from operator import le
-from typing import Dict, FrozenSet, Set, Tuple
+from typing import Dict, Set, Tuple
 
 from . import perms
 from .poly import Poly, codes, decode, term_key
@@ -33,12 +33,6 @@ from .verdicts import NotApplicable, Verdict
 # Adjoined minimum element: a distinguished sentinel, deliberately not the
 # zero vector (which is a legitimate element for w = identity).
 BOTTOM = "0^"
-
-
-def componentwise_leq(alpha: tuple, beta: tuple) -> bool:
-    if len(alpha) != len(beta):
-        raise ValueError(f"length mismatch: {alpha} vs {beta}")
-    return all(a <= b for a, b in zip(alpha, beta))
 
 
 class VectorPoset:
@@ -52,9 +46,6 @@ class VectorPoset:
                 raise ValueError(f"element {e} does not have length {n}")
         self.elements = elements
         self.n = n
-
-    def leq(self, a, b) -> bool:
-        return componentwise_leq(a, b)
 
     def covers(self) -> Set[Tuple[tuple, tuple]]:
         """Hasse relation among the vector elements (the bottom is excluded;
@@ -73,12 +64,6 @@ class VectorPoset:
                     kept.append(b)
             result.update((a, b) for b in kept)
         return result
-
-    def maximal_elements(self) -> FrozenSet[tuple]:
-        """The maxima, as found by the packed support view (entries >= 0,
-        degree < 127)."""
-        view = _SupportView(self.elements, self.n)
-        return frozenset(decode(m, self.n) for m in view.maxima)
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""

@@ -7,6 +7,7 @@ import pytest
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets
 from grothpoly.verdicts import NotApplicable
+from reference import add
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -160,7 +161,7 @@ class TestCache:
         with open(path, "w") as fh:
             fh.write("grothcache v1 n=3 flavor=G\n1,2,3|\n")
         table = cache.read_table(path, 3, "G")
-        assert table[(1, 2, 3)] == poly.Poly.zero(3)
+        assert table[(1, 2, 3)] == poly.Poly({}, 3)
 
     def test_warm_cache_skips_recompute(self, tmp_path, monkeypatch):
         real = pipedreams.pd_polynomial_all
@@ -211,7 +212,7 @@ class TestRun:
             out = real(n, flavor)
             if flavor == "S":
                 w = (1, 3, 2)
-                out.polys[w] = out[w] + poly.Poly.from_text("5:0,1,0;7:2,0,0", 3)
+                out.polys[w] = add(out[w], poly.parse_text("5:0,1,0;7:2,0,0", 3, {}))
             return out
 
         monkeypatch.setattr(poly, "build_table", perturbed)
@@ -488,6 +489,21 @@ class TestMain:
     def test_print_mode_requires_perm(self, capsys):
         assert cli.main(["--n", "3", "--mode", "print"]) == 2
         assert capsys.readouterr().err == "error: --mode print requires --perm\n"
+
+    def test_perm_length_must_match_n(self, capsys):
+        assert cli.main(["--n", "6", "--perm", "132"]) == 2
+        assert capsys.readouterr().err == "error: --perm length must match --n\n"
+
+    def test_n_defaults_to_perm_length(self, capsys):
+        assert cli.main(["--perm", "132"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["meta"]["n"] == 3 and report["summary"]["permutations"] == 1
+
+    def test_print_mode_n7_bytes(self, capsys):
+        assert cli.main(["--mode", "print", "--perm", "1247635"]) == 0
+        out = capsys.readouterr().out.encode()
+        digest = "2c7047af8cc6e32f5701b7a546e5ea2b641a405f2e129081b1fa85803381ace0"
+        assert hashlib.sha256(out).hexdigest() == digest
 
 
 class TestTableRecursionInvariant:

@@ -4,19 +4,52 @@ from hypothesis import given, settings, strategies as st
 from grothpoly import perms
 from grothpoly.poly import (
     Poly,
-    build_table,
     divided_difference,
     isobaric_divided_difference,
+    parse_text,
     staircase_monomial,
     term_key,
 )
+from reference import add, graded_component, identity
 
 
 def P(text, nvars):
-    return Poly.from_text(text, nvars)
+    return parse_text(text, nvars, {})
 
 
 # Reference definitions of operations the engine does not need.
+
+
+def one(nvars):
+    return Poly({(0,) * nvars: 1}, nvars)
+
+
+def variable(j, nvars):
+    """The variable x_j (1-based)."""
+    return Poly({tuple(1 if k == j else 0 for k in range(1, nvars + 1)): 1}, nvars)
+
+
+def neg(f):
+    return Poly({e: -c for e, c in f.terms.items()}, f.nvars)
+
+
+def sub(f, g):
+    return add(f, neg(g))
+
+
+def mul(f, g):
+    if f.nvars != g.nvars:
+        raise ValueError(f"nvars mismatch: {f.nvars} and {g.nvars}")
+    out = {}
+    for e1, c1 in f.terms.items():
+        for e2, c2 in g.terms.items():
+            e = tuple(a + b for a, b in zip(e1, e2))
+            c = out.get(e, 0) + c1 * c2
+            if c:
+                out[e] = c
+            else:
+                out.pop(e, None)
+    return Poly(out, f.nvars)
 
 
 def swap_vars(f, j):
@@ -28,11 +61,11 @@ def swap_vars(f, j):
 
 
 def top_component(f):
-    return f.graded_component(f.degree())
+    return graded_component(f, f.degree())
 
 
 def lowest_component(f):
-    return f.graded_component(min(map(sum, f.terms)))
+    return graded_component(f, min(map(sum, f.terms)))
 
 
 def leading_exponent(f):
@@ -74,24 +107,24 @@ class TestPolyBasics:
 
     def test_nvars_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            Poly.variable(1, 2) * Poly.variable(3, 3)
+            mul(variable(1, 2), variable(3, 3))
         with pytest.raises(ValueError):
-            Poly.variable(3, 3) * Poly.variable(1, 2)
+            mul(variable(3, 3), variable(1, 2))
         with pytest.raises(ValueError):
-            Poly.variable(1, 2) + Poly.variable(3, 3)
+            add(variable(1, 2), variable(3, 3))
 
     @pytest.mark.parametrize("j", [0, 3])
     def test_swap_vars_index_out_of_range(self, j):
         with pytest.raises(ValueError):
-            swap_vars(Poly.variable(1, 3), j)
+            swap_vars(variable(1, 3), j)
 
     def test_add_cancels(self):
         f = P("1:1,0", 2)
-        assert (f - f) == Poly.zero(2)
+        assert sub(f, f) == Poly({}, 2)
 
     def test_text_roundtrip(self):
         f = P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
-        assert Poly.from_text(f.to_text(), 3) == f
+        assert P(f.to_text(), 3) == f
 
     def test_canonical_term_order(self):
         f = P("-1:1,1,0;1:0,1,0;1:1,0,0", 3)
@@ -99,21 +132,21 @@ class TestPolyBasics:
 
     def test_degree_of_zero_rejected(self):
         with pytest.raises(ValueError):
-            Poly.zero(2).degree()
+            Poly({}, 2).degree()
 
     def test_graded_component(self):
         f = P("1:1,0;1:0,1;-1:1,1", 2)
-        assert f.graded_component(1) == P("1:1,0;1:0,1", 2)
+        assert graded_component(f, 1) == P("1:1,0;1:0,1", 2)
         assert top_component(f) == P("-1:1,1", 2)
 
 
 class TestDividedDifference:
     def test_x1(self):
-        assert divided_difference(Poly.variable(1, 2), 1) == Poly.one(2)
+        assert divided_difference(variable(1, 2), 1) == one(2)
 
     def test_symmetric_input_killed(self):
-        x1x2 = Poly.variable(1, 2) * Poly.variable(2, 2)
-        assert divided_difference(x1x2, 1) == Poly.zero(2)
+        x1x2 = mul(variable(1, 2), variable(2, 2))
+        assert divided_difference(x1x2, 1) == Poly({}, 2)
 
     def test_x1_squared(self):
         f = divided_difference(P("1:2,0", 2), 1)
@@ -127,20 +160,20 @@ class TestDividedDifference:
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
     def test_dd_squares_to_zero(self, f, j):
-        assert divided_difference(divided_difference(f, j), j) == Poly.zero(4)
+        assert divided_difference(divided_difference(f, j), j) == Poly({}, 4)
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
     def test_dd_times_divisor_is_numerator(self, f, j):
         # (x_j - x_{j+1}) * d_j f == f - s_j f, checked by multiplication
-        divisor = Poly.variable(j, 4) - Poly.variable(j + 1, 4)
-        assert divisor * divided_difference(f, j) == f - swap_vars(f, j)
+        divisor = sub(variable(j, 4), variable(j + 1, 4))
+        assert mul(divisor, divided_difference(f, j)) == sub(f, swap_vars(f, j))
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
     def test_isobaric_is_dd_of_one_minus_x(self, f, j):
-        one_minus_x = Poly.one(4) - Poly.variable(j + 1, 4)
-        assert isobaric_divided_difference(f, j) == divided_difference(one_minus_x * f, j)
+        one_minus_x = sub(one(4), variable(j + 1, 4))
+        assert isobaric_divided_difference(f, j) == divided_difference(mul(one_minus_x, f), j)
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
@@ -151,7 +184,7 @@ class TestDividedDifference:
 
 class TestIsobaric:
     def test_x1(self):
-        assert isobaric_divided_difference(Poly.variable(1, 2), 1) == Poly.one(2)
+        assert isobaric_divided_difference(variable(1, 2), 1) == one(2)
 
     def test_fixes_symmetric(self):
         f = P("1:1,1,0;2:2,2,1", 3)  # symmetric in x_1, x_2
@@ -164,19 +197,19 @@ class TestIsobaric:
 
 class TestTables:
     def test_w0_base_case(self, tables):
-        assert tables[(3, "S")][(3, 2, 1)] == Poly.monomial((2, 1, 0), 3)
+        assert tables[(3, "S")][(3, 2, 1)] == Poly({(2, 1, 0): 1}, 3)
         assert tables[(4, "G")][(4, 3, 2, 1)] == staircase_monomial(4)
 
     def test_identity_is_one(self, tables):
         for n in (3, 4, 5):
-            assert tables[(n, "G")][perms.identity(n)] == Poly.one(n)
-            assert tables[(n, "S")][perms.identity(n)] == Poly.one(n)
+            assert tables[(n, "G")][identity(n)] == one(n)
+            assert tables[(n, "S")][identity(n)] == one(n)
 
     def test_g_132(self, tables):
         assert tables[(3, "G")][(1, 3, 2)] == P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
 
     def test_schubert_homogeneous_of_length_degree(self, tables):
-        for w, f in tables[(5, "S")].items():
+        for w, f in tables[(5, "S")].polys.items():
             lw = perms.length(w)
             assert all(sum(e) == lw for e in f.terms)
 

@@ -1,3 +1,4 @@
+import functools
 import itertools
 import operator
 import random
@@ -9,23 +10,92 @@ from grothpoly import cache, cli, perms, polytopes
 from grothpoly.poly import Poly, decode
 from grothpoly.polytopes import (
     SetFunctionPair,
-    base_points,
     check_conjecture_4,
-    check_escobar_yong,
     check_fms,
-    check_grassmannian_pair,
     check_prop_converse,
     check_superset,
-    decompose_support_point,
-    dominance_leq,
-    grassmannian_pair,
-    grassmannian_par,
     is_paramodular,
     lattice_points_of_pair,
     recover_pair,
     spanning_points,
 )
 from grothpoly.verdicts import NotApplicable
+from reference import (
+    check_escobar_yong,
+    check_grassmannian_pair,
+    dominance_leq,
+    grassmannian_pair,
+    grassmannian_par,
+    grassmannian_shape,
+    identity,
+)
+
+
+@functools.lru_cache(maxsize=None)
+def base_points(S, n):
+    """Indicator vectors of the bases of SM_n(S): its spanning sets of size
+    |S|.  Kept per (S, n), like `spanning_points`."""
+    return frozenset(p for p in spanning_points(S, n) if sum(p) == len(S))
+
+
+# The Fink-Meszaros-St. Dizier decomposition of a support point.
+
+
+def decompose_support_point(w, alpha, groth, schub):
+    """Write alpha as a sum of one spanning-set indicator per Rothe column
+    (zero for empty columns), by the marked-matrix peeling construction:
+    descend from alpha to a Schubert support point beta, decompose beta into
+    column bases, then erase surplus closure boxes row by row."""
+    n = len(w)
+    supp_g = groth.support()
+    if alpha not in supp_g:
+        raise ValueError(f"{alpha} is not in the support")
+    # Walk down one unit step beta - e_i at a time, the first i whose step is
+    # in the support, until hitting the Schubert support.
+    lw = perms.length(w)
+    beta = alpha
+    while sum(beta) > lw:
+        steps = (beta[:i] + (beta[i] - 1,) + beta[i + 1:] for i in range(n) if beta[i])
+        step = next((b for b in steps if b in supp_g), None)
+        if step is None:
+            raise AssertionError(f"no one-step descent below {beta} in supp")
+        beta = step
+    columns = polytopes._rothe_columns(w)
+    parts = _basis_decomposition(beta, columns, n)
+    if parts is None:
+        raise AssertionError(f"no column-basis decomposition of {beta} exists")
+    # matrix[j][i0]: the upper closure of column j, minus the erased boxes.
+    matrix = [[int(i <= max(col, default=0)) for i in range(1, n + 1)] for col in columns]
+    for i0 in range(n):
+        surplus = sum(row[i0] for row in matrix) - alpha[i0]
+        for j in range(n):
+            if surplus == 0:
+                break
+            if matrix[j][i0] == 1 and parts[j][i0] == 0:
+                matrix[j][i0] = 0
+                surplus -= 1
+        if surplus != 0:
+            raise AssertionError(f"row {i0 + 1} cannot shed {surplus} more boxes")
+    eps = [tuple(col) for col in matrix]
+    assert tuple(map(sum, zip(*eps))) == alpha
+    return eps
+
+
+def _basis_decomposition(beta, columns, n):
+    """Backtracking search for beta = sum of basis indicators, one per column."""
+    bases_per_col = [sorted(base_points(col, n), reverse=True) for col in columns]
+
+    def recurse(j, remaining):
+        if j == len(bases_per_col):
+            return [] if not any(remaining) else None
+        for point in bases_per_col[j]:
+            if all(p <= r for p, r in zip(point, remaining)):
+                rest = recurse(j + 1, tuple(r - p for r, p in zip(remaining, point)))
+                if rest is not None:
+                    return [point] + rest
+        return None
+
+    return recurse(0, beta)
 
 
 def sumset(A, B):
@@ -196,7 +266,7 @@ class TestPairs:
 
 class TestConjecture4AndSuperset:
     def test_identity(self, tables):
-        w = perms.identity(4)
+        w = identity(4)
         g = tables[(4, "G")][w]
         assert check_conjecture_4(w, g).ok
         v = check_superset(w, g)
@@ -277,7 +347,7 @@ class TestConverse:
 
 class TestDecompose:
     def test_identity(self, tables):
-        w = perms.identity(3)
+        w = identity(3)
         eps = decompose_support_point(
             w, (0, 0, 0), tables[(3, "G")][w], tables[(3, "S")][w]
         )
@@ -365,7 +435,7 @@ class TestGrassmannian:
 
     def test_pair_matches_recovered_S5(self, tables):
         for w in perms.all_perms(5):
-            if perms.grassmannian_shape(w) is None:
+            if grassmannian_shape(w) is None:
                 continue
             assert check_grassmannian_pair(w, tables[(5, "G")][w]).ok
 
@@ -429,7 +499,7 @@ def lattice_points_dfs(pair):
 def assert_conj4_kernels_match_previous(table):
     """The packed kernels against the list-based loop and search, on every
     support of a table: the same pair, and a lattice count of |supp|."""
-    for w, g in table.items():
+    for w, g in table.polys.items():
         supp = g.support()
         pair = recover_pair(supp)
         assert pair == recover_pair_loop(supp), w
