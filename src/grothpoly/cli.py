@@ -1,10 +1,9 @@
 """
 Batch verification driver.
 
-Builds (or loads from cache) the Grothendieck table for S_n, the Schubert
-table when a check reads it, and the divided-difference tables when the
-oracle runs, fans the requested checks across worker processes, and emits a
-deterministic machine-readable report.
+Builds (or loads from cache) the Grothendieck table for S_n, and the
+divided-difference one when the oracle runs, fans the requested checks
+across worker processes, and emits a deterministic machine-readable report.
 """
 from __future__ import annotations
 
@@ -25,55 +24,44 @@ from .verdicts import NotApplicable, Verdict
 ENGINE = "grothpoly 0.1.0"
 
 
-def _oracle(w, g, s, ref) -> Verdict:
-    """The pipe-dream tables must equal the divided-difference ones; a
-    failure names the flavor, the first differing exponent in term order
-    and both coefficients."""
-    for flavor, pd_poly, dd_poly in (("G", g, ref[0][w]), ("S", s, ref[1][w])):
-        if pd_poly != dd_poly:
-            pd_c, dd_c = pd_poly.terms, dd_poly.terms
-            expo = min(
-                (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0)),
-                key=poly.term_key,
-            )
-            witness = {
-                "flavor": flavor,
-                "exponent": expo,
-                "divided_differences": dd_c.get(expo, 0),
-                "pipe_dreams": pd_c.get(expo, 0),
-            }
-            return Verdict(False, witness=witness)
-    return Verdict(True)
+def _oracle(w, g) -> Verdict:
+    """The pipe-dream 𝔊_w must equal the divided-difference one (the
+    reference table in `_CTX`); a failure names the first differing exponent
+    in term order and both coefficients."""
+    pd_c, dd_c = g.terms, _CTX[2][w].terms
+    if pd_c == dd_c:
+        return Verdict(True)
+    differ = (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0))
+    expo = min(differ, key=poly.term_key)
+    dd, pd = dd_c.get(expo, 0), pd_c.get(expo, 0)
+    return Verdict(False, witness={"exponent": expo, "divided_differences": dd, "pipe_dreams": pd})
 
 
-def _euler(w, g, s, ref) -> Verdict:
+def _euler(w, g) -> Verdict:
     total = g.principal_specialization()
     return Verdict(True) if total == 1 else Verdict(False, witness=total)
 
 
-# Each check maps (w, G_w, S_w or None, the divided-difference tables or
-# None) to a Verdict, NotApplicable when its statement does not cover w.
+# Each check maps (w, G_w) to a Verdict, NotApplicable when its statement
+# does not cover w.
 # The checkers are looked up on their modules at call time, so a wrapper
 # installed on a module attribute sees every call.
 CHECKS = {
-    "conj1": lambda w, g, s, ref: posets.check_conjecture_1(w, g),
-    "conj2": lambda w, g, s, ref: posets.check_conjecture_2(w, g),
-    "conj3": lambda w, g, s, ref: posets.check_conjecture_3(w, g),
-    "conj4": lambda w, g, s, ref: polytopes.check_conjecture_4(w, g),
-    "coeff": lambda w, g, s, ref: posets.check_conjecture_coeff(w, g),
-    "mobius": lambda w, g, s, ref: posets.check_conjecture_mobius(w, g),
-    "superset": lambda w, g, s, ref: polytopes.check_superset(w, g),
-    "fms": lambda w, g, s, ref: polytopes.check_fms(w, s),
-    "converse": lambda w, g, s, ref: polytopes.check_prop_converse(w, g),
+    "conj1": lambda w, g: posets.check_conjecture_1(w, g),
+    "conj2": lambda w, g: posets.check_conjecture_2(w, g),
+    "conj3": lambda w, g: posets.check_conjecture_3(w, g),
+    "conj4": lambda w, g: polytopes.check_conjecture_4(w, g),
+    "coeff": lambda w, g: posets.check_conjecture_coeff(w, g),
+    "mobius": lambda w, g: posets.check_conjecture_mobius(w, g),
+    "superset": lambda w, g: polytopes.check_superset(w, g),
+    "fms": lambda w, g: polytopes.check_fms(w, g),
+    "converse": lambda w, g: polytopes.check_prop_converse(w, g),
     "oracle": _oracle,
     "euler": _euler,
-    "rajchgot": lambda w, g, s, ref: posets.check_rajchgot(w, g),
+    "rajchgot": lambda w, g: posets.check_rajchgot(w, g),
 }
 
 ALL_CHECKS = tuple(CHECKS)
-
-# The checks that read S_w: the 𝔖 table is loaded only for them.
-READS_S = frozenset({"fms", "oracle"})
 
 DEFAULT_MAX_N = 8
 
@@ -99,12 +87,12 @@ class RunConfig:
             raise ValueError(f"repeated checks: {sorted(repeated)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.perm is not None and len(self.perm) != self.n:
+        if self.perm is not None and len(perms.check_perm(self.perm)) != self.n:
             raise ValueError("--perm length must match --n")
 
 
-# Shared read-only state for fork-based workers: (config, G table, S table
-# or None, (divided-difference G, divided-difference S) or None).
+# Shared read-only state for fork-based workers: (config, G table, the
+# divided-difference G table or None).
 _CTX = None
 
 
@@ -130,13 +118,13 @@ def _jsonable(obj):
     return obj
 
 
-def _run_check(name: str, w, g, s, ref) -> dict:
+def _run_check(name: str, w, g) -> dict:
     """One report entry, from the check's Verdict.  An exception inside a
     checker is an internal error, not a verdict on the conjecture: the entry
     gets status `error` with the exception as its witness, the traceback
     goes to stderr, and the sweep goes on."""
     try:
-        return _from_verdict(CHECKS[name](w, g, s, ref))
+        return _from_verdict(CHECKS[name](w, g))
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
@@ -144,16 +132,15 @@ def _run_check(name: str, w, g, s, ref) -> dict:
 
 
 def _check_one(w: tuple) -> dict:
-    config, table_g, table_s, ref = _CTX
+    config, table_g, _ = _CTX
     started = time.perf_counter()
     g = table_g[w]
-    s = table_s[w] if table_s is not None else None
     record = {
         "perm": perms.format_perm(w),
         "length": perms.length(w),
         "deg_g": g.degree(),
         "rajcode": list(perms.rajcode(w)),
-        "checks": {name: _run_check(name, w, g, s, ref) for name in config.checks},
+        "checks": {name: _run_check(name, w, g) for name in config.checks},
     }
     if config.timings:
         record["seconds"] = round(time.perf_counter() - started, 6)
@@ -166,19 +153,14 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     config.validate()
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
-    table_s = None
-    if READS_S.intersection(config.checks):
-        table_s = cache.load_or_build(config.cache_dir, config.n, "S")
-    ref = None
-    if "oracle" in config.checks:
-        ref = (poly.build_table(config.n, "G"), poly.build_table(config.n, "S"))
+    ref = poly.build_table(config.n, "G") if "oracle" in config.checks else None
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
     # The fork context starts every worker up front: no more than the targets.
     workers = min(config.jobs, len(targets))
     global _CTX
-    _CTX = (config, table_g, table_s, ref)
+    _CTX = (config, table_g, ref)
     try:
         if workers == 1:
             results = [_check_one(w) for w in targets]
@@ -253,14 +235,14 @@ def render(report: dict, fmt: str) -> str:
 
 
 def print_permutation(config: RunConfig) -> str:
-    """--mode print: dump the computed objects for `config.perm`."""
-    w = config.perm
-    table_g = cache.load_or_build(config.cache_dir, config.n, "G")
-    table_s = cache.load_or_build(config.cache_dir, config.n, "S")
-    g, s = table_g[w], table_s[w]
+    """--mode print: dump the computed objects for `config.perm`; 𝔖_w is the
+    degree-l(w) part of 𝔊_w."""
+    w, length = config.perm, perms.length(config.perm)
+    g = cache.load_or_build(config.cache_dir, config.n, "G")[w]
+    s = poly.Poly({e: c for e, c in g.terms.items() if sum(e) == length}, config.n)
     lines = [
         f"perm {perms.format_perm(w)}",
-        f"length {perms.length(w)}",
+        f"length {length}",
         f"rajcode {','.join(map(str, perms.rajcode(w)))}",
         f"schubert {s.to_text()}",
         f"grothendieck {g.to_text()}",

@@ -1,8 +1,8 @@
 """
 Exact sparse multivariate polynomials over the integers, divided-difference
 operators, and the weak-order recursion for Schubert and Grothendieck
-polynomials: the oracle's independent computation of the tables that
-`cache.load_or_build` builds from pipe dreams.
+polynomials: the independent computation of the tables that
+`cache.load_or_build` builds from pipe dreams (the oracle check reads 𝔊).
 
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided

@@ -397,14 +397,20 @@ def check_superset(w: tuple, groth: Poly) -> Verdict:
     return Verdict(True, info={"equality": len(groth.terms) == len(total)})
 
 
-def check_fms(w: tuple, schub: Poly) -> Verdict:
+def check_fms(w: tuple, groth: Poly) -> Verdict:
     """The Schubert support equals the iterated base-point sumset over the
-    Rothe columns.  A failure names the first point of the symmetric
-    difference, in sorted order."""
+    Rothe columns.  supp 𝔖_w is read as the degree-l(w) part of the
+    argument's support, 𝔊_w or 𝔖_w: 𝔊_w is the sum over the pipe dreams P
+    of w of (-1)^(|P| - l(w)) x^P, where x^P has degree |P|, the number of
+    crosses; |P| >= l(w), with equality only for the reduced P, whose x^P
+    sum to 𝔖_w (Lascoux-Schutzenberger 1982; Knutson-Miller).  A failure
+    names the first point of the symmetric difference, in sorted order."""
+    length, shift = perms.length(w), 8 * len(w)
+    bottom = {c for c in map(codes.__getitem__, groth.terms) if c >> shift == length}
     total = base_sumset(w)
-    if len(schub.terms) != len(total) or not _within(total, schub):
-        diff = schub.support() ^ {decode(c, len(w)) for c in total}
-        return Verdict(False, witness=min(diff), detail="support != base sumset")
+    if bottom != total:
+        witness = min(decode(c, len(w)) for c in bottom ^ total)
+        return Verdict(False, witness=witness, detail="support != base sumset")
     return Verdict(True)
 
 

@@ -210,9 +210,8 @@ class TestRun:
 
         def perturbed(n, flavor):
             out = real(n, flavor)
-            if flavor == "S":
-                w = (1, 3, 2)
-                out.polys[w] = add(out[w], poly.parse_text("5:0,1,0;7:2,0,0", 3, {}))
+            w = (1, 3, 2)
+            out.polys[w] = add(out[w], poly.parse_text("5:0,1,0;7:2,0,0", 3, {}))
             return out
 
         monkeypatch.setattr(poly, "build_table", perturbed)
@@ -222,7 +221,7 @@ class TestRun:
         entry = report["results"][1]["checks"]["oracle"]
         assert entry == {
             "status": "fail",
-            "witness": {"flavor": "S", "exponent": [2, 0, 0], "divided_differences": 7, "pipe_dreams": 0},
+            "witness": {"exponent": [2, 0, 0], "divided_differences": 7, "pipe_dreams": 0},
         }
 
     def test_divided_differences_run_only_for_oracle(self, monkeypatch, tmp_path, capsys):
@@ -241,7 +240,7 @@ class TestRun:
         assert built == []
         _, status = cli.run(cli.RunConfig(n=4, checks=("oracle",)))
         assert status == 0
-        assert built == [(4, "G"), (4, "S")]
+        assert built == [(4, "G")]
 
     def test_schubert_table_loaded_only_when_read(self, monkeypatch, tmp_path, capsys):
         real = cache.load_or_build
@@ -253,18 +252,19 @@ class TestRun:
 
         monkeypatch.setattr(cache, "load_or_build", counting)
         battery = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
-        for checks, flavors in [
-            (battery, ["G"]),
-            (("conj4", "mobius", "superset", "converse", "euler"), ["G"]),
-            (("fms",), ["G", "S"]),
-            (("conj1", "oracle"), ["G", "S"]),
+        for checks in [
+            battery,
+            ("conj4", "mobius", "superset", "converse", "euler"),
+            ("fms",),
+            ("conj1", "oracle"),
+            cli.ALL_CHECKS,
         ]:
             loaded.clear()
             _, status = cli.run(cli.RunConfig(n=4, checks=checks))
-            assert status == 0 and loaded == flavors, checks
+            assert status == 0 and loaded == ["G"], checks
         loaded.clear()
         assert cli.main(["--mode", "print", "--perm", "1432"]) == 0
-        assert loaded == ["G", "S"]
+        assert loaded == ["G"]
         loaded.clear()
         assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
         assert loaded == ["G", "S"]
@@ -439,6 +439,11 @@ class TestRun:
             cli.RunConfig(n=4, jobs=0).validate()
         with pytest.raises(ValueError):
             cli.RunConfig(n=4, perm=(1, 2, 3)).validate()
+
+    @pytest.mark.parametrize("perm", [(1, 1, 2), (1, 2, 4)], ids=["repeated", "out-of-range"])
+    def test_perm_not_a_permutation_rejected(self, perm):
+        with pytest.raises(ValueError, match=r"not a permutation of \[3\]"):
+            cli.run(cli.RunConfig(n=3, perm=perm))
 
     def test_repeated_check_rejected(self, capsys):
         with pytest.raises(ValueError, match=r"repeated checks: \['conj1'\]"):

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 from grothpoly import perms
 from grothpoly.poly import (
     Poly,
+    build_table,
     divided_difference,
     isobaric_divided_difference,
     parse_text,
@@ -269,6 +270,16 @@ class TestTables:
                     for a in supp
                 )
 
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_schubert_is_lowest_degree_part(self, tables, n):
+        # 𝔖_w is the degree-l(w) part of 𝔊_w, and 𝔊_w has no lower term:
+        # what `polytopes.check_fms` and `--mode print` read.
+        assert_schubert_is_lowest_degree_part(tables[(n, "G")], tables[(n, "S")])
+
+    @pytest.mark.slow
+    def test_schubert_is_lowest_degree_part_S7_slow(self):
+        assert_schubert_is_lowest_degree_part(build_table(7, "G"), build_table(7, "S"))
+
     def test_built_table_shares_vectors(self, tables):
         # Equal exponent vectors in a built table are one shared tuple.
         for table in tables.values():
@@ -276,6 +287,14 @@ class TestTables:
             for p in table.polys.values():
                 for expo in p.terms:
                     assert shared.setdefault(expo, expo) is expo
+
+
+def assert_schubert_is_lowest_degree_part(table_g, table_s):
+    assert table_g.polys.keys() == table_s.polys.keys()
+    for w, g in table_g.polys.items():
+        length = perms.length(w)
+        assert min(map(sum, g.terms)) == length, w
+        assert graded_component(g, length) == table_s[w], w
 
 
 class TestTermOrder:

@@ -743,7 +743,7 @@ class TestPackedRefusal:
         g = Poly({(0, 0): 1, (200, 100): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
             recover_pair(g.support())
-        entry = cli._run_check("conj4", (2, 1), g, None, None)
+        entry = cli._run_check("conj4", (2, 1), g)
         assert entry["status"] == "error"
         assert entry["witness"].startswith("ValueError: coordinate ranges sum to 300")
 
@@ -754,7 +754,7 @@ class TestPackedRefusal:
         assert is_paramodular(pair)
         with pytest.raises(ValueError, match="packed search"):
             lattice_points_of_pair(pair)
-        entry = cli._run_check("conj4", (1,), g, None, None)
+        entry = cli._run_check("conj4", (1,), g)
         assert entry["status"] == "error"
         assert entry["witness"].startswith("ValueError: pair values span 130")
 

@@ -219,11 +219,11 @@ class TestRajchgot:
     def test_failure_names_leading_exponent(self, tables, added, witness):
         w = (1, 5, 3, 2, 4)
         g = tables[(5, "G")][w]
-        assert cli._run_check("rajchgot", w, g, None, None) == {"status": "pass"}
+        assert cli._run_check("rajchgot", w, g) == {"status": "pass"}
         terms = dict(g.terms)
         terms[added] = 1
         for ordered in (terms.items(), list(terms.items())[::-1]):
-            entry = cli._run_check("rajchgot", w, Poly(dict(ordered), 5), None, None)
+            entry = cli._run_check("rajchgot", w, Poly(dict(ordered), 5))
             assert entry == {"status": "fail", "witness": witness}
 
 

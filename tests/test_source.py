@@ -1,16 +1,24 @@
-"""The package holds only code that something in it reaches.
+"""Two checks on the package source.
 
-Every top-level function and class in `src/grothpoly` must be referenced by
-name, as a bare name or as an attribute, somewhere in the package outside
-its own definition.  A definition that only the tests use belongs in the
-tests, next to what it is compared with.
+The package holds only code that something in it reaches.  Every top-level
+function and class in `src/grothpoly` must be referenced by name, as a bare
+name or as an attribute, somewhere in the package outside its own
+definition.  A definition that only the tests use belongs in the tests, next
+to what it is compared with.
+
+The span tracer of the benchmark (`perfbench/tracer.py`) wraps grothpoly's
+layer boundaries by module attribute, so renaming one of them breaks every
+traced benchmark run.  A traced sweep must keep its report, record a span
+for each boundary, and leave every attribute as it found it.
 """
 import ast
 from pathlib import Path
 
 import grothpoly
+from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
 
 PACKAGE = Path(grothpoly.__file__).resolve().parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 # Kept without a caller in the package: the divided-difference operators
 # are the oracle's documented operators, and tests apply them one at a time.
@@ -45,3 +53,39 @@ def unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == ALLOWED
+
+
+def _functions(modules):
+    return {
+        (module.__name__, name): fn
+        for module in modules
+        for name, fn in vars(module).items()
+        if callable(fn)
+    }
+
+
+def test_perfbench_tracer_fits_the_package(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracer
+
+    modules = (cache, cli, perms, pipedreams, poly, posets, polytopes)
+    before = _functions(modules)
+    config = cli.RunConfig(n=4)
+    untraced = cli.render(cli.run(config)[0], "json")
+    spans = tracer.Tracer("test")
+    tracer.install(spans)
+    try:
+        traced = cli.render(cli.run(config)[0], "json")
+    finally:
+        spans.uninstall()
+    assert traced == untraced
+    names = {span["name"] for span in spans.spans}
+    # The checkers the tracer times (rajchgot, euler and oracle it does not).
+    checkers = [f"posets.check_conjecture_{k}" for k in ("1", "2", "3", "coeff", "mobius")] + [
+        f"polytopes.check_{k}" for k in ("conjecture_4", "superset", "fms", "prop_converse")
+    ]
+    expected = ["poly.build_table", "pipedreams.pd_polynomial_all", "cache.load_or_build"]
+    assert set(expected + checkers) - names == set()
+    after = _functions(modules)
+    assert after.keys() == before.keys()
+    assert [key for key, fn in after.items() if fn is not before[key]] == []
