@@ -87,8 +87,10 @@ class RunConfig:
             raise ValueError(f"repeated checks: {sorted(repeated)}")
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
-        if self.perm is not None and len(perms.check_perm(self.perm)) != self.n:
-            raise ValueError("--perm length must match --n")
+        if self.perm is not None:
+            self.perm = perms.check_perm(self.perm)
+            if len(self.perm) != self.n:
+                raise ValueError("--perm length must match --n")
 
 
 # Shared read-only state for fork-based workers: (config, G table, the

@@ -68,4 +68,4 @@ def pd_polynomial_all(n: int, mode: str) -> Dict[tuple, Poly]:
                 for e, c in terms.items():
                     e = x_i[e]
                     target[e] = target.get(e, 0) + c
-    return {w: Poly._trusted(states[w], n) for w in perms.all_perms(n)}
+    return {w: Poly(states[w], n) for w in perms.all_perms(n)}

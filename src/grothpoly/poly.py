@@ -6,10 +6,10 @@ polynomials: the independent computation of the tables that
 
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
-differences are written in closed form, one monomial at a time.  Terms are
-checked once, where they enter: through `Poly(...)`, or through `parse_text`
-(behind the cache reader); results derived from valid polynomials skip the
-checks.
+differences are written in closed form, one monomial at a time.  `Poly`
+stores the terms it is given, which the program builds itself; terms from
+outside enter only through `parse_text` (behind the cache reader), which
+checks them.
 
 The support checks read an exponent vector alpha of length n as one integer,
 its code: one byte per coordinate, x_1 lowest, and the degree above them,
@@ -36,21 +36,8 @@ class Poly:
     __slots__ = ("terms", "nvars")
 
     def __init__(self, terms: Dict[tuple, int], nvars: int):
-        for expo, coeff in terms.items():
-            if coeff == 0:
-                raise ValueError(f"zero coefficient stored at {expo}")
-            if len(expo) != nvars or any(e < 0 for e in expo):
-                raise ValueError(f"bad exponent vector {expo} for nvars={nvars}")
-        self.terms = dict(terms)
+        self.terms = terms
         self.nvars = nvars
-
-    @classmethod
-    def _trusted(cls, terms: Dict[tuple, int], nvars: int) -> "Poly":
-        """Wrap terms derived from valid polynomials, skipping the checks."""
-        out = object.__new__(cls)
-        out.terms = terms
-        out.nvars = nvars
-        return out
 
     def __eq__(self, other) -> bool:
         return (
@@ -130,7 +117,7 @@ def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
     """
     terms: Dict[tuple, int] = {}
     if not text:
-        return Poly._trusted(terms, nvars)
+        return Poly(terms, nvars)
     chunks = text.split(";")
     for chunk in chunks:
         coeff, key = chunk.split(":")
@@ -143,7 +130,7 @@ def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
     if 0 in terms.values():
         zero = next(e for e, c in terms.items() if c == 0)
         raise ValueError(f"zero coefficient stored at {zero}")
-    return Poly._trusted(terms, nvars)
+    return Poly(terms, nvars)
 
 
 def _parse_vector(key: str, nvars: int) -> tuple:
@@ -194,7 +181,7 @@ def _closed_form(f: Poly, j: int, parts: tuple, vectors: Dict[tuple, tuple]) -> 
             for p in range(min(a, b), max(a, b)):
                 e = head + (p, a + b - 1 - p) + tail
                 out[e] = out.get(e, 0) + c
-    return Poly._trusted({vectors.setdefault(e, e): c for e, c in out.items() if c}, f.nvars)
+    return Poly({vectors.setdefault(e, e): c for e, c in out.items() if c}, f.nvars)
 
 
 def staircase_monomial(n: int) -> Poly:
@@ -208,8 +195,6 @@ class PolynomialTable:
     from pipe dreams, `build_table` from the divided differences."""
 
     def __init__(self, n: int, flavor: str, polys: Dict[tuple, Poly]):
-        if flavor not in ("S", "G"):
-            raise ValueError(f"unknown flavor {flavor!r}")
         self.n = n
         self.flavor = flavor
         self.polys = polys

@@ -28,10 +28,6 @@ class SetFunctionPair:
     def __init__(self, y: Sequence[int], z: Sequence[int], n: int):
         if n > MAX_SUBSET_N:
             raise ValueError(f"subset tables refused for n={n} > {MAX_SUBSET_N}")
-        if len(y) != 1 << n or len(z) != 1 << n:
-            raise ValueError("tables must cover all of 2^[n]")
-        if y[0] != 0 or z[0] != 0:
-            raise ValueError("y(empty) and z(empty) must be 0")
         self.y = tuple(y)
         self.z = tuple(z)
         self.n = n
@@ -49,15 +45,13 @@ class SetFunctionPair:
         )
 
 
-@functools.lru_cache(maxsize=None)
 def spanning_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
     """Indicator vectors of the spanning sets of SM_n(S) (supersets of a
     basis), by the Gale count: with S sorted s_1 < ... < s_r, X spans iff
     |X & [s_k]| >= k for every k.  The bases are the r-subsets
     b_1 < ... < b_r of [n] with b_k <= s_k.  A basis B in X puts b_1..b_k in
     X & [s_k]; conversely the count puts the k-th smallest element of X at
-    or below s_k, so the r smallest form a basis.  Kept per (S, n): a Rothe
-    column of S_n takes at most 2^(n-1) values."""
+    or below s_k, so the r smallest form a basis."""
     s = sorted(S)
     points = itertools.product((0, 1), repeat=n)
     return frozenset(p for p in points if all(sum(p[:sk]) >= k for k, sk in enumerate(s, 1)))
@@ -341,8 +335,8 @@ def _pad(v: tuple, n: int) -> tuple:
 @functools.lru_cache(maxsize=None)
 def _spanning_codes(S: FrozenSet[int], n: int) -> FrozenSet[int]:
     """The codes (`poly.codes`) of the spanning points of SM_{max S}(S),
-    zero-appended into dimension n.  Kept per (S, n), like
-    `spanning_points`."""
+    zero-appended into dimension n.  Kept per (S, n): a Rothe column of S_n
+    takes at most 2^(n-1) values."""
     return frozenset(codes[_pad(p, n)] for p in spanning_points(S, max(S)))
 
 

@@ -36,34 +36,23 @@ BOTTOM = "0^"
 
 
 class VectorPoset:
-    """A finite set of integer vectors of uniform length under componentwise
-    order."""
+    """A finite interval-closed set of integer vectors of length n under
+    componentwise order: whenever a <= c <= b with a and b in the set, c is
+    in it too.  P_w (`build_Pw`) is one: such a c lies above the support
+    point below a and below the bound above b."""
 
     def __init__(self, elements, n: int):
-        elements = frozenset(tuple(e) for e in elements)
-        for e in elements:
-            if len(e) != n:
-                raise ValueError(f"element {e} does not have length {n}")
-        self.elements = elements
+        self.elements = frozenset(elements)
         self.n = n
 
     def covers(self) -> Set[Tuple[tuple, tuple]]:
         """Hasse relation among the vector elements (the bottom is excluded;
-        its covers are the minimal vectors).  The upper covers of a are the
-        minimal elements of its strict up-set.  That set is scanned in degree
-        order, and b is kept iff no kept cover of a lies below it: an element
-        strictly between a and b has smaller degree than b, and lies above a
-        minimal one, which was kept first."""
-        els = sorted(self.elements, key=_order)
-        result = set()
-        for i, a in enumerate(els):
-            # Everything >= a other than a comes later in degree order.
-            kept = []
-            for b in els[i + 1:]:
-                if all(map(le, a, b)) and not any(all(map(le, c, b)) for c in kept):
-                    kept.append(b)
-            result.update((a, b) for b in kept)
-        return result
+        its covers are the minimal vectors): b covers a iff b = a + e_i.  If
+        a < b otherwise, then a < a + e_i < b for some i, and interval
+        closure puts a + e_i in the set; no vector lies strictly between a
+        and a + e_i."""
+        elements = self.elements
+        return {(a, b) for a in elements for b in _unit_steps(a) if b in elements}
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""

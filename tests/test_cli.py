@@ -200,6 +200,14 @@ class TestRun:
         assert record["perm"] == "1,5,3,2,4"
         assert all(e["status"] == "pass" for e in record["checks"].values())
 
+    def test_list_perm_is_stored_as_checked(self):
+        # validate stores the tuple it checked, so the table lookup sees a
+        # hashable key.
+        report, status = cli.run(cli.RunConfig(n=3, perm=[1, 3, 2]))
+        assert status == 0
+        assert report["meta"]["perm"] == "1,3,2"
+        assert report["results"][0]["perm"] == "1,3,2"
+
     def test_oracle_sweep_n4(self):
         report, status = cli.run(cli.RunConfig(n=4, checks=("oracle",)))
         assert status == 0
@@ -504,10 +512,18 @@ class TestMain:
         report = json.loads(capsys.readouterr().out)
         assert report["meta"]["n"] == 3 and report["summary"]["permutations"] == 1
 
-    def test_print_mode_n7_bytes(self, capsys):
-        assert cli.main(["--mode", "print", "--perm", "1247635"]) == 0
+    @pytest.mark.parametrize(
+        "perm, digest",
+        [
+            ("1247635", "2c7047af8cc6e32f5701b7a546e5ea2b641a405f2e129081b1fa85803381ace0"),
+            # The largest P_w of S_7: 1 808 elements.
+            ("1327654", "b824339c1b3083f6fa5f12fa65c94dbb280217660e2ac02ddb44ce14d7fe5710"),
+        ],
+        ids=["1247635", "1327654"],
+    )
+    def test_print_mode_n7_bytes(self, capsys, perm, digest):
+        assert cli.main(["--mode", "print", "--perm", perm]) == 0
         out = capsys.readouterr().out.encode()
-        digest = "2c7047af8cc6e32f5701b7a546e5ea2b641a405f2e129081b1fa85803381ace0"
         assert hashlib.sha256(out).hexdigest() == digest
 
 

@@ -102,10 +102,6 @@ small_polys = st.dictionaries(
 
 
 class TestPolyBasics:
-    def test_no_zero_coefficients_stored(self):
-        with pytest.raises(ValueError):
-            Poly({(1, 0): 0}, 2)
-
     def test_nvars_mismatch_rejected(self):
         with pytest.raises(ValueError):
             mul(variable(1, 2), variable(3, 3))

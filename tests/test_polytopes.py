@@ -34,7 +34,7 @@ from reference import (
 @functools.lru_cache(maxsize=None)
 def base_points(S, n):
     """Indicator vectors of the bases of SM_n(S): its spanning sets of size
-    |S|.  Kept per (S, n), like `spanning_points`."""
+    |S|.  Kept per (S, n)."""
     return frozenset(p for p in spanning_points(S, n) if sum(p) == len(S))
 
 

@@ -283,6 +283,24 @@ def covers_scan(P):
     }
 
 
+def covers_minimal_up_set(P):
+    """Hasse relation of any finite set of vectors: the upper covers of a
+    are the minimal elements of its strict up-set.  That set is scanned in
+    degree order, and b is kept iff no kept cover of a lies below it: an
+    element strictly between a and b has smaller degree than b, and lies
+    above a minimal one, which was kept first."""
+    els = sorted(P.elements, key=order)
+    result = set()
+    for i, a in enumerate(els):
+        # Everything >= a other than a comes later in degree order.
+        kept = []
+        for b in els[i + 1:]:
+            if componentwise_leq(a, b) and not any(componentwise_leq(c, b) for c in kept):
+                kept.append(b)
+        result.update((a, b) for b in kept)
+    return result
+
+
 def mobius_recursion(P):
     """mu(0^, q) = -sum_{0^ <= r < q} mu(0^, r) along a linear extension."""
     table = {BOTTOM: 1}
@@ -405,11 +423,18 @@ class TestKernelsAgainstScans:
 
     def test_covers_S5(self, tables):
         # On P_w, an upper set of its box, and on the raw support, which
-        # need not be one.
+        # need not be one.  The unit steps are the covers of the raw support
+        # too, because conj3 holds on S_5: every support is interval-closed.
         for w in perms.all_perms(5):
             g = tables[(5, "G")][w]
             for P in (build_Pw(w, g), VectorPoset(g.support(), 5)):
                 assert P.covers() == covers_scan(P), w
+                assert covers_minimal_up_set(P) == covers_scan(P), w
+
+    def test_covers_S6(self, tables):
+        for w in perms.all_perms(6):
+            P = build_Pw(w, tables[(6, "G")][w])
+            assert P.covers() == covers_minimal_up_set(P), w
 
     @pytest.mark.slow
     def test_S7_slow(self):
