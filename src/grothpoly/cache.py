@@ -56,26 +56,27 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
     permutation of [n] or repeats an earlier one, zero coefficient, exponent
     vector of the wrong length or with a negative entry, repeated exponent)
     is a hard error naming the line.  Equal exponent vectors in the returned
-    table are one shared tuple."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
-    if not lines or lines[0] != f"{HEADER_PREFIX} n={n} flavor={flavor}":
-        return None
+    table are one shared tuple.  The file is read one line at a time, so it
+    is never held in memory beside the table."""
     polys = {}
     vectors: dict = {}
-    for lineno, line in enumerate(lines[1:], start=2):
-        if not line:
-            continue
-        try:
-            word, body = line.split("|", 1)
-            w = perms.parse_perm(word)
-            if len(w) != n:
-                raise ValueError(f"{word!r} is not a permutation of [{n}]")
-            if w in polys:
-                raise ValueError(f"repeated permutation {word!r}")
-            polys[w] = poly.parse_text(body, n, vectors)
-        except Exception as exc:
-            raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
+    with open(path) as fh:
+        if fh.readline().rstrip("\n") != f"{HEADER_PREFIX} n={n} flavor={flavor}":
+            return None
+        for lineno, line in enumerate(fh, start=2):
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            try:
+                word, body = line.split("|", 1)
+                w = perms.parse_perm(word)
+                if len(w) != n:
+                    raise ValueError(f"{word!r} is not a permutation of [{n}]")
+                if w in polys:
+                    raise ValueError(f"repeated permutation {word!r}")
+                polys[w] = poly.parse_text(body, n, vectors)
+            except Exception as exc:
+                raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
     return poly.PolynomialTable(n, flavor, polys)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import itertools
 import json
 import multiprocessing
 import os
@@ -212,7 +213,16 @@ def run(config: RunConfig) -> Tuple[dict, int]:
 
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        # The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n".
+        # With an indent, json.dumps lists every chunk of the pure-Python
+        # encoder before joining, several times the output's size; joining
+        # blocks of 4096 chunks holds only the blocks and the result.
+        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
+        blocks = []
+        while block := "".join(itertools.islice(chunks, 4096)):
+            blocks.append(block)
+        blocks.append("\n")
+        return "".join(blocks)
     lines = []
     checks = report["meta"]["checks"]
     header = ["perm", "len", "deg"] + checks

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import os
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -17,6 +18,20 @@ def _roundtrip(table, cache_dir):
     path = cache.cache_path(str(cache_dir), table.n, table.flavor)
     cache.write_table(table, path)
     return cache.read_table(path, table.n, table.flavor)
+
+
+def _oversize_g(monkeypatch, w):
+    """Load 𝔊 tables in which 𝔊_w is x_1^127, one degree past the packed
+    support view's limit."""
+    real = cache.load_or_build
+
+    def load(cache_dir, n, flavor):
+        table = real(cache_dir, n, flavor)
+        if flavor == "G":
+            table.polys[w] = poly.Poly({(127,) + (0,) * (n - 1): 1}, n)
+        return table
+
+    monkeypatch.setattr(cache, "load_or_build", load)
 
 
 class TestCache:
@@ -154,6 +169,25 @@ class TestCache:
         with open(path, "w") as fh:
             fh.write("grothcache v1 n=3 flavor=G\n" + "".join(f"{w}|1:1,0,0\n" for w in words))
         with pytest.raises(ValueError, match=f":{len(words) + 1}: corrupt cache line"):
+            cache.read_table(path, 3, "G")
+
+    @pytest.mark.parametrize(
+        "edit",
+        [lambda data: data[:-1], lambda data: data.replace(b"\n", b"\r\n")],
+        ids=["no-final-newline", "crlf"],
+    )
+    def test_line_endings_read_the_same_table(self, tables, tmp_path, edit):
+        path = cache.cache_path(str(tmp_path), 4, "G")
+        cache.write_table(tables[(4, "G")], path)
+        data = open(path, "rb").read()
+        open(path, "wb").write(edit(data))
+        assert cache.read_table(path, 4, "G").polys == tables[(4, "G")].polys
+
+    def test_blank_line_counts_toward_line_numbers(self, tmp_path):
+        path = str(tmp_path / "bad.txt")
+        with open(path, "w") as fh:
+            fh.write("grothcache v1 n=3 flavor=G\n1,2,3|1:0,0,0\n\n1,3,2|0:1,0,0\n")
+        with pytest.raises(ValueError, match=":4: corrupt cache line"):
             cache.read_table(path, 3, "G")
 
     def test_empty_body_is_zero(self, tmp_path):
@@ -361,12 +395,50 @@ class TestRun:
         [
             (5, "ec5b14b0779709c7dbf871d464833cbaafd2c88028a64dcf29db2de2a490383a"),
             (6, json.loads(DIGESTS.read_text())["sweep-n6-all"]),
+            # RESULTS.md's `grothverify --n 7 --jobs 2`: the bytes do not
+            # depend on the number of jobs.
+            pytest.param(
+                7,
+                "690051176400073678ef95cb7f7da046f69cb162e480022bd6d9edc9de896f01",
+                marks=pytest.mark.slow,
+            ),
         ],
     )
     def test_default_report_bytes(self, n, expected):
         report, status = cli.run(cli.RunConfig(n=n))
         assert status == 0
         assert hashlib.sha256(cli.render(report, "json").encode()).hexdigest() == expected
+
+    def test_json_render_is_json_dumps(self, monkeypatch, capsys):
+        """Every kind of entry renders to the bytes of json.dumps, across
+        several blocks of encoder chunks: the oversized 𝔊_w gives error
+        entries (so `summary.error` and `summary.errors`) and fails with a
+        tuple witness and a detail (superset, fms) or a dict witness
+        (oracle); mobius skips with a reason; converse and superset carry
+        boolean `info`; --timings adds floats."""
+        _oversize_g(monkeypatch, (1, 3, 2, 4, 5))
+        report, status = cli.run(cli.RunConfig(n=5, timings=True))
+        capsys.readouterr()
+        assert status == 3
+        entries = [e for rec in report["results"] for e in rec["checks"].values()]
+        assert {e["status"] for e in entries} == {"pass", "fail", "skip", "error"}
+        assert any(e["status"] == "fail" and "detail" in e for e in entries)
+        assert any(e["status"] == "skip" and e["reason"] for e in entries)
+        assert any(True in e.get("info", {}).values() for e in entries)
+        assert {"error", "errors", "wall_seconds"} <= report["summary"].keys()
+        assert cli.render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    def test_json_render_peak_memory(self):
+        """Rendering holds the blocks and the result, not every encoder
+        chunk at once: the traced peak stays below 3x the output."""
+        report, _ = cli.run(cli.RunConfig(n=5))
+        tracemalloc.start()
+        try:
+            text = cli.render(report, "json")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * len(text)
 
     def test_poset_checks_share_one_view(self, monkeypatch):
         built = []
@@ -383,15 +455,7 @@ class TestRun:
         assert len(built) == 120
 
     def test_degree_limit_is_an_error(self, monkeypatch):
-        real = cache.load_or_build
-
-        def load(cache_dir, n, flavor):
-            table = real(cache_dir, n, flavor)
-            if flavor == "G":
-                table.polys[(1, 3, 2)] = poly.Poly({(127, 0, 0): 1}, 3)
-            return table
-
-        monkeypatch.setattr(cache, "load_or_build", load)
+        _oversize_g(monkeypatch, (1, 3, 2))
         checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
         report, status = cli.run(cli.RunConfig(n=3, checks=checks))
         assert status == 3
