@@ -1,9 +1,11 @@
 """
 Batch verification driver.
 
-Builds (or loads from cache) the Grothendieck table for S_n, and the
-divided-difference one when the oracle runs, fans the requested checks
-across worker processes, and emits a deterministic machine-readable report.
+Builds (or loads from cache) the Grothendieck table for S_n, the one table
+of the run, fans the requested checks across worker processes, and emits a
+deterministic machine-readable report.  The oracle check confirms the table
+by the divided-difference recursion one step per permutation, in the
+workers, with no second table.
 """
 from __future__ import annotations
 
@@ -26,16 +28,44 @@ ENGINE = "grothpoly 0.1.0"
 
 
 def _oracle(w, g) -> Verdict:
-    """The pipe-dream 𝔊_w must equal the divided-difference one (the
-    reference table in `_CTX`); a failure names the first differing exponent
-    in term order and both coefficients."""
-    pd_c, dd_c = g.terms, _CTX[2][w].terms
-    if pd_c == dd_c:
-        return Verdict(True)
-    differ = (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0))
-    expo = min(differ, key=poly.term_key)
-    dd, pd = dd_c.get(expo, 0), pd_c.get(expo, 0)
-    return Verdict(False, witness={"exponent": expo, "divided_differences": dd, "pipe_dreams": pd})
+    """The pipe-dream 𝔊_w must be the recursion's step from the table
+    itself: π_j 𝔊_{w·s_j} for j the first ascent of w, and the staircase
+    monomial at w_0 (`poly.recursion_parent`).  By downward induction on
+    length, the steps hold at every w exactly when the table is the one the
+    whole divided-difference recursion builds.
+
+    A parent with an entry of its own in this run is checked there; one
+    without (the parents of a --perm run) is checked here too, and so on up
+    to w_0: at most n(n-1)/2 operator calls.  A failure names the step
+    (the permutation, its parent and j, both null at w_0), the first
+    differing exponent in term order and both coefficients."""
+    config, table = _CTX
+    u = w
+    while True:
+        step = poly.recursion_parent(u)
+        if step is None:
+            j = parent = None
+            expected = poly.staircase_monomial(config.n)
+        else:
+            j, parent = step
+            expected = poly.isobaric_divided_difference(table[parent], j)
+        pd_c, dd_c = table[u].terms, expected.terms
+        if pd_c != dd_c:
+            differ = (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0))
+            expo = min(differ, key=poly.term_key)
+            witness = {
+                "perm": perms.format_perm(u),
+                "parent": perms.format_perm(parent) if parent else None,
+                "j": j,
+                "exponent": expo,
+                "divided_differences": dd_c.get(expo, 0),
+                "pipe_dreams": pd_c.get(expo, 0),
+            }
+            return Verdict(False, witness=witness)
+        # In a full sweep every permutation has an entry of its own.
+        if parent is None or config.perm is None:
+            return Verdict(True)
+        u = parent
 
 
 def _euler(w, g) -> Verdict:
@@ -77,7 +107,11 @@ class RunConfig:
     timings: bool = False
 
     def validate(self) -> None:
-        max_n = int(os.environ.get("GROTH_MAX_N", DEFAULT_MAX_N))
+        raw = os.environ.get("GROTH_MAX_N", str(DEFAULT_MAX_N))
+        try:
+            max_n = int(raw)
+        except ValueError:
+            raise ValueError(f"GROTH_MAX_N must be an integer, not {raw!r}") from None
         if not 2 <= self.n <= max_n:
             raise ValueError(f"n={self.n} outside the supported range 2..{max_n}")
         unknown = set(self.checks) - set(ALL_CHECKS)
@@ -94,8 +128,7 @@ class RunConfig:
                 raise ValueError("--perm length must match --n")
 
 
-# Shared read-only state for fork-based workers: (config, G table, the
-# divided-difference G table or None).
+# Shared read-only state for fork-based workers: (config, G table).
 _CTX = None
 
 
@@ -135,7 +168,7 @@ def _run_check(name: str, w, g) -> dict:
 
 
 def _check_one(w: tuple) -> dict:
-    config, table_g, _ = _CTX
+    config, table_g = _CTX
     started = time.perf_counter()
     g = table_g[w]
     record = {
@@ -156,14 +189,13 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     config.validate()
     started = time.perf_counter()
     table_g = cache.load_or_build(config.cache_dir, config.n, "G")
-    ref = poly.build_table(config.n, "G") if "oracle" in config.checks else None
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
     # The fork context starts every worker up front: no more than the targets.
     workers = min(config.jobs, len(targets))
     global _CTX
-    _CTX = (config, table_g, ref)
+    _CTX = (config, table_g)
     try:
         if workers == 1:
             results = [_check_one(w) for w in targets]

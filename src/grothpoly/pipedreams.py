@@ -20,9 +20,10 @@ subwords form the Bruhat lower interval below the product of the whole prefix,
 so there are at most n! states, and the cost follows the size of the output,
 not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
 fixed by its exponent, so contributions never cancel to a zero coefficient.
-`cache.load_or_build` is its caller.  The module shares only `Poly` and
-`perms.all_perms` with the divided-difference recursion (`poly.build_table`),
-which the oracle check compares against it.
+`cache.load_or_build` is its caller.  The module shares only `Poly` with
+the divided-difference recursion (`poly.recursion_parent` and the isobaric
+operator), whose step at each w the oracle check tests on the table built
+here.
 """
 from typing import Dict, List
 

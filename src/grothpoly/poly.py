@@ -2,7 +2,10 @@
 Exact sparse multivariate polynomials over the integers, divided-difference
 operators, and the weak-order recursion for Schubert and Grothendieck
 polynomials: the independent computation of the tables that
-`cache.load_or_build` builds from pipe dreams (the oracle check reads 𝔊).
+`cache.load_or_build` builds from pipe dreams.  The oracle check applies
+one step of the recursion (`recursion_parent`) to the pipe-dream 𝔊 table
+per permutation; `build_table` runs the whole recursion, and the tests
+compare its tables with the pipe dreams.
 
 A polynomial is a finite map from exponent vectors (tuples of length nvars)
 to nonzero integer coefficients.  All arithmetic is exact; the divided
@@ -21,12 +24,13 @@ order of the codes is degree, then the canonical term order (`term_key`).
 """
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from . import perms
 
-# Counts divided-difference applications: the work of the oracle's
-# reference tables.
+# Counts divided-difference applications in this process.  The oracle
+# applies one per step of the recursion it checks: n! - 1 over a full sweep,
+# at most n(n-1)/2 for one --perm.  A forked worker counts in its own copy.
 OPERATOR_APPLICATIONS = 0
 
 
@@ -206,13 +210,23 @@ class PolynomialTable:
         return len(self.polys)
 
 
+def recursion_parent(w: tuple) -> Optional[Tuple[int, tuple]]:
+    """The step of the recursion (Lascoux-Schützenberger) that gives w:
+    (j, w.s_j) for j the first ascent of w, with 𝔊_w = π_j 𝔊_{w.s_j} and
+    𝔖_w = ∂_j 𝔖_{w.s_j}; None for w_0, which has no ascent and whose
+    polynomial is the staircase monomial.  The parent w.s_j is one longer
+    than w."""
+    ascents = perms.ascents(w)
+    return (ascents[0], perms.apply_s(w, ascents[0])) if ascents else None
+
+
 def build_table(n: int, flavor: str) -> PolynomialTable:
     """Compute the full table for S_n.
 
-    Every w != w_0 has an ascent j; its parent w.s_j is longer, so processing
-    permutations in decreasing length order finds each parent already done.
-    Equal exponent vectors in the table are one shared tuple (S_n has at most
-    n! distinct ones, the points of the staircase box).
+    Every w != w_0 has a parent (`recursion_parent`) one longer than w, so
+    processing permutations in decreasing length order finds each parent
+    already done.  Equal exponent vectors in the table are one shared tuple
+    (S_n has at most n! distinct ones, the points of the staircase box).
     """
     parts = _PLAIN if flavor == "S" else _ISOBARIC
     top = staircase_monomial(n)
@@ -220,7 +234,6 @@ def build_table(n: int, flavor: str) -> PolynomialTable:
     polys: Dict[tuple, Poly] = {perms.longest_element(n): top}
     by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
     for w in by_length[1:]:
-        j = perms.ascents(w)[0]
-        parent = perms.apply_s(w, j)
+        j, parent = recursion_parent(w)
         polys[w] = _closed_form(polys[parent], j, parts, vectors)
     return PolynomialTable(n, flavor, polys)

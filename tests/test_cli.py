@@ -20,18 +20,40 @@ def _roundtrip(table, cache_dir):
     return cache.read_table(path, table.n, table.flavor)
 
 
-def _oversize_g(monkeypatch, w):
-    """Load 𝔊 tables in which 𝔊_w is x_1^127, one degree past the packed
-    support view's limit."""
+def _edit_g(monkeypatch, w, edit):
+    """Load 𝔊 tables in which 𝔊_w is edit(𝔊_w), as if the pipe dreams had
+    built it."""
     real = cache.load_or_build
 
     def load(cache_dir, n, flavor):
         table = real(cache_dir, n, flavor)
         if flavor == "G":
-            table.polys[w] = poly.Poly({(127,) + (0,) * (n - 1): 1}, n)
+            table.polys[w] = edit(table[w])
         return table
 
     monkeypatch.setattr(cache, "load_or_build", load)
+
+
+def _oversize_g(monkeypatch, w):
+    """Load 𝔊 tables in which 𝔊_w is x_1^127, one degree past the packed
+    support view's limit."""
+    _edit_g(monkeypatch, w, lambda g: poly.Poly({(127,) + (0,) * (g.nvars - 1): 1}, g.nvars))
+
+
+def _first_ascent_chain(w):
+    """w and each first-ascent parent w.s_j above it, up to w_0."""
+    chain = [w]
+    while ascents := perms.ascents(chain[-1]):
+        chain.append(perms.apply_s(chain[-1], ascents[0]))
+    return chain
+
+
+def _operator_calls(fn):
+    """fn's result and the divided-difference operators it applied in this
+    process."""
+    before = poly.OPERATOR_APPLICATIONS
+    result = fn()
+    return result, poly.OPERATOR_APPLICATIONS - before
 
 
 class TestCache:
@@ -248,41 +270,89 @@ class TestRun:
         assert report["summary"]["pass"] == 24
 
     def test_oracle_failure_witness(self, monkeypatch):
-        real = poly.build_table
-
-        def perturbed(n, flavor):
-            out = real(n, flavor)
-            w = (1, 3, 2)
-            out.polys[w] = add(out[w], poly.parse_text("5:0,1,0;7:2,0,0", 3, {}))
-            return out
-
-        monkeypatch.setattr(poly, "build_table", perturbed)
+        # The pipe-dream 𝔊_132 gains 5 x_2 + 7 x_1^2.  The step that fails is
+        # 𝔊_132 = π_1 𝔊_312, and x_1^2 comes before x_2 in term order.
+        extra = poly.parse_text("5:0,1,0;7:2,0,0", 3, {})
+        _edit_g(monkeypatch, (1, 3, 2), lambda g: add(g, extra))
+        witness = {
+            "perm": "1,3,2",
+            "parent": "3,1,2",
+            "j": 1,
+            "exponent": [2, 0, 0],
+            "divided_differences": 0,
+            "pipe_dreams": 7,
+        }
         report, status = cli.run(cli.RunConfig(n=3, checks=("oracle",)))
         assert status == 1
         assert report["summary"]["failures"] == [{"perm": "1,3,2", "check": "oracle"}]
-        entry = report["results"][1]["checks"]["oracle"]
-        assert entry == {
-            "status": "fail",
-            "witness": {"exponent": [2, 0, 0], "divided_differences": 7, "pipe_dreams": 0},
+        assert report["results"][1]["checks"]["oracle"] == {"status": "fail", "witness": witness}
+        # 3,1,2 is checked against 𝔊_321 only, so it passes; --perm 1,2,3
+        # walks 1,2,3 -> 2,1,3 -> 2,3,1 -> 3,2,1, off the perturbed entry.
+        assert cli.run(cli.RunConfig(n=3, perm=(3, 1, 2), checks=("oracle",)))[1] == 0
+        assert cli.run(cli.RunConfig(n=3, perm=(1, 2, 3), checks=("oracle",)))[1] == 0
+
+    def test_oracle_failure_witness_at_w0(self, monkeypatch):
+        # At w_0 the table is compared with the staircase monomial; the
+        # step has no parent and no j.
+        _edit_g(monkeypatch, (3, 2, 1), lambda g: poly.Poly({(2, 1, 0): 1, (3, 0, 0): -2}, 3))
+        report, status = cli.run(cli.RunConfig(n=3, perm=(3, 2, 1), checks=("oracle",)))
+        assert status == 1
+        assert report["results"][0]["checks"]["oracle"]["witness"] == {
+            "perm": "3,2,1",
+            "parent": None,
+            "j": None,
+            "exponent": [3, 0, 0],
+            "divided_differences": 0,
+            "pipe_dreams": -2,
         }
 
-    def test_divided_differences_run_only_for_oracle(self, monkeypatch, tmp_path, capsys):
-        real = poly.build_table
-        built = []
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_every_wrong_pipe_dream_polynomial_is_caught(self, monkeypatch, n):
+        """One term x_1^n (never a term of a 𝔊_w of S_n) added to the
+        pipe-dream 𝔊_u, for each u: the full sweep fails at u, with the
+        same report for one and two jobs, and --perm w fails exactly when u
+        is on w's first-ascent chain to w_0."""
+        extra = poly.Poly({(n,) + (0,) * (n - 1): 1}, n)
+        chains = {w: _first_ascent_chain(w) for w in perms.all_perms(n)}
+        for u in perms.all_perms(n):
+            with monkeypatch.context() as m:
+                _edit_g(m, u, lambda g: add(g, extra))
+                reports = []
+                for jobs in (1, 2):
+                    report, status = cli.run(cli.RunConfig(n=n, checks=("oracle",), jobs=jobs))
+                    assert status == 1
+                    reports.append(cli.render(report, "json"))
+                assert reports[0] == reports[1]
+                failed = [f["perm"] for f in report["summary"]["failures"]]
+                assert perms.format_perm(u) in failed, u
+                for w, chain in chains.items():
+                    _, status = cli.run(cli.RunConfig(n=n, perm=w, checks=("oracle",)))
+                    assert status == (1 if u in chain else 0), (u, w)
 
-        def counting(n, flavor):
-            built.append((n, flavor))
-            return real(n, flavor)
+    def test_operator_calls(self, monkeypatch, tmp_path, capsys):
+        """The divided differences run only for the oracle: once per
+        permutation but w_0 in a full sweep, and once per step of the walk
+        to w_0 in a --perm run, at most n(n-1)/2.  No run builds the
+        divided-difference table."""
 
-        monkeypatch.setattr(poly, "build_table", counting)
-        _, status = cli.run(cli.RunConfig(n=4, checks=("euler", "conj1")))
-        assert status == 0
-        assert cli.main(["--mode", "print", "--perm", "1432"]) == 0
-        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
-        assert built == []
-        _, status = cli.run(cli.RunConfig(n=4, checks=("oracle",)))
-        assert status == 0
-        assert built == [(4, "G")]
+        def refused(n, flavor):
+            raise AssertionError("cli.run built the divided-difference table")
+
+        monkeypatch.setattr(poly, "build_table", refused)
+        for without_oracle in [
+            lambda: cli.run(cli.RunConfig(n=4, checks=("euler", "conj1"))),
+            lambda: cli.main(["--mode", "print", "--perm", "1432"]),
+            lambda: cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]),
+        ]:
+            assert _operator_calls(without_oracle)[1] == 0
+        for n in (4, 5):
+            (_, status), count = _operator_calls(lambda: cli.run(cli.RunConfig(n=n, checks=("oracle",))))
+            assert status == 0 and count == len(perms.all_perms(n)) - 1
+        # The walk from w has l(w_0) - l(w) steps: n(n-1)/2 = 15 at the identity.
+        for w in [(1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1), (2, 1, 4, 3, 6, 5), (1, 3, 2, 6, 5, 4)]:
+            config = cli.RunConfig(n=6, perm=w, checks=("oracle",))
+            (_, status), count = _operator_calls(lambda: cli.run(config))
+            assert status == 0 and count == 15 - perms.length(w)
 
     def test_schubert_table_loaded_only_when_read(self, monkeypatch, tmp_path, capsys):
         real = cache.load_or_build
@@ -542,6 +612,12 @@ class TestMain:
     def test_usage_error_exit_two(self, capsys):
         assert cli.main(["--n", "99"]) == 2
         assert cli.main(["--n", "4", "--checks", "bogus"]) == 2
+
+    def test_bad_max_n_env_is_a_usage_error(self, monkeypatch, capsys):
+        monkeypatch.setenv("GROTH_MAX_N", "x")
+        assert cli.main(["--n", "3"]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == "error: GROTH_MAX_N must be an integer, not 'x'\n"
 
     def test_text_format(self, capsys):
         assert cli.main(["--n", "3", "--checks", "conj1", "--format", "text"]) == 0
