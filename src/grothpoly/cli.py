@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import gc
 import itertools
 import json
 import multiprocessing
@@ -201,8 +202,10 @@ def run(config: RunConfig) -> Tuple[dict, int]:
             results = [_check_one(w) for w in targets]
         else:
             mp = multiprocessing.get_context("fork")
+            # Each worker freezes what it inherits, the table among it, so
+            # that its garbage collections skip those objects.
             with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp
+                max_workers=workers, mp_context=mp, initializer=gc.freeze
             ) as pool:
                 results = list(pool.map(_check_one, targets, chunksize=16))
     finally:
@@ -341,31 +344,32 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Exit status: `run`'s in verify mode, else 0; 2, with one `error:` line
+    on stderr, for a usage error or a table that cannot be loaded or written."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
         config = config_from_args(args)
         config.validate()
-    except (ValueError, SystemExit) as exc:
-        if isinstance(exc, SystemExit):
-            return 2 if exc.code else 0
+        if args.mode == "print":
+            if config.perm is None:
+                raise ValueError("--mode print requires --perm")
+            out, status = print_permutation(config), 0
+        elif args.mode == "cache":
+            if not config.cache_dir:
+                raise ValueError("--mode cache requires --cache-dir")
+            cache.load_or_build(config.cache_dir, config.n, "G")
+            cache.load_or_build(config.cache_dir, config.n, "S")
+            out, status = "", 0
+        else:
+            report, status = run(config)
+            out = render(report, args.format)
+    except SystemExit as exc:
+        return 2 if exc.code else 0
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.mode == "print":
-        if config.perm is None:
-            print("error: --mode print requires --perm", file=sys.stderr)
-            return 2
-        sys.stdout.write(print_permutation(config))
-        return 0
-    if args.mode == "cache":
-        if not config.cache_dir:
-            print("error: --mode cache requires --cache-dir", file=sys.stderr)
-            return 2
-        cache.load_or_build(config.cache_dir, config.n, "G")
-        cache.load_or_build(config.cache_dir, config.n, "S")
-        return 0
-    report, status = run(config)
-    sys.stdout.write(render(report, args.format))
+    sys.stdout.write(out)
     return status
 
 

@@ -21,6 +21,8 @@ once per distinct vector, and `decode` masks off the degree.  While every
 entry is < 256 no byte carries, so the code of a sum is the sum of the
 codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the numeric
 order of the codes is degree, then the canonical term order (`term_key`).
+`support_view` packs the codes of one support with its top degree, unit-step
+gaps and maxima; every check that reads a support reads that view.
 """
 from __future__ import annotations
 
@@ -107,6 +109,97 @@ codes = _Codes()
 def decode(code: int, n: int) -> tuple:
     """The exponent vector of length n with this code."""
     return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
+
+
+class _SupportView:
+    """Packed facts about a set of exponent vectors of length n, with
+    entries >= 0 and degree < 127:
+
+    - `codes`: the code of each vector, in the order given;
+    - `degree`: the top degree;
+    - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
+    - `top_codes`: the codes of the top degree, in term order;
+    - `gaps`: for each code below the top degree, the mask with 0xFF in
+      byte i iff the unit step alpha + e_i is not in the set;
+    - `uncovered`: the codes below the top degree with no unit step in the
+      set, in degree, then term order;
+    - `maxima`: `top_codes`, then `low_maxima`, the maximal uncovered codes
+      in degree, then term order.
+
+    alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
+    == H.  Proof: while every entry and both degrees are < 128, byte i < n
+    of the difference is beta_i + 128 - alpha_i and byte n is
+    |beta| + 128 - |alpha|; each lies in 1..255, so no byte borrows from
+    the next.  The high bit of byte i < n is set iff beta_i >= alpha_i, and
+    that of byte n is set whenever every beta_i >= alpha_i, since then
+    |beta| >= |alpha|.  Every entry is at most the degree, so the view
+    refuses a degree >= 127 with a ValueError; below that, the unit steps
+    have entries and degrees < 128 too.
+
+    An element with a unit step in the set lies below that step, so only the
+    top-degree and the uncovered elements can be maximal; those of top
+    degree are.  The uncovered ones are scanned in decreasing degree, and
+    each is kept iff no kept maximum is >= it: anything strictly above it
+    has larger degree, so it is a kept maximum or lies below one."""
+
+    __slots__ = (
+        "n", "codes", "degree", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima"
+    )
+
+    def __init__(self, vectors, n: int):
+        self.codes = list(map(codes.__getitem__, vectors))
+        top = max(self.codes, default=0) >> 8 * n
+        if top >= 127:
+            raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
+        present = set(self.codes)
+        up = 1 << 8 * n  # one more in the degree byte
+        steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
+        full = up - 1
+        high = int.from_bytes(b"\x80" * (n + 1), "little")
+        bottom = top * up  # the least code of the top degree
+        top_codes, gaps, uncovered = [], {}, []
+        for code in self.codes:
+            if code >= bottom:
+                top_codes.append(code)
+                continue
+            gap = 0
+            for unit, byte in steps:
+                if code + unit not in present:
+                    gap |= byte
+            gaps[code] = gap
+            if gap == full:
+                uncovered.append(code)
+        uncovered.sort()
+        maxima = sorted(top_codes)
+        self.top_codes = maxima[:]
+        low_maxima = []
+        for code in reversed(uncovered):
+            if not any(((m | high) - code) & high == high for m in maxima):
+                maxima.append(code)
+                low_maxima.append(code)
+        low_maxima.reverse()
+        self.n, self.degree, self.high, self.gaps = n, top, high, gaps
+        self.uncovered, self.maxima, self.low_maxima = uncovered, maxima, low_maxima
+
+
+# The view of the last polynomial asked for, with a strong reference to that
+# polynomial, so that `is` cannot match a recycled id: the checks of one
+# permutation share one build.  (`functools.lru_cache` would hash every term.)
+_last_view: tuple = (None, None)
+
+
+def support_view(f: Poly) -> _SupportView:
+    """The packed view of supp f, with `codes` in the order of `f.terms`;
+    kept for the last polynomial asked for.  The zero polynomial has no
+    support and is refused with a ValueError."""
+    global _last_view
+    source, view = _last_view
+    if source is not f:
+        if not f.terms:
+            raise ValueError("the zero polynomial has no support")
+        view = _SupportView(f.terms, f.nvars)
+        _last_view = (f, view)
+    return view
 
 
 def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:

@@ -14,7 +14,7 @@ from operator import add, itemgetter
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly, codes, decode
+from .poly import Poly, codes, decode, support_view, term_key
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
@@ -373,22 +373,17 @@ def base_sumset(w: tuple) -> FrozenSet[int]:
     return frozenset(c for c in spanning_sumset(w) if c >> shift == length)
 
 
-def _within(total: FrozenSet[int], f: Poly) -> bool:
-    """Whether the code of every support point of f is in total.  No support
-    set is built: a support that lies within total and has as many points
-    equals it.  `poly.codes` refuses an entry above 255 with a ValueError."""
-    return all(map(total.__contains__, map(codes.__getitem__, f.terms)))
-
-
 def check_superset(w: tuple, groth: Poly) -> Verdict:
     """The support sits inside the spanning-set sumset; also reports whether
-    the two lattice sets are equal.  A failure names the first support point
+    the two lattice sets are equal: a support inside the sumset equals it
+    iff it has as many points.  A failure names the first support point
     outside it, in sorted order."""
     total = spanning_sumset(w)
-    if not _within(total, groth):
-        missing = min(e for e in groth.terms if codes[e] not in total)
+    view = support_view(groth)
+    if not total.issuperset(view.codes):
+        missing = min(decode(c, view.n) for c in view.codes if c not in total)
         return Verdict(False, witness=missing, detail="support point outside sumset")
-    return Verdict(True, info={"equality": len(groth.terms) == len(total)})
+    return Verdict(True, info={"equality": len(view.codes) == len(total)})
 
 
 def check_fms(w: tuple, groth: Poly) -> Verdict:
@@ -399,11 +394,12 @@ def check_fms(w: tuple, groth: Poly) -> Verdict:
     crosses; |P| >= l(w), with equality only for the reduced P, whose x^P
     sum to 𝔖_w (Lascoux-Schutzenberger 1982; Knutson-Miller).  A failure
     names the first point of the symmetric difference, in sorted order."""
-    length, shift = perms.length(w), 8 * len(w)
-    bottom = {c for c in map(codes.__getitem__, groth.terms) if c >> shift == length}
+    view = support_view(groth)
+    length, shift = perms.length(w), 8 * view.n
+    bottom = {c for c in view.codes if c >> shift == length}
     total = base_sumset(w)
     if bottom != total:
-        witness = min(decode(c, len(w)) for c in bottom ^ total)
+        witness = min(decode(c, view.n) for c in bottom ^ total)
         return Verdict(False, witness=witness, detail="support != base sumset")
     return Verdict(True)
 
@@ -413,9 +409,10 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
     data (the biconditional is conditional on open conjectures), so the
     verdict records both sides."""
     closure = perms.upper_closure(perms.rothe_diagram(w))
-    degree_side = groth.degree() == len(closure.boxes)
+    view = support_view(groth)
+    degree_side = view.degree == len(closure.boxes)
     total = spanning_sumset(w)
-    polytope_side = len(groth.terms) == len(total) and _within(total, groth)
+    polytope_side = len(view.codes) == len(total) and total.issuperset(view.codes)
     ok = degree_side == polytope_side
     return Verdict(
         ok,
@@ -426,4 +423,4 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
 
 def lattice_set_text(A: FrozenSet[tuple]) -> str:
     """Debug dump: one comma-separated vector per line, in term order."""
-    return "\n".join(",".join(map(str, v)) for v in sorted(A, key=lambda v: v[::-1]))
+    return "\n".join(",".join(map(str, v)) for v in sorted(A, key=term_key))

@@ -3,23 +3,9 @@ Componentwise-order posets on integer vectors, Moebius functions, the
 support poset of a Grothendieck polynomial, and the conjecture checkers
 that live on it.
 
-conj1, conj2, conj3, coeff and rajchgot read one packed view of the support
-(`_SupportView`), built once per polynomial and kept for the last one, so
-the checks of one permutation share a single build.  The view reads the
-exponent codes of `poly.codes`: one byte per coordinate, x_1 lowest, and the
-degree in byte n, code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n.
-So the unit step alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the
-numeric order of the codes is `_order`: degree, then the canonical term
-order (`term_key`: the last coordinate weighs most).  With H the mask that
-has 0x80 in each of the n + 1 bytes, alpha <= beta componentwise iff
-((code(beta) | H) - code(alpha)) & H == H.  Proof: while every entry and
-both degrees are < 128, byte i < n of the difference is
-beta_i + 128 - alpha_i and byte n is |beta| + 128 - |alpha|; each lies in
-1..255, so no byte borrows from the next.  The high bit of byte i < n is
-set iff beta_i >= alpha_i, and that of byte n is set whenever every
-beta_i >= alpha_i, since then |beta| >= |alpha|.  Every entry is at most
-the degree, so the view refuses a degree >= 127 with a ValueError; below
-that, the unit steps have entries and degrees < 128 too.
+conj1, conj2, conj3, coeff and rajchgot read the packed view of the support
+(`poly.support_view`), which is kept for the last polynomial, so the checks
+of one permutation share a single build.
 """
 from __future__ import annotations
 
@@ -27,7 +13,7 @@ from operator import le
 from typing import Dict, Set, Tuple
 
 from . import perms
-from .poly import Poly, codes, decode, term_key
+from .poly import Poly, codes, decode, support_view
 from .verdicts import NotApplicable, Verdict
 
 # Adjoined minimum element: a distinguished sentinel, deliberately not the
@@ -61,12 +47,6 @@ class VectorPoset:
             for (a, b) in self.covers()
         ]
         return "\n".join(sorted(lines))
-
-
-def _order(v: tuple) -> tuple:
-    """Linear extension of the componentwise order: degree, then term order.
-    Failing checks report the first failing exponent in this order."""
-    return (sum(v), term_key(v))
 
 
 def _unit_steps(alpha: tuple):
@@ -128,89 +108,11 @@ def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     return VectorPoset(elements, len(w))
 
 
-class _SupportView:
-    """Packed facts about a set of exponent vectors of length n, with
-    entries >= 0 and degree < 127 (see the module docstring):
-
-    - `codes`: the code of each vector, in the order given;
-    - `degree`: the top degree;
-    - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
-    - `top_codes`: the codes of the top degree, in term order;
-    - `gaps`: for each code below the top degree, the mask with 0xFF in
-      byte i iff the unit step alpha + e_i is not in the set;
-    - `uncovered`: the codes below the top degree with no unit step in the
-      set, in degree, then term order;
-    - `maxima`: `top_codes`, then `low_maxima`, the maximal uncovered codes
-      in degree, then term order.
-
-    An element with a unit step in the set lies below that step, so only the
-    top-degree and the uncovered elements can be maximal; those of top
-    degree are.  The uncovered ones are scanned in decreasing degree, and
-    each is kept iff no kept maximum is >= it: anything strictly above it
-    has larger degree, so it is a kept maximum or lies below one."""
-
-    __slots__ = (
-        "n", "codes", "degree", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima"
-    )
-
-    def __init__(self, vectors, n: int):
-        self.codes = list(map(codes.__getitem__, vectors))
-        top = max(self.codes, default=0) >> 8 * n
-        if top >= 127:
-            raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
-        present = set(self.codes)
-        up = 1 << 8 * n  # one more in the degree byte
-        steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
-        full = up - 1
-        high = int.from_bytes(b"\x80" * (n + 1), "little")
-        bottom = top * up  # the least code of the top degree
-        top_codes, gaps, uncovered = [], {}, []
-        for code in self.codes:
-            if code >= bottom:
-                top_codes.append(code)
-                continue
-            gap = 0
-            for unit, byte in steps:
-                if code + unit not in present:
-                    gap |= byte
-            gaps[code] = gap
-            if gap == full:
-                uncovered.append(code)
-        uncovered.sort()
-        maxima = sorted(top_codes)
-        self.top_codes = maxima[:]
-        low_maxima = []
-        for code in reversed(uncovered):
-            if not any(((m | high) - code) & high == high for m in maxima):
-                maxima.append(code)
-                low_maxima.append(code)
-        low_maxima.reverse()
-        self.n, self.degree, self.high, self.gaps = n, top, high, gaps
-        self.uncovered, self.maxima, self.low_maxima = uncovered, maxima, low_maxima
-
-
-# The view of the last polynomial asked for, with a strong reference to that
-# polynomial, so that `is` cannot match a recycled id: the checks of one
-# permutation share one build.  (`functools.lru_cache` would hash every term.)
-_last_view: tuple = (None, None)
-
-
-def _support_view(groth: Poly) -> _SupportView:
-    global _last_view
-    source, view = _last_view
-    if source is not groth:
-        if not groth.terms:
-            raise ValueError("the zero polynomial has no support")
-        view = _SupportView(groth.terms, groth.nvars)
-        _last_view = (groth, view)
-    return view
-
-
 def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
     """Every support exponent below the top degree has a strict upper bound
     in the support; equivalently every maximal support element has full
     degree."""
-    view = _support_view(groth)
+    view = support_view(groth)
     if view.low_maxima:
         witness = decode(view.low_maxima[0], view.n)
         return Verdict(False, witness=witness, detail="maximal below top degree")
@@ -222,7 +124,7 @@ def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
     support exactly one degree higher.  Such a bound beta >= alpha with
     |beta| = |alpha| + 1 exceeds alpha in exactly one coordinate by one, so
     it is alpha + e_i for some i."""
-    view = _support_view(groth)
+    view = support_view(groth)
     if view.uncovered:
         witness = decode(view.uncovered[0], view.n)
         return Verdict(False, witness=witness, detail="no cover one degree up")
@@ -247,7 +149,7 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     (m - alpha) & gap(alpha) names the failing steps below m.  One pass
     records every (beta, alpha, m); the alphas recorded for beta are all the
     support points one step below it, and the ms all the maxima above it."""
-    view = _support_view(groth)
+    view = support_view(groth)
     n, high = view.n, view.high
     up = 1 << 8 * n
     maxima = [(m | high, m) for m in view.maxima]
@@ -273,7 +175,7 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
     """For each top-degree support exponent beta, the coefficients over
     {alpha in supp : alpha <= beta} sum to 1.  The view's codes follow the
     order of `groth.terms`, so they pair with its coefficients."""
-    view = _support_view(groth)
+    view = support_view(groth)
     high = view.high
     terms = list(zip(view.codes, groth.terms.values()))
     for beta in view.top_codes:
@@ -290,7 +192,7 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     leading exponent.  With the degree byte masked off, the numeric order of
     the codes is term order, so the leading exponent is the largest masked
     code.  Reads the support view, so it refuses degree >= 127 too."""
-    view = _support_view(groth)
+    view = support_view(groth)
     rc = perms.rajcode(w)
     coordinates = (1 << 8 * view.n) - 1
     leading = decode(max(map(coordinates.__and__, view.codes)), view.n)
@@ -302,14 +204,15 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
     negated Moebius values of the support poset with bottom; NotApplicable
-    on any other w."""
+    on any other w.  A failure names the first wrong exponent in code order
+    (`poly.codes`): degree, then term order."""
     if not perms.is_zero_one(w):
         return NotApplicable("not a zero-one permutation")
     P = build_Pw(w, groth)
     mu = mobius(P)
     wrong = [alpha for alpha in P.elements if groth.terms.get(alpha, 0) != -mu[alpha]]
     if wrong:
-        alpha = min(wrong, key=_order)
+        alpha = min(wrong, key=codes.__getitem__)
         return Verdict(
             False,
             witness=alpha,

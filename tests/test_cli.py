@@ -1,3 +1,4 @@
+import gc
 import hashlib
 import json
 import os
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets
-from grothpoly.verdicts import NotApplicable
+from grothpoly.verdicts import NotApplicable, Verdict
 from reference import add
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -483,16 +484,21 @@ class TestRun:
         """Every kind of entry renders to the bytes of json.dumps, across
         several blocks of encoder chunks: the oversized 𝔊_w gives error
         entries (so `summary.error` and `summary.errors`) and fails with a
-        tuple witness and a detail (superset, fms) or a dict witness
-        (oracle); mobius skips with a reason; converse and superset carry
-        boolean `info`; --timings adds floats."""
+        dict witness (oracle); a term x_2 added to 𝔊_21345 = x_1 lies
+        outside the spanning sumset, which fails with a tuple witness and a
+        detail (superset); mobius skips with a reason; converse and
+        superset carry boolean `info`; --timings adds floats."""
         _oversize_g(monkeypatch, (1, 3, 2, 4, 5))
+        _edit_g(monkeypatch, (2, 1, 3, 4, 5), lambda g: add(g, poly.Poly({(0, 1, 0, 0, 0): 1}, 5)))
         report, status = cli.run(cli.RunConfig(n=5, timings=True))
         capsys.readouterr()
         assert status == 3
         entries = [e for rec in report["results"] for e in rec["checks"].values()]
         assert {e["status"] for e in entries} == {"pass", "fail", "skip", "error"}
-        assert any(e["status"] == "fail" and "detail" in e for e in entries)
+        assert any(
+            e["status"] == "fail" and isinstance(e["witness"], list) and "detail" in e
+            for e in entries
+        )
         assert any(e["status"] == "skip" and e["reason"] for e in entries)
         assert any(True in e.get("info", {}).values() for e in entries)
         assert {"error", "errors", "wall_seconds"} <= report["summary"].keys()
@@ -511,26 +517,31 @@ class TestRun:
         assert peak < 3 * len(text)
 
     def test_poset_checks_share_one_view(self, monkeypatch):
+        """Every check that reads a support reads the one view of 𝔊_w:
+        one build per permutation, whichever of them run."""
         built = []
-        real = posets._SupportView
+        real = poly._SupportView
 
         def counting(vectors, n):
             built.append(n)
             return real(vectors, n)
 
-        monkeypatch.setattr(posets, "_SupportView", counting)
-        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
-        report, status = cli.run(cli.RunConfig(n=5, checks=checks))
-        assert status == 0 and report["summary"]["pass"] == 5 * 120
-        assert len(built) == 120
+        monkeypatch.setattr(poly, "_SupportView", counting)
+        battery = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
+        for checks in (battery, ("superset", "fms", "converse"), cli.ALL_CHECKS):
+            built.clear()
+            report, status = cli.run(cli.RunConfig(n=5, checks=checks))
+            assert status == 0 and report["summary"]["fail"] == 0
+            assert len(built) == 120, checks
+        assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
     def test_degree_limit_is_an_error(self, monkeypatch):
         _oversize_g(monkeypatch, (1, 3, 2))
-        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot")
+        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot", "superset", "fms", "converse")
         report, status = cli.run(cli.RunConfig(n=3, checks=checks))
         assert status == 3
         summary = report["summary"]
-        assert (summary["fail"], summary["error"]) == (0, 5)
+        assert (summary["fail"], summary["error"]) == (0, 8)
         entries = report["results"][1]["checks"]
         assert all(
             e["status"] == "error" and e["witness"].startswith("ValueError: degree 127")
@@ -541,7 +552,7 @@ class TestRun:
         requested = []
 
         class Recorder:
-            def __init__(self, max_workers, mp_context):
+            def __init__(self, max_workers, mp_context, initializer):
                 requested.append(max_workers)
 
             def __enter__(self):
@@ -558,6 +569,18 @@ class TestRun:
         assert requested == [] and len(report["results"]) == 1
         report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
         assert requested == [6] and len(report["results"]) == 6
+
+    def test_workers_freeze_what_they_inherit(self, monkeypatch):
+        """Each forked worker freezes the objects it inherits, so its
+        collections skip the table; the driver freezes nothing."""
+
+        def frozen(w, g):
+            return Verdict(True, info={"frozen": gc.get_freeze_count()})
+
+        monkeypatch.setitem(cli.CHECKS, "euler", frozen)
+        report, status = cli.run(cli.RunConfig(n=4, checks=("euler",), jobs=2))
+        assert status == 0 and gc.get_freeze_count() == 0
+        assert all(r["checks"]["euler"]["info"]["frozen"] > 0 for r in report["results"])
 
     def test_determinism_across_jobs(self):
         config1 = cli.RunConfig(n=4, jobs=1)
@@ -638,6 +661,26 @@ class TestMain:
 
     def test_cache_mode_requires_dir(self, capsys):
         assert cli.main(["--n", "3", "--mode", "cache"]) == 2
+
+    @pytest.mark.parametrize("mode", ["verify", "print", "cache"])
+    def test_corrupt_cache_is_an_error(self, tmp_path, capsys, mode):
+        path = cache.cache_path(str(tmp_path), 3, "G")
+        line = "1,2,3|1:0,0,0\n"
+        Path(path).write_text(f"{cache.HEADER_PREFIX} n=3 flavor=G\n" + 2 * line)
+        assert cli.main(["--perm", "132", "--mode", mode, "--cache-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:3: corrupt cache line: repeated permutation '1,2,3'\n"
+
+    @pytest.mark.parametrize("mode", ["verify", "print", "cache"])
+    def test_unusable_cache_dir_is_an_error(self, tmp_path, capsys, mode):
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        cache_dir = str(blocker / "sub")
+        assert cli.main(["--perm", "132", "--mode", mode, "--cache-dir", cache_dir]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: [Errno 20] Not a directory: {cache_dir!r}\n"
 
     def test_print_mode_requires_perm(self, capsys):
         assert cli.main(["--n", "3", "--mode", "print"]) == 2
