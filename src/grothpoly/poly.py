@@ -21,11 +21,27 @@ once per distinct vector, and `decode` masks off the degree.  While every
 entry is < 256 no byte carries, so the code of a sum is the sum of the
 codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the numeric
 order of the codes is degree, then the canonical term order (`term_key`).
-`support_view` packs the codes of one support with its top degree, unit-step
-gaps and maxima; every check that reads a support reads that view.
+`support_view` packs the codes of one support with its top degree, maxima,
+elements with no unit step up, and the unit steps conj3 finds missing;
+every check that reads a support reads that view.
+
+The view finds those order facts with a second encoding, a bitset over a
+box.  Every exponent of 𝔊_w for w in S_n lies in the staircase box
+alpha_i <= n - i, because row i of a pipe dream has n - i cells; that box
+has n! points.  A box with radix r_i (0 <= alpha_i < r_i) numbers its
+points k(alpha) = sum of alpha_i w_i, with w_1 = 1 and w_{i+1} = w_i r_i:
+the digits of k in mixed radix are alpha, x_n the most significant, so
+index order is term order.  A set of points is one integer, with bit
+k(alpha) set for each alpha in it, and a unit step of a whole set is one
+shift by w_i and one mask (`_SupportView` has the proofs).  A support that
+leaves the staircase gets a box grown to fit it.  Boxes of more than 10!
+points, the staircase box of S_10, are refused with a ValueError: at
+n >= 11 the view refuses every support.
 """
 from __future__ import annotations
 
+import math
+from operator import ge, mul
 from typing import Dict, Optional, Tuple
 
 from . import perms
@@ -58,7 +74,7 @@ class Poly:
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(sum(e) for e in self.terms)
+        return max(map(sum, self.terms))
 
     def principal_specialization(self) -> int:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
@@ -111,6 +127,98 @@ def decode(code: int, n: int) -> tuple:
     return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
 
 
+# Points of the largest box the bitset layer builds: 10!, the staircase box
+# of S_10.  The staircase box of S_11 has 39 916 800.
+MAX_BOX = math.factorial(10)
+
+
+class _OutsideBox(Exception):
+    """A code with an entry beyond its box's radix."""
+
+
+def _repeat(block: int, period: int, size: int) -> int:
+    """The size-bit integer whose every period-bit word, from bit 0 up, is
+    block; period divides size.  Eight words at most are joined by shifts,
+    to a whole number of bytes, and the bytes are repeated."""
+    unit = math.lcm(period, 8)
+    word = sum(block << j for j in range(0, unit, period))
+    data = word.to_bytes(unit // 8, "little") * -(-size // unit)
+    return int.from_bytes(data, "little") & ((1 << size) - 1)
+
+
+class _Box(dict):
+    """The box of exponent vectors alpha with 0 <= alpha_i < radix_i, its
+    points numbered k(alpha) = sum of alpha_i w_i, with w_1 = 1 and
+    w_{i+1} = w_i radix_i (see the module docstring).  A set of points is
+    the integer with bit k(alpha) set for each alpha in it.
+
+    As a dict it maps code(alpha) to (byte, bit), the place of bit k(alpha)
+    in a little-endian bytearray, filled once per distinct code, as `codes`
+    is; a code outside the box raises `_OutsideBox`.  `steps` holds
+    (w_i, M_i) for each coordinate, where M_i is the set of points alpha
+    with alpha_i < radix_i - 1: one block of w_i radix_i bits, its low
+    w_i (radix_i - 1) bits set, repeated over the box.  A box of more than
+    MAX_BOX points is refused with a ValueError."""
+
+    def __init__(self, radix: tuple):
+        super().__init__()
+        weights, size = [], 1
+        for r in radix:
+            weights.append(size)
+            size *= r
+        if size > MAX_BOX:
+            raise ValueError(
+                f"the support box {radix} has {size} points, more than the {MAX_BOX} "
+                "the bitset view builds"
+            )
+        self.radix, self.weights, self.size = radix, weights, size
+        self.steps = [
+            (w, _repeat((1 << w * (r - 1)) - 1, w * r, size)) for w, r in zip(weights, radix)
+        ]
+
+    def __missing__(self, code: int) -> tuple:
+        alpha = decode(code, len(self.radix))
+        if any(map(ge, alpha, self.radix)):
+            raise _OutsideBox(alpha)
+        k = sum(map(mul, alpha, self.weights))
+        place = self[code] = (k >> 3, 1 << (k & 7))
+        return place
+
+    def bits(self, codes) -> int:
+        """The set of the points with these codes."""
+        buf = bytearray(-(-self.size // 8))
+        for code in codes:
+            byte, bit = self[code]
+            buf[byte] |= bit
+        return int.from_bytes(buf, "little")
+
+    def codes_in(self, bits: int) -> list:
+        """The codes of the points in a set, in degree, then term order."""
+        found = []
+        digits = format(bits, "b")[::-1]  # digits[k] is bit k
+        k = digits.find("1")
+        while k >= 0:
+            alpha, rest = [], k
+            for r in self.radix:
+                rest, a = divmod(rest, r)
+                alpha.append(a)
+            found.append(codes[tuple(alpha)])
+            k = digits.find("1", k + 1)
+        found.sort()
+        return found
+
+
+class _Boxes(dict):
+    """radix -> its `_Box`, built once per shape."""
+
+    def __missing__(self, radix: tuple) -> _Box:
+        box = self[radix] = _Box(radix)
+        return box
+
+
+_boxes = _Boxes()
+
+
 class _SupportView:
     """Packed facts about a set of exponent vectors of length n, with
     entries >= 0 and degree < 127:
@@ -119,12 +227,14 @@ class _SupportView:
     - `degree`: the top degree;
     - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
     - `top_codes`: the codes of the top degree, in term order;
-    - `gaps`: for each code below the top degree, the mask with 0xFF in
-      byte i iff the unit step alpha + e_i is not in the set;
     - `uncovered`: the codes below the top degree with no unit step in the
       set, in degree, then term order;
-    - `maxima`: `top_codes`, then `low_maxima`, the maximal uncovered codes
-      in degree, then term order.
+    - `low_maxima`: the maximal codes below the top degree, in degree, then
+      term order;
+    - `maxima`: `top_codes`, then `low_maxima`;
+    - `missing`: the unit steps beta = alpha + e_i of the set's points that
+      lie below some point of the set but not in it, in degree, then term
+      order (conj3).
 
     alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
     == H.  Proof: while every entry and both degrees are < 128, byte i < n
@@ -136,14 +246,40 @@ class _SupportView:
     refuses a degree >= 127 with a ValueError; below that, the unit steps
     have entries and degrees < 128 too.
 
-    An element with a unit step in the set lies below that step, so only the
-    top-degree and the uncovered elements can be maximal; those of top
-    degree are.  The uncovered ones are scanned in decreasing degree, and
-    each is kept iff no kept maximum is >= it: anything strictly above it
-    has larger degree, so it is a kept maximum or lies below one."""
+    The order facts come from bitsets over a box (`_Box`): the staircase
+    box of S_n, radix_i = n - i + 1, or, for a set that leaves it, the box
+    grown per coordinate to radix_i = max(n - i + 1, top_i + 1), top_i the
+    largest i-th entry.  P is the set's bitset, T that of its top degree.
+
+    - For a set X in the box, (X >> w_i) & M_i = {alpha : alpha + e_i in
+      X}, the -e_i step inside the box.  Bit k of X >> w_i is bit k + w_i
+      of X.  Where alpha_i < radix_i - 1, that is k in M_i,
+      k + w_i = k(alpha + e_i).  Where alpha_i = radix_i - 1, alpha + e_i
+      is outside the box and in no X, and M_i clears bit k, whose k + w_i
+      carries into digit i + 1 or past the box.  Likewise
+      (X & M_i) << w_i = {alpha + e_i : alpha in X, alpha + e_i in the
+      box}.
+    - D, the down-closure of P, is P after radix_i - 1 rounds of
+      D |= (D >> w_i) & M_i for each i in turn.  By induction, after the
+      rounds of coordinates 1..i, D holds the points beta with
+      beta_j <= alpha_j for j <= i and beta_j = alpha_j for j > i, for some
+      alpha in P: each round of coordinate i lowers it by one more, and
+      alpha_i <= radix_i - 1.  At i = n that is the down-closure.
+    - uncovered = P & ~T & ~U, for U the union over i of (P >> w_i) & M_i,
+      the points with a unit step in P: conj2's definition, read off.
+    - alpha in P is maximal iff no alpha + e_i is in D.  If beta in P
+      exceeds alpha, then alpha + e_i <= beta for some i; and
+      alpha + e_i <= beta in P puts beta above alpha.  A point with a unit
+      step in P is not maximal and every top-degree point is, so
+      low_maxima = uncovered & ~S, for S the union over i of
+      (D >> w_i) & M_i.
+    - missing = (union over i of (P & M_i) << w_i) & D & ~P: the steps of
+      points of P that lie below a point of P, hence below a maximum, and
+      are not in P."""
 
     __slots__ = (
-        "n", "codes", "degree", "high", "top_codes", "gaps", "uncovered", "maxima", "low_maxima"
+        "n", "codes", "degree", "high", "top_codes", "uncovered", "maxima", "low_maxima",
+        "missing",
     )
 
     def __init__(self, vectors, n: int):
@@ -151,35 +287,39 @@ class _SupportView:
         top = max(self.codes, default=0) >> 8 * n
         if top >= 127:
             raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
-        present = set(self.codes)
-        up = 1 << 8 * n  # one more in the degree byte
-        steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
-        full = up - 1
-        high = int.from_bytes(b"\x80" * (n + 1), "little")
-        bottom = top * up  # the least code of the top degree
-        top_codes, gaps, uncovered = [], {}, []
-        for code in self.codes:
-            if code >= bottom:
-                top_codes.append(code)
-                continue
-            gap = 0
-            for unit, byte in steps:
-                if code + unit not in present:
-                    gap |= byte
-            gaps[code] = gap
-            if gap == full:
-                uncovered.append(code)
-        uncovered.sort()
-        maxima = sorted(top_codes)
-        self.top_codes = maxima[:]
-        low_maxima = []
-        for code in reversed(uncovered):
-            if not any(((m | high) - code) & high == high for m in maxima):
-                maxima.append(code)
-                low_maxima.append(code)
-        low_maxima.reverse()
-        self.n, self.degree, self.high, self.gaps = n, top, high, gaps
-        self.uncovered, self.maxima, self.low_maxima = uncovered, maxima, low_maxima
+        bottom = top << 8 * n  # the least code of the top degree
+        self.top_codes = sorted(c for c in self.codes if c >= bottom)
+        radix = tuple(range(n, 0, -1))  # the staircase: alpha_i <= n - i
+        try:
+            box = _boxes[radix]
+            P = box.bits(self.codes)
+        except _OutsideBox:
+            tops = map(max, zip(*(decode(c, n) for c in self.codes)))
+            box = _boxes[tuple(max(r, t + 1) for r, t in zip(radix, tops))]
+            P = box.bits(self.codes)
+        steps = box.steps
+        U = 0
+        for w, mask in steps:
+            U |= P >> w & mask
+        uncovered = P & ~(box.bits(self.top_codes) | U)
+        D = P
+        for r, (w, mask) in zip(box.radix, steps):
+            for _ in range(r - 1):
+                D |= D >> w & mask
+        low = 0
+        if uncovered:
+            S = 0
+            for w, mask in steps:
+                S |= D >> w & mask
+            low = uncovered & ~S
+        missing = 0
+        for w, mask in steps:
+            missing |= (P & mask) << w
+        self.n, self.degree = n, top
+        self.high = int.from_bytes(b"\x80" * (n + 1), "little")
+        self.uncovered, self.low_maxima = box.codes_in(uncovered), box.codes_in(low)
+        self.maxima = self.top_codes + self.low_maxima
+        self.missing = box.codes_in(missing & D & ~P)
 
 
 # The view of the last polynomial asked for, with a strong reference to that

@@ -145,27 +145,21 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     first failing step in degree, then term order) is also the first missing
     box point in that order.
 
-    For codes alpha <= m, byte i < n of m - alpha is m_i - alpha_i, so
-    (m - alpha) & gap(alpha) names the failing steps below m.  One pass
-    records every (beta, alpha, m); the alphas recorded for beta are all the
-    support points one step below it, and the ms all the maxima above it."""
+    In the view's bitsets (`poly._SupportView`), with P the support, D its
+    down-closure and M_i the points whose step + e_i stays in the box, the
+    failing steps are (union over i of (P & M_i) << w_i) & D & ~P, the
+    view's `missing`: steps of support points that lie below some point of
+    the support, hence below a maximum, and are not in it.  For the first
+    of them, beta, the box named is [alpha, m]: alpha the first support
+    point one step below beta, m the first maximum above it."""
     view = support_view(groth)
-    n, high = view.n, view.high
-    up = 1 << 8 * n
-    maxima = [(m | high, m) for m in view.maxima]
-    failing = []
-    for alpha, gap in view.gaps.items():
-        if gap:
-            for m_high, m in maxima:
-                if (m_high - alpha) & high == high and (bad := (m - alpha) & gap):
-                    steps = bad.to_bytes(n, "little")
-                    failing.extend(
-                        (alpha + up + (1 << 8 * i), alpha, m) for i, s in enumerate(steps) if s
-                    )
-    if failing:
-        beta = min(b for b, _, _ in failing)
-        alpha = min(a for b, a, _ in failing if b == beta)
-        m = min(m for b, _, m in failing if b == beta)
+    if view.missing:
+        n, high = view.n, view.high
+        beta = view.missing[0]
+        up = 1 << 8 * n
+        steps = {beta - up - (1 << 8 * i) for i in range(n) if beta >> 8 * i & 0xFF}
+        alpha = min(steps.intersection(view.codes))
+        m = min(m for m in view.maxima if ((m | high) - beta) & high == high)
         detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
         return Verdict(False, witness=decode(beta, n), detail=detail)
     return Verdict(True)

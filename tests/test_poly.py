@@ -1,7 +1,10 @@
+import itertools
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import perms
+from grothpoly import perms, pipedreams, poly
 from grothpoly.poly import (
     Poly,
     build_table,
@@ -297,3 +300,71 @@ class TestTermOrder:
     def test_x1_less_than_xn(self):
         # x_1 < x_2 < x_3 under the implemented order
         assert term_key((1, 0, 0)) < term_key((0, 1, 0)) < term_key((0, 0, 1))
+
+
+def box_points(radix):
+    """Every point of the box 0 <= alpha_i < radix_i, listed by counting
+    with x_1 the fastest digit: the point at position k is the one the box
+    numbers k."""
+    return [p[::-1] for p in itertools.product(*(range(r) for r in radix[::-1]))]
+
+
+def box_index(box, alpha):
+    byte, bit = box[poly.codes[alpha]]
+    return 8 * byte + bit.bit_length() - 1
+
+
+STAIRCASES = [tuple(range(n, 0, -1)) for n in range(1, 7)]
+
+
+class TestSupportBox:
+    def test_exponents_lie_in_staircase(self, tables):
+        # Row i of a pipe dream has n - i cells.
+        for n in range(1, 8):
+            if (n, "G") in tables:
+                polys = tables[(n, "G")].polys
+            else:
+                polys = pipedreams.pd_polynomial_all(n, "grothendieck")
+            staircase = tuple(range(n - 1, -1, -1))
+            for g in polys.values():
+                for alpha in g.terms:
+                    assert all(map(int.__le__, alpha, staircase)), alpha
+
+    @pytest.mark.parametrize(
+        "radix", STAIRCASES + [(127, 1), (3, 2, 2)], ids=lambda r: ",".join(map(str, r))
+    )
+    def test_index_and_masks_match_scan(self, radix):
+        box = poly._boxes[radix]
+        points = box_points(radix)
+        assert box.size == len(points)
+        assert [box_index(box, alpha) for alpha in points] == list(range(len(points)))
+        for i, (w, mask) in enumerate(box.steps):
+            inside = [k for k, alpha in enumerate(points) if alpha[i] + 1 < radix[i]]
+            assert mask == sum(1 << k for k in inside)
+            for k in inside:
+                alpha = points[k]
+                assert points[k + w] == alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+        everything = (1 << box.size) - 1
+        assert box.codes_in(everything) == sorted(map(poly.codes.__getitem__, points))
+
+    @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
+    def test_index_order_is_term_order(self, radix):
+        box = poly._boxes[radix]
+        by_term = sorted(box_points(radix), key=term_key)
+        assert [box_index(box, alpha) for alpha in by_term] == list(range(box.size))
+
+    def test_n10_builds_and_n11_is_refused(self):
+        # The staircase box of S_10 has 3 628 800 points; that of S_11 has
+        # 39 916 800, more than the view builds.
+        corner = tuple(range(9, -1, -1))
+        low = itertools.product(range(3), range(3), range(2), *[(0,)] * 7)
+        g = Poly(dict.fromkeys([corner, *low], 1), 10)
+        started = time.perf_counter()
+        view = poly._SupportView(g.terms, 10)
+        assert time.perf_counter() - started < 5
+        assert poly.decode(view.maxima[0], 10) == corner
+        assert view.low_maxima == []
+        assert [poly.decode(c, 10) for c in view.uncovered] == [(2, 2, 1) + (0,) * 7]
+        assert poly.decode(view.missing[0], 10) == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+        with pytest.raises(ValueError, match="has 39916800 points"):
+            poly._SupportView([(0,) * 11], 11)

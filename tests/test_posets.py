@@ -3,7 +3,7 @@ import itertools
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from grothpoly import cli, perms, poly, posets
 from grothpoly.poly import Poly, term_key
@@ -365,6 +365,75 @@ def mobius_failures(w, groth):
     return {a for a in P.elements if groth.terms.get(a, 0) != -mu[a]}
 
 
+def view_scan(g):
+    """The per-code scan that the support view's bitsets replace: the gap of
+    each code below the top degree (0xFF in byte i iff the unit step
+    alpha + e_i is not in the support), the uncovered codes (every step
+    missing), and the maxima: the top codes, then each uncovered code, in
+    decreasing degree, that no kept maximum lies above.  conj3 then checks
+    every code against every maximum above it: (m - alpha) & gap(alpha)
+    names the steps below m that are missing.  Returns the top codes, the
+    uncovered, the low maxima, the maxima and conj3's (witness, detail),
+    None if it passes."""
+    n = g.nvars
+    codes = list(map(poly.codes.__getitem__, g.terms))
+    top = max(codes) >> 8 * n
+    present = set(codes)
+    up = 1 << 8 * n
+    steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
+    full = up - 1
+    high = int.from_bytes(b"\x80" * (n + 1), "little")
+    bottom = top * up
+    top_codes, gaps, uncovered = [], {}, []
+    for code in codes:
+        if code >= bottom:
+            top_codes.append(code)
+            continue
+        gap = 0
+        for unit, byte in steps:
+            if code + unit not in present:
+                gap |= byte
+        gaps[code] = gap
+        if gap == full:
+            uncovered.append(code)
+    uncovered.sort()
+    top_codes.sort()
+    maxima = top_codes[:]
+    low_maxima = []
+    for code in reversed(uncovered):
+        if not any(((m | high) - code) & high == high for m in maxima):
+            maxima.append(code)
+            low_maxima.append(code)
+    low_maxima.reverse()
+    failing = []
+    for alpha, gap in gaps.items():
+        if gap:
+            for m in maxima:
+                if ((m | high) - alpha) & high == high and (bad := (m - alpha) & gap):
+                    failing.extend(
+                        (alpha + up + (1 << 8 * i), alpha, m)
+                        for i, s in enumerate(bad.to_bytes(n, "little"))
+                        if s
+                    )
+    conj3 = None
+    if failing:
+        beta = min(b for b, _, _ in failing)
+        alpha = min(a for b, a, _ in failing if b == beta)
+        m = min(m for b, _, m in failing if b == beta)
+        detail = f"missing in box [{poly.decode(alpha, n)}, {poly.decode(m, n)}]"
+        conj3 = (poly.decode(beta, n), detail)
+    return top_codes, uncovered, low_maxima, maxima, conj3
+
+
+def assert_view_matches_scan(g):
+    view = poly.support_view(g)
+    top_codes, uncovered, low_maxima, maxima, conj3 = view_scan(g)
+    assert (view.top_codes, view.uncovered, view.low_maxima) == (top_codes, uncovered, low_maxima)
+    assert sorted(view.maxima) == sorted(maxima)
+    verdict = posets.check_conjecture_3(None, g)
+    assert (None if verdict.ok else (verdict.witness, verdict.detail)) == conj3
+
+
 CHECKERS = (
     (posets.check_conjecture_1, conj1_failures),
     (posets.check_conjecture_2, conj2_failures),
@@ -390,6 +459,7 @@ class TestKernelsAgainstScans:
             assert maximal_elements(g.support(), 6) == maxima
             assert maximal_by_degree(g.support()) == maxima
             assert conj2_step_failures(w, g) == conj2_failures(w, g)
+            assert_view_matches_scan(g)
             P = build_Pw(w, g)
             assert P.elements == build_Pw_scan(w, g).elements
             assert mobius(P) == mobius_recursion(P)
@@ -411,6 +481,7 @@ class TestKernelsAgainstScans:
             assert maximal_elements(cut.support(), 5) == maxima
             assert maximal_by_degree(cut.support()) == maxima
             assert conj2_step_failures(w, cut) == conj2_failures(w, cut)
+            assert_view_matches_scan(cut)
             P = build_Pw(w, cut)
             assert P.elements == build_Pw_scan(w, cut).elements
             assert mobius(P) == mobius_recursion(P)
@@ -441,6 +512,7 @@ class TestKernelsAgainstScans:
         # The pair scans cost |supp|^2 (2e8 pairs over S_7), so the maxima
         # and conj2 are checked against the tuple loops above instead.
         for w, g in poly.build_table(7, "G").polys.items():
+            assert_view_matches_scan(g)
             supp, deg = g.support(), g.degree()
             maxima = maximal_by_degree(supp)
             assert maximal_elements(supp, 7) == maxima
@@ -451,6 +523,19 @@ class TestKernelsAgainstScans:
 
 
 class TestSupportView:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        # Entries up to n + 1, so most draws leave the staircase box
+        # (alpha_i <= n - i) and the view grows its box to fit them.
+        st.integers(min_value=1, max_value=4).flatmap(
+            lambda n: st.sets(st.tuples(*[st.integers(0, n + 1)] * n), min_size=1, max_size=12)
+        )
+    )
+    @example({(126, 0)})
+    @example({(0, 0, 0), (1, 0, 1)})
+    def test_matches_scan_on_drawn_supports(self, support):
+        assert_view_matches_scan(Poly(dict.fromkeys(support, 1), len(next(iter(support)))))
+
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
