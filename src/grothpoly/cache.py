@@ -10,10 +10,10 @@ one-line word.
 The reader validates what it loads: the header (a mismatch means rebuild),
 the line shape `word|text`, a word that is a permutation of [n] not seen
 before in the file, and through `poly.parse_text` nonzero coefficients,
-exponent vectors of length n with entries >= 0, and no repeated exponent
-within a polynomial.  It parses each distinct exponent vector once per file,
-so equal vectors across the table share one tuple; the writer likewise
-formats each distinct vector once per file.
+exponent vectors in the staircase box of S_n (length n, entries
+0 <= alpha_i <= n - i), and no repeated exponent within a polynomial.  It
+parses each distinct exponent vector once per file, so equal vectors across
+the table share one tuple; the writer formats each distinct vector once.
 """
 from __future__ import annotations
 
@@ -54,8 +54,8 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
     """Read a cache file.  A header mismatch returns None (caller rebuilds);
     a corrupt body line (bad `word|text` shape, a word that is not a
     permutation of [n] or repeats an earlier one, zero coefficient, exponent
-    vector of the wrong length or with a negative entry, repeated exponent)
-    is a hard error naming the line.  Equal exponent vectors in the returned
+    vector outside the staircase box, repeated exponent) is a hard error
+    naming the line.  Equal exponent vectors in the returned
     table are one shared tuple.  The file is read one line at a time, so it
     is never held in memory beside the table."""
     polys = {}

@@ -28,15 +28,16 @@ every check that reads a support reads that view.
 The view finds those order facts with a second encoding, a bitset over a
 box.  Every exponent of 𝔊_w for w in S_n lies in the staircase box
 alpha_i <= n - i, because row i of a pipe dream has n - i cells; that box
-has n! points.  A box with radix r_i (0 <= alpha_i < r_i) numbers its
-points k(alpha) = sum of alpha_i w_i, with w_1 = 1 and w_{i+1} = w_i r_i:
-the digits of k in mixed radix are alpha, x_n the most significant, so
-index order is term order.  A set of points is one integer, with bit
-k(alpha) set for each alpha in it, and a unit step of a whole set is one
-shift by w_i and one mask (`_SupportView` has the proofs).  A support that
-leaves the staircase gets a box grown to fit it.  Boxes of more than 10!
-points, the staircase box of S_10, are refused with a ValueError: at
-n >= 11 the view refuses every support.
+has n! points, and it is the only box (`_Box`): a point outside it is
+refused with a ValueError that names it, and the cache reader refuses such
+a vector where it enters (`parse_text`).  The box numbers its points
+k(alpha) = sum of alpha_i w_i, with radix r_i = n - i + 1, w_1 = 1 and
+w_{i+1} = w_i r_i: the digits of k in mixed radix are alpha, x_n the most
+significant, so index order is term order.  A set of points is one
+integer, with bit k(alpha) set for each alpha in it, and a unit step of a
+whole set is one shift by w_i and one mask (`_SupportView` has the proofs).
+Boxes of more than 10! points, the staircase box of S_10, are refused with
+a ValueError: at n >= 11 the view refuses every support.
 """
 from __future__ import annotations
 
@@ -132,10 +133,6 @@ def decode(code: int, n: int) -> tuple:
 MAX_BOX = math.factorial(10)
 
 
-class _OutsideBox(Exception):
-    """A code with an entry beyond its box's radix."""
-
-
 def _repeat(block: int, period: int, size: int) -> int:
     """The size-bit integer whose every period-bit word, from bit 0 up, is
     block; period divides size.  Eight words at most are joined by shifts,
@@ -147,39 +144,43 @@ def _repeat(block: int, period: int, size: int) -> int:
 
 
 class _Box(dict):
-    """The box of exponent vectors alpha with 0 <= alpha_i < radix_i, its
-    points numbered k(alpha) = sum of alpha_i w_i, with w_1 = 1 and
-    w_{i+1} = w_i radix_i (see the module docstring).  A set of points is
-    the integer with bit k(alpha) set for each alpha in it.
+    """The staircase box of S_n: the exponent vectors alpha with
+    0 <= alpha_i < radix_i = n - i + 1, its points numbered
+    k(alpha) = sum of alpha_i w_i, with w_1 = 1 and w_{i+1} = w_i radix_i
+    (see the module docstring).  A set of points is the integer with bit
+    k(alpha) set for each alpha in it.
 
     As a dict it maps code(alpha) to (byte, bit), the place of bit k(alpha)
     in a little-endian bytearray, filled once per distinct code, as `codes`
-    is; a code outside the box raises `_OutsideBox`.  `steps` holds
-    (w_i, M_i) for each coordinate, where M_i is the set of points alpha
-    with alpha_i < radix_i - 1: one block of w_i radix_i bits, its low
-    w_i (radix_i - 1) bits set, repeated over the box.  A box of more than
-    MAX_BOX points is refused with a ValueError."""
+    is; a code outside the box raises a ValueError that names its point.
+    `steps` holds (w_i, M_i) for each coordinate, where M_i is the set of
+    points alpha with alpha_i < radix_i - 1: one block of w_i radix_i bits,
+    its low w_i (radix_i - 1) bits set, repeated over the box.  A box of
+    more than MAX_BOX points is refused with a ValueError.
 
-    def __init__(self, radix: tuple):
+    `grade(d)` is G_d, the points of degree d, built when first asked for:
+    G_0 = {0} and G_d = union over i of (G_{d-1} & M_i) << w_i, since a
+    point of degree d >= 1 is alpha + e_i for alpha of degree d - 1 and any
+    i with a nonzero entry, and then alpha_i < radix_i - 1."""
+
+    def __init__(self, n: int):
         super().__init__()
-        weights, size = [], 1
-        for r in radix:
-            weights.append(size)
-            size *= r
+        radix, size = tuple(range(n, 0, -1)), math.factorial(n)
         if size > MAX_BOX:
             raise ValueError(
-                f"the support box {radix} has {size} points, more than the {MAX_BOX} "
+                f"the staircase box of S_{n} has {size} points, more than the {MAX_BOX} "
                 "the bitset view builds"
             )
-        self.radix, self.weights, self.size = radix, weights, size
+        self.radix, self.weights, self.size = radix, [math.perm(n, i) for i in range(n)], size
         self.steps = [
-            (w, _repeat((1 << w * (r - 1)) - 1, w * r, size)) for w, r in zip(weights, radix)
+            (w, _repeat((1 << w * (r - 1)) - 1, w * r, size)) for w, r in zip(self.weights, radix)
         ]
+        self.grades = [1]
 
     def __missing__(self, code: int) -> tuple:
         alpha = decode(code, len(self.radix))
         if any(map(ge, alpha, self.radix)):
-            raise _OutsideBox(alpha)
+            raise ValueError(f"{alpha} lies outside the staircase box of S_{len(alpha)}")
         k = sum(map(mul, alpha, self.weights))
         place = self[code] = (k >> 3, 1 << (k & 7))
         return place
@@ -192,9 +193,8 @@ class _Box(dict):
             buf[byte] |= bit
         return int.from_bytes(buf, "little")
 
-    def codes_in(self, bits: int) -> list:
-        """The codes of the points in a set, in degree, then term order."""
-        found = []
+    def points(self, bits: int):
+        """The points of a set, in index order."""
         digits = format(bits, "b")[::-1]  # digits[k] is bit k
         k = digits.find("1")
         while k >= 0:
@@ -202,17 +202,29 @@ class _Box(dict):
             for r in self.radix:
                 rest, a = divmod(rest, r)
                 alpha.append(a)
-            found.append(codes[tuple(alpha)])
+            yield tuple(alpha)
             k = digits.find("1", k + 1)
-        found.sort()
-        return found
+
+    def codes_in(self, bits: int) -> list:
+        """The codes of the points in a set, in degree, then term order."""
+        return sorted(map(codes.__getitem__, self.points(bits)))
+
+    def grade(self, d: int) -> int:
+        """G_d, the set of the points of degree d."""
+        grades = self.grades
+        while len(grades) <= d:
+            G = 0
+            for w, mask in self.steps:
+                G |= (grades[-1] & mask) << w
+            grades.append(G)
+        return grades[d]
 
 
 class _Boxes(dict):
-    """radix -> its `_Box`, built once per shape."""
+    """n -> the staircase box of S_n, built once per n."""
 
-    def __missing__(self, radix: tuple) -> _Box:
-        box = self[radix] = _Box(radix)
+    def __missing__(self, n: int) -> _Box:
+        box = self[n] = _Box(n)
         return box
 
 
@@ -220,9 +232,11 @@ _boxes = _Boxes()
 
 
 class _SupportView:
-    """Packed facts about a set of exponent vectors of length n, with
-    entries >= 0 and degree < 127:
+    """Packed facts about a set of exponent vectors in the staircase box of
+    S_n (`_Box`, which refuses any other vector with a ValueError):
 
+    - `box`: that box;
+    - `bits`: P, the set as a bitset over the box;
     - `codes`: the code of each vector, in the order given;
     - `degree`: the top degree;
     - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
@@ -242,14 +256,12 @@ class _SupportView:
     |beta| + 128 - |alpha|; each lies in 1..255, so no byte borrows from
     the next.  The high bit of byte i < n is set iff beta_i >= alpha_i, and
     that of byte n is set whenever every beta_i >= alpha_i, since then
-    |beta| >= |alpha|.  Every entry is at most the degree, so the view
-    refuses a degree >= 127 with a ValueError; below that, the unit steps
-    have entries and degrees < 128 too.
+    |beta| >= |alpha|.  The box exists only for n <= 10 (MAX_BOX), so every
+    entry is at most 9 and every degree at most 45, and the unit steps have
+    entries at most 10 and degrees at most 46: the identity always holds.
 
-    The order facts come from bitsets over a box (`_Box`): the staircase
-    box of S_n, radix_i = n - i + 1, or, for a set that leaves it, the box
-    grown per coordinate to radix_i = max(n - i + 1, top_i + 1), top_i the
-    largest i-th entry.  P is the set's bitset, T that of its top degree.
+    The order facts come from bitsets over the box, radix_i = n - i + 1.
+    T is the bitset of the top degree.
 
     - For a set X in the box, (X >> w_i) & M_i = {alpha : alpha + e_i in
       X}, the -e_i step inside the box.  Bit k of X >> w_i is bit k + w_i
@@ -278,25 +290,17 @@ class _SupportView:
       are not in P."""
 
     __slots__ = (
-        "n", "codes", "degree", "high", "top_codes", "uncovered", "maxima", "low_maxima",
-        "missing",
+        "n", "box", "bits", "codes", "degree", "high", "top_codes", "uncovered", "maxima",
+        "low_maxima", "missing",
     )
 
     def __init__(self, vectors, n: int):
         self.codes = list(map(codes.__getitem__, vectors))
+        box = self.box = _boxes[n]
+        P = self.bits = box.bits(self.codes)
         top = max(self.codes, default=0) >> 8 * n
-        if top >= 127:
-            raise ValueError(f"degree {top} is too large for the packed support view (< 127)")
         bottom = top << 8 * n  # the least code of the top degree
         self.top_codes = sorted(c for c in self.codes if c >= bottom)
-        radix = tuple(range(n, 0, -1))  # the staircase: alpha_i <= n - i
-        try:
-            box = _boxes[radix]
-            P = box.bits(self.codes)
-        except _OutsideBox:
-            tops = map(max, zip(*(decode(c, n) for c in self.codes)))
-            box = _boxes[tuple(max(r, t + 1) for r, t in zip(radix, tops))]
-            P = box.bits(self.codes)
         steps = box.steps
         U = 0
         for w, mask in steps:
@@ -346,9 +350,9 @@ def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
     """Parse the canonical text form `coeff:e1,...,en;...` into a Poly.
 
     `vectors` maps exponent text to its tuple and grows as new vectors are
-    seen: each distinct vector is converted and checked (length nvars,
-    entries >= 0) once per table, and every polynomial parsed against the
-    same table shares that one tuple.  Each term costs one split, one lookup
+    seen: each distinct vector is converted and checked (in the staircase
+    box of S_nvars, see `_Box`) once per table, and every polynomial parsed
+    against the same table shares that one tuple.  Each term costs one split, one lookup
     and one `int`; the polynomial as a whole must have nonzero coefficients
     and no repeated exponent.  The empty text is the zero polynomial.
     """
@@ -372,8 +376,8 @@ def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
 
 def _parse_vector(key: str, nvars: int) -> tuple:
     expo = tuple(map(int, key.split(",")))
-    if len(expo) != nvars or min(expo) < 0:
-        raise ValueError(f"bad exponent vector {expo} for nvars={nvars}")
+    if len(expo) != nvars or min(expo) < 0 or any(map(ge, expo, range(nvars, 0, -1))):
+        raise ValueError(f"{expo} lies outside the staircase box of S_{nvars}")
     return expo
 
 
@@ -385,20 +389,18 @@ _ISOBARIC = ((0, 1), (1, -1))
 def divided_difference(f: Poly, j: int) -> Poly:
     """The operator (f - s_j.f) / (x_j - x_{j+1}), written monomial by
     monomial in closed form (see `_closed_form`)."""
-    return _closed_form(f, j, _PLAIN, {})
+    return _closed_form(f, j, _PLAIN)
 
 
 def isobaric_divided_difference(f: Poly, j: int) -> Poly:
     """The operator f -> divided_difference((1 - x_{j+1}) f, j), that is
     d_j f - d_j(x_{j+1} f), both parts in the same pass over f."""
-    return _closed_form(f, j, _ISOBARIC, {})
+    return _closed_form(f, j, _ISOBARIC)
 
 
-def _closed_form(f: Poly, j: int, parts: tuple, vectors: Dict[tuple, tuple]) -> Poly:
+def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
     """The sum of sign * divided_difference(x_{j+1}^lift f, j) over the
     (lift, sign) pairs in parts, in one pass over the monomials of f.
-    `vectors` maps each exponent vector to its shared tuple and grows as new
-    vectors are seen, so results built against one dict share their tuples.
 
     With a, b the exponents of x_j, x_{j+1}, the divided difference of
     x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
@@ -418,7 +420,7 @@ def _closed_form(f: Poly, j: int, parts: tuple, vectors: Dict[tuple, tuple]) -> 
             for p in range(min(a, b), max(a, b)):
                 e = head + (p, a + b - 1 - p) + tail
                 out[e] = out.get(e, 0) + c
-    return Poly({vectors.setdefault(e, e): c for e, c in out.items() if c}, f.nvars)
+    return Poly({e: c for e, c in out.items() if c}, f.nvars)
 
 
 def staircase_monomial(n: int) -> Poly:
@@ -468,5 +470,6 @@ def build_table(n: int, flavor: str) -> PolynomialTable:
     by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
     for w in by_length[1:]:
         j, parent = recursion_parent(w)
-        polys[w] = _closed_form(polys[parent], j, parts, vectors)
+        terms = _closed_form(polys[parent], j, parts).terms
+        polys[w] = Poly({vectors.setdefault(e, e): c for e, c in terms.items()}, n)
     return PolynomialTable(n, flavor, polys)

@@ -10,15 +10,14 @@ from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, itemgetter
+from operator import add, itemgetter, mul, or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly, codes, decode, support_view, term_key
+from .poly import Poly, _boxes, support_view, term_key
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
-MAX_SUMSET_N = 8
 
 
 class SetFunctionPair:
@@ -328,62 +327,60 @@ def _rothe_columns(w: tuple) -> List[FrozenSet[int]]:
     return [D.column(j) for j in range(1, len(w) + 1)]
 
 
-def _pad(v: tuple, n: int) -> tuple:
-    return tuple(v) + (0,) * (n - len(v))
-
-
 @functools.lru_cache(maxsize=None)
-def _spanning_codes(S: FrozenSet[int], n: int) -> FrozenSet[int]:
-    """The codes (`poly.codes`) of the spanning points of SM_{max S}(S),
-    zero-appended into dimension n.  Kept per (S, n): a Rothe column of S_n
-    takes at most 2^(n-1) values."""
-    return frozenset(codes[_pad(p, n)] for p in spanning_points(S, max(S)))
+def _spanning_indices(S: FrozenSet[int], n: int) -> Tuple[int, ...]:
+    """The indices k(p) in the staircase box of S_n (`poly._Box`) of the
+    spanning points p of SM_{max S}(S), zero-appended into dimension n.
+    Kept per (S, n): a Rothe column of S_n takes at most 2^(n-1) values."""
+    weights = _boxes[n].weights
+    return tuple(sum(map(mul, p, weights)) for p in spanning_points(S, max(S)))
 
 
 @functools.lru_cache(maxsize=1)
-def spanning_sumset(w: tuple) -> FrozenSet[int]:
+def spanning_sumset(w: tuple) -> int:
     """Iterated sumset of the spanning-point sets of the column Schubert
     matroids SM_{d_j}(D_j), d_j = max D_j, zero-appended into dimension n,
     over the nonempty Rothe columns D_j of w (an empty column adds only the
-    zero vector; column n is empty), as the set of its codes
-    (`poly.codes`).  Every entry is below n, so the code of a sum is the sum
-    of the codes.  Kept for the last permutation, so superset, fms and
-    converse share one build."""
+    zero vector; column n is empty), as a bitset over the staircase box of
+    S_n (`poly._Box`).  Kept for the last permutation, so superset, fms and
+    converse share one build.
+
+    Adding points is adding their indices, so a column ORs the partial sum
+    shifted by the index of each of its points.  Proof: entry i of a partial
+    sum is at most #{j : d_j >= i}.  Each such j is w(s) for s = w^-1(j) >
+    d_j >= i, since (d_j, j) is in the Rothe diagram, so that count is at
+    most n - i: no mixed-radix digit overflows."""
     n = len(w)
-    if n > MAX_SUMSET_N:
-        raise ValueError(f"sumset refused for n={n} > {MAX_SUMSET_N}")
-    total = {0}  # the zero vector
+    total = 1  # the zero vector
     for col in filter(None, _rothe_columns(w)):
-        points = _spanning_codes(col, n)
-        total = {a + b for a in total for b in points}
-    return frozenset(total)
+        total = functools.reduce(or_, map(total.__lshift__, _spanning_indices(col, n)))
+    return total
 
 
-def base_sumset(w: tuple) -> FrozenSet[int]:
+def base_sumset(w: tuple) -> int:
     """Iterated sumset of the base-point sets of the column Schubert
-    matroids SM_n(D_j), as codes: the points of `spanning_sumset(w)` of
-    degree l(w), whose codes are those with l(w) in the degree byte.
+    matroids SM_n(D_j), as a bitset: the points of `spanning_sumset(w)` of
+    degree l(w), G_l(w) in the box (`poly._Box.grade`).
 
     Proof: a basis of SM_n(D_j) has b_k <= s_k <= d_j, so it lies in [d_j]
     and is a basis of SM_{d_j}(D_j).  A spanning set of SM_{d_j}(D_j) has at
     least |D_j| elements, and exactly |D_j| only when it is a basis.  The
     columns partition the Rothe diagram, so the |D_j| sum to l(w): a sum of
     spanning sets has degree l(w) iff every part is a basis."""
-    length, shift = perms.length(w), 8 * len(w)
-    return frozenset(c for c in spanning_sumset(w) if c >> shift == length)
+    return spanning_sumset(w) & _boxes[len(w)].grade(perms.length(w))
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:
-    """The support sits inside the spanning-set sumset; also reports whether
-    the two lattice sets are equal: a support inside the sumset equals it
-    iff it has as many points.  A failure names the first support point
-    outside it, in sorted order."""
+    """The support P sits inside the spanning-set sumset T, P & ~T = 0;
+    also reports whether the two lattice sets are equal, P == T.  A failure
+    names the first support point outside it, in sorted order."""
     total = spanning_sumset(w)
     view = support_view(groth)
-    if not total.issuperset(view.codes):
-        missing = min(decode(c, view.n) for c in view.codes if c not in total)
+    outside = view.bits & ~total
+    if outside:
+        missing = min(view.box.points(outside))
         return Verdict(False, witness=missing, detail="support point outside sumset")
-    return Verdict(True, info={"equality": len(view.codes) == len(total)})
+    return Verdict(True, info={"equality": view.bits == total})
 
 
 def check_fms(w: tuple, groth: Poly) -> Verdict:
@@ -395,11 +392,10 @@ def check_fms(w: tuple, groth: Poly) -> Verdict:
     sum to 𝔖_w (Lascoux-Schutzenberger 1982; Knutson-Miller).  A failure
     names the first point of the symmetric difference, in sorted order."""
     view = support_view(groth)
-    length, shift = perms.length(w), 8 * view.n
-    bottom = {c for c in view.codes if c >> shift == length}
+    bottom = view.bits & view.box.grade(perms.length(w))
     total = base_sumset(w)
     if bottom != total:
-        witness = min(decode(c, view.n) for c in bottom ^ total)
+        witness = min(view.box.points(bottom ^ total))
         return Verdict(False, witness=witness, detail="support != base sumset")
     return Verdict(True)
 
@@ -411,8 +407,7 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
     closure = perms.upper_closure(perms.rothe_diagram(w))
     view = support_view(groth)
     degree_side = view.degree == len(closure.boxes)
-    total = spanning_sumset(w)
-    polytope_side = len(view.codes) == len(total) and total.issuperset(view.codes)
+    polytope_side = view.bits == spanning_sumset(w)
     ok = degree_side == polytope_side
     return Verdict(
         ok,

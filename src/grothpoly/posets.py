@@ -185,7 +185,7 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     leading exponent in term order is rajcode(w); a failure names the
     leading exponent.  With the degree byte masked off, the numeric order of
     the codes is term order, so the leading exponent is the largest masked
-    code.  Reads the support view, so it refuses degree >= 127 too."""
+    code."""
     view = support_view(groth)
     rc = perms.rajcode(w)
     coordinates = (1 << 8 * view.n) - 1

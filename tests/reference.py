@@ -9,7 +9,7 @@ from typing import Optional, Sequence
 
 from grothpoly import perms
 from grothpoly.poly import Poly
-from grothpoly.polytopes import SetFunctionPair, _pad, is_paramodular, recover_pair
+from grothpoly.polytopes import SetFunctionPair, is_paramodular, recover_pair
 from grothpoly.verdicts import NotApplicable, Verdict
 
 
@@ -71,6 +71,11 @@ def grassmannian_shape(w: tuple) -> Optional[tuple]:
 
 
 # Polynomials.
+
+
+def pad(v: Sequence[int], n: int) -> tuple:
+    """v zero-appended to length n."""
+    return tuple(v) + (0,) * (n - len(v))
 
 
 def graded_component(f: Poly, d: int) -> Poly:
@@ -186,8 +191,8 @@ def check_escobar_yong(w: tuple, groth: Poly) -> Verdict:
 def grassmannian_pair(lam: Sequence[int], muN: Sequence[int], n: int) -> SetFunctionPair:
     """The explicit pair: y(I) sums the #I smallest parts of lam, z(I) the #I
     largest parts of the final partition (both zero-padded to length n)."""
-    lam_sorted = sorted(_pad(tuple(lam), n))
-    mu_sorted = sorted(_pad(tuple(muN), n), reverse=True)
+    lam_sorted = sorted(pad(lam, n))
+    mu_sorted = sorted(pad(muN, n), reverse=True)
     y = [0] * (1 << n)
     z = [0] * (1 << n)
     for mask in range(1, 1 << n):

@@ -35,10 +35,10 @@ def _edit_g(monkeypatch, w, edit):
     monkeypatch.setattr(cache, "load_or_build", load)
 
 
-def _oversize_g(monkeypatch, w):
-    """Load 𝔊 tables in which 𝔊_w is x_1^127, one degree past the packed
-    support view's limit."""
-    _edit_g(monkeypatch, w, lambda g: poly.Poly({(127,) + (0,) * (g.nvars - 1): 1}, g.nvars))
+def _outside_box_g(monkeypatch, w):
+    """Load 𝔊 tables in which 𝔊_w is x_1^n, one past the staircase box of
+    S_n, which the packed support view refuses."""
+    _edit_g(monkeypatch, w, lambda g: poly.Poly({(g.nvars,) + (0,) * (g.nvars - 1): 1}, g.nvars))
 
 
 def _first_ascent_chain(w):
@@ -153,6 +153,7 @@ class TestCache:
             "1:1,0,0;",
             "x:1,0,0",
             "1:1,,0",
+            "1:3,0,0",
         ],
         ids=[
             "garbage",
@@ -164,6 +165,7 @@ class TestCache:
             "empty-chunk",
             "non-integer-coefficient",
             "empty-exponent-entry",
+            "outside-staircase",
         ],
     )
     def test_corrupt_line_is_hard_error(self, tmp_path, body):
@@ -482,13 +484,13 @@ class TestRun:
 
     def test_json_render_is_json_dumps(self, monkeypatch, capsys):
         """Every kind of entry renders to the bytes of json.dumps, across
-        several blocks of encoder chunks: the oversized 𝔊_w gives error
+        several blocks of encoder chunks: the 𝔊_w outside the staircase box gives error
         entries (so `summary.error` and `summary.errors`) and fails with a
         dict witness (oracle); a term x_2 added to 𝔊_21345 = x_1 lies
         outside the spanning sumset, which fails with a tuple witness and a
         detail (superset); mobius skips with a reason; converse and
         superset carry boolean `info`; --timings adds floats."""
-        _oversize_g(monkeypatch, (1, 3, 2, 4, 5))
+        _outside_box_g(monkeypatch, (1, 3, 2, 4, 5))
         _edit_g(monkeypatch, (2, 1, 3, 4, 5), lambda g: add(g, poly.Poly({(0, 1, 0, 0, 0): 1}, 5)))
         report, status = cli.run(cli.RunConfig(n=5, timings=True))
         capsys.readouterr()
@@ -536,7 +538,7 @@ class TestRun:
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
     def test_degree_limit_is_an_error(self, monkeypatch):
-        _oversize_g(monkeypatch, (1, 3, 2))
+        _outside_box_g(monkeypatch, (1, 3, 2))
         checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot", "superset", "fms", "converse")
         report, status = cli.run(cli.RunConfig(n=3, checks=checks))
         assert status == 3
@@ -544,7 +546,8 @@ class TestRun:
         assert (summary["fail"], summary["error"]) == (0, 8)
         entries = report["results"][1]["checks"]
         assert all(
-            e["status"] == "error" and e["witness"].startswith("ValueError: degree 127")
+            e["status"] == "error"
+            and e["witness"] == "ValueError: (3, 0, 0) lies outside the staircase box of S_3"
             for e in entries.values()
         )
 
@@ -666,11 +669,19 @@ class TestMain:
     def test_corrupt_cache_is_an_error(self, tmp_path, capsys, mode):
         path = cache.cache_path(str(tmp_path), 3, "G")
         line = "1,2,3|1:0,0,0\n"
-        Path(path).write_text(f"{cache.HEADER_PREFIX} n=3 flavor=G\n" + 2 * line)
-        assert cli.main(["--perm", "132", "--mode", mode, "--cache-dir", str(tmp_path)]) == 2
-        out, err = capsys.readouterr()
-        assert out == ""
-        assert err == f"error: {path}:3: corrupt cache line: repeated permutation '1,2,3'\n"
+        cases = [
+            (2 * line, "3: corrupt cache line: repeated permutation '1,2,3'"),
+            (
+                "1,2,3|1:3,0,0\n",
+                "2: corrupt cache line: (3, 0, 0) lies outside the staircase box of S_3",
+            ),
+        ]
+        for body, message in cases:
+            Path(path).write_text(f"{cache.HEADER_PREFIX} n=3 flavor=G\n" + body)
+            assert cli.main(["--perm", "132", "--mode", mode, "--cache-dir", str(tmp_path)]) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {path}:{message}\n"
 
     @pytest.mark.parametrize("mode", ["verify", "print", "cache"])
     def test_unusable_cache_dir_is_an_error(self, tmp_path, capsys, mode):

@@ -18,7 +18,13 @@ from reference import add, graded_component, identity
 
 
 def P(text, nvars):
-    return parse_text(text, nvars, {})
+    """The polynomial with this canonical text.  Unlike `parse_text`, which
+    reads the cache, it takes exponents outside the staircase box."""
+    terms = {}
+    for chunk in text.split(";"):
+        coeff, key = chunk.split(":")
+        terms[tuple(map(int, key.split(",")))] = int(coeff)
+    return Poly(terms, nvars)
 
 
 # Reference definitions of operations the engine does not need.
@@ -124,7 +130,7 @@ class TestPolyBasics:
 
     def test_text_roundtrip(self):
         f = P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
-        assert P(f.to_text(), 3) == f
+        assert parse_text(f.to_text(), 3, {}) == f
 
     def test_canonical_term_order(self):
         f = P("-1:1,1,0;1:0,1,0;1:1,0,0", 3)
@@ -330,11 +336,10 @@ class TestSupportBox:
                 for alpha in g.terms:
                     assert all(map(int.__le__, alpha, staircase)), alpha
 
-    @pytest.mark.parametrize(
-        "radix", STAIRCASES + [(127, 1), (3, 2, 2)], ids=lambda r: ",".join(map(str, r))
-    )
+    @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
     def test_index_and_masks_match_scan(self, radix):
-        box = poly._boxes[radix]
+        box = poly._boxes[len(radix)]
+        assert box.radix == radix
         points = box_points(radix)
         assert box.size == len(points)
         assert [box_index(box, alpha) for alpha in points] == list(range(len(points)))
@@ -346,10 +351,12 @@ class TestSupportBox:
                 assert points[k + w] == alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
         everything = (1 << box.size) - 1
         assert box.codes_in(everything) == sorted(map(poly.codes.__getitem__, points))
+        for d in range(sum(radix) - len(radix) + 2):
+            assert list(box.points(box.grade(d))) == [p for p in points if sum(p) == d]
 
     @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
     def test_index_order_is_term_order(self, radix):
-        box = poly._boxes[radix]
+        box = poly._boxes[len(radix)]
         by_term = sorted(box_points(radix), key=term_key)
         assert [box_index(box, alpha) for alpha in by_term] == list(range(box.size))
 

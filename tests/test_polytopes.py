@@ -6,8 +6,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import cache, cli, perms, polytopes
-from grothpoly.poly import Poly, decode
+from grothpoly import cache, cli, perms, poly, polytopes
+from grothpoly.poly import Poly
 from grothpoly.polytopes import (
     SetFunctionPair,
     check_conjecture_4,
@@ -28,6 +28,7 @@ from reference import (
     grassmannian_par,
     grassmannian_shape,
     identity,
+    pad,
 )
 
 
@@ -106,9 +107,9 @@ def sumset(A, B):
     return frozenset(tuple(map(operator.add, a, b)) for a in A for b in B)
 
 
-def decoded(codes, n):
-    """The exponent vectors of a set of codes of length n."""
-    return frozenset(decode(c, n) for c in codes)
+def decoded(bits, n):
+    """The exponent vectors of a bitset over the staircase box of S_n."""
+    return frozenset(poly._boxes[n].points(bits))
 
 
 def subsets(n):
@@ -302,12 +303,12 @@ class TestSumsetWitnesses:
     def test_superset_names_first_point_outside(self, tables):
         w = (1, 5, 3, 2, 4)
         terms = dict(tables[(5, "G")][w].terms)
-        terms.update({(0, 0, 0, 0, 5): 1, (0, 0, 0, 1, 0): 1})
+        terms.update({(0, 0, 2, 1, 0): 1, (1, 0, 0, 0, 0): 1})
         for ordered in (terms.items(), list(terms.items())[::-1]):
             verdict = check_superset(w, Poly(dict(ordered), 5))
             assert not verdict.ok
             assert (verdict.witness, verdict.detail, verdict.info) == (
-                (0, 0, 0, 0, 5),
+                (0, 0, 2, 1, 0),
                 "support point outside sumset",
                 {},
             )
@@ -316,7 +317,7 @@ class TestSumsetWitnesses:
         "deleted, added, witness",
         [
             ((2, 2, 0, 0, 0), None, (2, 2, 0, 0, 0)),
-            ((3, 1, 0, 0, 0), (0, 0, 4, 0, 0), (0, 0, 4, 0, 0)),
+            ((3, 1, 0, 0, 0), (0, 2, 2, 0, 0), (0, 2, 2, 0, 0)),
         ],
         ids=["deleted", "deleted-and-added"],
     )
@@ -389,7 +390,7 @@ class TestDecompose:
                     else:
                         d = max(col)
                         padded = frozenset(
-                            polytopes._pad(p, 4) for p in spanning_points(col, d)
+                            pad(p, 4) for p in spanning_points(col, d)
                         )
                         assert part in padded
 
@@ -615,7 +616,7 @@ def spanning_sumset_loop(w):
     for col in polytopes._rothe_columns(w):
         if not col:
             continue
-        pts = frozenset(polytopes._pad(p, n) for p in spanning_points_def(col, max(col)))
+        pts = frozenset(pad(p, n) for p in spanning_points_def(col, max(col)))
         total = sumset(total, pts)
     return total
 
@@ -637,6 +638,16 @@ def assert_sumsets_match_loops(n):
         assert decoded(polytopes.base_sumset(w), n) == base_sumset_loop(w), w
 
 
+def grothendieck_by_chain(w):
+    """𝔊_w by the recursion along the first-ascent chain from w_0: the
+    staircase monomial, then one isobaric divided difference per step."""
+    step = poly.recursion_parent(w)
+    if step is None:
+        return poly.staircase_monomial(len(w))
+    j, parent = step
+    return poly.isobaric_divided_difference(grothendieck_by_chain(parent), j)
+
+
 class TestColumnSumsets:
     def test_gale_count_matches_basis_definition(self):
         for n in range(7):
@@ -651,6 +662,23 @@ class TestColumnSumsets:
     @pytest.mark.slow
     def test_S7_slow(self):
         assert_sumsets_match_loops(7)
+
+    def test_S9_by_first_ascent_chain(self):
+        # Past the sweep's range: the first w is Grassmannian, the third
+        # has a sumset larger than its support.
+        ws = [
+            (2, 5, 7, 8, 9, 1, 3, 4, 6),
+            (2, 1, 4, 3, 6, 5, 8, 7, 9),
+            (3, 1, 2, 6, 4, 5, 9, 7, 8),
+            (9, 7, 8, 5, 6, 3, 4, 1, 2),
+        ]
+        assert grassmannian_shape(ws[0]) is not None
+        for w in ws:
+            g = grothendieck_by_chain(w)
+            superset = check_superset(w, g)
+            assert superset.ok and superset.info["equality"] == (w != ws[2]), w
+            assert check_fms(w, g).ok and check_prop_converse(w, g).ok, w
+            assert decoded(polytopes.spanning_sumset(w), 9) == spanning_sumset_loop(w), w
 
     def test_spanning_sumset_kept_for_last_perm(self):
         w = (1, 5, 3, 2, 4)

@@ -1,6 +1,7 @@
 import collections
 import itertools
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -19,8 +20,8 @@ def componentwise_leq(alpha, beta):
 
 
 def maximal_elements(elements, n):
-    """The maxima, as found by the packed support view (entries >= 0,
-    degree < 127)."""
+    """The maxima, as found by the packed support view (points in the
+    staircase box of S_n)."""
     view = poly._SupportView(elements, n)
     return frozenset(poly.decode(m, n) for m in view.maxima)
 
@@ -51,7 +52,7 @@ class TestHasse:
         assert len(covers) == 19
 
     def test_maximal_singleton(self):
-        assert maximal_elements({(2, 2)}, 2) == {(2, 2)}
+        assert maximal_elements({(2, 1, 0)}, 3) == {(2, 1, 0)}
 
     def test_maximal_15324(self, tables):
         supp = tables[(5, "G")][(1, 5, 3, 2, 4)].support()
@@ -198,10 +199,10 @@ class TestConjectureCheckers:
         from grothpoly.poly import Poly
 
         # artificial non-conjectural polynomial: an isolated low-degree point
-        f = Poly({(2, 0): 1, (0, 1): 1}, 2)
-        verdict = posets.check_conjecture_1((2, 1), f)
+        f = Poly({(2, 0, 0): 1, (0, 1, 0): 1}, 3)
+        verdict = posets.check_conjecture_1((3, 1, 2), f)
         assert not verdict.ok
-        assert verdict.witness == (0, 1)
+        assert verdict.witness == (0, 1, 0)
 
 
 class TestRajchgot:
@@ -209,10 +210,11 @@ class TestRajchgot:
     @pytest.mark.parametrize(
         "added, witness",
         [
-            # x_5 weighs most in term order: it leads, the degree stays 6.
-            ((0, 0, 0, 0, 1), [0, 0, 0, 0, 1]),
-            # Degree 9, last in term order: the leading exponent stays.
-            ((9, 0, 0, 0, 0), [2, 3, 1, 0, 0]),
+            # x_4 is compared before x_3 in term order, so x_4 leads; the
+            # degree stays 6.
+            ((0, 0, 0, 1, 0), [0, 0, 0, 1, 0]),
+            # Degree 7, earlier in term order: the leading exponent stays.
+            ((4, 2, 1, 0, 0), [2, 3, 1, 0, 0]),
         ],
         ids=["leading-exponent", "degree"],
     )
@@ -525,21 +527,24 @@ class TestKernelsAgainstScans:
 class TestSupportView:
     @settings(max_examples=300, deadline=None)
     @given(
-        # Entries up to n + 1, so most draws leave the staircase box
-        # (alpha_i <= n - i) and the view grows its box to fit them.
-        st.integers(min_value=1, max_value=4).flatmap(
-            lambda n: st.sets(st.tuples(*[st.integers(0, n + 1)] * n), min_size=1, max_size=12)
+        # Points of the staircase box, alpha_i <= n - i.
+        st.integers(min_value=1, max_value=5).flatmap(
+            lambda n: st.sets(
+                st.tuples(*[st.integers(0, n - i) for i in range(1, n + 1)]),
+                min_size=1,
+                max_size=12,
+            )
         )
     )
-    @example({(126, 0)})
-    @example({(0, 0, 0), (1, 0, 1)})
+    @example({(4, 3, 2, 1, 0)})
+    @example({(0, 0, 0, 0), (1, 0, 1, 0)})
     def test_matches_scan_on_drawn_supports(self, support):
         assert_view_matches_scan(Poly(dict.fromkeys(support, 1), len(next(iter(support)))))
 
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
-            # Entries and degrees below 127, as the support view requires.
+            # Entries and degrees below 127, where the packed order holds.
             lambda n: st.tuples(
                 st.tuples(*[st.integers(0, 126 // n)] * n),
                 st.tuples(*[st.integers(0, 126 // n)] * n),
@@ -572,10 +577,15 @@ class TestSupportView:
         ids=["conj1", "conj2", "conj3", "coeff"],
     )
     def test_degree_limit_and_zero(self, checker):
-        assert checker((2, 1), Poly({(126, 0): 2, (125, 0): -1}, 2)).ok
-        for g in (Poly({(127, 0): 1}, 2), Poly({(0, 0): 1, (64, 63): 1}, 2), Poly({}, 2)):
-            with pytest.raises(ValueError):
-                checker((2, 1), g)
+        # The staircase box of S_2 is {(0, 0), (1, 0)}: the view refuses any
+        # other point, naming it, and the zero polynomial.
+        assert checker((2, 1), Poly({(1, 0): 2, (0, 0): -1}, 2)).ok
+        for outside in [(2, 0), (0, 1), (127, 0)]:
+            message = f"{outside} lies outside the staircase box of S_2"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                checker((2, 1), Poly({(0, 0): 1, outside: 1}, 2))
+        with pytest.raises(ValueError, match="zero polynomial"):
+            checker((2, 1), Poly({}, 2))
 
     def test_kept_for_last_poly(self, tables):
         g, h = tables[(4, "G")][(1, 4, 3, 2)], tables[(4, "G")][(2, 1, 4, 3)]
@@ -616,10 +626,10 @@ class TestWitnessOrder:
     def test_conj3_box_names_first_maximum(self):
         # (1, 0, 0) is missing below both maxima; the box names the first of
         # them in degree, then term order.
-        terms = [((0, 0, 0), 1), ((1, 1, 0), 1), ((1, 0, 1), 1)]
+        terms = [((0, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1)]
         for ordered in (terms, terms[::-1]):
-            verdict = posets.check_conjecture_3((1, 2, 3), Poly(dict(ordered), 3))
+            verdict = posets.check_conjecture_3((1, 2, 3, 4), Poly(dict(ordered), 4))
             assert (verdict.witness, verdict.detail) == (
-                (1, 0, 0),
-                "missing in box [(0, 0, 0), (1, 1, 0)]",
+                (1, 0, 0, 0),
+                "missing in box [(0, 0, 0, 0), (1, 1, 0, 0)]",
             )
