@@ -7,6 +7,7 @@ swaps positions j and j+1 (1-based), not values.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 from typing import Iterable, NamedTuple, Sequence
 
@@ -109,6 +110,13 @@ def upper_closure(D: Diagram) -> Diagram:
         tops[j] = max(tops.get(j, 0), i)
     boxes = frozenset((i, j) for j, top in tops.items() for i in range(1, top + 1))
     return Diagram(boxes, D.n)
+
+
+@functools.lru_cache(maxsize=1)
+def closed_rothe_diagram(w: tuple) -> Diagram:
+    """upper_closure(rothe_diagram(w)), kept for the last w: mobius's bound
+    and converse's degree read one build."""
+    return upper_closure(rothe_diagram(w))
 
 
 def weight(D: Diagram) -> tuple:

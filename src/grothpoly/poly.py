@@ -128,6 +128,14 @@ def decode(code: int, n: int) -> tuple:
     return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
 
 
+def _staircase_point(alpha: tuple, n: int) -> tuple:
+    """alpha, if it lies in the staircase box of S_n (`_Box`); otherwise a
+    ValueError that names it."""
+    if len(alpha) != n or min(alpha, default=0) < 0 or any(map(ge, alpha, range(n, 0, -1))):
+        raise ValueError(f"{alpha} lies outside the staircase box of S_{n}")
+    return alpha
+
+
 # Points of the largest box the bitset layer builds: 10!, the staircase box
 # of S_10.  The staircase box of S_11 has 39 916 800.
 MAX_BOX = math.factorial(10)
@@ -161,7 +169,18 @@ class _Box(dict):
     `grade(d)` is G_d, the points of degree d, built when first asked for:
     G_0 = {0} and G_d = union over i of (G_{d-1} & M_i) << w_i, since a
     point of degree d >= 1 is alpha + e_i for alpha of degree d - 1 and any
-    i with a nonzero entry, and then alpha_i < radix_i - 1."""
+    i with a nonzero entry, and then alpha_i < radix_i - 1.
+
+    `at_most(i, b)` is the set of the points with alpha_{i+1} <= b, for
+    0 <= b < radix_{i+1}, built once per (i, b); M_i is
+    `at_most(i - 1, radix_i - 2)`.
+
+    `codes_of(bits)` decodes a set to codes with two tables, built when
+    first asked for: a point's index is k = l + W h, with W = w_{m+1} the
+    product of the first m radices, l < W the index of its first m
+    coordinates and h that of the rest, and its code is the sum of the
+    codes of those two parts, low[l] + high[h].  m is the least with
+    W^2 >= n!, so both tables are short."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -172,15 +191,13 @@ class _Box(dict):
                 "the bitset view builds"
             )
         self.radix, self.weights, self.size = radix, [math.perm(n, i) for i in range(n)], size
-        self.steps = [
-            (w, _repeat((1 << w * (r - 1)) - 1, w * r, size)) for w, r in zip(self.weights, radix)
-        ]
+        self.columns: Dict[Tuple[int, int], int] = {}
+        self.steps = [(w, self.at_most(i, r - 2)) for i, (w, r) in enumerate(zip(self.weights, radix))]
         self.grades = [1]
+        self.split: Optional[tuple] = None
 
     def __missing__(self, code: int) -> tuple:
-        alpha = decode(code, len(self.radix))
-        if any(map(ge, alpha, self.radix)):
-            raise ValueError(f"{alpha} lies outside the staircase box of S_{len(alpha)}")
+        alpha = _staircase_point(decode(code, len(self.radix)), len(self.radix))
         k = sum(map(mul, alpha, self.weights))
         place = self[code] = (k >> 3, 1 << (k & 7))
         return place
@@ -193,21 +210,45 @@ class _Box(dict):
             buf[byte] |= bit
         return int.from_bytes(buf, "little")
 
-    def points(self, bits: int):
-        """The points of a set, in index order."""
+    def at_most(self, i: int, b: int) -> int:
+        """The set of the points with alpha_{i+1} <= b: one block of
+        w radix bits per value of the coordinates above, its low w (b + 1)
+        bits set."""
+        column = self.columns.get((i, b))
+        if column is None:
+            w, r = self.weights[i], self.radix[i]
+            column = self.columns[i, b] = _repeat((1 << w * (b + 1)) - 1, w * r, self.size)
+        return column
+
+    def codes_of(self, bits: int) -> list:
+        """The codes of the points of a set, in index order."""
+        if self.split is None:
+            n = len(self.radix)
+            m = next(m for m, w in enumerate(self.weights) if w * w >= self.size)
+            low, high = [0], [0]
+            for i, r in enumerate(self.radix):
+                unit = 1 << 8 * i | 1 << 8 * n
+                part = low if i < m else high
+                part[:] = [c + a * unit for a in range(r) for c in part]
+            self.split = (self.weights[m], low, high)
+        W, low, high = self.split
+        out = []
         digits = format(bits, "b")[::-1]  # digits[k] is bit k
         k = digits.find("1")
         while k >= 0:
-            alpha, rest = [], k
-            for r in self.radix:
-                rest, a = divmod(rest, r)
-                alpha.append(a)
-            yield tuple(alpha)
+            h, l = divmod(k, W)
+            out.append(low[l] + high[h])
             k = digits.find("1", k + 1)
+        return out
+
+    def points(self, bits: int) -> list:
+        """The points of a set, in index order."""
+        n = len(self.radix)
+        return [decode(c, n) for c in self.codes_of(bits)]
 
     def codes_in(self, bits: int) -> list:
         """The codes of the points in a set, in degree, then term order."""
-        return sorted(map(codes.__getitem__, self.points(bits)))
+        return sorted(self.codes_of(bits))
 
     def grade(self, d: int) -> int:
         """G_d, the set of the points of degree d."""
@@ -233,7 +274,8 @@ _boxes = _Boxes()
 
 class _SupportView:
     """Packed facts about a set of exponent vectors in the staircase box of
-    S_n (`_Box`, which refuses any other vector with a ValueError):
+    S_n (`_Box`; any other vector is refused with a ValueError that names
+    it, also one with an entry outside 0..255, which has no code):
 
     - `box`: that box;
     - `bits`: P, the set as a bitset over the box;
@@ -295,7 +337,14 @@ class _SupportView:
     )
 
     def __init__(self, vectors, n: int):
-        self.codes = list(map(codes.__getitem__, vectors))
+        try:
+            self.codes = list(map(codes.__getitem__, vectors))
+        except ValueError:
+            # An entry outside 0..255 has no code: name the first vector
+            # outside the box, as the box does for the others.
+            for alpha in vectors:
+                _staircase_point(alpha, n)
+            raise
         box = self.box = _boxes[n]
         P = self.bits = box.bits(self.codes)
         top = max(self.codes, default=0) >> 8 * n
@@ -375,10 +424,7 @@ def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
 
 
 def _parse_vector(key: str, nvars: int) -> tuple:
-    expo = tuple(map(int, key.split(",")))
-    if len(expo) != nvars or min(expo) < 0 or any(map(ge, expo, range(nvars, 0, -1))):
-        raise ValueError(f"{expo} lies outside the staircase box of S_{nvars}")
-    return expo
+    return _staircase_point(tuple(map(int, key.split(","))), nvars)
 
 
 # The (lift, sign) parts of the two operators (see `_closed_form`).

@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import functools
 import itertools
+import struct
 from operator import add, itemgetter, mul, or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly, _boxes, support_view, term_key
+from .poly import Poly, _boxes, decode, support_view, term_key
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
@@ -61,17 +62,20 @@ def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     max of coordinate sums over the point set (convexity makes the finite
     min/max stand in for the polytope).
 
-    Packed by columns: after translating each coordinate by its minimum
-    low_i, column i becomes one int with one byte per point.  The sums of
-    all points over a mask are then one big-int add each, s[m + i] = s[m] +
-    col[i] for the masks m below bit i.  A byte of s[m] is at most the sum
-    of the ranges max_i - low_i, so no byte carries into the next while
-    that sum is below 256; a larger one is refused with a ValueError.  y(m)
-    and z(m) are the min and max byte of s[m], plus the sum of low_i over
-    m."""
+    Packed by masks: after translating each coordinate by its minimum
+    low_i, a point p becomes one int with one 16-bit lane per mask m,
+    holding the sum of p_i - low_i over m: the sum of (p_i - low_i) R_i,
+    where R_i has lane m equal to 1 iff i is in m.  A lane is at most the
+    sum of the ranges max_i - low_i, which must be below 256 (a larger sum
+    is refused with a ValueError), so it never reaches the lane's top bit.
+    y and z are then the lane-wise min and max over the points, each
+    comparison one subtract (`_at_least`), plus the sum of low_i over m.
+    The translation is one subtract of L, the sum of low_i R_i, from the
+    sum of p_i R_i, since both are linear in p."""
     A = list(A)
     if not A:
         raise ValueError("cannot recover a pair from an empty point set")
+    n = len(A[0])
     columns = list(zip(*A))
     lows = list(map(min, columns))
     spread = sum(map(max, columns)) - sum(lows)
@@ -79,17 +83,34 @@ def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
         raise ValueError(
             f"coordinate ranges sum to {spread}, too large for the packed columns (< 256)"
         )
-    sums, offsets = [0], [0]
-    for col, low in zip(columns, lows):
-        packed = int.from_bytes(bytes(map((-low).__add__, col)), "little")
-        sums += [s + packed for s in sums]
+    _, steps, high = _avoiding(n, 2)
+    # R_i: the lanes that do not avoid i, their top bit moved to the bottom.
+    ones = [(high ^ lanes) >> 15 for _, lanes in steps]
+    offsets = [0]
+    for low in lows:
         offsets += [o + low for o in offsets]
-    # The set of each row's bytes first: min and max then scan a few values.
-    rows = map(int.to_bytes, sums, itertools.repeat(len(A)), itertools.repeat("little"))
-    rows = list(map(set, rows))
-    y = list(map(add, map(min, rows), offsets))
-    z = list(map(add, map(max, rows), offsets))
-    return SetFunctionPair(y, z, len(A[0]))
+    base = sum(map(mul, lows, ones))
+    packed = [sum(map(mul, p, ones)) - base for p in A]
+    y = z = packed[0]
+    for p in packed[1:]:
+        # A top bit less itself shifted to the bottom of its lane fills the
+        # lane below it: keep is 0x7FFF in each lane where p >= y, and
+        # y ^ p selects between them.
+        ge = _at_least(p, y, high)
+        y = p ^ (y ^ p) & ge - (ge >> 15)
+        ge = _at_least(p, z, high)
+        z = z ^ (z ^ p) & ge - (ge >> 15)
+    size = 1 << n
+    y = map(add, struct.unpack(f"<{size}H", y.to_bytes(2 * size, "little")), offsets)
+    z = map(add, struct.unpack(f"<{size}H", z.to_bytes(2 * size, "little")), offsets)
+    return SetFunctionPair(y, z, n)
+
+
+def _at_least(a: int, b: int, high: int) -> int:
+    """The top bit of each lane where a >= b, lane-wise, for a and b whose
+    lanes are all below their top bit, which `high` holds: a lane of
+    (a | high) - b is a + 2^(top) - b, which neither borrows nor carries."""
+    return ((a | high) - b) & high
 
 
 def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
@@ -107,57 +128,90 @@ def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
     reads f(A + C) >= f(A) for f(X) = z(X) + y([n] - X): f is monotone, and
     monotonicity is local, f(S) <= f(S+i).
 
-    The tests run in the order z, y, f, each over masks in increasing order,
-    then i, then j.  The witness names the test, the mask S, the elements i
-    and j (1-based; j is None for f) and both sides of the inequality
-    lhs >= rhs that failed."""
+    The tests run in the order z, y, f; the witness is the failing
+    inequality of the first test that fails, with the least mask S, then
+    i, then j.  It names the test, S, the elements i and j (1-based; j is
+    None for f) and both sides of the inequality lhs >= rhs that failed.
+
+    Packed: z, y and f, the last as z plus y with its lanes reversed
+    (y([n] - X) is entry 2^n - 1 - X), are each one int with one lane per
+    mask, every value plus the bias -lo, for lo the least value of y and
+    z.  Shifting right by 2^i lanes puts the value at S + i in lane S, so
+    one test of one pair i < j (one i for f) is one lane-wise compare
+    (`_at_least`) of two sums of two lanes, kept on the lanes S that avoid i
+    and j.  A sum is at most twice the span of the values, and the lanes
+    are wide enough that it stays below their top bit."""
     y, z, n = pair.y, pair.z, pair.n
     full = (1 << n) - 1
+    lo = min(min(y), min(z))
+    span = max(max(y), max(z)) - lo
+    nbytes = (span.bit_length() + 9) // 8  # 2 span < 2^(8 nbytes - 1)
+    width = 8 * nbytes
+    squares, steps, high = _avoiding(n, nbytes)
 
-    def witness(test, S, a, b, lhs, rhs):
-        i = (a ^ S).bit_length()
-        j = None if b is None else (b ^ S).bit_length()
-        return {"test": test, "mask": S, "i": i, "j": j, "lhs": lhs, "rhs": rhs}
+    def pack(values):
+        if lo:
+            values = map((-lo).__add__, values)
+        if nbytes == 1:
+            return int.from_bytes(bytes(values), "little")
+        rows = map(int.to_bytes, values, itertools.repeat(nbytes), itertools.repeat("little"))
+        return int.from_bytes(b"".join(rows), "little")
 
-    squares = _squares(n)
-    for S, a, b in squares:
-        if z[a] + z[b] < z[a | b] + z[S]:
-            return witness("z submodular", S, a, b, z[a] + z[b], z[a | b] + z[S])
-    for S, a, b in squares:
-        if y[a | b] + y[S] < y[a] + y[b]:
-            return witness("y supermodular", S, a, b, y[a | b] + y[S], y[a] + y[b])
-    f = [z[X] + y[full ^ X] for X in range(full + 1)]
-    for S, a in _steps(n):
-        if f[a] < f[S]:
-            return witness("f monotone", S, a, None, f[a], f[S])
+    def least(fails, cases):
+        """The least (S, i, ...) over the failing lanes S of each case."""
+        return min(
+            ((fail & -fail).bit_length() // width - 1, *case[:-1])
+            for fail, case in zip(fails, cases)
+            if fail
+        )
+
+    # fail = lanes & ~((lhs | high) - rhs): the top bit of each lane S,
+    # among those kept, where lhs < rhs (`_at_least`).
+    shifts = [width << i for i in range(n)]  # 2^i lanes
+    Z, Y = pack(z), pack(y)
+    Zs, Ys = [Z >> s for s in shifts], [Y >> s for s in shifts]
+    fails = [lanes & ~((Zs[i] + Zs[j] | high) - (Zs[i] >> shifts[j]) - Z) for i, j, lanes in squares]
+    if any(fails):
+        S, i, j = least(fails, squares)
+        a, b = S | 1 << i, S | 1 << j
+        lhs, rhs = z[a] + z[b], z[a | b] + z[S]
+        return {"test": "z submodular", "mask": S, "i": i + 1, "j": j + 1, "lhs": lhs, "rhs": rhs}
+    fails = [lanes & ~((Y + (Ys[i] >> shifts[j]) | high) - Ys[i] - Ys[j]) for i, j, lanes in squares]
+    if any(fails):
+        S, i, j = least(fails, squares)
+        a, b = S | 1 << i, S | 1 << j
+        lhs, rhs = y[a | b] + y[S], y[a] + y[b]
+        return {"test": "y supermodular", "mask": S, "i": i + 1, "j": j + 1, "lhs": lhs, "rhs": rhs}
+    F = Z + pack(y[::-1])
+    fails = [lanes & ~((F >> shifts[i] | high) - F) for i, lanes in steps]
+    if any(fails):
+        S, i = least(fails, steps)
+        a = S | 1 << i
+        lhs, rhs = z[a] + y[full ^ a], z[S] + y[full ^ S]
+        return {"test": "f monotone", "mask": S, "i": i + 1, "j": None, "lhs": lhs, "rhs": rhs}
     return None
 
 
 @functools.lru_cache(maxsize=None)
-def _steps(n: int) -> Tuple[Tuple[int, int], ...]:
-    """(S, S+i) for every mask S and i outside S, by S, then i."""
-    return tuple(
-        (S, S | 1 << i) for S in range(1 << n) for i in range(n) if not S >> i & 1
-    )
+def _avoiding(n: int, nbytes: int) -> tuple:
+    """For lanes of nbytes bytes, one per mask of [n]: (i, j, the top bit
+    of each lane S that avoids i and j) for i < j, (i, that of each lane
+    that avoids i), and the top bit of every lane."""
+    top = b"\x00" * (nbytes - 1) + b"\x80"
+    empty = b"\x00" * nbytes
 
+    def lanes(bits):
+        return int.from_bytes(b"".join(top if not S & bits else empty for S in range(1 << n)), "little")
 
-@functools.lru_cache(maxsize=None)
-def _squares(n: int) -> Tuple[Tuple[int, int, int], ...]:
-    """(S, S+i, S+j) for every mask S and i < j outside S, by S, then i, j."""
-    return tuple(
-        (S, S | 1 << i, S | 1 << j)
-        for S in range(1 << n)
-        for i in range(n)
-        for j in range(i + 1, n)
-        if not S & (1 << i | 1 << j)
-    )
+    squares = [(i, j, lanes(1 << i | 1 << j)) for i in range(n) for j in range(i + 1, n)]
+    return squares, [(i, lanes(1 << i)) for i in range(n)], lanes(0)
 
 
 def is_paramodular(pair: SetFunctionPair) -> bool:
     """y supermodular, z submodular, and the cross inequality
     z(I) - y(J) >= z(I - J) - y(J - I), by the local tests of
-    `paramodular_violation` in O(n^2 2^n) instead of a scan over all
-    O(4^n) subset pairs."""
+    `paramodular_violation` in O(n^2) packed compares instead of a scan
+    over all O(4^n) subset pairs."""
     return paramodular_violation(pair) is None
 
 
@@ -305,19 +359,36 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     is the only candidate, and an integral paramodular pair cuts out an
     integral polytope.
 
+    The pair is recovered from the support's extremal points only: its
+    minimal points and its maxima (the view's).  y(I) and z(I) are the min
+    and max over the support of the sum over I, which is monotone in alpha:
+    below each support point lies a minimal one, whose sum is no larger, and
+    above it a maximal one, whose sum is no smaller.  On the view's bitsets
+    (`poly._SupportView`), with P the support, the union over i of
+    (P & M_i) << w_i is the set of the unit steps up from P, so
+    P & ~(that union) holds the points with no unit step down in P, the
+    minimal points among them.
+
     Every support point satisfies the pair it was recovered from, so the
     lattice points contain the support, and equal it iff there are |supp|
     of them: the search counts and stops past |supp|, and enumerates only
     to name the witness, the first point in sorted order outside the
     support."""
-    supp = groth.support()
-    pair = recover_pair(supp)
+    view = support_view(groth)
+    box, P = view.box, view.bits
+    above = 0
+    for w_i, mask in box.steps:
+        above |= (P & mask) << w_i
+    extremal = set(box.points(P & ~above))
+    extremal.update(decode(m, view.n) for m in view.maxima)
+    pair = recover_pair(extremal)
     if not is_paramodular(pair):
         return Verdict(
             False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"
         )
-    if _LatticeSearch(pair).count(len(supp)) != len(supp):
-        diff = sorted(lattice_points_of_pair(pair) ^ supp)
+    size = len(view.codes)
+    if _LatticeSearch(pair).count(size) != size:
+        diff = sorted(lattice_points_of_pair(pair) ^ groth.support())
         return Verdict(False, witness=diff[0], detail="lattice points != support")
     return Verdict(True)
 
@@ -404,7 +475,7 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
     """Degree saturation iff sumset equality.  A disagreement is reportable
     data (the biconditional is conditional on open conjectures), so the
     verdict records both sides."""
-    closure = perms.upper_closure(perms.rothe_diagram(w))
+    closure = perms.closed_rothe_diagram(w)
     view = support_view(groth)
     degree_side = view.degree == len(closure.boxes)
     polytope_side = view.bits == spanning_sumset(w)

@@ -3,17 +3,18 @@ Componentwise-order posets on integer vectors, Moebius functions, the
 support poset of a Grothendieck polynomial, and the conjecture checkers
 that live on it.
 
-conj1, conj2, conj3, coeff and rajchgot read the packed view of the support
-(`poly.support_view`), which is kept for the last polynomial, so the checks
-of one permutation share a single build.
+conj1, conj2, conj3, coeff, rajchgot and mobius read the packed view of the
+support (`poly.support_view`), which is kept for the last polynomial, so the
+checks of one permutation share a single build.  P_w is a bitset over the
+view's staircase box, and its elements are codes (`poly.codes`), decoded
+only where they are printed.
 """
 from __future__ import annotations
 
-from operator import le
 from typing import Dict, Set, Tuple
 
 from . import perms
-from .poly import Poly, codes, decode, support_view
+from .poly import Poly, decode, support_view
 from .verdicts import NotApplicable, Verdict
 
 # Adjoined minimum element: a distinguished sentinel, deliberately not the
@@ -22,43 +23,42 @@ BOTTOM = "0^"
 
 
 class VectorPoset:
-    """A finite interval-closed set of integer vectors of length n under
-    componentwise order: whenever a <= c <= b with a and b in the set, c is
-    in it too.  P_w (`build_Pw`) is one: such a c lies above the support
-    point below a and below the bound above b."""
+    """A finite interval-closed set of integer vectors of length n, entries
+    in 0..255, held as their codes (`poly.codes`), under componentwise
+    order: whenever a <= c <= b with a and b in the set, c is in it too.
+    P_w (`build_Pw`) is one: such a c lies above the support point below a
+    and below the bound above b."""
 
     def __init__(self, elements, n: int):
         self.elements = frozenset(elements)
         self.n = n
 
-    def covers(self) -> Set[Tuple[tuple, tuple]]:
+    def covers(self) -> Set[Tuple[int, int]]:
         """Hasse relation among the vector elements (the bottom is excluded;
         its covers are the minimal vectors): b covers a iff b = a + e_i.  If
         a < b otherwise, then a < a + e_i < b for some i, and interval
         closure puts a + e_i in the set; no vector lies strictly between a
-        and a + e_i."""
-        elements = self.elements
-        return {(a, b) for a in elements for b in _unit_steps(a) if b in elements}
+        and a + e_i.  The code of a + e_i is a + 256^(i-1) + 256^n; where
+        a_i = 255 the sum carries, its bytes sum to less than its degree
+        |a| + 1, and no code has it."""
+        elements, n = self.elements, self.n
+        units = [1 << 8 * i | 1 << 8 * n for i in range(n)]
+        return {(a, a + u) for a in elements for u in units if a + u in elements}
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""
+        n = self.n
         lines = [
-            ",".join(map(str, a)) + " -> " + ",".join(map(str, b))
+            ",".join(map(str, decode(a, n))) + " -> " + ",".join(map(str, decode(b, n)))
             for (a, b) in self.covers()
         ]
         return "\n".join(sorted(lines))
 
 
-def _unit_steps(alpha: tuple):
-    """alpha + e_i for i = 1..n."""
-    for i in range(len(alpha)):
-        yield alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-
-
 def mobius(P: VectorPoset) -> Dict[object, int]:
-    """The table mu(0^, q) for every q of P with the bottom 0^ adjoined
-    (the paper's P-hat_w), for P an upper set of its box [0, max P] (max
-    taken componentwise), by inclusion-exclusion:
+    """The table mu(0^, q) for every code q of P with the bottom 0^
+    adjoined (the paper's P-hat_w), for P an upper set of its box
+    [0, max P] (max taken componentwise), by inclusion-exclusion:
     -mu(0^, q) = sum over S of [n] of (-1)^|S| h(q - e_S), where h is the
     indicator of P on Z^n.
 
@@ -69,21 +69,30 @@ def mobius(P: VectorPoset) -> Dict[object, int]:
     mu(0^, 0^) + sum_{r in P, r <= q} mu(0^, r) = 0 with mu = -d: the
     defining recursion.  The differences are taken one coordinate at a time,
     and each partial difference vanishes off P for the same reason, so the
-    cost is O(n |P|)."""
-    elements = P.elements
-    top = tuple(map(max, zip(*elements)))
+    cost is O(n |P|).
+
+    On codes, q - e_i is q - 256^(i-1) - 256^n.  Where q_i = 0 the
+    subtraction borrows, and no code matches the result, whose top part
+    would have to be the sum of its bytes: the bytes from coordinate i up
+    to the first nonzero entry above it become 255 and that entry loses
+    one (with no such entry the top part loses one more, or the result is
+    negative), so the bytes sum to at least 255 more than the top part."""
+    elements, n = P.elements, P.n
+    coordinates = (1 << 8 * n) - 1
+    rows = [(q & coordinates).to_bytes(n, "little") for q in elements]
+    top = tuple(map(max, zip(*rows)))
     for i, t in enumerate(top):
-        for v in elements:
-            if v[i] < 0 or (v[i] < t and v[:i] + (v[i] + 1,) + v[i + 1:] not in elements):
+        unit = 1 << 8 * i | 1 << 8 * n
+        for q, row in zip(elements, rows):
+            if row[i] < t and q + unit not in elements:
                 raise ValueError(
-                    f"mobius requires an upper set of the box [0, {top}]; {v} breaks it"
+                    f"mobius requires an upper set of the box [0, {top}]; {decode(q, n)} breaks it"
                 )
     diff = dict.fromkeys(elements, 1)
-    for i in range(P.n):
-        diff = {
-            q: c - diff.get(q[:i] + (q[i] - 1,) + q[i + 1:], 0)
-            for q, c in diff.items()
-        }
+    for i in range(n):
+        unit = 1 << 8 * i | 1 << 8 * n
+        get = diff.get
+        diff = {q: c - get(q - unit, 0) for q, c in diff.items()}
     table: Dict[object, int] = {BOTTOM: 1}
     table.update((q, -c) for q, c in diff.items())
     return table
@@ -91,21 +100,36 @@ def mobius(P: VectorPoset) -> Dict[object, int]:
 
 def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     """All integer vectors sandwiched between some support exponent of the
-    Grothendieck polynomial and the weight of the closed Rothe diagram (the
-    paper's P_w; `mobius` adjoins the bottom): the upward closure of the
-    support inside the box [0, weight], found by a search over +e_i steps.
-    Every v in the box above some alpha in the support is reached from alpha
-    by unit steps that stay below v, hence inside the box."""
-    bound = perms.weight(perms.upper_closure(perms.rothe_diagram(w)))
-    frontier = [alpha for alpha in groth.support() if all(map(le, alpha, bound))]
-    elements = set(frontier)
-    while frontier:
-        alpha = frontier.pop()
-        for i, beta in enumerate(_unit_steps(alpha)):
-            if alpha[i] < bound[i] and beta not in elements:
-                elements.add(beta)
-                frontier.append(beta)
-    return VectorPoset(elements, len(w))
+    Grothendieck polynomial and the weight b of the closed Rothe diagram
+    (the paper's P_w; `mobius` adjoins the bottom): the upward closure of
+    the support inside the box [0, b], as a bitset over the staircase box of
+    S_n (`poly._Box`), read off the view's support P.
+
+    b lies in the staircase box, b_i <= n - i.  Entry i of b counts the
+    columns j whose lowest box d_j in the Rothe diagram has d_j >= i.
+    Each such j is w(s) for s = w^-1(j) > d_j >= i, since (d_j, j) is in
+    the diagram, so there are at most n - i of them.
+
+    So [0, b] is the bitset B, the intersection over i of the points with
+    alpha_i <= b_i, and the closure starts from P & B.  b_i rounds of
+    U |= (U & C_i) << w_i, for C_i the points with alpha_i < b_i, raise
+    coordinate i by up to b_i inside B: by induction, after the rounds of
+    coordinates 1..i, U holds the points of B that agree with some support
+    point alpha <= b past coordinate i and lie above it up to i, which at
+    i = n is the closure (the down-closure of `poly._SupportView` the other
+    way up)."""
+    view = support_view(groth)
+    box = view.box
+    bound = perms.weight(perms.closed_rothe_diagram(w))
+    U = view.bits
+    for i, b in enumerate(bound):
+        U &= box.at_most(i, b)
+    for i, ((step, _), b) in enumerate(zip(box.steps, bound)):
+        if b:
+            below = box.at_most(i, b - 1)
+            for _ in range(b):
+                U |= (U & below) << step
+    return VectorPoset(box.codes_of(U), view.n)
 
 
 def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
@@ -198,18 +222,21 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
     negated Moebius values of the support poset with bottom; NotApplicable
-    on any other w.  A failure names the first wrong exponent in code order
-    (`poly.codes`): degree, then term order."""
+    on any other w.  The view's codes follow the order of `groth.terms`, so
+    they pair with its coefficients.  A failure names the first wrong
+    exponent in code order (`poly.codes`): degree, then term order."""
     if not perms.is_zero_one(w):
         return NotApplicable("not a zero-one permutation")
     P = build_Pw(w, groth)
     mu = mobius(P)
-    wrong = [alpha for alpha in P.elements if groth.terms.get(alpha, 0) != -mu[alpha]]
+    view = support_view(groth)
+    coefficients = dict(zip(view.codes, groth.terms.values()))
+    wrong = [q for q in P.elements if coefficients.get(q, 0) != -mu[q]]
     if wrong:
-        alpha = min(wrong, key=codes.__getitem__)
+        q = min(wrong)
         return Verdict(
             False,
-            witness=alpha,
-            detail=f"coefficient {groth.terms.get(alpha, 0)} != -mu = {-mu[alpha]}",
+            witness=decode(q, view.n),
+            detail=f"coefficient {coefficients.get(q, 0)} != -mu = {-mu[q]}",
         )
     return Verdict(True)

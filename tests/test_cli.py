@@ -537,13 +537,16 @@ class TestRun:
             assert len(built) == 120, checks
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
-    def test_degree_limit_is_an_error(self, monkeypatch):
+    def test_outside_staircase_is_an_error(self, monkeypatch):
         _outside_box_g(monkeypatch, (1, 3, 2))
-        checks = ("conj1", "conj2", "conj3", "coeff", "rajchgot", "superset", "fms", "converse")
+        checks = (
+            "conj1", "conj2", "conj3", "conj4", "coeff", "mobius", "rajchgot", "superset", "fms",
+            "converse",
+        )
         report, status = cli.run(cli.RunConfig(n=3, checks=checks))
         assert status == 3
         summary = report["summary"]
-        assert (summary["fail"], summary["error"]) == (0, 8)
+        assert (summary["fail"], summary["error"]) == (0, 10)
         entries = report["results"][1]["checks"]
         assert all(
             e["status"] == "error"

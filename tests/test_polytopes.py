@@ -468,6 +468,81 @@ def recover_pair_loop(A):
     return SetFunctionPair(list(map(min, sums)), list(map(max, sums)), n)
 
 
+def paramodular_violation_loop(pair):
+    """The local tests of `polytopes.paramodular_violation`, one inequality
+    at a time: over masks S in increasing order, then i, then j, in the
+    order z, y, f.  The loop that the packed compares replaced."""
+    y, z, n = pair.y, pair.z, pair.n
+    full = (1 << n) - 1
+
+    def witness(test, S, a, b, lhs, rhs):
+        i = (a ^ S).bit_length()
+        j = None if b is None else (b ^ S).bit_length()
+        return {"test": test, "mask": S, "i": i, "j": j, "lhs": lhs, "rhs": rhs}
+
+    squares = [
+        (S, S | 1 << i, S | 1 << j)
+        for S in range(1 << n)
+        for i in range(n)
+        for j in range(i + 1, n)
+        if not S & (1 << i | 1 << j)
+    ]
+    for S, a, b in squares:
+        if z[a] + z[b] < z[a | b] + z[S]:
+            return witness("z submodular", S, a, b, z[a] + z[b], z[a | b] + z[S])
+    for S, a, b in squares:
+        if y[a | b] + y[S] < y[a] + y[b]:
+            return witness("y supermodular", S, a, b, y[a | b] + y[S], y[a] + y[b])
+    f = [z[X] + y[full ^ X] for X in range(full + 1)]
+    for S in range(1 << n):
+        for i in range(n):
+            a = S | 1 << i
+            if a != S and f[a] < f[S]:
+                return witness("f monotone", S, a, None, f[a], f[S])
+    return None
+
+
+def by_degree(points, above):
+    """The maximal points (above=True) or the minimal ones: scanned in
+    decreasing (increasing) degree, a point is kept iff no kept point lies
+    above (below) it."""
+    kept = []
+    for a in sorted(points, key=sum, reverse=above):
+        if not any(componentwise_leq(a, m) if above else componentwise_leq(m, a) for m in kept):
+            kept.append(a)
+    return frozenset(kept)
+
+
+def componentwise_leq(alpha, beta):
+    return all(map(operator.le, alpha, beta))
+
+
+def check_conjecture_4_support(w, groth):
+    """conj4 with the pair recovered from the whole support and the loop
+    paramodularity test, as (ok, witness, detail)."""
+    supp = groth.support()
+    pair = recover_pair_loop(supp)
+    violation = paramodular_violation_loop(pair)
+    if violation is not None:
+        return (False, violation, "recovered pair not paramodular")
+    points = lattice_points_dfs(pair)
+    if points != supp:
+        return (False, sorted(points ^ supp)[0], "lattice points != support")
+    return (True, None, "")
+
+
+def assert_conj4_matches_support(w, groth, extremal=True):
+    """The pair of the extremal points is the pair of the support, and conj4
+    gives the verdict and witness of the whole-support reference."""
+    supp = groth.support()
+    if extremal:
+        points = by_degree(supp, False) | by_degree(supp, True)
+        assert recover_pair(points) == recover_pair(supp), w
+    verdict = check_conjecture_4(w, groth)
+    assert (verdict.ok, verdict.witness, verdict.detail) == check_conjecture_4_support(w, groth), w
+    return verdict
+
+
 def lattice_points_dfs(pair):
     """The search that `polytopes._LatticeSearch` packs, unpacked: the
     prefix sums of each node as a list, every level searched, and the points
@@ -504,6 +579,7 @@ def assert_conj4_kernels_match_previous(table):
         supp = g.support()
         pair = recover_pair(supp)
         assert pair == recover_pair_loop(supp), w
+        assert polytopes.paramodular_violation(pair) == paramodular_violation_loop(pair), w
         points = lattice_points_dfs(pair)
         assert points == supp, w
         assert polytopes._LatticeSearch(pair).count(len(supp)) == len(points), w
@@ -563,6 +639,7 @@ def assert_conj4_kernels_match(supp):
     pair = recover_pair(supp)
     assert pair == recover_pair_scan(supp)
     assert is_paramodular(pair) == is_paramodular_scan(pair)
+    assert polytopes.paramodular_violation(pair) == paramodular_violation_loop(pair)
     assert lattice_points_of_pair(pair) == lattice_points_scan(pair)
     return pair
 
@@ -665,7 +742,8 @@ class TestColumnSumsets:
 
     def test_S9_by_first_ascent_chain(self):
         # Past the sweep's range: the first w is Grassmannian, the third
-        # has a sumset larger than its support.
+        # has a sumset larger than its support.  The sumset checks, conj4
+        # and mobius pass or skip.
         ws = [
             (2, 5, 7, 8, 9, 1, 3, 4, 6),
             (2, 1, 4, 3, 6, 5, 8, 7, 9),
@@ -679,6 +757,14 @@ class TestColumnSumsets:
             assert superset.ok and superset.info["equality"] == (w != ws[2]), w
             assert check_fms(w, g).ok and check_prop_converse(w, g).ok, w
             assert decoded(polytopes.spanning_sumset(w), 9) == spanning_sumset_loop(w), w
+            # conj4 on 512-lane pairs, mobius on P_w in the 9! box.
+            for name in ("conj4", "mobius"):
+                assert cli._run_check(name, w, g)["status"] in ("pass", "skip"), (name, w)
+        # Only the last of them is zero-one; mobius on a zero-one w whose
+        # P_w has 918 points.
+        w = (7, 3, 8, 4, 1, 9, 5, 6, 2)
+        assert perms.is_zero_one(w)
+        assert cli._run_check("mobius", w, grothendieck_by_chain(w)) == {"status": "pass"}
 
     def test_spanning_sumset_kept_for_last_perm(self):
         w = (1, 5, 3, 2, 4)
@@ -697,7 +783,9 @@ class TestColumnSumsets:
 class TestKernelsAgainstScans:
     def test_S6(self, tables):
         for w in perms.all_perms(6):
-            assert_conj4_kernels_match(tables[(6, "G")][w].support())
+            g = tables[(6, "G")][w]
+            assert_conj4_kernels_match(g.support())
+            assert assert_conj4_matches_support(w, g).ok
 
     def test_terms_deleted_S5(self, tables):
         # Supports with one or two terms removed, so that the failing
@@ -711,7 +799,7 @@ class TestKernelsAgainstScans:
             dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
             cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
             pair = assert_conj4_kernels_match(cut.support())
-            verdict = check_conjecture_4(w, cut)
+            verdict = assert_conj4_matches_support(w, cut)
             if not is_paramodular(pair):
                 assert not verdict.ok
                 assert verdict.witness == polytopes.paramodular_violation(pair)
@@ -729,7 +817,12 @@ class TestKernelsAgainstScans:
 
     @pytest.mark.slow
     def test_previous_kernels_S7_slow(self):
-        assert_conj4_kernels_match_previous(cache.load_or_build(None, 7, "G"))
+        table = cache.load_or_build(None, 7, "G")
+        assert_conj4_kernels_match_previous(table)
+        # The pairwise scans for the extremal points cost |supp|^2: conj4's
+        # verdicts alone are compared with the whole-support reference.
+        for w, g in table.polys.items():
+            assert_conj4_matches_support(w, g, extremal=False)
 
     @settings(max_examples=300, deadline=None)
     @given(set_function_pairs())
@@ -746,7 +839,13 @@ class TestKernelsAgainstScans:
     def test_is_paramodular(self, pair):
         assert is_paramodular(pair) == is_paramodular_scan(pair)
         witness = polytopes.paramodular_violation(pair)
+        assert witness == paramodular_violation_loop(pair)
         assert (witness is None) == is_paramodular(pair)
+        # Scaled values need wider lanes, up to and past two bytes; every
+        # inequality scales with them.
+        for factor in (20, 1000, 10**20):
+            wide = SetFunctionPair([v * factor for v in pair.y], [v * factor for v in pair.z], pair.n)
+            assert polytopes.paramodular_violation(wide) == paramodular_violation_loop(wide)
         if witness is not None:
             assert_failing_inequality(pair, witness)
 
@@ -771,9 +870,10 @@ class TestPackedRefusal:
         g = Poly({(0, 0): 1, (200, 100): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
             recover_pair(g.support())
+        # conj4 reads the support view, which refuses the point first.
         entry = cli._run_check("conj4", (2, 1), g)
         assert entry["status"] == "error"
-        assert entry["witness"].startswith("ValueError: coordinate ranges sum to 300")
+        assert entry["witness"] == "ValueError: (200, 100) lies outside the staircase box of S_2"
 
     def test_lattice_search_refuses_wide_pair(self):
         # recover_pair accepts a range of 130, the search needs a span < 128.
@@ -784,11 +884,17 @@ class TestPackedRefusal:
             lattice_points_of_pair(pair)
         entry = cli._run_check("conj4", (1,), g)
         assert entry["status"] == "error"
-        assert entry["witness"].startswith("ValueError: pair values span 130")
+        assert entry["witness"] == "ValueError: (130,) lies outside the staircase box of S_1"
 
     def test_widest_accepted_pair(self):
-        verdict = check_conjecture_4((1,), Poly({(0,): 1, (127,): 1}, 1))
-        assert verdict.witness == (1,) and verdict.detail == "lattice points != support"
+        # The search takes a span of 127; conj4 never sees such a support,
+        # since the view refuses every point outside the staircase box.
+        g = Poly({(0,): 1, (127,): 1}, 1)
+        pair = recover_pair(g.support())
+        assert is_paramodular(pair)
+        assert lattice_points_of_pair(pair) == {(t,) for t in range(128)}
+        with pytest.raises(ValueError, match=r"^\(127,\) lies outside the staircase box of S_1$"):
+            check_conjecture_4((1,), g)
 
 
 class TestParamodularWitness:
@@ -810,18 +916,21 @@ class TestParamodularWitness:
         }
 
     def test_conj4_lattice_failure_witness(self):
-        # The pair of {(0,0), (2,0)} is paramodular, and its lattice points
-        # add (1,0): the first point of the difference in sorted order.
-        g = Poly({(0, 0): 1, (2, 0): 1}, 2)
+        # The pair of {(0,0,0), (2,0,0)} is paramodular, and its lattice
+        # points add (1,0,0): the first point of the difference in sorted
+        # order.
+        g = Poly({(0, 0, 0): 1, (2, 0, 0): 1}, 3)
         assert is_paramodular(recover_pair(g.support()))
-        verdict = check_conjecture_4((2, 1), g)
+        verdict = check_conjecture_4((3, 2, 1), g)
         assert not verdict.ok
-        assert verdict.witness == (1, 0)
+        assert verdict.witness == (1, 0, 0)
         assert verdict.detail == "lattice points != support"
-        assert cli._from_verdict(verdict)["witness"] == [1, 0]
+        assert cli._from_verdict(verdict)["witness"] == [1, 0, 0]
 
     def test_conj4_failure_carries_witness(self):
-        verdict = check_conjecture_4((1, 3, 2), Poly({(1, 1, 0): 1, (0, 0, 1): 1}, 3))
+        # test_hand_made_pair's points with a zero x_4 appended, inside the
+        # staircase box of S_4.
+        verdict = check_conjecture_4((1, 2, 4, 3), Poly({(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}, 4))
         assert not verdict.ok
         assert verdict.detail == "recovered pair not paramodular"
         assert verdict.witness["test"] == "z submodular"

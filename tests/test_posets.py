@@ -19,6 +19,26 @@ def componentwise_leq(alpha, beta):
     return all(a <= b for a, b in zip(alpha, beta))
 
 
+def poset(elements, n):
+    """The VectorPoset of these vectors, held as their codes."""
+    return VectorPoset(map(poly.codes.__getitem__, elements), n)
+
+
+def vectors(P):
+    """The elements of a VectorPoset, decoded."""
+    return frozenset(poly.decode(q, P.n) for q in P.elements)
+
+
+def covers(P):
+    """The Hasse covers of a VectorPoset, decoded."""
+    return {(poly.decode(a, P.n), poly.decode(b, P.n)) for a, b in P.covers()}
+
+
+def by_vector(table, n):
+    """A table of `mobius`, keyed by vectors: codes decoded, the bottom kept."""
+    return {q if q == BOTTOM else poly.decode(q, n): m for q, m in table.items()}
+
+
 def maximal_elements(elements, n):
     """The maxima, as found by the packed support view (points in the
     staircase box of S_n)."""
@@ -36,20 +56,19 @@ class TestComponentwise:
 
 class TestHasse:
     def test_chain(self):
-        P = VectorPoset({(0,), (1,), (2,)}, 1)
-        assert P.covers() == {((0,), (1,)), ((1,), (2,))}
+        P = poset({(0,), (1,), (2,)}, 1)
+        assert covers(P) == {((0,), (1,)), ((1,), (2,))}
 
     def test_antichain(self):
-        P = VectorPoset({(1, 0), (0, 1)}, 2)
+        P = poset({(1, 0), (0, 1)}, 2)
         assert P.covers() == set()
 
     def test_support_poset_15324_cover_count(self, tables):
         # frozen regression: Hasse diagram of the 14-point support
         supp = tables[(5, "G")][(1, 5, 3, 2, 4)].support()
-        P = VectorPoset(supp, 5)
-        covers = P.covers()
-        assert ((1, 2, 1, 0, 0), (2, 2, 1, 0, 0)) in covers
-        assert len(covers) == 19
+        found = covers(poset(supp, 5))
+        assert ((1, 2, 1, 0, 0), (2, 2, 1, 0, 0)) in found
+        assert len(found) == 19
 
     def test_maximal_singleton(self):
         assert maximal_elements({(2, 1, 0)}, 3) == {(2, 1, 0)}
@@ -70,20 +89,20 @@ class TestHasse:
             assert maximal_elements(g.support(), 5) == {wt}
 
     def test_hasse_text(self):
-        P = VectorPoset({(0,), (1,)}, 1)
+        P = poset({(0,), (1,)}, 1)
         assert P.hasse_text() == "0 -> 1"
+        P = poset({(0, 1), (1, 1), (0, 2)}, 2)
+        assert P.hasse_text() == "0,1 -> 0,2\n0,1 -> 1,1"
 
 
 class TestMobius:
     def test_chain(self):
-        P = VectorPoset({(1,), (2,)}, 1)
-        mu = mobius(P)
-        assert mu == {BOTTOM: 1, (1,): -1, (2,): 0}
+        mu = mobius(poset({(1,), (2,)}, 1))
+        assert by_vector(mu, 1) == {BOTTOM: 1, (1,): -1, (2,): 0}
 
     def test_diamond(self):
-        P = VectorPoset({(1, 0), (0, 1), (1, 1)}, 2)
-        mu = mobius(P)
-        assert mu[(1, 1)] == 1
+        mu = mobius(poset({(1, 0), (0, 1), (1, 1)}, 2))
+        assert by_vector(mu, 2)[(1, 1)] == 1
 
     @pytest.mark.parametrize(
         "elements",
@@ -91,8 +110,22 @@ class TestMobius:
         ids=["missing-join", "gap", "negative"],
     )
     def test_requires_upper_set_of_box(self, elements):
+        n = len(next(iter(elements)))
         with pytest.raises(ValueError, match="upper set"):
-            mobius(VectorPoset(elements, len(next(iter(elements)))))
+            mobius_tuples(elements, n)
+        if min(map(min, elements)) < 0:
+            # A negative entry has no code, so no VectorPoset holds one.
+            with pytest.raises(ValueError, match="bytes must be in range"):
+                poset(elements, n)
+        else:
+            with pytest.raises(ValueError, match="upper set"):
+                mobius(poset(elements, n))
+
+    def test_byte_255_entries(self):
+        # q - e_i borrows where q_i = 0; no code matches the result, also
+        # next to entries of 255.
+        upper = {(a, b) for a in (254, 255) for b in (0, 1)}
+        assert by_vector(mobius(poset(upper, 2)), 2) == mobius_tuples(upper, 2)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -107,39 +140,55 @@ class TestMobius:
             for v in itertools.product(*(range(t + 1) for t in top))
             if any(componentwise_leq(g, v) for g in generators)
         }
-        P = VectorPoset(upper, len(top))
-        assert mobius(P) == mobius_recursion(P)
+        n = len(top)
+        expected = mobius_recursion(upper)
+        assert by_vector(mobius(poset(upper, n)), n) == expected
+        assert mobius_tuples(upper, n) == expected
 
     def test_defining_identity(self, tables):
         for w in perms.all_perms(4):
             P = build_Pw(w, tables[(4, "G")][w])
-            mu = mobius(P)
-            for q in P.elements:
-                below = [r for r in P.elements if componentwise_leq(r, q)]
+            mu = by_vector(mobius(P), 4)
+            elements = vectors(P)
+            for q in elements:
+                below = [r for r in elements if componentwise_leq(r, q)]
                 assert mu[BOTTOM] + sum(mu[r] for r in below) == 0
 
 
 class TestBuildPw:
     def test_identity(self, tables):
         P = build_Pw(identity(3), tables[(3, "G")][identity(3)])
-        assert P.elements == {(0, 0, 0)}
+        assert vectors(P) == {(0, 0, 0)}
 
     def test_15324(self, tables):
         g = tables[(5, "G")][(1, 5, 3, 2, 4)]
         P = build_Pw((1, 5, 3, 2, 4), g)
-        assert P.elements == g.support() | {(3, 3, 0, 0, 0), (3, 3, 1, 0, 0)}
+        assert vectors(P) == g.support() | {(3, 3, 0, 0, 0), (3, 3, 1, 0, 0)}
 
     def test_351624_top(self, tables):
         w = (3, 5, 1, 6, 2, 4)
         P = build_Pw(w, tables[(6, "G")][w])
-        assert max(P.elements, key=sum) == (3, 3, 2, 2, 0, 0)
+        assert max(vectors(P), key=sum) == (3, 3, 2, 2, 0, 0)
 
     def test_contains_support_and_closure_weight_S5(self, tables):
         for w in perms.all_perms(5):
             g = tables[(5, "G")][w]
-            P = build_Pw(w, g)
-            assert g.support() <= P.elements
-            assert perms.weight(perms.upper_closure(perms.rothe_diagram(w))) in P.elements
+            P = vectors(build_Pw(w, g))
+            assert g.support() <= P
+            assert perms.weight(perms.upper_closure(perms.rothe_diagram(w))) in P
+
+    def test_closure_weight_in_staircase(self):
+        # The bound of P_w lies in the staircase box, b_i <= n - i.
+        for n in range(1, 8):
+            for w in perms.all_perms(n):
+                bound = perms.weight(perms.closed_rothe_diagram(w))
+                assert all(b <= n - i for i, b in enumerate(bound, 1)), w
+
+    def test_closure_kept_for_last_perm(self):
+        w = (1, 5, 3, 2, 4)
+        perms.closed_rothe_diagram.cache_clear()
+        assert perms.closed_rothe_diagram(w) is perms.closed_rothe_diagram(w)
+        assert perms.closed_rothe_diagram(w) == perms.upper_closure(perms.rothe_diagram(w))
 
 
 class TestConjectureCheckers:
@@ -173,7 +222,7 @@ class TestConjectureCheckers:
 
     def test_15324_mobius_zero_off_support(self, tables):
         g = tables[(5, "G")][(1, 5, 3, 2, 4)]
-        mu = mobius(build_Pw((1, 5, 3, 2, 4), g))
+        mu = by_vector(mobius(build_Pw((1, 5, 3, 2, 4), g)), 5)
         assert mu[(3, 3, 0, 0, 0)] == 0
         assert mu[(3, 3, 1, 0, 0)] == 0
 
@@ -181,7 +230,7 @@ class TestConjectureCheckers:
         w = (3, 5, 1, 6, 2, 4)
         g = tables[(6, "G")][w]
         assert posets.check_conjecture_mobius(w, g).ok
-        mu = mobius(build_Pw(w, g))
+        mu = by_vector(mobius(build_Pw(w, g)), 6)
         # coefficient of the displayed -3 term
         assert -mu[(3, 3, 1, 1, 0, 0)] == -3
 
@@ -260,20 +309,87 @@ def build_Pw_scan(w, groth):
     support point."""
     bound = perms.weight(perms.upper_closure(perms.rothe_diagram(w)))
     supp = groth.support()
-    return VectorPoset(
-        {
-            v
-            for v in itertools.product(*(range(b + 1) for b in bound))
-            if any(componentwise_leq(a, v) for a in supp)
-        },
-        len(w),
+    return frozenset(
+        v
+        for v in itertools.product(*(range(b + 1) for b in bound))
+        if any(componentwise_leq(a, v) for a in supp)
     )
 
 
-def covers_scan(P):
+def unit_steps(alpha):
+    """alpha + e_i for i = 1..n."""
+    for i in range(len(alpha)):
+        yield alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+
+
+def build_Pw_tuples(w, groth):
+    """The up-closure of the support points below the closure weight inside
+    the box [0, weight], by a search over +e_i steps on tuples: the kernel
+    that the bitset closure of `posets.build_Pw` replaced."""
+    bound = perms.weight(perms.upper_closure(perms.rothe_diagram(w)))
+    frontier = [alpha for alpha in groth.support() if componentwise_leq(alpha, bound)]
+    elements = set(frontier)
+    while frontier:
+        alpha = frontier.pop()
+        for i, beta in enumerate(unit_steps(alpha)):
+            if alpha[i] < bound[i] and beta not in elements:
+                elements.add(beta)
+                frontier.append(beta)
+    return frozenset(elements)
+
+
+def mobius_tuples(elements, n):
+    """The n backward differences of `posets.mobius` on tuples, with its
+    upper-set precondition: the kernel that the one on codes replaced."""
+    top = tuple(map(max, zip(*elements)))
+    for i, t in enumerate(top):
+        for v in elements:
+            if v[i] < 0 or (v[i] < t and v[:i] + (v[i] + 1,) + v[i + 1:] not in elements):
+                raise ValueError(
+                    f"mobius requires an upper set of the box [0, {top}]; {v} breaks it"
+                )
+    diff = dict.fromkeys(elements, 1)
+    for i in range(n):
+        diff = {
+            q: c - diff.get(q[:i] + (q[i] - 1,) + q[i + 1:], 0)
+            for q, c in diff.items()
+        }
+    table = {BOTTOM: 1}
+    table.update((q, -c) for q, c in diff.items())
+    return table
+
+
+def check_mobius_tuples(w, groth):
+    """The mobius check on the tuple kernels, as (ok, witness, detail)."""
+    if not perms.is_zero_one(w):
+        return None
+    elements = build_Pw_tuples(w, groth)
+    mu = mobius_tuples(elements, len(w))
+    wrong = [a for a in elements if groth.terms.get(a, 0) != -mu[a]]
+    if not wrong:
+        return (True, None, "")
+    alpha = min(wrong, key=order)
+    return (False, alpha, f"coefficient {groth.terms.get(alpha, 0)} != -mu = {-mu[alpha]}")
+
+
+def assert_mobius_matches_tuples(w, groth):
+    """P_w, its Moebius table and the mobius verdict against the tuple
+    kernels."""
+    P = build_Pw(w, groth)
+    elements = build_Pw_tuples(w, groth)
+    assert vectors(P) == elements, w
+    assert by_vector(mobius(P), len(w)) == mobius_tuples(elements, len(w)), w
+    verdict = posets.check_conjecture_mobius(w, groth)
+    if isinstance(verdict, NotApplicable):
+        assert check_mobius_tuples(w, groth) is None
+    else:
+        assert (verdict.ok, verdict.witness, verdict.detail) == check_mobius_tuples(w, groth), w
+    return P
+
+
+def covers_scan(els):
     """Pairs a < b with no element strictly between, every pair against
     every element."""
-    els = P.elements
     leq = componentwise_leq
     return {
         (a, b)
@@ -285,13 +401,13 @@ def covers_scan(P):
     }
 
 
-def covers_minimal_up_set(P):
+def covers_minimal_up_set(elements):
     """Hasse relation of any finite set of vectors: the upper covers of a
     are the minimal elements of its strict up-set.  That set is scanned in
     degree order, and b is kept iff no kept cover of a lies below it: an
     element strictly between a and b has smaller degree than b, and lies
     above a minimal one, which was kept first."""
-    els = sorted(P.elements, key=order)
+    els = sorted(elements, key=order)
     result = set()
     for i, a in enumerate(els):
         # Everything >= a other than a comes later in degree order.
@@ -303,10 +419,11 @@ def covers_minimal_up_set(P):
     return result
 
 
-def mobius_recursion(P):
-    """mu(0^, q) = -sum_{0^ <= r < q} mu(0^, r) along a linear extension."""
+def mobius_recursion(elements):
+    """mu(0^, q) = -sum_{0^ <= r < q} mu(0^, r) along a linear extension of
+    a set of vectors."""
     table = {BOTTOM: 1}
-    for q in sorted(P.elements, key=order):
+    for q in sorted(elements, key=order):
         table[q] = -sum(m for r, m in table.items() if r == BOTTOM or componentwise_leq(r, q))
     return table
 
@@ -364,7 +481,7 @@ def coeff_failures(w, groth):
 def mobius_failures(w, groth):
     P = build_Pw_scan(w, groth)
     mu = mobius_recursion(P)
-    return {a for a in P.elements if groth.terms.get(a, 0) != -mu[a]}
+    return {a for a in P if groth.terms.get(a, 0) != -mu[a]}
 
 
 def view_scan(g):
@@ -462,9 +579,9 @@ class TestKernelsAgainstScans:
             assert maximal_by_degree(g.support()) == maxima
             assert conj2_step_failures(w, g) == conj2_failures(w, g)
             assert_view_matches_scan(g)
-            P = build_Pw(w, g)
-            assert P.elements == build_Pw_scan(w, g).elements
-            assert mobius(P) == mobius_recursion(P)
+            P = assert_mobius_matches_tuples(w, g)
+            assert vectors(P) == build_Pw_scan(w, g)
+            assert by_vector(mobius(P), 6) == mobius_recursion(vectors(P))
             for checker, failures in CHECKERS:
                 assert_matches_scan(checker, failures, w, g)
 
@@ -484,9 +601,9 @@ class TestKernelsAgainstScans:
             assert maximal_by_degree(cut.support()) == maxima
             assert conj2_step_failures(w, cut) == conj2_failures(w, cut)
             assert_view_matches_scan(cut)
-            P = build_Pw(w, cut)
-            assert P.elements == build_Pw_scan(w, cut).elements
-            assert mobius(P) == mobius_recursion(P)
+            P = assert_mobius_matches_tuples(w, cut)
+            assert vectors(P) == build_Pw_scan(w, cut)
+            assert by_vector(mobius(P), 5) == mobius_recursion(vectors(P))
             checkers = CHECKERS
             if perms.is_zero_one(w):
                 checkers += ((posets.check_conjecture_mobius, mobius_failures),)
@@ -500,14 +617,14 @@ class TestKernelsAgainstScans:
         # too, because conj3 holds on S_5: every support is interval-closed.
         for w in perms.all_perms(5):
             g = tables[(5, "G")][w]
-            for P in (build_Pw(w, g), VectorPoset(g.support(), 5)):
-                assert P.covers() == covers_scan(P), w
-                assert covers_minimal_up_set(P) == covers_scan(P), w
+            for P in (build_Pw(w, g), poset(g.support(), 5)):
+                assert covers(P) == covers_scan(vectors(P)), w
+                assert covers_minimal_up_set(vectors(P)) == covers_scan(vectors(P)), w
 
     def test_covers_S6(self, tables):
         for w in perms.all_perms(6):
             P = build_Pw(w, tables[(6, "G")][w])
-            assert P.covers() == covers_minimal_up_set(P), w
+            assert covers(P) == covers_minimal_up_set(vectors(P)), w
 
     @pytest.mark.slow
     def test_S7_slow(self):
@@ -522,6 +639,7 @@ class TestKernelsAgainstScans:
             assert_matches_scan(posets.check_conjecture_1, lambda w, g: low, w, g)
             assert_matches_scan(posets.check_conjecture_2, conj2_step_failures, w, g)
             assert_matches_scan(posets.check_conjecture_coeff, coeff_failures, w, g)
+            assert_mobius_matches_tuples(w, g)
 
 
 class TestSupportView:
@@ -576,11 +694,12 @@ class TestSupportView:
         ],
         ids=["conj1", "conj2", "conj3", "coeff"],
     )
-    def test_degree_limit_and_zero(self, checker):
+    def test_outside_staircase_and_zero(self, checker):
         # The staircase box of S_2 is {(0, 0), (1, 0)}: the view refuses any
-        # other point, naming it, and the zero polynomial.
+        # other point, naming it, also one with an entry that has no byte,
+        # and the zero polynomial.
         assert checker((2, 1), Poly({(1, 0): 2, (0, 0): -1}, 2)).ok
-        for outside in [(2, 0), (0, 1), (127, 0)]:
+        for outside in [(2, 0), (0, 1), (127, 0), (300, 0), (-1, 0)]:
             message = f"{outside} lies outside the staircase box of S_2"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 checker((2, 1), Poly({(0, 0): 1, outside: 1}, 2))
