@@ -12,8 +12,9 @@ the line shape `word|text`, a word that is a permutation of [n] not seen
 before in the file, and through `poly.parse_text` nonzero coefficients,
 exponent vectors in the staircase box of S_n (length n, entries
 0 <= alpha_i <= n - i), and no repeated exponent within a polynomial.  It
-parses each distinct exponent vector once per file, so equal vectors across
-the table share one tuple; the writer formats each distinct vector once.
+codes each distinct exponent text once per file (`poly.code`), so equal
+exponents across the table share one int; the writer decodes each distinct
+code once.
 """
 from __future__ import annotations
 
@@ -55,11 +56,11 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
     a corrupt body line (bad `word|text` shape, a word that is not a
     permutation of [n] or repeats an earlier one, zero coefficient, exponent
     vector outside the staircase box, repeated exponent) is a hard error
-    naming the line.  Equal exponent vectors in the returned
-    table are one shared tuple.  The file is read one line at a time, so it
-    is never held in memory beside the table."""
+    naming the line.  Equal codes in the returned table are one shared int.
+    The file is read one line at a time, so it is never held in memory
+    beside the table."""
     polys = {}
-    vectors: dict = {}
+    codes: dict = {}
     with open(path) as fh:
         if fh.readline().rstrip("\n") != f"{HEADER_PREFIX} n={n} flavor={flavor}":
             return None
@@ -74,7 +75,7 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
                     raise ValueError(f"{word!r} is not a permutation of [{n}]")
                 if w in polys:
                     raise ValueError(f"repeated permutation {word!r}")
-                polys[w] = poly.parse_text(body, n, vectors)
+                polys[w] = poly.parse_text(body, n, codes)
             except Exception as exc:
                 raise ValueError(f"{path}:{lineno}: corrupt cache line: {exc}") from exc
     return poly.PolynomialTable(n, flavor, polys)

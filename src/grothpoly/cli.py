@@ -41,24 +41,26 @@ def _oracle(w, g) -> Verdict:
     (the permutation, its parent and j, both null at w_0), the first
     differing exponent in term order and both coefficients."""
     config, table = _CTX
+    n = config.n
+    term_order = ((1 << 8 * n) - 1).__and__  # a code with its degree masked off
     u = w
     while True:
         step = poly.recursion_parent(u)
         if step is None:
             j = parent = None
-            expected = poly.staircase_monomial(config.n)
+            expected = poly.staircase_monomial(n)
         else:
             j, parent = step
             expected = poly.isobaric_divided_difference(table[parent], j)
         pd_c, dd_c = table[u].terms, expected.terms
         if pd_c != dd_c:
             differ = (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0))
-            expo = min(differ, key=poly.term_key)
+            expo = min(differ, key=term_order)
             witness = {
                 "perm": perms.format_perm(u),
                 "parent": perms.format_perm(parent) if parent else None,
                 "j": j,
-                "exponent": expo,
+                "exponent": poly.decode(expo, n),
                 "divided_differences": dd_c.get(expo, 0),
                 "pipe_dreams": pd_c.get(expo, 0),
             }
@@ -286,7 +288,8 @@ def print_permutation(config: RunConfig) -> str:
     degree-l(w) part of 𝔊_w."""
     w, length = config.perm, perms.length(config.perm)
     g = cache.load_or_build(config.cache_dir, config.n, "G")[w]
-    s = poly.Poly({e: c for e, c in g.terms.items() if sum(e) == length}, config.n)
+    bottom = 8 * config.n  # a code's degree is its bits from here up
+    s = poly.Poly({e: c for e, c in g.terms.items() if e >> bottom == length}, config.n)
     lines = [
         f"perm {perms.format_perm(w)}",
         f"length {length}",

@@ -127,18 +127,32 @@ def weight(D: Diagram) -> tuple:
     return tuple(wt)
 
 
+# The Rajchgot code of the last permutation asked for: the report record and
+# the rajchgot check of one permutation share one computation.  A plain
+# function with a one-slot memo, not `functools.lru_cache`, so that a
+# wrapper installed on the module attribute still sees every call.
+_last_rajcode: tuple = (None, None)
+
+
 def rajcode(w: tuple) -> tuple:
     """Rajchgot code: r_j is the number of terms of w(j..n) omitted from a
     longest increasing subsequence of w(j..n) containing w(j).
 
-    Computed by an O(n^2) DP over suffixes anchored at each position.
+    Computed by an O(n^2) DP over suffixes anchored at each position, once
+    for the last w asked for.
     """
+    global _last_rajcode
+    source, code = _last_rajcode
+    if source == w:
+        return code
     n = len(w)
     # lis[j] = longest increasing subsequence of w(j..n) starting with w(j)
     lis = [1] * n
     for j in range(n - 2, -1, -1):
         lis[j] = 1 + max((lis[k] for k in range(j + 1, n) if w[k] > w[j]), default=0)
-    return tuple((n - j) - lis[j] for j in range(n))
+    code = tuple((n - j) - lis[j] for j in range(n))
+    _last_rajcode = (tuple(w), code)
+    return code
 
 
 def _ranking(seq: Iterable[int]) -> tuple:

@@ -37,26 +37,28 @@ def staircase_cells(n: int) -> List[tuple]:
 
 
 class _Times(dict):
-    """e -> the exponent of x_i x^e, one shared tuple per vector in `vectors`."""
+    """e -> the code of x_i x^e, e + 256^(i-1) + 256^n (`poly.code`), one
+    shared int per distinct code in `codes`."""
 
-    def __init__(self, i: int, vectors: Dict[tuple, tuple]):
+    def __init__(self, i: int, n: int, codes: Dict[int, int]):
         super().__init__()
-        self.i, self.vectors = i, vectors
+        self.unit, self.codes = 1 << 8 * (i - 1) | 1 << 8 * n, codes
 
-    def __missing__(self, e: tuple) -> tuple:
-        up = e[: self.i - 1] + (e[self.i - 1] + 1,) + e[self.i :]
-        self[e] = self.vectors.setdefault(up, up)
-        return self[e]
+    def __missing__(self, e: int) -> int:
+        up = e + self.unit
+        up = self[e] = self.codes.setdefault(up, up)
+        return up
 
 
 def pd_polynomial_all(n: int, mode: str) -> Dict[tuple, Poly]:
-    """The pipe-dream polynomial of every w in S_n: 𝔖_w for
-    mode="schubert", 𝔊_w for mode="grothendieck"."""
+    """The pipe-dream polynomial of every w in S_n, keyed by exponent code
+    (`poly.code`): 𝔖_w for mode="schubert", 𝔊_w for mode="grothendieck".
+    The empty cross set has weight x^0, code 0."""
     if mode not in ("schubert", "grothendieck"):
         raise ValueError(f"unknown mode {mode!r}")
-    vectors: Dict[tuple, tuple] = {}  # one tuple per exponent vector, as in poly.parse_text
-    times = {i: _Times(i, vectors) for i in range(1, n)}
-    states = {tuple(range(1, n + 1)): {(0,) * n: 1}}
+    codes: Dict[int, int] = {}  # one int per distinct code, as in poly.parse_text
+    times = {i: _Times(i, n, codes) for i in range(1, n)}
+    states = {tuple(range(1, n + 1)): {0: 1}}
     for i, j in sorted(staircase_cells(n), key=lambda c: (c[0], -c[1])):
         x_i, k, before = times[i], i + j - 1, list(states.items())
         for u, terms in before:

@@ -7,21 +7,26 @@ one step of the recursion (`recursion_parent`) to the pipe-dream 𝔊 table
 per permutation; `build_table` runs the whole recursion, and the tests
 compare its tables with the pipe dreams.
 
-A polynomial is a finite map from exponent vectors (tuples of length nvars)
-to nonzero integer coefficients.  All arithmetic is exact; the divided
-differences are written in closed form, one monomial at a time.  `Poly`
-stores the terms it is given, which the program builds itself; terms from
-outside enter only through `parse_text` (behind the cache reader), which
-checks them.
+A polynomial is a finite map from exponent codes to nonzero integer
+coefficients.  The code of an exponent vector alpha of length n is one
+integer: one byte per coordinate, x_1 lowest, and the degree above them,
+code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n (`code`; a vector
+with an entry outside 0..255 has none).  `decode` masks off the degree.
+While every entry is < 256 no byte carries, so the code of a sum is the sum
+of the codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, the degree
+is code >> 8n, and the numeric order of the codes is degree, then the
+canonical term order (compare the exponent of x_n first, then x_{n-1}, and
+so on: a term order with x_1 < x_2 < ... < x_n); with the degree masked off
+it is term order alone.  Every exponent of a polynomial here lies in the
+staircase box of S_n, entries < n, so the bound holds for n <= 256.  All
+arithmetic is exact; the divided differences are written in closed form,
+one monomial at a time, on codes.  `Poly` stores the terms it is given,
+which the program builds itself; terms from outside enter only through
+`parse_text` (behind the cache reader), which checks them.  Exponent
+vectors appear only where a person reads them: witnesses, `to_text` and
+`support`.
 
-The support checks read an exponent vector alpha of length n as one integer,
-its code: one byte per coordinate, x_1 lowest, and the degree above them,
-code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n.  `codes` computes it
-once per distinct vector, and `decode` masks off the degree.  While every
-entry is < 256 no byte carries, so the code of a sum is the sum of the
-codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, and the numeric
-order of the codes is degree, then the canonical term order (`term_key`).
-`support_view` packs the codes of one support with its top degree, maxima,
+`support_view` packs one support as a bitset with its top degree, maxima,
 elements with no unit step up, and the unit steps conj3 finds missing;
 every check that reads a support reads that view.
 
@@ -54,11 +59,13 @@ OPERATOR_APPLICATIONS = 0
 
 
 class Poly:
-    """Immutable exact sparse polynomial in nvars variables."""
+    """Immutable exact sparse polynomial in nvars variables: `terms` maps
+    the code of each exponent vector (see the module docstring) to its
+    nonzero coefficient."""
 
     __slots__ = ("terms", "nvars")
 
-    def __init__(self, terms: Dict[tuple, int], nvars: int):
+    def __init__(self, terms: Dict[int, int], nvars: int):
         self.terms = terms
         self.nvars = nvars
 
@@ -70,57 +77,51 @@ class Poly:
         )
 
     def support(self) -> frozenset:
-        return frozenset(self.terms)
+        """The exponent vectors of the terms."""
+        n = self.nvars
+        return frozenset(decode(c, n) for c in self.terms)
 
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(map(sum, self.terms))
+        return max(self.terms) >> 8 * self.nvars
 
     def principal_specialization(self) -> int:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
         return sum(self.terms.values())
 
-    def to_text(self, texts: Optional[Dict[tuple, str]] = None) -> str:
-        """Canonical text form: `coeff:e1,...,en` joined by `;`.
+    def to_text(self, texts: Optional[Dict[int, str]] = None) -> str:
+        """Canonical text form: `coeff:e1,...,en` joined by `;`, in term
+        order, the order of the codes with the degree masked off.
 
-        `texts` maps an exponent vector to its text and grows as new vectors
-        are seen, as `parse_text`'s `vectors` does the other way: a writer
-        that passes one dict per table formats each distinct vector once.
+        `texts` maps a code to the text of its vector and grows as new codes
+        are seen, as `parse_text`'s `codes` does the other way: a writer
+        that passes one dict per table decodes each distinct code once.
         Without it, a fresh dict is used."""
         if texts is None:
             texts = {}
+        n, terms = self.nvars, self.terms
         chunks = []
-        for expo in sorted(self.terms, key=term_key):
-            text = texts.get(expo)
+        for c in sorted(terms, key=((1 << 8 * n) - 1).__and__):
+            text = texts.get(c)
             if text is None:
-                text = texts[expo] = ",".join(map(str, expo))
-            chunks.append(f"{self.terms[expo]}:{text}")
+                text = texts[c] = ",".join(map(str, decode(c, n)))
+            chunks.append(f"{terms[c]}:{text}")
         return ";".join(chunks)
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r}, nvars={self.nvars})"
 
 
-def term_key(expo: tuple) -> tuple:
-    """Sort key for the canonical term order: compare the exponent of x_n
-    first, then x_{n-1}, and so on.  This is a term order with
-    x_1 < x_2 < ... < x_n."""
-    return expo[::-1]
-
-
-class _Codes(dict):
-    """alpha -> code(alpha) (see the module docstring), computed once per
-    distinct vector.  An entry outside 0..255 is refused with a ValueError
-    by `bytes`."""
-
-    def __missing__(self, alpha: tuple) -> int:
+def code(alpha: tuple) -> int:
+    """code(alpha) (see the module docstring).  A vector with an entry
+    outside 0..255, negative ones included, has no code and is refused with
+    a ValueError that names it."""
+    try:
         low = int.from_bytes(bytes(alpha), "little")
-        code = self[alpha] = low + (sum(alpha) << 8 * len(alpha))
-        return code
-
-
-codes = _Codes()
+    except ValueError:
+        raise ValueError(f"{alpha} has an entry outside 0..255 and no code") from None
+    return low + (sum(alpha) << 8 * len(alpha))
 
 
 def decode(code: int, n: int) -> tuple:
@@ -159,8 +160,8 @@ class _Box(dict):
     k(alpha) set for each alpha in it.
 
     As a dict it maps code(alpha) to (byte, bit), the place of bit k(alpha)
-    in a little-endian bytearray, filled once per distinct code, as `codes`
-    is; a code outside the box raises a ValueError that names its point.
+    in a little-endian bytearray, filled once per distinct code; a code
+    outside the box raises a ValueError that names its point.
     `steps` holds (w_i, M_i) for each coordinate, where M_i is the set of
     points alpha with alpha_i < radix_i - 1: one block of w_i radix_i bits,
     its low w_i (radix_i - 1) bits set, repeated over the box.  A box of
@@ -274,12 +275,11 @@ _boxes = _Boxes()
 
 class _SupportView:
     """Packed facts about a set of exponent vectors in the staircase box of
-    S_n (`_Box`; any other vector is refused with a ValueError that names
-    it, also one with an entry outside 0..255, which has no code):
+    S_n, given as a collection of their codes (`_Box`; any other vector is
+    refused with a ValueError that names it):
 
     - `box`: that box;
     - `bits`: P, the set as a bitset over the box;
-    - `codes`: the code of each vector, in the order given;
     - `degree`: the top degree;
     - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
     - `top_codes`: the codes of the top degree, in term order;
@@ -332,24 +332,16 @@ class _SupportView:
       are not in P."""
 
     __slots__ = (
-        "n", "box", "bits", "codes", "degree", "high", "top_codes", "uncovered", "maxima",
+        "n", "box", "bits", "degree", "high", "top_codes", "uncovered", "maxima",
         "low_maxima", "missing",
     )
 
-    def __init__(self, vectors, n: int):
-        try:
-            self.codes = list(map(codes.__getitem__, vectors))
-        except ValueError:
-            # An entry outside 0..255 has no code: name the first vector
-            # outside the box, as the box does for the others.
-            for alpha in vectors:
-                _staircase_point(alpha, n)
-            raise
+    def __init__(self, codes, n: int):
         box = self.box = _boxes[n]
-        P = self.bits = box.bits(self.codes)
-        top = max(self.codes, default=0) >> 8 * n
+        P = self.bits = box.bits(codes)
+        top = max(codes, default=0) >> 8 * n
         bottom = top << 8 * n  # the least code of the top degree
-        self.top_codes = sorted(c for c in self.codes if c >= bottom)
+        self.top_codes = sorted(c for c in codes if c >= bottom)
         steps = box.steps
         U = 0
         for w, mask in steps:
@@ -382,8 +374,7 @@ _last_view: tuple = (None, None)
 
 
 def support_view(f: Poly) -> _SupportView:
-    """The packed view of supp f, with `codes` in the order of `f.terms`;
-    kept for the last polynomial asked for.  The zero polynomial has no
+    """The packed view of supp f, kept for the last polynomial asked for.  The zero polynomial has no
     support and is refused with a ValueError."""
     global _last_view
     source, view = _last_view
@@ -395,36 +386,42 @@ def support_view(f: Poly) -> _SupportView:
     return view
 
 
-def parse_text(text: str, nvars: int, vectors: Dict[str, tuple]) -> Poly:
+# Deletes what the numbers of a canonical text are made of, leaving the
+# separators (`parse_text`).
+_NUMERALS = dict.fromkeys(map(ord, "0123456789,-"))
+
+
+def parse_text(text: str, nvars: int, codes: Dict[str, int]) -> Poly:
     """Parse the canonical text form `coeff:e1,...,en;...` into a Poly.
 
-    `vectors` maps exponent text to its tuple and grows as new vectors are
-    seen: each distinct vector is converted and checked (in the staircase
-    box of S_nvars, see `_Box`) once per table, and every polynomial parsed
-    against the same table shares that one tuple.  Each term costs one split, one lookup
-    and one `int`; the polynomial as a whole must have nonzero coefficients
-    and no repeated exponent.  The empty text is the zero polynomial.
+    `codes` maps exponent text to its code and grows as new texts are seen:
+    each distinct vector is converted and checked (in the staircase box of
+    S_nvars, see `_Box`) once per table, and every polynomial parsed against
+    the same table shares that one int.  The text is split once on both
+    separators, and what is not a digit, comma or minus sign must be those
+    separators, `:` and `;` alternating, so each term has one colon.  The
+    polynomial as a whole must have nonzero coefficients and no repeated
+    exponent.  The empty text is the zero polynomial.
     """
-    terms: Dict[tuple, int] = {}
     if not text:
-        return Poly(terms, nvars)
-    chunks = text.split(";")
-    for chunk in chunks:
-        coeff, key = chunk.split(":")
-        expo = vectors.get(key)
-        if expo is None:
-            expo = vectors[key] = _parse_vector(key, nvars)
-        terms[expo] = int(coeff)
-    if len(terms) != len(chunks):
-        raise ValueError(f"repeated exponent: {len(chunks)} terms, {len(terms)} exponents")
+        return Poly({}, nvars)
+    parts = text.replace(";", ":").split(":")
+    coeffs, keys = parts[0::2], parts[1::2]
+    if text.translate(_NUMERALS) != ":" + ";:" * (len(keys) - 1):
+        raise ValueError("terms are not of the form coeff:e1,...,en joined by ';'")
+    try:
+        terms = dict(zip(map(codes.__getitem__, keys), map(int, coeffs)))
+    except KeyError:
+        for key in keys:
+            if key not in codes:
+                codes[key] = code(_staircase_point(tuple(map(int, key.split(","))), nvars))
+        terms = dict(zip(map(codes.__getitem__, keys), map(int, coeffs)))
+    if len(terms) != len(keys):
+        raise ValueError(f"repeated exponent: {len(keys)} terms, {len(terms)} exponents")
     if 0 in terms.values():
         zero = next(e for e, c in terms.items() if c == 0)
-        raise ValueError(f"zero coefficient stored at {zero}")
+        raise ValueError(f"zero coefficient stored at {decode(zero, nvars)}")
     return Poly(terms, nvars)
-
-
-def _parse_vector(key: str, nvars: int) -> tuple:
-    return _staircase_point(tuple(map(int, key.split(","))), nvars)
 
 
 # The (lift, sign) parts of the two operators (see `_closed_form`).
@@ -451,27 +448,43 @@ def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
     With a, b the exponents of x_j, x_{j+1}, the divided difference of
     x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
     min(a, b) <= p < max(a, b), negated when a < b (so 0 when a = b).
+
+    On codes, a and b are bytes j - 1 and j of the code; every output term
+    has degree |alpha| - 1 + lift, and the next p adds 256^(j-1) - 256^j to
+    the code.  The entries of the result must stay below 256, as every
+    exponent in the staircase box does.
     """
     global OPERATOR_APPLICATIONS
     OPERATOR_APPLICATIONS += 1
-    if not 1 <= j <= f.nvars - 1:
-        raise ValueError(f"operator index {j} out of range for nvars={f.nvars}")
-    j0 = j - 1
-    out: Dict[tuple, int] = {}
+    n = f.nvars
+    if not 1 <= j <= n - 1:
+        raise ValueError(f"operator index {j} out of range for nvars={n}")
+    shift = 8 * (j - 1)
+    unit_j, unit_next, unit_degree = 1 << shift, 1 << shift + 8, 1 << 8 * n
+    step = unit_j - unit_next
+    out: Dict[int, int] = {}
+    get = out.get
     for expo, coeff in f.terms.items():
-        head, tail = expo[:j0], expo[j0 + 2 :]
+        a, b0 = expo >> shift & 0xFF, expo >> shift + 8 & 0xFF
         for lift, sign in parts:
-            a, b = expo[j0], expo[j0 + 1] + lift
-            c = sign * coeff if a > b else -sign * coeff
-            for p in range(min(a, b), max(a, b)):
-                e = head + (p, a + b - 1 - p) + tail
-                out[e] = out.get(e, 0) + c
-    return Poly({e: c for e, c in out.items() if c}, f.nvars)
+            b = b0 + lift
+            if a > b:
+                p, count, c = b, a - b, sign * coeff
+            elif a < b:
+                p, count, c = a, b - a, -sign * coeff
+            else:
+                continue
+            # x_j^p x_{j+1}^{a+b-1-p}, one degree below x_j^a x_{j+1}^b.
+            e = expo + (p - a) * unit_j + (a + b - 1 - p - b0) * unit_next + (lift - 1) * unit_degree
+            for _ in range(count):
+                out[e] = get(e, 0) + c
+                e += step
+    return Poly({e: c for e, c in out.items() if c}, n)
 
 
 def staircase_monomial(n: int) -> Poly:
     """x_1^{n-1} x_2^{n-2} ... x_{n-1}, the w_0 base case."""
-    return Poly({tuple(range(n - 1, -1, -1)): 1}, n)
+    return Poly({code(tuple(range(n - 1, -1, -1))): 1}, n)
 
 
 class PolynomialTable:
@@ -506,16 +519,16 @@ def build_table(n: int, flavor: str) -> PolynomialTable:
 
     Every w != w_0 has a parent (`recursion_parent`) one longer than w, so
     processing permutations in decreasing length order finds each parent
-    already done.  Equal exponent vectors in the table are one shared tuple
-    (S_n has at most n! distinct ones, the points of the staircase box).
+    already done.  Equal codes in the table are one shared int (S_n has at
+    most n! distinct ones, the points of the staircase box).
     """
     parts = _PLAIN if flavor == "S" else _ISOBARIC
     top = staircase_monomial(n)
-    vectors = {e: e for e in top.terms}
+    codes = {e: e for e in top.terms}
     polys: Dict[tuple, Poly] = {perms.longest_element(n): top}
     by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
     for w in by_length[1:]:
         j, parent = recursion_parent(w)
         terms = _closed_form(polys[parent], j, parts).terms
-        polys[w] = Poly({vectors.setdefault(e, e): c for e, c in terms.items()}, n)
+        polys[w] = Poly({codes.setdefault(e, e): c for e, c in terms.items()}, n)
     return PolynomialTable(n, flavor, polys)

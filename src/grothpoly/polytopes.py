@@ -15,7 +15,7 @@ from operator import add, itemgetter, mul, or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly, _boxes, decode, support_view, term_key
+from .poly import Poly, _boxes, decode, support_view
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
@@ -386,7 +386,7 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
         return Verdict(
             False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"
         )
-    size = len(view.codes)
+    size = len(groth.terms)
     if _LatticeSearch(pair).count(size) != size:
         diff = sorted(lattice_points_of_pair(pair) ^ groth.support())
         return Verdict(False, witness=diff[0], detail="lattice points != support")
@@ -488,5 +488,6 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
 
 
 def lattice_set_text(A: FrozenSet[tuple]) -> str:
-    """Debug dump: one comma-separated vector per line, in term order."""
-    return "\n".join(",".join(map(str, v)) for v in sorted(A, key=term_key))
+    """Debug dump: one comma-separated vector per line, in term order: the
+    exponent of x_n compared first, then x_{n-1}, and so on."""
+    return "\n".join(",".join(map(str, v)) for v in sorted(A, key=lambda v: v[::-1]))

@@ -6,8 +6,8 @@ that live on it.
 conj1, conj2, conj3, coeff, rajchgot and mobius read the packed view of the
 support (`poly.support_view`), which is kept for the last polynomial, so the
 checks of one permutation share a single build.  P_w is a bitset over the
-view's staircase box, and its elements are codes (`poly.codes`), decoded
-only where they are printed.
+view's staircase box, and its elements are codes (`poly.code`), as are the
+keys of every polynomial, decoded only where they are printed.
 """
 from __future__ import annotations
 
@@ -24,7 +24,7 @@ BOTTOM = "0^"
 
 class VectorPoset:
     """A finite interval-closed set of integer vectors of length n, entries
-    in 0..255, held as their codes (`poly.codes`), under componentwise
+    in 0..255, held as their codes (`poly.code`), under componentwise
     order: whenever a <= c <= b with a and b in the set, c is in it too.
     P_w (`build_Pw`) is one: such a c lies above the support point below a
     and below the bound above b."""
@@ -182,7 +182,7 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
         beta = view.missing[0]
         up = 1 << 8 * n
         steps = {beta - up - (1 << 8 * i) for i in range(n) if beta >> 8 * i & 0xFF}
-        alpha = min(steps.intersection(view.codes))
+        alpha = min(s for s in steps if s in groth.terms)
         m = min(m for m in view.maxima if ((m | high) - beta) & high == high)
         detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
         return Verdict(False, witness=decode(beta, n), detail=detail)
@@ -191,11 +191,10 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
 
 def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
     """For each top-degree support exponent beta, the coefficients over
-    {alpha in supp : alpha <= beta} sum to 1.  The view's codes follow the
-    order of `groth.terms`, so they pair with its coefficients."""
+    {alpha in supp : alpha <= beta} sum to 1."""
     view = support_view(groth)
     high = view.high
-    terms = list(zip(view.codes, groth.terms.values()))
+    terms = groth.terms.items()
     for beta in view.top_codes:
         beta_high = beta | high
         total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
@@ -213,7 +212,7 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     view = support_view(groth)
     rc = perms.rajcode(w)
     coordinates = (1 << 8 * view.n) - 1
-    leading = decode(max(map(coordinates.__and__, view.codes)), view.n)
+    leading = decode(max(map(coordinates.__and__, groth.terms)), view.n)
     if view.degree == sum(rc) and leading == rc:
         return Verdict(True)
     return Verdict(False, witness=leading)
@@ -222,21 +221,19 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
     negated Moebius values of the support poset with bottom; NotApplicable
-    on any other w.  The view's codes follow the order of `groth.terms`, so
-    they pair with its coefficients.  A failure names the first wrong
-    exponent in code order (`poly.codes`): degree, then term order."""
+    on any other w.  A failure names the first wrong exponent in code order
+    (`poly.code`): degree, then term order."""
     if not perms.is_zero_one(w):
         return NotApplicable("not a zero-one permutation")
     P = build_Pw(w, groth)
     mu = mobius(P)
-    view = support_view(groth)
-    coefficients = dict(zip(view.codes, groth.terms.values()))
-    wrong = [q for q in P.elements if coefficients.get(q, 0) != -mu[q]]
+    coefficient = groth.terms.get
+    wrong = [q for q in P.elements if coefficient(q, 0) != -mu[q]]
     if wrong:
         q = min(wrong)
         return Verdict(
             False,
-            witness=decode(q, view.n),
-            detail=f"coefficient {coefficients.get(q, 0)} != -mu = {-mu[q]}",
+            witness=decode(q, P.n),
+            detail=f"coefficient {coefficient(q, 0)} != -mu = {-mu[q]}",
         )
     return Verdict(True)

@@ -2,13 +2,16 @@
 
 The paper proves its conjectures for Grassmannian and fireworks
 permutations; these are those proven cases (Escobar-Yong's graded supports
-and the explicit lambda/mu pair), the permutation classes they cover, and
-the few polynomial operations the tests need and the engine does not.
+and the explicit lambda/mu pair), the permutation classes they cover, the
+few polynomial operations the tests need and the engine does not, and the
+kernels the engine's code-keyed ones replaced: the divided differences and
+the pipe-dream transfer matrix on exponent tuples, the oracles they are
+compared with.
 """
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
-from grothpoly import perms
-from grothpoly.poly import Poly
+from grothpoly import perms, pipedreams
+from grothpoly.poly import Poly, code, decode
 from grothpoly.polytopes import SetFunctionPair, is_paramodular, recover_pair
 from grothpoly.verdicts import NotApplicable, Verdict
 
@@ -78,8 +81,25 @@ def pad(v: Sequence[int], n: int) -> tuple:
     return tuple(v) + (0,) * (n - len(v))
 
 
+def term_key(expo: tuple) -> tuple:
+    """Sort key for the canonical term order: compare the exponent of x_n
+    first, then x_{n-1}, and so on.  This is a term order with
+    x_1 < x_2 < ... < x_n."""
+    return expo[::-1]
+
+
+def poly_of(terms: dict, n: int) -> Poly:
+    """The polynomial with these terms, keyed by exponent vector."""
+    return Poly({code(e): c for e, c in terms.items()}, n)
+
+
+def vector_terms(f: Poly) -> dict:
+    """The terms of f, keyed by exponent vector."""
+    return {decode(e, f.nvars): c for e, c in f.terms.items()}
+
+
 def graded_component(f: Poly, d: int) -> Poly:
-    return Poly({e: c for e, c in f.terms.items() if sum(e) == d}, f.nvars)
+    return poly_of({e: c for e, c in vector_terms(f).items() if sum(e) == d}, f.nvars)
 
 
 def add(f: Poly, g: Poly) -> Poly:
@@ -227,3 +247,65 @@ def check_grassmannian_pair(w: tuple, groth: Poly) -> Verdict:
     if pair != recovered:
         return Verdict(False, detail="explicit pair != recovered pair")
     return Verdict(True)
+
+
+# The tuple kernels: the engine's operator and transfer matrix as they were
+# written on exponent tuples, before every polynomial was keyed by its code.
+
+# The (lift, sign) parts of the two operators, as in `grothpoly.poly`.
+PLAIN = ((0, 1),)
+ISOBARIC = ((0, 1), (1, -1))
+
+
+def closed_form_vectors(terms: Dict[tuple, int], j: int, parts: tuple) -> Dict[tuple, int]:
+    """The sum of sign * divided_difference(x_{j+1}^lift f, j) over the
+    (lift, sign) pairs in parts, f given by its terms keyed by exponent
+    tuple: with a, b the exponents of x_j, x_{j+1}, the divided difference
+    of x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
+    min(a, b) <= p < max(a, b), negated when a < b."""
+    j0 = j - 1
+    out: Dict[tuple, int] = {}
+    for expo, coeff in terms.items():
+        head, tail = expo[:j0], expo[j0 + 2 :]
+        for lift, sign in parts:
+            a, b = expo[j0], expo[j0 + 1] + lift
+            c = sign * coeff if a > b else -sign * coeff
+            for p in range(min(a, b), max(a, b)):
+                e = head + (p, a + b - 1 - p) + tail
+                out[e] = out.get(e, 0) + c
+    return {e: c for e, c in out.items() if c}
+
+
+class _TimesVectors(dict):
+    """e -> the exponent tuple of x_i x^e, one shared tuple per vector."""
+
+    def __init__(self, i: int, vectors: Dict[tuple, tuple]):
+        super().__init__()
+        self.i, self.vectors = i, vectors
+
+    def __missing__(self, e: tuple) -> tuple:
+        up = e[: self.i - 1] + (e[self.i - 1] + 1,) + e[self.i :]
+        self[e] = self.vectors.setdefault(up, up)
+        return self[e]
+
+
+def pd_polynomial_all_vectors(n: int, mode: str) -> Dict[tuple, Dict[tuple, int]]:
+    """The pipe-dream transfer matrix of `pipedreams.pd_polynomial_all` on
+    exponent tuples: w -> the terms of 𝔖_w (mode="schubert") or 𝔊_w
+    (mode="grothendieck"), keyed by exponent tuple."""
+    vectors: Dict[tuple, tuple] = {}
+    times = {i: _TimesVectors(i, vectors) for i in range(1, n)}
+    states = {tuple(range(1, n + 1)): {(0,) * n: 1}}
+    for i, j in sorted(pipedreams.staircase_cells(n), key=lambda c: (c[0], -c[1])):
+        x_i, k, before = times[i], i + j - 1, list(states.items())
+        for u, terms in before:
+            if u[k - 1] > u[k] and mode == "grothendieck":
+                for e, c in [(x_i[e], c) for e, c in terms.items()]:
+                    terms[e] = terms.get(e, 0) - c
+        for u, terms in before:
+            if u[k - 1] < u[k]:
+                target = states.setdefault(u[: k - 1] + (u[k], u[k - 1]) + u[k + 1 :], {})
+                for e, c in terms.items():
+                    e = x_i[e]
+                    target[e] = target.get(e, 0) + c
+    return {w: states[w] for w in perms.all_perms(n)}

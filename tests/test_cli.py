@@ -9,7 +9,7 @@ import pytest
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets
 from grothpoly.verdicts import NotApplicable, Verdict
-from reference import add
+from reference import add, poly_of
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -37,8 +37,13 @@ def _edit_g(monkeypatch, w, edit):
 
 def _outside_box_g(monkeypatch, w):
     """Load 𝔊 tables in which 𝔊_w is x_1^n, one past the staircase box of
-    S_n, which the packed support view refuses."""
-    _edit_g(monkeypatch, w, lambda g: poly.Poly({(g.nvars,) + (0,) * (g.nvars - 1): 1}, g.nvars))
+    S_n: it has a code (`poly.code`), and the packed support view refuses
+    it."""
+
+    def x1_to_the_n(g):
+        return poly.Poly({poly.code((g.nvars,) + (0,) * (g.nvars - 1)): 1}, g.nvars)
+
+    _edit_g(monkeypatch, w, x1_to_the_n)
 
 
 def _first_ascent_chain(w):
@@ -64,7 +69,8 @@ class TestCache:
         table = tables[(n, flavor)]
         reloaded = _roundtrip(table, tmp_path)
         assert reloaded.polys == table.polys
-        # Equal exponent vectors are one shared tuple in the reloaded table.
+        # Equal exponent vectors are one shared int, their code, in the
+        # reloaded table.
         shared = {}
         for p in reloaded.polys.values():
             for expo in p.terms:
@@ -77,6 +83,25 @@ class TestCache:
             cache.write_table(table, path)
             lines = open(path).read().splitlines()
             assert lines[1:] == [f"{perms.format_perm(w)}|{table[w].to_text()}" for w in sorted(table.polys)]
+
+    @pytest.mark.parametrize(
+        "n, flavor, expected",
+        [
+            (5, "S", "588c61ea9d8eefb1abe5f5768086f8dcd71ca1cb2aae728c2dbf27517f5d4273"),
+            (5, "G", "d3fb993c059f8fbbe95cde08df04e08572cc21d0b4ff7d32d25fe03938185a6d"),
+            (6, "S", "2c850f1a4aec6e80133bd14db1ee80d8d3b965008a49fc848fffa5888e01c589"),
+            (6, "G", "57f6d23f68186eddd3b626fa2ab20feeb7e2d2240aab7c7a8e8a9ea2dbf9a4d6"),
+            # The benchmark's set-up gate on `--mode cache --n 7`.
+            pytest.param(7, "S", json.loads(DIGESTS.read_text())["n7_S"], marks=pytest.mark.slow),
+            pytest.param(7, "G", json.loads(DIGESTS.read_text())["n7_G"], marks=pytest.mark.slow),
+        ],
+    )
+    def test_cache_mode_file_bytes(self, tmp_path, n, flavor, expected):
+        """The bytes `--mode cache` writes, pinned by sha256: at n = 7 the
+        digests of perfbench/digests.json."""
+        assert cli.main(["--n", str(n), "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
+        data = Path(cache.cache_path(str(tmp_path), n, flavor)).read_bytes()
+        assert hashlib.sha256(data).hexdigest() == expected
 
     @pytest.mark.slow
     def test_cache_roundtrip_S7_slow(self, tmp_path):
@@ -154,6 +179,8 @@ class TestCache:
             "x:1,0,0",
             "1:1,,0",
             "1:3,0,0",
+            "1:1,0,0:1;0,1,0",
+            "1;1,0,0:1:0,1,0",
         ],
         ids=[
             "garbage",
@@ -166,6 +193,8 @@ class TestCache:
             "non-integer-coefficient",
             "empty-exponent-entry",
             "outside-staircase",
+            "colons-shifted",
+            "separators-swapped",
         ],
     )
     def test_corrupt_line_is_hard_error(self, tmp_path, body):
@@ -297,7 +326,7 @@ class TestRun:
     def test_oracle_failure_witness_at_w0(self, monkeypatch):
         # At w_0 the table is compared with the staircase monomial; the
         # step has no parent and no j.
-        _edit_g(monkeypatch, (3, 2, 1), lambda g: poly.Poly({(2, 1, 0): 1, (3, 0, 0): -2}, 3))
+        _edit_g(monkeypatch, (3, 2, 1), lambda g: poly_of({(2, 1, 0): 1, (3, 0, 0): -2}, 3))
         report, status = cli.run(cli.RunConfig(n=3, perm=(3, 2, 1), checks=("oracle",)))
         assert status == 1
         assert report["results"][0]["checks"]["oracle"]["witness"] == {
@@ -315,7 +344,7 @@ class TestRun:
         pipe-dream 𝔊_u, for each u: the full sweep fails at u, with the
         same report for one and two jobs, and --perm w fails exactly when u
         is on w's first-ascent chain to w_0."""
-        extra = poly.Poly({(n,) + (0,) * (n - 1): 1}, n)
+        extra = poly_of({(n,) + (0,) * (n - 1): 1}, n)
         chains = {w: _first_ascent_chain(w) for w in perms.all_perms(n)}
         for u in perms.all_perms(n):
             with monkeypatch.context() as m:
@@ -491,7 +520,7 @@ class TestRun:
         detail (superset); mobius skips with a reason; converse and
         superset carry boolean `info`; --timings adds floats."""
         _outside_box_g(monkeypatch, (1, 3, 2, 4, 5))
-        _edit_g(monkeypatch, (2, 1, 3, 4, 5), lambda g: add(g, poly.Poly({(0, 1, 0, 0, 0): 1}, 5)))
+        _edit_g(monkeypatch, (2, 1, 3, 4, 5), lambda g: add(g, poly_of({(0, 1, 0, 0, 0): 1}, 5)))
         report, status = cli.run(cli.RunConfig(n=5, timings=True))
         capsys.readouterr()
         assert status == 3
@@ -524,9 +553,9 @@ class TestRun:
         built = []
         real = poly._SupportView
 
-        def counting(vectors, n):
+        def counting(codes, n):
             built.append(n)
-            return real(vectors, n)
+            return real(codes, n)
 
         monkeypatch.setattr(poly, "_SupportView", counting)
         battery = ("conj1", "conj2", "conj3", "coeff", "rajchgot")

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 
 import pytest
@@ -125,6 +126,17 @@ class TestRajcode:
     def test_matches_naive_S5(self):
         for w in perms.all_perms(5):
             assert perms.rajcode(w) == naive_rajcode(w)
+
+    def test_one_computation_per_permutation(self):
+        # The report record and the rajchgot check of one w share one
+        # computation; the function stays plain, so the benchmark's tracer,
+        # which wraps only `inspect.isfunction` names, still wraps it.
+        assert inspect.isfunction(perms.rajcode)
+        w = (1, 5, 3, 2, 4)
+        first = perms.rajcode(w)
+        assert perms.rajcode(w) is first
+        assert perms.rajcode((2, 1, 3)) == (1, 0, 0)
+        assert perms.rajcode(list(w)) == first
 
 
 class TestFireworks:

@@ -6,7 +6,7 @@ import pytest
 
 from grothpoly import perms, pipedreams
 from grothpoly.poly import Poly, build_table, parse_text
-from reference import identity
+from reference import identity, pd_polynomial_all_vectors, poly_of, vector_terms
 
 # Reference definitions: the strand trace (the definition of the permutation
 # of a cross set), the Demazure product of the reading word (Knutson-Miller),
@@ -150,7 +150,7 @@ def walk_polynomials(n: int, mode: str) -> Dict[tuple, Poly]:
 
     walk(n, mode == "schubert", leaf)
     return {
-        w: Poly({e: c for e, c in buckets[w].items() if c}, n)
+        w: poly_of({e: c for e, c in buckets[w].items() if c}, n)
         for w in perms.all_perms(n)
     }
 
@@ -258,7 +258,7 @@ class TestPolynomials:
 
     def test_w0_staircase(self):
         f = pipedreams.pd_polynomial_all(4, "grothendieck")[perms.longest_element(4)]
-        assert f == Poly({(3, 2, 1, 0): 1}, 4)
+        assert f == poly_of({(3, 2, 1, 0): 1}, 4)
 
     def test_oracle_equivalence_S4(self, tables):
         pd_g = pipedreams.pd_polynomial_all(4, "grothendieck")
@@ -287,6 +287,15 @@ class TestPolynomials:
     def test_recursion_matches_walk(self, n, mode):
         assert pipedreams.pd_polynomial_all(n, mode) == walk_polynomials(n, mode)
 
+    @pytest.mark.parametrize("mode", ["schubert", "grothendieck"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_codes_match_tuple_engine(self, n, mode):
+        # The transfer matrix on codes, decoded, is the one on exponent
+        # tuples that it replaced, and equal codes are one shared int.
+        built = pipedreams.pd_polynomial_all(n, mode)
+        assert {w: vector_terms(f) for w, f in built.items()} == pd_polynomial_all_vectors(n, mode)
+        assert_shares_codes(built)
+
     def test_unknown_mode_rejected(self):
         with pytest.raises(ValueError):
             pipedreams.pd_polynomial_all(3, "bogus")
@@ -309,6 +318,20 @@ class TestEuler:
     def test_all_S4(self):
         for w in perms.all_perms(4):
             assert euler_characteristic(w) == 1
+
+
+def assert_shares_codes(polys: Dict[tuple, Poly]) -> None:
+    shared = {}
+    for f in polys.values():
+        for e in f.terms:
+            assert shared.setdefault(e, e) is e
+
+
+@pytest.mark.slow
+def test_codes_match_tuple_engine_S7_slow():
+    for mode in ("schubert", "grothendieck"):
+        built = pipedreams.pd_polynomial_all(7, mode)
+        assert {w: vector_terms(f) for w, f in built.items()} == pd_polynomial_all_vectors(7, mode)
 
 
 @pytest.mark.slow

@@ -1,4 +1,5 @@
 import itertools
+import re
 import time
 
 import pytest
@@ -12,9 +13,19 @@ from grothpoly.poly import (
     isobaric_divided_difference,
     parse_text,
     staircase_monomial,
-    term_key,
 )
-from reference import add, graded_component, identity
+from reference import (
+    ISOBARIC,
+    PLAIN,
+    add,
+    closed_form_vectors,
+    graded_component,
+    identity,
+    pd_polynomial_all_vectors,
+    poly_of,
+    term_key,
+    vector_terms,
+)
 
 
 def P(text, nvars):
@@ -24,19 +35,19 @@ def P(text, nvars):
     for chunk in text.split(";"):
         coeff, key = chunk.split(":")
         terms[tuple(map(int, key.split(",")))] = int(coeff)
-    return Poly(terms, nvars)
+    return poly_of(terms, nvars)
 
 
 # Reference definitions of operations the engine does not need.
 
 
 def one(nvars):
-    return Poly({(0,) * nvars: 1}, nvars)
+    return poly_of({(0,) * nvars: 1}, nvars)
 
 
 def variable(j, nvars):
     """The variable x_j (1-based)."""
-    return Poly({tuple(1 if k == j else 0 for k in range(1, nvars + 1)): 1}, nvars)
+    return poly_of({tuple(1 if k == j else 0 for k in range(1, nvars + 1)): 1}, nvars)
 
 
 def neg(f):
@@ -51,23 +62,23 @@ def mul(f, g):
     if f.nvars != g.nvars:
         raise ValueError(f"nvars mismatch: {f.nvars} and {g.nvars}")
     out = {}
-    for e1, c1 in f.terms.items():
-        for e2, c2 in g.terms.items():
+    for e1, c1 in vector_terms(f).items():
+        for e2, c2 in vector_terms(g).items():
             e = tuple(a + b for a, b in zip(e1, e2))
             c = out.get(e, 0) + c1 * c2
             if c:
                 out[e] = c
             else:
                 out.pop(e, None)
-    return Poly(out, f.nvars)
+    return poly_of(out, f.nvars)
 
 
 def swap_vars(f, j):
     """Exchange x_j and x_{j+1} (1-based j, 1 <= j <= nvars - 1)."""
     if not 1 <= j <= f.nvars - 1:
         raise ValueError(f"swap index {j} out of range for nvars={f.nvars}")
-    swapped = {e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :]: c for e, c in f.terms.items()}
-    return Poly(swapped, f.nvars)
+    swapped = {e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :]: c for e, c in vector_terms(f).items()}
+    return poly_of(swapped, f.nvars)
 
 
 def top_component(f):
@@ -75,12 +86,12 @@ def top_component(f):
 
 
 def lowest_component(f):
-    return graded_component(f, min(map(sum, f.terms)))
+    return graded_component(f, min(map(sum, vector_terms(f))))
 
 
 def leading_exponent(f):
     """Maximal exponent under the canonical term order (x_n weighs most)."""
-    return max(f.terms, key=term_key)
+    return max(vector_terms(f), key=term_key)
 
 
 # The 14-term polynomial for w = 15324, frozen as a regression value and
@@ -107,7 +118,7 @@ small_polys = st.dictionaries(
     st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
     st.integers(min_value=-6, max_value=6).filter(bool),
     max_size=8,
-).map(lambda d: Poly(d, 4))
+).map(lambda d: poly_of(d, 4))
 
 
 class TestPolyBasics:
@@ -203,7 +214,7 @@ class TestIsobaric:
 
 class TestTables:
     def test_w0_base_case(self, tables):
-        assert tables[(3, "S")][(3, 2, 1)] == Poly({(2, 1, 0): 1}, 3)
+        assert tables[(3, "S")][(3, 2, 1)] == poly_of({(2, 1, 0): 1}, 3)
         assert tables[(4, "G")][(4, 3, 2, 1)] == staircase_monomial(4)
 
     def test_identity_is_one(self, tables):
@@ -217,15 +228,15 @@ class TestTables:
     def test_schubert_homogeneous_of_length_degree(self, tables):
         for w, f in tables[(5, "S")].polys.items():
             lw = perms.length(w)
-            assert all(sum(e) == lw for e in f.terms)
+            assert all(sum(e) == lw for e in f.support())
 
     def test_golden_15324(self, tables):
         g = tables[(5, "G")][(1, 5, 3, 2, 4)]
-        assert g.terms == G_15324
+        assert vector_terms(g) == G_15324
 
     def test_schubert_15324(self, tables):
         s = tables[(5, "S")][(1, 5, 3, 2, 4)]
-        assert s.terms == {e: c for e, c in G_15324.items() if sum(e) == 4}
+        assert vector_terms(s) == {e: c for e, c in G_15324.items() if sum(e) == 4}
         assert s.principal_specialization() == 7
 
     def test_lowest_component_is_schubert_S5(self, tables):
@@ -286,7 +297,8 @@ class TestTables:
         assert_schubert_is_lowest_degree_part(build_table(7, "G"), build_table(7, "S"))
 
     def test_built_table_shares_vectors(self, tables):
-        # Equal exponent vectors in a built table are one shared tuple.
+        # Equal exponent vectors in a built table are one shared int, their
+        # code.
         for table in tables.values():
             shared = {}
             for p in table.polys.values():
@@ -298,7 +310,7 @@ def assert_schubert_is_lowest_degree_part(table_g, table_s):
     assert table_g.polys.keys() == table_s.polys.keys()
     for w, g in table_g.polys.items():
         length = perms.length(w)
-        assert min(map(sum, g.terms)) == length, w
+        assert min(map(sum, g.support())) == length, w
         assert graded_component(g, length) == table_s[w], w
 
 
@@ -306,6 +318,70 @@ class TestTermOrder:
     def test_x1_less_than_xn(self):
         # x_1 < x_2 < x_3 under the implemented order
         assert term_key((1, 0, 0)) < term_key((0, 1, 0)) < term_key((0, 0, 1))
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.integers(min_value=1, max_value=12).flatmap(
+            lambda n: st.tuples(*[st.lists(st.integers(0, 255), min_size=n, max_size=n)] * 2)
+        )
+    )
+    def test_code_decodes_and_masked_order_is_term_order(self, pair):
+        alpha, beta = map(tuple, pair)
+        n = len(alpha)
+        mask = (1 << 8 * n) - 1
+        for v in (alpha, beta):
+            assert poly.decode(poly.code(v), n) == v
+            assert poly.code(v) >> 8 * n == sum(v)
+        masked = (poly.code(alpha) & mask) < (poly.code(beta) & mask)
+        assert masked == (term_key(alpha) < term_key(beta))
+        by_code = poly.code(alpha) < poly.code(beta)
+        assert by_code == ((sum(alpha), term_key(alpha)) < (sum(beta), term_key(beta)))
+
+    @pytest.mark.parametrize("alpha", [(300, 0), (-1, 0), (0, 256)])
+    def test_code_refuses_entries_outside_a_byte(self, alpha):
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(alpha))} has an entry outside 0..255"):
+            poly.code(alpha)
+
+
+def assert_operators_match_tuple_kernel(f, j):
+    """Both code operators at j, decoded, equal the tuple kernel's."""
+    terms = vector_terms(f)
+    for operator, parts in ((divided_difference, PLAIN), (isobaric_divided_difference, ISOBARIC)):
+        assert vector_terms(operator(f, j)) == closed_form_vectors(terms, j, parts), (f, j)
+
+
+def assert_recursion_steps_match_tuple_kernel(n, table_s, table_g):
+    """Every step of the recursion of S_n, on the 𝔖 and the 𝔊 table, by
+    both operators, equals the tuple kernel's; the tables themselves are
+    the tuple kernel's recursion."""
+    built = {"S": {perms.longest_element(n): {tuple(range(n - 1, -1, -1)): 1}}}
+    built["G"] = dict(built["S"])
+    by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
+    for w in by_length[1:]:
+        j, parent = poly.recursion_parent(w)
+        for flavor, table, parts in (("S", table_s, PLAIN), ("G", table_g, ISOBARIC)):
+            assert_operators_match_tuple_kernel(table[parent], j)
+            built[flavor][w] = closed_form_vectors(built[flavor][parent], j, parts)
+    for flavor, table in (("S", table_s), ("G", table_g)):
+        assert {w: vector_terms(f) for w, f in table.polys.items()} == built[flavor]
+
+
+class TestCodeOperator:
+    """The operators on codes against the tuple kernel they replaced
+    (`reference.closed_form_vectors`)."""
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_recursion_steps_match_tuple_kernel(self, tables, n):
+        assert_recursion_steps_match_tuple_kernel(n, tables[(n, "S")], tables[(n, "G")])
+
+    @pytest.mark.slow
+    def test_recursion_steps_match_tuple_kernel_S7_slow(self):
+        assert_recursion_steps_match_tuple_kernel(7, build_table(7, "S"), build_table(7, "G"))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_polys, st.integers(min_value=1, max_value=3))
+    def test_random_polynomials_match_tuple_kernel(self, f, j):
+        assert_operators_match_tuple_kernel(f, j)
 
 
 def box_points(radix):
@@ -316,7 +392,7 @@ def box_points(radix):
 
 
 def box_index(box, alpha):
-    byte, bit = box[poly.codes[alpha]]
+    byte, bit = box[poly.code(alpha)]
     return 8 * byte + bit.bit_length() - 1
 
 
@@ -333,7 +409,7 @@ class TestSupportBox:
                 polys = pipedreams.pd_polynomial_all(n, "grothendieck")
             staircase = tuple(range(n - 1, -1, -1))
             for g in polys.values():
-                for alpha in g.terms:
+                for alpha in g.support():
                     assert all(map(int.__le__, alpha, staircase)), alpha
 
     @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
@@ -350,7 +426,7 @@ class TestSupportBox:
                 alpha = points[k]
                 assert points[k + w] == alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
         everything = (1 << box.size) - 1
-        assert box.codes_in(everything) == sorted(map(poly.codes.__getitem__, points))
+        assert box.codes_in(everything) == sorted(map(poly.code, points))
         for d in range(sum(radix) - len(radix) + 2):
             assert list(box.points(box.grade(d))) == [p for p in points if sum(p) == d]
 
@@ -365,7 +441,7 @@ class TestSupportBox:
         # 39 916 800, more than the view builds.
         corner = tuple(range(9, -1, -1))
         low = itertools.product(range(3), range(3), range(2), *[(0,)] * 7)
-        g = Poly(dict.fromkeys([corner, *low], 1), 10)
+        g = poly_of(dict.fromkeys([corner, *low], 1), 10)
         started = time.perf_counter()
         view = poly._SupportView(g.terms, 10)
         assert time.perf_counter() - started < 5
@@ -374,4 +450,4 @@ class TestSupportBox:
         assert [poly.decode(c, 10) for c in view.uncovered] == [(2, 2, 1) + (0,) * 7]
         assert poly.decode(view.missing[0], 10) == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
         with pytest.raises(ValueError, match="has 39916800 points"):
-            poly._SupportView([(0,) * 11], 11)
+            poly._SupportView([poly.code((0,) * 11)], 11)

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly import cache, cli, perms, poly, polytopes
-from grothpoly.poly import Poly
 from grothpoly.polytopes import (
     SetFunctionPair,
     check_conjecture_4,
@@ -29,6 +28,8 @@ from reference import (
     grassmannian_shape,
     identity,
     pad,
+    poly_of,
+    vector_terms,
 )
 
 
@@ -302,10 +303,10 @@ class TestSumsetWitnesses:
 
     def test_superset_names_first_point_outside(self, tables):
         w = (1, 5, 3, 2, 4)
-        terms = dict(tables[(5, "G")][w].terms)
+        terms = vector_terms(tables[(5, "G")][w])
         terms.update({(0, 0, 2, 1, 0): 1, (1, 0, 0, 0, 0): 1})
         for ordered in (terms.items(), list(terms.items())[::-1]):
-            verdict = check_superset(w, Poly(dict(ordered), 5))
+            verdict = check_superset(w, poly_of(dict(ordered), 5))
             assert not verdict.ok
             assert (verdict.witness, verdict.detail, verdict.info) == (
                 (0, 0, 2, 1, 0),
@@ -323,11 +324,11 @@ class TestSumsetWitnesses:
     )
     def test_fms_names_first_point_of_difference(self, tables, deleted, added, witness):
         w = (1, 5, 3, 2, 4)
-        terms = {e: c for e, c in tables[(5, "S")][w].terms.items() if e != deleted}
+        terms = {e: c for e, c in vector_terms(tables[(5, "S")][w]).items() if e != deleted}
         if added:
             terms[added] = 1
         for ordered in (terms.items(), list(terms.items())[::-1]):
-            verdict = check_fms(w, Poly(dict(ordered), 5))
+            verdict = check_fms(w, poly_of(dict(ordered), 5))
             assert not verdict.ok
             assert (verdict.witness, verdict.detail) == (witness, "support != base sumset")
 
@@ -796,8 +797,9 @@ class TestKernelsAgainstScans:
             g = tables[(5, "G")][w]
             if len(g.terms) < 3:
                 continue
-            dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
-            cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
+            terms = vector_terms(g)
+            dropped = rng.sample(sorted(terms), rng.randint(1, 2))
+            cut = poly_of({e: c for e, c in terms.items() if e not in dropped}, 5)
             pair = assert_conj4_kernels_match(cut.support())
             verdict = assert_conj4_matches_support(w, cut)
             if not is_paramodular(pair):
@@ -867,7 +869,7 @@ class TestPackedRefusal:
 
     def test_recover_pair_refuses_wide_columns(self):
         # Coordinate ranges 200 + 100 >= 256.
-        g = Poly({(0, 0): 1, (200, 100): 1}, 2)
+        g = poly_of({(0, 0): 1, (200, 100): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
             recover_pair(g.support())
         # conj4 reads the support view, which refuses the point first.
@@ -877,7 +879,7 @@ class TestPackedRefusal:
 
     def test_lattice_search_refuses_wide_pair(self):
         # recover_pair accepts a range of 130, the search needs a span < 128.
-        g = Poly({(0,): 1, (130,): 1}, 1)
+        g = poly_of({(0,): 1, (130,): 1}, 1)
         pair = recover_pair(g.support())
         assert is_paramodular(pair)
         with pytest.raises(ValueError, match="packed search"):
@@ -889,7 +891,7 @@ class TestPackedRefusal:
     def test_widest_accepted_pair(self):
         # The search takes a span of 127; conj4 never sees such a support,
         # since the view refuses every point outside the staircase box.
-        g = Poly({(0,): 1, (127,): 1}, 1)
+        g = poly_of({(0,): 1, (127,): 1}, 1)
         pair = recover_pair(g.support())
         assert is_paramodular(pair)
         assert lattice_points_of_pair(pair) == {(t,) for t in range(128)}
@@ -919,7 +921,7 @@ class TestParamodularWitness:
         # The pair of {(0,0,0), (2,0,0)} is paramodular, and its lattice
         # points add (1,0,0): the first point of the difference in sorted
         # order.
-        g = Poly({(0, 0, 0): 1, (2, 0, 0): 1}, 3)
+        g = poly_of({(0, 0, 0): 1, (2, 0, 0): 1}, 3)
         assert is_paramodular(recover_pair(g.support()))
         verdict = check_conjecture_4((3, 2, 1), g)
         assert not verdict.ok
@@ -930,7 +932,7 @@ class TestParamodularWitness:
     def test_conj4_failure_carries_witness(self):
         # test_hand_made_pair's points with a zero x_4 appended, inside the
         # staircase box of S_4.
-        verdict = check_conjecture_4((1, 2, 4, 3), Poly({(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}, 4))
+        verdict = check_conjecture_4((1, 2, 4, 3), poly_of({(1, 1, 0, 0): 1, (0, 0, 1, 0): 1}, 4))
         assert not verdict.ok
         assert verdict.detail == "recovered pair not paramodular"
         assert verdict.witness["test"] == "z submodular"

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from grothpoly import cli, perms, poly, posets
-from grothpoly.poly import Poly, term_key
+from grothpoly.poly import Poly
 from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
 from grothpoly.verdicts import NotApplicable
-from reference import graded_component, identity, is_fireworks
+from reference import graded_component, identity, is_fireworks, poly_of, term_key, vector_terms
 
 
 def componentwise_leq(alpha, beta):
@@ -21,7 +21,7 @@ def componentwise_leq(alpha, beta):
 
 def poset(elements, n):
     """The VectorPoset of these vectors, held as their codes."""
-    return VectorPoset(map(poly.codes.__getitem__, elements), n)
+    return VectorPoset(map(poly.code, elements), n)
 
 
 def vectors(P):
@@ -42,7 +42,7 @@ def by_vector(table, n):
 def maximal_elements(elements, n):
     """The maxima, as found by the packed support view (points in the
     staircase box of S_n)."""
-    view = poly._SupportView(elements, n)
+    view = poly._SupportView(list(map(poly.code, elements)), n)
     return frozenset(poly.decode(m, n) for m in view.maxima)
 
 
@@ -115,7 +115,7 @@ class TestMobius:
             mobius_tuples(elements, n)
         if min(map(min, elements)) < 0:
             # A negative entry has no code, so no VectorPoset holds one.
-            with pytest.raises(ValueError, match="bytes must be in range"):
+            with pytest.raises(ValueError, match=r"\(-1,\) has an entry outside 0\.\.255"):
                 poset(elements, n)
         else:
             with pytest.raises(ValueError, match="upper set"):
@@ -215,7 +215,7 @@ class TestConjectureCheckers:
         beta = (3, 2, 1, 0, 0)
         total = sum(
             c
-            for a, c in g.terms.items()
+            for a, c in vector_terms(g).items()
             if componentwise_leq(a, beta)
         )
         assert total == 1
@@ -245,10 +245,8 @@ class TestConjectureCheckers:
                 assert posets.check_conjecture_1(w, tables[(5, "G")][w]).ok
 
     def test_failing_verdict_carries_witness(self):
-        from grothpoly.poly import Poly
-
         # artificial non-conjectural polynomial: an isolated low-degree point
-        f = Poly({(2, 0, 0): 1, (0, 1, 0): 1}, 3)
+        f = poly_of({(2, 0, 0): 1, (0, 1, 0): 1}, 3)
         verdict = posets.check_conjecture_1((3, 1, 2), f)
         assert not verdict.ok
         assert verdict.witness == (0, 1, 0)
@@ -271,10 +269,10 @@ class TestRajchgot:
         w = (1, 5, 3, 2, 4)
         g = tables[(5, "G")][w]
         assert cli._run_check("rajchgot", w, g) == {"status": "pass"}
-        terms = dict(g.terms)
+        terms = vector_terms(g)
         terms[added] = 1
         for ordered in (terms.items(), list(terms.items())[::-1]):
-            entry = cli._run_check("rajchgot", w, Poly(dict(ordered), 5))
+            entry = cli._run_check("rajchgot", w, poly_of(dict(ordered), 5))
             assert entry == {"status": "fail", "witness": witness}
 
 
@@ -365,11 +363,12 @@ def check_mobius_tuples(w, groth):
         return None
     elements = build_Pw_tuples(w, groth)
     mu = mobius_tuples(elements, len(w))
-    wrong = [a for a in elements if groth.terms.get(a, 0) != -mu[a]]
+    terms = vector_terms(groth)
+    wrong = [a for a in elements if terms.get(a, 0) != -mu[a]]
     if not wrong:
         return (True, None, "")
     alpha = min(wrong, key=order)
-    return (False, alpha, f"coefficient {groth.terms.get(alpha, 0)} != -mu = {-mu[alpha]}")
+    return (False, alpha, f"coefficient {terms.get(alpha, 0)} != -mu = {-mu[alpha]}")
 
 
 def assert_mobius_matches_tuples(w, groth):
@@ -471,17 +470,19 @@ def coeff_failures(w, groth):
     """Top-degree beta whose coefficient sum over the support below it is
     not 1.  They share one degree, so the first in degree, then term order
     is the first in term order."""
+    terms = vector_terms(groth)
     return {
         beta
         for beta in graded_component(groth, groth.degree()).support()
-        if sum(c for a, c in groth.terms.items() if componentwise_leq(a, beta)) != 1
+        if sum(c for a, c in terms.items() if componentwise_leq(a, beta)) != 1
     }
 
 
 def mobius_failures(w, groth):
     P = build_Pw_scan(w, groth)
     mu = mobius_recursion(P)
-    return {a for a in P if groth.terms.get(a, 0) != -mu[a]}
+    terms = vector_terms(groth)
+    return {a for a in P if terms.get(a, 0) != -mu[a]}
 
 
 def view_scan(g):
@@ -495,7 +496,7 @@ def view_scan(g):
     uncovered, the low maxima, the maxima and conj3's (witness, detail),
     None if it passes."""
     n = g.nvars
-    codes = list(map(poly.codes.__getitem__, g.terms))
+    codes = list(g.terms)
     top = max(codes) >> 8 * n
     present = set(codes)
     up = 1 << 8 * n
@@ -594,8 +595,9 @@ class TestKernelsAgainstScans:
             g = tables[(5, "G")][w]
             if len(g.terms) < 3:
                 continue
-            dropped = rng.sample(sorted(g.terms), rng.randint(1, 2))
-            cut = Poly({e: c for e, c in g.terms.items() if e not in dropped}, 5)
+            terms = vector_terms(g)
+            dropped = rng.sample(sorted(terms), rng.randint(1, 2))
+            cut = poly_of({e: c for e, c in terms.items() if e not in dropped}, 5)
             maxima = maximal_pairwise(cut.support())
             assert maximal_elements(cut.support(), 5) == maxima
             assert maximal_by_degree(cut.support()) == maxima
@@ -657,7 +659,7 @@ class TestSupportView:
     @example({(4, 3, 2, 1, 0)})
     @example({(0, 0, 0, 0), (1, 0, 1, 0)})
     def test_matches_scan_on_drawn_supports(self, support):
-        assert_view_matches_scan(Poly(dict.fromkeys(support, 1), len(next(iter(support)))))
+        assert_view_matches_scan(poly_of(dict.fromkeys(support, 1), len(next(iter(support)))))
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -673,7 +675,7 @@ class TestSupportView:
     def test_packed_leq_and_unit_step(self, case):
         alpha, beta, i = case
         n = len(alpha)
-        code = poly.codes.__getitem__
+        code = poly.code
         high = sum(0x80 << 8 * k for k in range(n + 1))
         packed = ((code(beta) | high) - code(alpha)) & high == high
         assert packed == componentwise_leq(alpha, beta)
@@ -696,13 +698,18 @@ class TestSupportView:
     )
     def test_outside_staircase_and_zero(self, checker):
         # The staircase box of S_2 is {(0, 0), (1, 0)}: the view refuses any
-        # other point, naming it, also one with an entry that has no byte,
-        # and the zero polynomial.
-        assert checker((2, 1), Poly({(1, 0): 2, (0, 0): -1}, 2)).ok
-        for outside in [(2, 0), (0, 1), (127, 0), (300, 0), (-1, 0)]:
+        # other point, naming it, and the zero polynomial.  A vector with an
+        # entry that has no byte has no code: `poly.code` refuses it, naming
+        # it, before any polynomial holds it.
+        assert checker((2, 1), poly_of({(1, 0): 2, (0, 0): -1}, 2)).ok
+        for outside in [(2, 0), (0, 1), (127, 0)]:
             message = f"{outside} lies outside the staircase box of S_2"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                checker((2, 1), Poly({(0, 0): 1, outside: 1}, 2))
+                checker((2, 1), poly_of({(0, 0): 1, outside: 1}, 2))
+        for outside in [(300, 0), (-1, 0)]:
+            message = f"{outside} has an entry outside 0..255 and no code"
+            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                poly_of({(0, 0): 1, outside: 1}, 2)
         with pytest.raises(ValueError, match="zero polynomial"):
             checker((2, 1), Poly({}, 2))
 
@@ -736,9 +743,9 @@ class TestWitnessOrder:
     )
     def test_term_deleted_15324(self, tables, deleted, checker, witness, detail):
         w = (1, 5, 3, 2, 4)
-        terms = [(e, c) for e, c in tables[(5, "G")][w].terms.items() if e != deleted]
+        terms = [(e, c) for e, c in vector_terms(tables[(5, "G")][w]).items() if e != deleted]
         for ordered in (terms, terms[::-1], sorted(terms)):
-            verdict = checker(w, Poly(dict(ordered), 5))
+            verdict = checker(w, poly_of(dict(ordered), 5))
             assert not verdict.ok
             assert (verdict.witness, verdict.detail) == (witness, detail)
 
@@ -747,7 +754,7 @@ class TestWitnessOrder:
         # them in degree, then term order.
         terms = [((0, 0, 0, 0), 1), ((1, 1, 0, 0), 1), ((1, 0, 1, 0), 1)]
         for ordered in (terms, terms[::-1]):
-            verdict = posets.check_conjecture_3((1, 2, 3, 4), Poly(dict(ordered), 4))
+            verdict = posets.check_conjecture_3((1, 2, 3, 4), poly_of(dict(ordered), 4))
             assert (verdict.witness, verdict.detail) == (
                 (1, 0, 0, 0),
                 "missing in box [(0, 0, 0, 0), (1, 1, 0, 0)]",
