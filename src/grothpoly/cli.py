@@ -195,8 +195,9 @@ def run(config: RunConfig) -> Tuple[dict, int]:
 
     targets = [config.perm] if config.perm else perms.all_perms(config.n)
 
-    # The fork context starts every worker up front: no more than the targets.
-    workers = min(config.jobs, len(targets))
+    # The fork context starts every worker up front: no more than the targets
+    # or the CPUs this process may run on.
+    workers = min(config.jobs, len(targets), len(os.sched_getaffinity(0)))
     global _CTX
     _CTX = (config, table_g)
     try:
@@ -322,7 +323,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated subset of: " + ",".join(ALL_CHECKS) + " (or 'all')",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes")
+    parser.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
     parser.add_argument("--cache-dir", type=str, default=None, help="polynomial cache directory")
     parser.add_argument("--format", type=str, default="json", choices=("json", "text"))
     parser.add_argument("--mode", type=str, default="verify", choices=("verify", "print", "cache"))

@@ -4,12 +4,38 @@ Permutations in one-line notation, Rothe diagrams, and structural predicates.
 A permutation of [n] is represented as a tuple ``w`` of the n distinct values
 1..n, so ``w[i-1] == w(i)``.  Generators act on the right: ``apply_s(w, j)``
 swaps positions j and j+1 (1-based), not values.
+
+`last_call` is the one memo for what the checks of one permutation share:
+ℓ(w), rajcode(w), the Rothe diagram and its closure here, the support view
+(`poly.support_view`) and the spanning sumset (`polytopes.spanning_sumset`)
+are each computed once per w.
 """
 from __future__ import annotations
 
 import functools
 import itertools
 from typing import Iterable, NamedTuple, Sequence
+
+
+def last_call(fn):
+    """fn of one argument, with its result kept for the last argument,
+    matched by identity: the checks of one permutation, handed the same w
+    and the same 𝔊_w, share one computation.  The memo holds that argument,
+    so a recycled id cannot match; it is released by the next call with
+    another.  An argument must not change while it is kept.  The result is
+    a plain function (`functools.wraps`), so a wrapper installed on a
+    module attribute still sees every call."""
+    last, result = object(), None
+
+    @functools.wraps(fn)
+    def kept(arg):
+        nonlocal last, result
+        if arg is not last:
+            result = fn(arg)
+            last = arg
+        return result
+
+    return kept
 
 
 class Diagram(NamedTuple):
@@ -80,6 +106,7 @@ def format_perm(w: tuple) -> str:
     return ",".join(str(v) for v in w)
 
 
+@last_call
 def length(w: tuple) -> int:
     """Number of inversions of w."""
     n = len(w)
@@ -90,6 +117,7 @@ def ascents(w: tuple) -> list:
     return [j for j in range(1, len(w)) if w[j - 1] < w[j]]
 
 
+@last_call
 def rothe_diagram(w: tuple) -> Diagram:
     """The Rothe diagram D(w) = {(i,j) : i < w^{-1}(j) and j < w(i)}."""
     n = len(w)
@@ -112,10 +140,10 @@ def upper_closure(D: Diagram) -> Diagram:
     return Diagram(boxes, D.n)
 
 
-@functools.lru_cache(maxsize=1)
+@last_call
 def closed_rothe_diagram(w: tuple) -> Diagram:
-    """upper_closure(rothe_diagram(w)), kept for the last w: mobius's bound
-    and converse's degree read one build."""
+    """upper_closure(rothe_diagram(w)): mobius's bound and converse's degree
+    read one build."""
     return upper_closure(rothe_diagram(w))
 
 
@@ -127,32 +155,20 @@ def weight(D: Diagram) -> tuple:
     return tuple(wt)
 
 
-# The Rajchgot code of the last permutation asked for: the report record and
-# the rajchgot check of one permutation share one computation.  A plain
-# function with a one-slot memo, not `functools.lru_cache`, so that a
-# wrapper installed on the module attribute still sees every call.
-_last_rajcode: tuple = (None, None)
-
-
+@last_call
 def rajcode(w: tuple) -> tuple:
     """Rajchgot code: r_j is the number of terms of w(j..n) omitted from a
     longest increasing subsequence of w(j..n) containing w(j).
 
-    Computed by an O(n^2) DP over suffixes anchored at each position, once
-    for the last w asked for.
+    Computed by an O(n^2) DP over suffixes anchored at each position; the
+    report record and the rajchgot check of one w share it.
     """
-    global _last_rajcode
-    source, code = _last_rajcode
-    if source == w:
-        return code
     n = len(w)
     # lis[j] = longest increasing subsequence of w(j..n) starting with w(j)
     lis = [1] * n
     for j in range(n - 2, -1, -1):
         lis[j] = 1 + max((lis[k] for k in range(j + 1, n) if w[k] > w[j]), default=0)
-    code = tuple((n - j) - lis[j] for j in range(n))
-    _last_rajcode = (tuple(w), code)
-    return code
+    return tuple((n - j) - lis[j] for j in range(n))
 
 
 def _ranking(seq: Iterable[int]) -> tuple:

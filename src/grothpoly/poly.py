@@ -27,8 +27,9 @@ vectors appear only where a person reads them: witnesses, `to_text` and
 `support`.
 
 `support_view` packs one support as a bitset with its top degree, maxima,
-elements with no unit step up, and the unit steps conj3 finds missing;
-every check that reads a support reads that view.
+elements with no unit step up or down, and the unit steps conj3 finds
+missing; every check that reads a support reads that view, built once per
+polynomial (`perms.last_call`).
 
 The view finds those order facts with a second encoding, a bitset over a
 box.  Every exponent of 𝔊_w for w in S_n lies in the staircase box
@@ -46,6 +47,7 @@ a ValueError: at n >= 11 the view refuses every support.
 """
 from __future__ import annotations
 
+import functools
 import math
 from operator import ge, mul
 from typing import Dict, Optional, Tuple
@@ -262,15 +264,10 @@ class _Box(dict):
         return grades[d]
 
 
-class _Boxes(dict):
-    """n -> the staircase box of S_n, built once per n."""
-
-    def __missing__(self, n: int) -> _Box:
-        box = self[n] = _Box(n)
-        return box
-
-
-_boxes = _Boxes()
+@functools.cache
+def _boxes(n: int) -> _Box:
+    """The staircase box of S_n, built once per n."""
+    return _Box(n)
 
 
 class _SupportView:
@@ -287,6 +284,8 @@ class _SupportView:
       set, in degree, then term order;
     - `low_maxima`: the maximal codes below the top degree, in degree, then
       term order;
+    - `lower`: the points of P with no unit step down in P, as a bitset
+      (conj4);
     - `maxima`: `top_codes`, then `low_maxima`;
     - `missing`: the unit steps beta = alpha + e_i of the set's points that
       lie below some point of the set but not in it, in degree, then term
@@ -327,17 +326,18 @@ class _SupportView:
       step in P is not maximal and every top-degree point is, so
       low_maxima = uncovered & ~S, for S the union over i of
       (D >> w_i) & M_i.
-    - missing = (union over i of (P & M_i) << w_i) & D & ~P: the steps of
-      points of P that lie below a point of P, hence below a maximum, and
-      are not in P."""
+    - With A the union over i of (P & M_i) << w_i, the unit steps up from
+      P, lower = P & ~A, and missing = A & D & ~P: the steps of points of P
+      that lie below a point of P, hence below a maximum, and are not in
+      P."""
 
     __slots__ = (
         "n", "box", "bits", "degree", "high", "top_codes", "uncovered", "maxima",
-        "low_maxima", "missing",
+        "low_maxima", "lower", "missing",
     )
 
     def __init__(self, codes, n: int):
-        box = self.box = _boxes[n]
+        box = self.box = _boxes(n)
         P = self.bits = box.bits(codes)
         top = max(codes, default=0) >> 8 * n
         bottom = top << 8 * n  # the least code of the top degree
@@ -357,33 +357,23 @@ class _SupportView:
             for w, mask in steps:
                 S |= D >> w & mask
             low = uncovered & ~S
-        missing = 0
+        above = 0
         for w, mask in steps:
-            missing |= (P & mask) << w
-        self.n, self.degree = n, top
+            above |= (P & mask) << w
+        self.n, self.degree, self.lower = n, top, P & ~above
         self.high = int.from_bytes(b"\x80" * (n + 1), "little")
         self.uncovered, self.low_maxima = box.codes_in(uncovered), box.codes_in(low)
         self.maxima = self.top_codes + self.low_maxima
-        self.missing = box.codes_in(missing & D & ~P)
+        self.missing = box.codes_in(above & D & ~P)
 
 
-# The view of the last polynomial asked for, with a strong reference to that
-# polynomial, so that `is` cannot match a recycled id: the checks of one
-# permutation share one build.  (`functools.lru_cache` would hash every term.)
-_last_view: tuple = (None, None)
-
-
+@perms.last_call
 def support_view(f: Poly) -> _SupportView:
-    """The packed view of supp f, kept for the last polynomial asked for.  The zero polynomial has no
-    support and is refused with a ValueError."""
-    global _last_view
-    source, view = _last_view
-    if source is not f:
-        if not f.terms:
-            raise ValueError("the zero polynomial has no support")
-        view = _SupportView(f.terms, f.nvars)
-        _last_view = (f, view)
-    return view
+    """The packed view of supp f.  The zero polynomial has no support and is
+    refused with a ValueError."""
+    if not f.terms:
+        raise ValueError("the zero polynomial has no support")
+    return _SupportView(f.terms, f.nvars)
 
 
 # Deletes what the numbers of a canonical text are made of, leaving the
@@ -424,26 +414,22 @@ def parse_text(text: str, nvars: int, codes: Dict[str, int]) -> Poly:
     return Poly(terms, nvars)
 
 
-# The (lift, sign) parts of the two operators (see `_closed_form`).
+# The (lift, sign) parts of d_j, the 𝔖 step of `build_table`, and of the
+# isobaric operator (see `_closed_form`).
 _PLAIN = ((0, 1),)
 _ISOBARIC = ((0, 1), (1, -1))
 
 
-def divided_difference(f: Poly, j: int) -> Poly:
-    """The operator (f - s_j.f) / (x_j - x_{j+1}), written monomial by
-    monomial in closed form (see `_closed_form`)."""
-    return _closed_form(f, j, _PLAIN)
-
-
 def isobaric_divided_difference(f: Poly, j: int) -> Poly:
-    """The operator f -> divided_difference((1 - x_{j+1}) f, j), that is
-    d_j f - d_j(x_{j+1} f), both parts in the same pass over f."""
+    """The operator f -> d_j((1 - x_{j+1}) f), for d_j the divided
+    difference (f - s_j.f) / (x_j - x_{j+1}), that is d_j f - d_j(x_{j+1} f),
+    both parts in the same pass over f (see `_closed_form`)."""
     return _closed_form(f, j, _ISOBARIC)
 
 
 def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
-    """The sum of sign * divided_difference(x_{j+1}^lift f, j) over the
-    (lift, sign) pairs in parts, in one pass over the monomials of f.
+    """The sum of sign * d_j(x_{j+1}^lift f) over the (lift, sign) pairs in
+    parts, in one pass over the monomials of f.
 
     With a, b the exponents of x_j, x_{j+1}, the divided difference of
     x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over

@@ -192,7 +192,7 @@ def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
     return None
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _avoiding(n: int, nbytes: int) -> tuple:
     """For lanes of nbytes bytes, one per mask of [n]: (i, j, the top bit
     of each lane S that avoids i and j) for i < j, (i, that of each lane
@@ -335,7 +335,7 @@ class _LatticeSearch:
         return frozenset(out)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _search_masks(order: Tuple[int, ...]) -> itemgetter:
     """Picks the entries of a subset table in search order: entry m is the
     subset whose bit k is order[k]."""
@@ -363,11 +363,9 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     minimal points and its maxima (the view's).  y(I) and z(I) are the min
     and max over the support of the sum over I, which is monotone in alpha:
     below each support point lies a minimal one, whose sum is no larger, and
-    above it a maximal one, whose sum is no smaller.  On the view's bitsets
-    (`poly._SupportView`), with P the support, the union over i of
-    (P & M_i) << w_i is the set of the unit steps up from P, so
-    P & ~(that union) holds the points with no unit step down in P, the
-    minimal points among them.
+    above it a maximal one, whose sum is no smaller.  The view's `lower`
+    (`poly._SupportView`) holds the support points with no unit step down
+    in the support, the minimal points among them.
 
     Every support point satisfies the pair it was recovered from, so the
     lattice points contain the support, and equal it iff there are |supp|
@@ -375,11 +373,7 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     to name the witness, the first point in sorted order outside the
     support."""
     view = support_view(groth)
-    box, P = view.box, view.bits
-    above = 0
-    for w_i, mask in box.steps:
-        above |= (P & mask) << w_i
-    extremal = set(box.points(P & ~above))
+    extremal = set(view.box.points(view.lower))
     extremal.update(decode(m, view.n) for m in view.maxima)
     pair = recover_pair(extremal)
     if not is_paramodular(pair):
@@ -398,23 +392,22 @@ def _rothe_columns(w: tuple) -> List[FrozenSet[int]]:
     return [D.column(j) for j in range(1, len(w) + 1)]
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _spanning_indices(S: FrozenSet[int], n: int) -> Tuple[int, ...]:
     """The indices k(p) in the staircase box of S_n (`poly._Box`) of the
     spanning points p of SM_{max S}(S), zero-appended into dimension n.
     Kept per (S, n): a Rothe column of S_n takes at most 2^(n-1) values."""
-    weights = _boxes[n].weights
+    weights = _boxes(n).weights
     return tuple(sum(map(mul, p, weights)) for p in spanning_points(S, max(S)))
 
 
-@functools.lru_cache(maxsize=1)
+@perms.last_call
 def spanning_sumset(w: tuple) -> int:
     """Iterated sumset of the spanning-point sets of the column Schubert
     matroids SM_{d_j}(D_j), d_j = max D_j, zero-appended into dimension n,
     over the nonempty Rothe columns D_j of w (an empty column adds only the
     zero vector; column n is empty), as a bitset over the staircase box of
-    S_n (`poly._Box`).  Kept for the last permutation, so superset, fms and
-    converse share one build.
+    S_n (`poly._Box`): superset, fms and converse share one build.
 
     Adding points is adding their indices, so a column ORs the partial sum
     shifted by the index of each of its points.  Proof: entry i of a partial
@@ -438,7 +431,7 @@ def base_sumset(w: tuple) -> int:
     least |D_j| elements, and exactly |D_j| only when it is a basis.  The
     columns partition the Rothe diagram, so the |D_j| sum to l(w): a sum of
     spanning sets has degree l(w) iff every part is a basis."""
-    return spanning_sumset(w) & _boxes[len(w)].grade(perms.length(w))
+    return spanning_sumset(w) & _boxes(len(w)).grade(perms.length(w))
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:

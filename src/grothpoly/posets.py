@@ -4,10 +4,10 @@ support poset of a Grothendieck polynomial, and the conjecture checkers
 that live on it.
 
 conj1, conj2, conj3, coeff, rajchgot and mobius read the packed view of the
-support (`poly.support_view`), which is kept for the last polynomial, so the
-checks of one permutation share a single build.  P_w is a bitset over the
-view's staircase box, and its elements are codes (`poly.code`), as are the
-keys of every polynomial, decoded only where they are printed.
+support (`poly.support_view`), one build per polynomial (`perms.last_call`).
+P_w is a bitset over the view's staircase box, and its elements are codes
+(`poly.code`), as are the keys of every polynomial, decoded only where they
+are printed.
 """
 from __future__ import annotations
 

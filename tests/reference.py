@@ -10,7 +10,7 @@ compared with.
 """
 from typing import Dict, Optional, Sequence
 
-from grothpoly import perms, pipedreams
+from grothpoly import perms, pipedreams, poly
 from grothpoly.poly import Poly, code, decode
 from grothpoly.polytopes import SetFunctionPair, is_paramodular, recover_pair
 from grothpoly.verdicts import NotApplicable, Verdict
@@ -113,6 +113,14 @@ def add(f: Poly, g: Poly) -> Poly:
         else:
             out.pop(expo, None)
     return Poly(out, f.nvars)
+
+
+def divided_difference(f: Poly, j: int) -> Poly:
+    """The operator (f - s_j.f) / (x_j - x_{j+1}), the 𝔖 step of the
+    recursion whose 𝔊 step the oracle applies: the engine's closed form
+    (`poly._closed_form`) with the plain part alone, as `poly.build_table`
+    applies it for 𝔖."""
+    return poly._closed_form(f, j, poly._PLAIN)
 
 
 # The Grassmannian case: Escobar-Yong's graded supports and the explicit pair.

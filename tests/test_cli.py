@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from grothpoly import cache, cli, perms, pipedreams, poly, posets
+from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
 from grothpoly.verdicts import NotApplicable, Verdict
-from reference import add, poly_of
+from reference import add, divided_difference, poly_of
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -566,6 +566,30 @@ class TestRun:
             assert len(built) == 120, checks
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
+    def test_one_build_per_permutation(self, monkeypatch):
+        """An all-checks sweep of S_5 builds each fact that several readers
+        of one w share once per w: the support view, the Rothe diagram, its
+        closure and the spanning sumset."""
+        builds = {"view": 0, "rothe": 0, "closure": 0, "sumset": 0}
+
+        def counting(key, module, name):
+            real = getattr(module, name)
+
+            def count(*args):
+                builds[key] += 1
+                return real(*args)
+
+            monkeypatch.setattr(module, name, count)
+
+        # The leaf each memoized fact calls once per build.
+        counting("view", poly, "_SupportView")
+        counting("rothe", perms, "inverse")
+        counting("closure", perms, "upper_closure")
+        counting("sumset", polytopes, "_rothe_columns")
+        report, status = cli.run(cli.RunConfig(n=5))
+        assert status == 0 and report["summary"]["fail"] == 0
+        assert builds == dict.fromkeys(builds, 120)
+
     def test_outside_staircase_is_an_error(self, monkeypatch):
         _outside_box_g(monkeypatch, (1, 3, 2))
         checks = (
@@ -600,10 +624,19 @@ class TestRun:
                 return map(fn, items)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
         report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
         assert requested == [] and len(report["results"]) == 1
         report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
         assert requested == [6] and len(report["results"]) == 6
+        # No more workers than the CPUs the process may run on, and the
+        # same report bytes.
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3})
+        capped, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
+        assert requested == [6, 2] and cli.render(capped, "json") == cli.render(report, "json")
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
+        cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
+        assert requested == [6, 2]
 
     def test_workers_freeze_what_they_inherit(self, monkeypatch):
         """Each forked worker freezes the objects it inherits, so its
@@ -755,8 +788,6 @@ class TestMain:
 
 class TestTableRecursionInvariant:
     def test_stored_values_satisfy_recursion(self, tables):
-        from grothpoly.poly import divided_difference, isobaric_divided_difference
-
         for w in perms.all_perms(4):
             for j in perms.ascents(w):
                 parent = perms.apply_s(w, j)
@@ -765,6 +796,6 @@ class TestTableRecursionInvariant:
                     == tables[(4, "S")][w]
                 )
                 assert (
-                    isobaric_divided_difference(tables[(4, "G")][parent], j)
+                    poly.isobaric_divided_difference(tables[(4, "G")][parent], j)
                     == tables[(4, "G")][w]
                 )

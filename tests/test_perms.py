@@ -1,5 +1,6 @@
 import inspect
 import itertools
+import weakref
 
 import pytest
 
@@ -109,6 +110,66 @@ class TestClosureAndWeight:
     def test_351624_closure_weight(self):
         D = perms.rothe_diagram((3, 5, 1, 6, 2, 4))
         assert perms.weight(perms.upper_closure(D)) == (3, 3, 2, 2, 0, 0)
+
+
+class TestLastCall:
+    class Box:
+        def __init__(self, value):
+            self.value = value
+
+    def counted(self):
+        calls = []
+
+        @perms.last_call
+        def value(box):
+            calls.append(box)
+            return box.value
+
+        return value, calls
+
+    def test_plain_function(self):
+        value, _ = self.counted()
+        assert inspect.isfunction(value) and value.__name__ == "value"
+
+    def test_identity_hit(self):
+        value, calls = self.counted()
+        box = self.Box(3)
+        assert value(box) == value(box) == 3
+        assert len(calls) == 1
+
+    def test_equal_but_distinct_argument_misses(self):
+        seen = []
+        length = perms.last_call(lambda w: seen.append(w) or len(w))
+        w = (1, 5, 3, 2, 4)
+        same = tuple(list(w))
+        assert same == w and same is not w
+        assert length(w) == length(same) == length(w) == 5
+        assert [id(u) for u in seen] == [id(w), id(same), id(w)]
+
+    def test_no_stale_hit_after_release(self):
+        # Each box is dropped by the caller as soon as the call returns.  A
+        # memo keyed by id() alone would see a recycled id and return the
+        # last value; the memo holds its argument, so no id is recycled.
+        value = perms.last_call(lambda box: box.value)
+        assert [value(self.Box(k)) for k in range(100)] == list(range(100))
+        box = self.Box(0)
+        ref = weakref.ref(box)
+        value(box)
+        del box
+        assert ref() is not None  # held until the next argument
+        value(self.Box(1))
+        assert ref() is None
+
+    def test_a_raise_keeps_nothing(self):
+        @perms.last_call
+        def first(seq):
+            return seq[0]
+
+        empty = []
+        with pytest.raises(IndexError):
+            first(empty)
+        empty.append(7)
+        assert first(empty) == 7
 
 
 class TestRajcode:

@@ -186,9 +186,12 @@ class TestBuildPw:
 
     def test_closure_kept_for_last_perm(self):
         w = (1, 5, 3, 2, 4)
-        perms.closed_rothe_diagram.cache_clear()
-        assert perms.closed_rothe_diagram(w) is perms.closed_rothe_diagram(w)
-        assert perms.closed_rothe_diagram(w) == perms.upper_closure(perms.rothe_diagram(w))
+        closure = perms.closed_rothe_diagram(w)
+        assert perms.closed_rothe_diagram(w) is closure
+        assert closure == perms.upper_closure(perms.rothe_diagram(w))
+        # An equal tuple that is another object is built anew, to the same.
+        again = perms.closed_rothe_diagram(tuple(list(w)))
+        assert again is not closure and again == closure
 
 
 class TestConjectureCheckers:

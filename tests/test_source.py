@@ -1,4 +1,4 @@
-"""Two checks on the package source.
+"""Three checks on the package source.
 
 The package holds only code that something in it reaches.  Every top-level
 function and class in `src/grothpoly` must be referenced by name, as a bare
@@ -10,8 +10,14 @@ The span tracer of the benchmark (`perfbench/tracer.py`) wraps grothpoly's
 layer boundaries by module attribute, so renaming one of them breaks every
 traced benchmark run.  A traced sweep must keep its report, record a span
 for each boundary, and leave every attribute as it found it.
+
+What the checks of one permutation share is kept by one memo,
+`perms.last_call`: no one-slot `lru_cache`, no module global that a function
+rebinds to remember its last call, and every memoized fact stays a plain
+function, which the tracer can wrap.
 """
 import ast
+import inspect
 from pathlib import Path
 
 import grothpoly
@@ -20,11 +26,14 @@ from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
 PACKAGE = Path(grothpoly.__file__).resolve().parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
-# Kept without a caller in the package: `divided_difference` is the 𝔖 step
-# of the recursion whose 𝔊 step the oracle applies, and tests apply it one
-# at a time; `build_table` runs the whole recursion, the reference table of
-# the tests, and the benchmark's tracer wraps it by name.
-ALLOWED = {("poly", "divided_difference"), ("poly", "build_table")}
+# Kept without a caller in the package: `build_table` runs the whole
+# divided-difference recursion, the reference table of the tests, and the
+# benchmark's tracer wraps it by name.
+ALLOWED = {("poly", "build_table")}
+
+# The module globals that functions rebind: a counter and the forked
+# workers' shared context, neither of them a memo.
+GLOBALS = {"OPERATOR_APPLICATIONS", "_CTX"}
 
 
 def _names(node):
@@ -55,6 +64,36 @@ def unreferenced_definitions():
 
 def test_every_definition_is_referenced():
     assert unreferenced_definitions() == ALLOWED
+
+
+def test_one_memo_mechanism():
+    one_slot, rebound = [], set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and "lru_cache" in set(_names(node.func)):
+                sizes = node.args[:1] + [k.value for k in node.keywords if k.arg == "maxsize"]
+                if any(isinstance(v, ast.Constant) and v.value == 1 for v in sizes):
+                    one_slot.append(f"{path.name}:{node.lineno}")
+            elif isinstance(node, ast.Global):
+                rebound.update(node.names)
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+                targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+                rebound.update(t.id for t in targets if isinstance(t, ast.Name) and t.id.startswith("_last"))
+    assert one_slot == []
+    assert rebound <= GLOBALS
+
+    kept = perms.last_call(len).__code__
+    for fn in (
+        perms.length,
+        perms.rajcode,
+        perms.rothe_diagram,
+        perms.closed_rothe_diagram,
+        poly.support_view,
+        polytopes.spanning_sumset,
+    ):
+        assert inspect.isfunction(fn) and fn.__code__ is kept, fn.__name__
 
 
 def _functions(modules):
