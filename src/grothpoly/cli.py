@@ -349,7 +349,9 @@ def config_from_args(args: argparse.Namespace) -> RunConfig:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """Exit status: `run`'s in verify mode, else 0; 2, with one `error:` line
-    on stderr, for a usage error or a table that cannot be loaded or written."""
+    on stderr, for a usage error or a table that cannot be loaded or written;
+    3, never a failed check's 1, with the traceback and one `error:` line,
+    when any other exception (a pool worker that died, say) aborts the run."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
@@ -373,6 +375,10 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        traceback.print_exc()
+        print(f"error: run aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     sys.stdout.write(out)
     return status
 

@@ -302,7 +302,7 @@ class _SupportView:
     entries at most 10 and degrees at most 46: the identity always holds.
 
     The order facts come from bitsets over the box, radix_i = n - i + 1.
-    T is the bitset of the top degree.
+    T = P & G_top is the bitset of the top degree (`_Box.grade`).
 
     - For a set X in the box, (X >> w_i) & M_i = {alpha : alpha + e_i in
       X}, the -e_i step inside the box.  Bit k of X >> w_i is bit k + w_i
@@ -346,7 +346,7 @@ class _SupportView:
         U = 0
         for w, mask in steps:
             U |= P >> w & mask
-        uncovered = P & ~(box.bits(self.top_codes) | U)
+        uncovered = P & ~(box.grade(top) | U)
         D = P
         for r, (w, mask) in zip(box.radix, steps):
             for _ in range(r - 1):

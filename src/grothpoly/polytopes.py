@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-import struct
 from operator import add, itemgetter, mul, or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
@@ -19,11 +18,16 @@ from .poly import Poly, _boxes, decode, support_view
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
+# A packed lane is one byte, compared by its 0x80 bit (`_at_least`), and the
+# paramodularity test adds two lanes: a lane holding at most 63 keeps the sum
+# below 128.  In the staircase box (n <= 10) pair values lie in [0, 45].
+MAX_SPAN = 63
 
 
 class SetFunctionPair:
     """A pair (y, z) of integer set functions on 2^[n] with y(0) = z(0) = 0,
-    candidate lower/upper bounds of a generalized polymatroid."""
+    candidate lower/upper bounds of a generalized polymatroid, with values in
+    [lo, lo + span]; a span above MAX_SPAN is refused with a ValueError."""
 
     def __init__(self, y: Sequence[int], z: Sequence[int], n: int):
         if n > MAX_SUBSET_N:
@@ -31,6 +35,10 @@ class SetFunctionPair:
         self.y = tuple(y)
         self.z = tuple(z)
         self.n = n
+        self.lo = min(min(self.y), min(self.z))
+        self.span = max(max(self.y), max(self.z)) - self.lo
+        if self.span > MAX_SPAN:
+            raise ValueError(f"pair values span {self.span}, too wide for the packed kernels")
 
     def __eq__(self, other) -> bool:
         return (
@@ -63,11 +71,11 @@ def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     min/max stand in for the polytope).
 
     Packed by masks: after translating each coordinate by its minimum
-    low_i, a point p becomes one int with one 16-bit lane per mask m,
-    holding the sum of p_i - low_i over m: the sum of (p_i - low_i) R_i,
-    where R_i has lane m equal to 1 iff i is in m.  A lane is at most the
-    sum of the ranges max_i - low_i, which must be below 256 (a larger sum
-    is refused with a ValueError), so it never reaches the lane's top bit.
+    low_i, a point p becomes one int with one byte lane per mask m, holding
+    the sum of p_i - low_i over m: the sum of (p_i - low_i) R_i, where R_i
+    has lane m equal to 1 iff i is in m.  A lane is at most the sum of the
+    ranges max_i - low_i, which must be at most MAX_SPAN (a larger sum is
+    refused with a ValueError), so it never reaches the lane's top bit.
     y and z are then the lane-wise min and max over the points, each
     comparison one subtract (`_at_least`), plus the sum of low_i over m.
     The translation is one subtract of L, the sum of low_i R_i, from the
@@ -79,13 +87,11 @@ def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     columns = list(zip(*A))
     lows = list(map(min, columns))
     spread = sum(map(max, columns)) - sum(lows)
-    if spread >= 256:
-        raise ValueError(
-            f"coordinate ranges sum to {spread}, too large for the packed columns (< 256)"
-        )
-    _, steps, high = _avoiding(n, 2)
+    if spread > MAX_SPAN:
+        raise ValueError(f"coordinate ranges sum to {spread}, too large for the packed columns")
+    _, steps, high = _avoiding(n)
     # R_i: the lanes that do not avoid i, their top bit moved to the bottom.
-    ones = [(high ^ lanes) >> 15 for _, lanes in steps]
+    ones = [(high ^ lanes) >> 7 for _, lanes in steps]
     offsets = [0]
     for low in lows:
         offsets += [o + low for o in offsets]
@@ -94,15 +100,14 @@ def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
     y = z = packed[0]
     for p in packed[1:]:
         # A top bit less itself shifted to the bottom of its lane fills the
-        # lane below it: keep is 0x7FFF in each lane where p >= y, and
+        # lane below it: keep is 0x7F in each lane where p >= y, and
         # y ^ p selects between them.
         ge = _at_least(p, y, high)
-        y = p ^ (y ^ p) & ge - (ge >> 15)
+        y = p ^ (y ^ p) & ge - (ge >> 7)
         ge = _at_least(p, z, high)
-        z = z ^ (z ^ p) & ge - (ge >> 15)
-    size = 1 << n
-    y = map(add, struct.unpack(f"<{size}H", y.to_bytes(2 * size, "little")), offsets)
-    z = map(add, struct.unpack(f"<{size}H", z.to_bytes(2 * size, "little")), offsets)
+        z = z ^ (z ^ p) & ge - (ge >> 7)
+    y = map(add, y.to_bytes(len(offsets), "little"), offsets)
+    z = map(add, z.to_bytes(len(offsets), "little"), offsets)
     return SetFunctionPair(y, z, n)
 
 
@@ -134,40 +139,33 @@ def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
     None for f) and both sides of the inequality lhs >= rhs that failed.
 
     Packed: z, y and f, the last as z plus y with its lanes reversed
-    (y([n] - X) is entry 2^n - 1 - X), are each one int with one lane per
-    mask, every value plus the bias -lo, for lo the least value of y and
-    z.  Shifting right by 2^i lanes puts the value at S + i in lane S, so
-    one test of one pair i < j (one i for f) is one lane-wise compare
-    (`_at_least`) of two sums of two lanes, kept on the lanes S that avoid i
-    and j.  A sum is at most twice the span of the values, and the lanes
-    are wide enough that it stays below their top bit."""
-    y, z, n = pair.y, pair.z, pair.n
+    (y([n] - X) is entry 2^n - 1 - X), are each one int with one byte lane
+    per mask, every value plus the bias -lo, for lo the least value of y
+    and z.  Shifting right by 2^i lanes puts the value at S + i
+    in lane S, so one test of one pair i < j (one i for f) is one lane-wise
+    compare (`_at_least`) of two sums of two lanes, kept on the lanes S
+    that avoid i and j.  A sum is at most twice the pair's span, at most
+    2 MAX_SPAN = 126 (`SetFunctionPair`), so it stays below the top bit."""
+    y, z, n, lo = pair.y, pair.z, pair.n, pair.lo
     full = (1 << n) - 1
-    lo = min(min(y), min(z))
-    span = max(max(y), max(z)) - lo
-    nbytes = (span.bit_length() + 9) // 8  # 2 span < 2^(8 nbytes - 1)
-    width = 8 * nbytes
-    squares, steps, high = _avoiding(n, nbytes)
+    squares, steps, high = _avoiding(n)
 
     def pack(values):
         if lo:
             values = map((-lo).__add__, values)
-        if nbytes == 1:
-            return int.from_bytes(bytes(values), "little")
-        rows = map(int.to_bytes, values, itertools.repeat(nbytes), itertools.repeat("little"))
-        return int.from_bytes(b"".join(rows), "little")
+        return int.from_bytes(bytes(values), "little")
 
     def least(fails, cases):
         """The least (S, i, ...) over the failing lanes S of each case."""
         return min(
-            ((fail & -fail).bit_length() // width - 1, *case[:-1])
+            ((fail & -fail).bit_length() // 8 - 1, *case[:-1])
             for fail, case in zip(fails, cases)
             if fail
         )
 
     # fail = lanes & ~((lhs | high) - rhs): the top bit of each lane S,
     # among those kept, where lhs < rhs (`_at_least`).
-    shifts = [width << i for i in range(n)]  # 2^i lanes
+    shifts = [8 << i for i in range(n)]  # 2^i lanes
     Z, Y = pack(z), pack(y)
     Zs, Ys = [Z >> s for s in shifts], [Y >> s for s in shifts]
     fails = [lanes & ~((Zs[i] + Zs[j] | high) - (Zs[i] >> shifts[j]) - Z) for i, j, lanes in squares]
@@ -193,15 +191,13 @@ def paramodular_violation(pair: SetFunctionPair) -> Optional[dict]:
 
 
 @functools.cache
-def _avoiding(n: int, nbytes: int) -> tuple:
-    """For lanes of nbytes bytes, one per mask of [n]: (i, j, the top bit
-    of each lane S that avoids i and j) for i < j, (i, that of each lane
-    that avoids i), and the top bit of every lane."""
-    top = b"\x00" * (nbytes - 1) + b"\x80"
-    empty = b"\x00" * nbytes
+def _avoiding(n: int) -> tuple:
+    """For byte lanes, one per mask of [n]: (i, j, the top bit of each lane
+    S that avoids i and j) for i < j, (i, that of each lane that avoids i),
+    and the top bit of every lane."""
 
     def lanes(bits):
-        return int.from_bytes(b"".join(top if not S & bits else empty for S in range(1 << n)), "little")
+        return int.from_bytes(bytes(0 if S & bits else 0x80 for S in range(1 << n)), "little")
 
     squares = [(i, j, lanes(1 << i | 1 << j)) for i in range(n) for j in range(i + 1, n)]
     return squares, [(i, lanes(1 << i)) for i in range(n)], lanes(0)
@@ -237,8 +233,8 @@ class _LatticeSearch:
     D + B, with D = hi - lo; then byte m of Y_k - P is y(m + k) - sum(m) + D.
     A node's sums lie in [y(m), z(m)], since its parent chose t within
     them, so every byte of P lies in [0, D] and every byte of Y_k - P and
-    Z_k - P in [0, 2 D]: none borrows while D <= 127, and a wider pair is
-    refused with a ValueError.  The bounds on coordinate k are then
+    Z_k - P in [0, 2 D]: none borrows, since D <= MAX_SPAN
+    (`SetFunctionPair`).  The bounds on coordinate k are then
     max((Y_k - P).to_bytes(2^k)) - D and min((Z_k - P).to_bytes(2^k)) - D,
     a fixed number of big-int operations per node."""
 
@@ -247,17 +243,13 @@ class _LatticeSearch:
         self.pair = pair
         if n == 0:
             return  # the one point () needs no search
-        lo = min(min(pair.y), min(pair.z))
-        span = max(max(pair.y), max(pair.z)) - lo
-        if span > 127:
-            raise ValueError(f"pair values span {span}, too wide for the packed search (< 128)")
-        self.span, self.bias = span, -lo
+        self.span, self.bias = pair.span, -pair.lo
         self.order = tuple(sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i]))
         pick = _search_masks(self.order)
 
         def packed(table):
             # Y_k: the masks whose last element is k, positions 2^k .. 2^(k+1) - 1.
-            row = bytes(map((span - lo).__add__, pick(table)))
+            row = bytes(map((pair.span - pair.lo).__add__, pick(table)))
             return [int.from_bytes(row[1 << k:2 << k], "little") for k in range(n)]
 
         self.ys, self.zs = packed(pair.y), packed(pair.z)

@@ -704,6 +704,23 @@ class TestMain:
         assert cli.main(["--n", "99"]) == 2
         assert cli.main(["--n", "4", "--checks", "bogus"]) == 2
 
+    def test_aborted_run_exits_three(self, monkeypatch, capsys):
+        # A worker that dies breaks the pool and aborts the run: an internal
+        # error, never the status of a failed check.
+        main_pid = os.getpid()
+
+        def dies(w, g):
+            if os.getpid() != main_pid:
+                os._exit(9)
+            return Verdict(True)
+
+        monkeypatch.setitem(cli.CHECKS, "euler", dies)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli.main(["--n", "4", "--jobs", "2", "--checks", "euler"]) == 3
+        out, err = capsys.readouterr()
+        assert out == "" and "Traceback" in err
+        assert err.splitlines()[-1].startswith("error: run aborted: BrokenProcessPool: ")
+
     def test_bad_max_n_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("GROTH_MAX_N", "x")
         assert cli.main(["--n", "3"]) == 2

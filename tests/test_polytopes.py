@@ -658,6 +658,10 @@ def set_function_pairs(draw):
     return SetFunctionPair(tables[0], tables[1], n)
 
 
+def scaled_pair(pair, factor):
+    return SetFunctionPair([v * factor for v in pair.y], [v * factor for v in pair.z], pair.n)
+
+
 point_sets = st.integers(min_value=1, max_value=4).flatmap(
     lambda n: st.sets(st.tuples(*[st.integers(-3, 3)] * n), min_size=1, max_size=8)
 )
@@ -846,11 +850,15 @@ class TestKernelsAgainstScans:
         witness = polytopes.paramodular_violation(pair)
         assert witness == paramodular_violation_loop(pair)
         assert (witness is None) == is_paramodular(pair)
-        # Scaled values need wider lanes, up to and past two bytes; every
-        # inequality scales with them.
-        for factor in (20, 1000, 10**20):
-            wide = SetFunctionPair([v * factor for v in pair.y], [v * factor for v in pair.z], pair.n)
+        # Scaled values fill the byte lanes up to MAX_SPAN, and every
+        # inequality scales with them; one more step is refused where the
+        # pair is made.
+        if pair.span:
+            factor = polytopes.MAX_SPAN // pair.span
+            wide = scaled_pair(pair, factor)
             assert polytopes.paramodular_violation(wide) == paramodular_violation_loop(wide)
+            with pytest.raises(ValueError, match="too wide for the packed kernels"):
+                scaled_pair(pair, factor + 1)
         if witness is not None:
             assert_failing_inequality(pair, witness)
 
@@ -866,39 +874,84 @@ class TestKernelsAgainstScans:
         assert recover_pair(A) == recover_pair_loop(A)
 
 
+def assert_lanes_fit(monkeypatch, table, n):
+    """conj4 passes extremal points whose coordinate ranges sum to at most
+    n(n-1)/2, and recovers a pair spanning at most that: the staircase box
+    bounds both."""
+    passed = []
+
+    def spy(A):
+        pair = recover_pair(A)
+        passed.append((A, pair))
+        return pair
+
+    monkeypatch.setattr(polytopes, "recover_pair", spy)
+    for w, g in table.polys.items():
+        assert check_conjecture_4(w, g).ok
+    assert len(passed) == len(table)
+    bound = n * (n - 1) // 2
+    for A, pair in passed:
+        columns = list(zip(*A))
+        assert sum(map(max, columns)) - sum(map(min, columns)) <= bound
+        assert pair.span <= bound
+
+
+class TestLaneBound:
+    # The byte lanes hold every support conj4 can see: the view refuses
+    # points outside the staircase box, which exists only for n <= 10.
+
+    def test_bound_within_max_span(self):
+        with pytest.raises(ValueError, match="staircase box of S_11"):
+            poly._Box(11)
+        assert 10 * 9 // 2 <= polytopes.MAX_SPAN
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_S2_to_S6(self, tables, monkeypatch, n):
+        table = tables[(n, "G")] if n > 2 else poly.build_table(2, "G")
+        assert_lanes_fit(monkeypatch, table, n)
+
+    @pytest.mark.slow
+    def test_S7_slow(self, monkeypatch):
+        assert_lanes_fit(monkeypatch, cache.load_or_build(None, 7, "G"), 7)
+
+
 class TestPackedRefusal:
     # The packed kernels refuse inputs whose bytes would carry or borrow;
     # the driver reports the refusal as an internal error, not a verdict.
 
     def test_recover_pair_refuses_wide_columns(self):
-        # Coordinate ranges 200 + 100 >= 256.
-        g = poly_of({(0, 0): 1, (200, 100): 1}, 2)
+        # Coordinate ranges 40 + 24 > MAX_SPAN; 40 + 23 fit.
+        assert recover_pair(frozenset({(0, 0), (40, 23)})).span == polytopes.MAX_SPAN
+        g = poly_of({(0, 0): 1, (40, 24): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
             recover_pair(g.support())
         # conj4 reads the support view, which refuses the point first.
         entry = cli._run_check("conj4", (2, 1), g)
         assert entry["status"] == "error"
-        assert entry["witness"] == "ValueError: (200, 100) lies outside the staircase box of S_2"
+        assert entry["witness"] == "ValueError: (40, 24) lies outside the staircase box of S_2"
 
     def test_lattice_search_refuses_wide_pair(self):
-        # recover_pair accepts a range of 130, the search needs a span < 128.
-        g = poly_of({(0,): 1, (130,): 1}, 1)
-        pair = recover_pair(g.support())
-        assert is_paramodular(pair)
-        with pytest.raises(ValueError, match="packed search"):
-            lattice_points_of_pair(pair)
+        # recover_pair packs a range of 63, but the pair it makes spans 64:
+        # no pair wider than MAX_SPAN is made, so none reaches the search.
+        with pytest.raises(ValueError, match="span 64, too wide for the packed kernels"):
+            recover_pair(frozenset({(1,), (64,)}))
+        with pytest.raises(ValueError, match="span 64, too wide for the packed kernels"):
+            SetFunctionPair([0, -64], [0, 0], 1)
+        g = poly_of({(0,): 1, (64,): 1}, 1)
         entry = cli._run_check("conj4", (1,), g)
         assert entry["status"] == "error"
-        assert entry["witness"] == "ValueError: (130,) lies outside the staircase box of S_1"
+        assert entry["witness"] == "ValueError: (64,) lies outside the staircase box of S_1"
 
     def test_widest_accepted_pair(self):
-        # The search takes a span of 127; conj4 never sees such a support,
-        # since the view refuses every point outside the staircase box.
-        g = poly_of({(0,): 1, (127,): 1}, 1)
+        # Every kernel takes a span of MAX_SPAN; conj4 never sees such a
+        # support, since the view refuses every point outside the staircase
+        # box.
+        g = poly_of({(0,): 1, (63,): 1}, 1)
         pair = recover_pair(g.support())
+        assert pair.span == polytopes.MAX_SPAN
         assert is_paramodular(pair)
-        assert lattice_points_of_pair(pair) == {(t,) for t in range(128)}
-        with pytest.raises(ValueError, match=r"^\(127,\) lies outside the staircase box of S_1$"):
+        assert lattice_points_of_pair(pair) == {(t,) for t in range(64)}
+        with pytest.raises(ValueError, match=r"^\(63,\) lies outside the staircase box of S_1$"):
             check_conjecture_4((1,), g)
 
 

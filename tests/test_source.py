@@ -1,4 +1,4 @@
-"""Three checks on the package source.
+"""Four checks on the package source.
 
 The package holds only code that something in it reaches.  Every top-level
 function and class in `src/grothpoly` must be referenced by name, as a bare
@@ -15,16 +15,25 @@ What the checks of one permutation share is kept by one memo,
 `perms.last_call`: no one-slot `lru_cache`, no module global that a function
 rebinds to remember its last call, and every memoized fact stays a plain
 function, which the tracer can wrap.
+
+The package imports only the standard library, itself and the dependencies
+`pyproject.toml` declares: a module that is installed here but not declared
+would pass locally and fail on a clean install.
 """
 import ast
 import inspect
+import re
+import sys
 from pathlib import Path
+
+import pytest
 
 import grothpoly
 from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
 
 PACKAGE = Path(grothpoly.__file__).resolve().parent
-PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
 
 # Kept without a caller in the package: `build_table` runs the whole
 # divided-difference recursion, the reference table of the tests, and the
@@ -94,6 +103,30 @@ def test_one_memo_mechanism():
         polytopes.spanning_sumset,
     ):
         assert inspect.isfunction(fn) and fn.__code__ is kept, fn.__name__
+
+
+def test_imports_are_declared():
+    tomllib = pytest.importorskip("tomllib")
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    # A requirement's distribution name, as its module is named.
+    declared = {
+        re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+        for dep in project["dependencies"]
+    }
+    allowed = set(sys.stdlib_module_names) | {PACKAGE.name} | declared
+    undeclared = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                continue
+            undeclared += [
+                f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
+            ]
+    assert undeclared == []
 
 
 def _functions(modules):
