@@ -12,7 +12,6 @@ from __future__ import annotations
 import argparse
 import concurrent.futures
 import gc
-import itertools
 import json
 import multiprocessing
 import os
@@ -20,6 +19,7 @@ import sys
 import time
 import traceback
 from dataclasses import dataclass
+from json.encoder import encode_basestring_ascii as _string
 from typing import List, Optional, Tuple
 
 from . import cache, perms, poly, posets, polytopes
@@ -249,18 +249,72 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     return report, (3 if counts["error"] else 1 if counts["fail"] else 0)
 
 
+_CONSTANTS = {True: "true", False: "false", None: "null"}
+
+
+def _json(obj, indent: str) -> str:
+    """obj as json.dumps(obj, indent=2, sort_keys=True) writes it when its
+    first line is indented by `indent`: a dict's members in key order, one
+    line each, two spaces further in.  Strings go to the C escaper; what
+    else is rare (floats, from --timings) goes to json.dumps, its lines
+    after the first indented the same."""
+    cls = obj.__class__
+    if cls is str:
+        return _string(obj)
+    if cls is dict:
+        if not obj:
+            return "{}"
+        inner = indent + "  "
+        try:
+            members = [
+                _string(k) + ": " + (_string(v) if v.__class__ is str else _json(v, inner))
+                for k, v in sorted(obj.items())
+            ]
+        except TypeError:  # a key that is not a string, which json.dumps converts
+            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+    if cls is list or cls is tuple:
+        if not obj:
+            return "[]"
+        inner = indent + "  "
+        members = [int.__repr__(v) if v.__class__ is int else _json(v, inner) for v in obj]
+        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
+    if cls is int:
+        return int.__repr__(obj)
+    if obj is None or cls is bool:
+        return _CONSTANTS[obj]
+    return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+
+
+def _render_json(report: dict) -> str:
+    """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n",
+    without the pure-Python encoder, which json.dumps uses whenever there is
+    an indent.  Each value under the report's keys, a record among them, is
+    one string (`_json`); the pieces of the top two levels go into one list,
+    joined once, so rendering holds those strings and the result."""
+    if not report:
+        return "{}\n"
+    out = []
+    head = "{\n  "
+    for key, value in sorted(report.items()):
+        out.append(head + _string(key) + ": ")
+        head = ",\n  "
+        if value and value.__class__ is list:
+            sep = "[\n    "
+            for item in value:
+                out.append(sep)
+                out.append(_json(item, "    "))
+                sep = ",\n    "
+            out.append("\n  ]")
+        else:
+            out.append(_json(value, "  "))
+    out.append("\n}\n")
+    return "".join(out)
+
+
 def render(report: dict, fmt: str) -> str:
     if fmt == "json":
-        # The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n".
-        # With an indent, json.dumps lists every chunk of the pure-Python
-        # encoder before joining, several times the output's size; joining
-        # blocks of 4096 chunks holds only the blocks and the result.
-        chunks = json.JSONEncoder(indent=2, sort_keys=True).iterencode(report)
-        blocks = []
-        while block := "".join(itertools.islice(chunks, 4096)):
-            blocks.append(block)
-        blocks.append("\n")
-        return "".join(blocks)
+        return _render_json(report)
     lines = []
     checks = report["meta"]["checks"]
     header = ["perm", "len", "deg"] + checks
@@ -302,7 +356,7 @@ def print_permutation(config: RunConfig) -> str:
         "poset covers:",
         posets.build_Pw(w, g).hasse_text(),
         "recovered pair (bitmask y z):",
-        polytopes.recover_pair(g.support()).to_text(),
+        polytopes.recover_pair(poly.support_view(g)).to_text(),
     ]
     return "\n".join(lines) + "\n"
 

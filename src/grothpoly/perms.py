@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 
 def last_call(fn):
@@ -171,12 +171,6 @@ def rajcode(w: tuple) -> tuple:
     return tuple((n - j) - lis[j] for j in range(n))
 
 
-def _ranking(seq: Iterable[int]) -> tuple:
-    seq = tuple(seq)
-    order = sorted(seq)
-    return tuple(order.index(v) for v in seq)
-
-
 # Avoiding all of these is equivalent to every nonzero Schubert coefficient
 # being 1.
 ZERO_ONE_PATTERNS = (
@@ -195,19 +189,23 @@ ZERO_ONE_PATTERNS = (
 )
 
 
-# The same patterns standardized by `_ranking`, one set per length.
-_ZERO_ONE_RANKS = {
-    k: frozenset(_ranking(p) for p in ZERO_ONE_PATTERNS if len(p) == k)
-    for k in sorted({len(p) for p in ZERO_ONE_PATTERNS})
-}
+@functools.cache
+def _zero_one_occurrences(n: int) -> tuple:
+    """(k, the k-tuples of values in [n] that are occurrences of a pattern of
+    length k) for each length k of the patterns: for the values
+    v_1 < ... < v_k and a pattern p, (v_{p_1}, ..., v_{p_k})."""
+    occurrences = {}
+    for p in ZERO_ONE_PATTERNS:
+        values = itertools.combinations(range(1, n + 1), len(p))
+        bad = occurrences.setdefault(len(p), set())
+        bad.update(tuple(v[i - 1] for i in p) for v in values)
+    return tuple(occurrences.items())
 
 
 def is_zero_one(w: tuple) -> bool:
     """True iff w avoids the twelve patterns characterizing 0/1 Schubert
-    coefficients, each subsequence standardized once and looked up among the
-    patterns of its length."""
-    return not any(
-        _ranking(sub) in ranks
-        for k, ranks in _ZERO_ONE_RANKS.items()
-        for sub in itertools.combinations(w, k)
+    coefficients: no subsequence of w is among the occurrences of the
+    patterns of its length in S_n."""
+    return all(
+        bad.isdisjoint(itertools.combinations(w, k)) for k, bad in _zero_one_occurrences(len(w))
     )

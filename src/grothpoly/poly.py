@@ -19,10 +19,13 @@ canonical term order (compare the exponent of x_n first, then x_{n-1}, and
 so on: a term order with x_1 < x_2 < ... < x_n); with the degree masked off
 it is term order alone.  Every exponent of a polynomial here lies in the
 staircase box of S_n, entries < n, so the bound holds for n <= 256.  All
-arithmetic is exact; the divided differences are written in closed form,
-one monomial at a time, on codes.  `Poly` stores the terms it is given,
-which the program builds itself; terms from outside enter only through
-`parse_text` (behind the cache reader), which checks them.  Exponent
+arithmetic is exact; the divided differences are written in closed form
+on codes, with move tables: per (n, j), a table maps the bytes of x_j and
+x_{j+1} in a code to the code offsets and multipliers of the output terms,
+so a monomial costs one lookup and one update per output (`_Moves`).
+`Poly` stores the terms it is given, which the program builds itself;
+terms from outside enter only through `parse_text` (behind the cache
+reader), which checks them.  Exponent
 vectors appear only where a person reads them: witnesses, `to_text` and
 `support`.
 
@@ -178,12 +181,14 @@ class _Box(dict):
     0 <= b < radix_{i+1}, built once per (i, b); M_i is
     `at_most(i - 1, radix_i - 2)`.
 
-    `codes_of(bits)` decodes a set to codes with two tables, built when
-    first asked for: a point's index is k = l + W h, with W = w_{m+1} the
-    product of the first m radices, l < W the index of its first m
-    coordinates and h that of the rest, and its code is the sum of the
-    codes of those two parts, low[l] + high[h].  m is the least with
-    W^2 >= n!, so both tables are short."""
+    `sums_of(bits, tables)` maps each point of a set to a linear function
+    of it, sum of alpha_i u_i, with two tables (`split_sums(units)`): a
+    point's index is k = l + W h, with W = w_{m+1} the product of the first
+    m radices, l < W the index of its first m coordinates and h that of the
+    rest, and the sum is that of those two parts, low[l] + high[h].  m is
+    the least with W^2 >= n!, so both tables are short.  `codes_of` is
+    `sums_of` with u_i = code(e_i), whose tables are built when first asked
+    for; `code_at(k)` is one lookup in them."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -197,7 +202,6 @@ class _Box(dict):
         self.columns: Dict[Tuple[int, int], int] = {}
         self.steps = [(w, self.at_most(i, r - 2)) for i, (w, r) in enumerate(zip(self.weights, radix))]
         self.grades = [1]
-        self.split: Optional[tuple] = None
 
     def __missing__(self, code: int) -> tuple:
         alpha = _staircase_point(decode(code, len(self.radix)), len(self.radix))
@@ -223,18 +227,29 @@ class _Box(dict):
             column = self.columns[i, b] = _repeat((1 << w * (b + 1)) - 1, w * r, self.size)
         return column
 
-    def codes_of(self, bits: int) -> list:
-        """The codes of the points of a set, in index order."""
-        if self.split is None:
-            n = len(self.radix)
-            m = next(m for m, w in enumerate(self.weights) if w * w >= self.size)
-            low, high = [0], [0]
-            for i, r in enumerate(self.radix):
-                unit = 1 << 8 * i | 1 << 8 * n
-                part = low if i < m else high
-                part[:] = [c + a * unit for a in range(r) for c in part]
-            self.split = (self.weights[m], low, high)
-        W, low, high = self.split
+    def split_sums(self, units) -> tuple:
+        """The tables (low, high) of `sums_of` for the sum of
+        alpha_i units[i]: low[l] is its part over the first m coordinates of
+        the point with index l < W, high[h] its part over the rest of the
+        point with index h W."""
+        m = next(m for m, w in enumerate(self.weights) if w * w >= self.size)
+        low, high = [0], [0]
+        for i, (r, unit) in enumerate(zip(self.radix, units)):
+            part = low if i < m else high
+            part[:] = [c + a * unit for a in range(r) for c in part]
+        return low, high
+
+    @functools.cached_property
+    def code_tables(self) -> tuple:
+        """The tables of `codes_of`, u_i = code(e_i)."""
+        n = len(self.radix)
+        return self.split_sums([1 << 8 * i | 1 << 8 * n for i in range(n)])
+
+    def sums_of(self, bits: int, tables: tuple) -> list:
+        """low[l] + high[h] for each point k = l + W h of a set, in index
+        order, for tables (low, high) from `split_sums`."""
+        low, high = tables
+        W = len(low)
         out = []
         digits = format(bits, "b")[::-1]  # digits[k] is bit k
         k = digits.find("1")
@@ -243,6 +258,16 @@ class _Box(dict):
             out.append(low[l] + high[h])
             k = digits.find("1", k + 1)
         return out
+
+    def codes_of(self, bits: int) -> list:
+        """The codes of the points of a set, in index order."""
+        return self.sums_of(bits, self.code_tables)
+
+    def code_at(self, k: int) -> int:
+        """The code of the point with index k."""
+        low, high = self.code_tables
+        h, l = divmod(k, len(low))
+        return low[l] + high[h]
 
     def points(self, bits: int) -> list:
         """The points of a set, in index order."""
@@ -286,7 +311,8 @@ class _SupportView:
       term order;
     - `lower`: the points of P with no unit step down in P, as a bitset
       (conj4);
-    - `maxima`: `top_codes`, then `low_maxima`;
+    - `maximal`: the maximal points of P, the top degree and
+      `low_maxima`, as a bitset (conj3, conj4);
     - `missing`: the unit steps beta = alpha + e_i of the set's points that
       lie below some point of the set but not in it, in degree, then term
       order (conj3).
@@ -332,7 +358,7 @@ class _SupportView:
       P."""
 
     __slots__ = (
-        "n", "box", "bits", "degree", "high", "top_codes", "uncovered", "maxima",
+        "n", "box", "bits", "degree", "high", "top_codes", "uncovered", "maximal",
         "low_maxima", "lower", "missing",
     )
 
@@ -346,7 +372,8 @@ class _SupportView:
         U = 0
         for w, mask in steps:
             U |= P >> w & mask
-        uncovered = P & ~(box.grade(top) | U)
+        T = P & box.grade(top)
+        uncovered = P & ~(T | U)
         D = P
         for r, (w, mask) in zip(box.radix, steps):
             for _ in range(r - 1):
@@ -363,7 +390,7 @@ class _SupportView:
         self.n, self.degree, self.lower = n, top, P & ~above
         self.high = int.from_bytes(b"\x80" * (n + 1), "little")
         self.uncovered, self.low_maxima = box.codes_in(uncovered), box.codes_in(low)
-        self.maxima = self.top_codes + self.low_maxima
+        self.maximal = T | low
         self.missing = box.codes_in(above & D & ~P)
 
 
@@ -429,43 +456,68 @@ def isobaric_divided_difference(f: Poly, j: int) -> Poly:
 
 def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
     """The sum of sign * d_j(x_{j+1}^lift f) over the (lift, sign) pairs in
-    parts, in one pass over the monomials of f.
-
-    With a, b the exponents of x_j, x_{j+1}, the divided difference of
-    x_j^a x_{j+1}^b is the sum of x_j^p x_{j+1}^{a+b-1-p} over
-    min(a, b) <= p < max(a, b), negated when a < b (so 0 when a = b).
-
-    On codes, a and b are bytes j - 1 and j of the code; every output term
-    has degree |alpha| - 1 + lift, and the next p adds 256^(j-1) - 256^j to
-    the code.  The entries of the result must stay below 256, as every
-    exponent in the staircase box does.
-    """
+    parts, in one pass over the monomials of f: one lookup of the term's
+    bytes j - 1 and j in the move table (`_Moves`) and one update per
+    output term.  The entries of the result must stay below 256, as every
+    exponent in the staircase box does."""
     global OPERATOR_APPLICATIONS
     OPERATOR_APPLICATIONS += 1
     n = f.nvars
     if not 1 <= j <= n - 1:
         raise ValueError(f"operator index {j} out of range for nvars={n}")
-    shift = 8 * (j - 1)
-    unit_j, unit_next, unit_degree = 1 << shift, 1 << shift + 8, 1 << 8 * n
-    step = unit_j - unit_next
+    moves, shift = _moves(n, j, parts), 8 * (j - 1)
     out: Dict[int, int] = {}
     get = out.get
     for expo, coeff in f.terms.items():
-        a, b0 = expo >> shift & 0xFF, expo >> shift + 8 & 0xFF
-        for lift, sign in parts:
-            b = b0 + lift
-            if a > b:
-                p, count, c = b, a - b, sign * coeff
-            elif a < b:
-                p, count, c = a, b - a, -sign * coeff
-            else:
-                continue
-            # x_j^p x_{j+1}^{a+b-1-p}, one degree below x_j^a x_{j+1}^b.
-            e = expo + (p - a) * unit_j + (a + b - 1 - p - b0) * unit_next + (lift - 1) * unit_degree
-            for _ in range(count):
-                out[e] = get(e, 0) + c
-                e += step
+        for offset, multiplier in moves[expo >> shift & 0xFFFF]:
+            e = expo + offset
+            out[e] = get(e, 0) + multiplier * coeff
     return Poly({e: c for e, c in out.items() if c}, n)
+
+
+class _Moves(dict):
+    """The move table of `_closed_form` for one (n, j, parts): it maps the
+    field a + 256 b, for a and b the exponents of x_j and x_{j+1} (bytes
+    j - 1 and j of a code), to the (offset, multiplier) pairs of the
+    output: the monomial x^alpha with that field goes to the sum of
+    multiplier * x^beta, code(beta) = code(alpha) + offset, over them.
+    Offsets that meet are combined and zero multipliers dropped.  Each
+    field is filled when first looked up, so any pair of bytes has one.
+
+    A part first multiplies by x_{j+1}^lift: b = b0 + lift for b0 the
+    field's exponent of x_{j+1}.  The divided difference of x_j^a x_{j+1}^b
+    is the sum of x_j^p x_{j+1}^{a+b-1-p} over min(a, b) <= p < max(a, b),
+    negated when a < b (so 0 when a = b), and the other coordinates ride
+    along.  On codes, the first p moves byte j - 1 from a to p and byte j
+    from b0 to a + b - 1 - p, the degree moves by lift - 1, and each next p
+    adds 256^(j-1) - 256^j."""
+
+    def __init__(self, n: int, j: int, parts: tuple):
+        super().__init__()
+        self.parts = parts
+        self.unit_j, self.unit_next, self.unit_degree = 1 << 8 * (j - 1), 1 << 8 * j, 1 << 8 * n
+
+    def __missing__(self, field: int) -> tuple:
+        unit_j, unit_next = self.unit_j, self.unit_next
+        a, b0 = field & 0xFF, field >> 8
+        combined: Dict[int, int] = {}
+        for lift, sign in self.parts:
+            b = b0 + lift
+            p, c = min(a, b), sign if a > b else -sign
+            offset = (p - a) * unit_j + (a + b - 1 - p - b0) * unit_next
+            offset += (lift - 1) * self.unit_degree
+            for _ in range(abs(a - b)):
+                combined[offset] = combined.get(offset, 0) + c
+                offset += unit_j - unit_next
+        moves = self[field] = tuple((e, c) for e, c in combined.items() if c)
+        return moves
+
+
+@functools.cache
+def _moves(n: int, j: int, parts: tuple) -> _Moves:
+    """The move table of d_j's parts on polynomials in n variables, one per
+    (n, j, parts)."""
+    return _Moves(n, j, parts)
 
 
 def staircase_monomial(n: int) -> Poly:

@@ -5,16 +5,23 @@ checkers.
 
 Subset functions on 2^[n] are stored as dense tuples indexed by bitmask
 (bit i-1 set means i is in the subset); n is hard-capped at 12.
+
+The packed kernels hold a subset function as one int with one byte lane
+per subset.  conj4's pair is recovered in absolute lanes: the lane of a
+support point at I is its coordinate sum over I, at most n(n-1)/2 <= 45
+in the staircase box, read from two per-n tables with no translation
+(`recover_pair`).  The paramodularity test and the lattice search bias
+their lanes by the least value of the pair.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import add, itemgetter, mul, or_
+from operator import itemgetter, mul, or_
 from typing import FrozenSet, List, Optional, Sequence, Tuple
 
 from . import perms
-from .poly import Poly, _boxes, decode, support_view
+from .poly import Poly, _boxes, _SupportView, support_view
 from .verdicts import Verdict
 
 MAX_SUBSET_N = 12
@@ -65,50 +72,51 @@ def spanning_points(S: FrozenSet[int], n: int) -> FrozenSet[tuple]:
     return frozenset(p for p in points if all(sum(p[:sk]) >= k for k, sk in enumerate(s, 1)))
 
 
-def recover_pair(A: FrozenSet[tuple]) -> SetFunctionPair:
-    """The unique candidate paramodular pair of conv(A): subset-wise min and
-    max of coordinate sums over the point set (convexity makes the finite
-    min/max stand in for the polytope).
+def recover_pair(view: _SupportView) -> SetFunctionPair:
+    """The unique candidate paramodular pair of the convex hull of a
+    support, given by its view (`poly.support_view`): y(I) and z(I) are the
+    min and max over the support of the sum over I, alpha(I), which is
+    monotone in alpha.  Below each support point lies a minimal one, whose
+    sum is no larger, and above it a maximal one, whose sum is no smaller:
+    y is the min over the view's `lower`, which holds the minimal points,
+    and z the max over its `maximal`.  (Convexity makes the finite min and
+    max stand in for the polytope.)
 
-    Packed by masks: after translating each coordinate by its minimum
-    low_i, a point p becomes one int with one byte lane per mask m, holding
-    the sum of p_i - low_i over m: the sum of (p_i - low_i) R_i, where R_i
-    has lane m equal to 1 iff i is in m.  A lane is at most the sum of the
-    ranges max_i - low_i, which must be at most MAX_SPAN (a larger sum is
-    refused with a ValueError), so it never reaches the lane's top bit.
-    y and z are then the lane-wise min and max over the points, each
-    comparison one subtract (`_at_least`), plus the sum of low_i over m.
-    The translation is one subtract of L, the sum of low_i R_i, from the
-    sum of p_i R_i, since both are linear in p."""
-    A = list(A)
-    if not A:
-        raise ValueError("cannot recover a pair from an empty point set")
-    n = len(A[0])
-    columns = list(zip(*A))
-    lows = list(map(min, columns))
-    spread = sum(map(max, columns)) - sum(lows)
-    if spread > MAX_SPAN:
-        raise ValueError(f"coordinate ranges sum to {spread}, too large for the packed columns")
-    _, steps, high = _avoiding(n)
-    # R_i: the lanes that do not avoid i, their top bit moved to the bottom.
-    ones = [(high ^ lanes) >> 7 for _, lanes in steps]
-    offsets = [0]
-    for low in lows:
-        offsets += [o + low for o in offsets]
-    base = sum(map(mul, lows, ones))
-    packed = [sum(map(mul, p, ones)) - base for p in A]
-    y = z = packed[0]
-    for p in packed[1:]:
+    Packed by masks: a point alpha becomes one int with one byte lane per
+    mask I, holding alpha(I): the sum of alpha_i R_i, where R_i has lane I
+    equal to 1 iff i is in I.  That sum is linear in alpha, so the box's
+    split tables of it (`_lane_tables`) give it with two lookups per point
+    (`poly._Box.sums_of`).  In the staircase box a lane is at most
+    n(n-1)/2 <= 45, since the box exists only for n <= 10, so it never
+    reaches the lane's top bit.  y and z are then the lane-wise min and max,
+    each comparison one subtract (`_at_least`)."""
+    n, box = view.n, view.box
+    high = _avoiding(n)[2]
+    tables = _lane_tables(n)
+    lower = box.sums_of(view.lower, tables)
+    upper = box.sums_of(view.maximal, tables)
+    y = lower[0]
+    for p in lower[1:]:
         # A top bit less itself shifted to the bottom of its lane fills the
         # lane below it: keep is 0x7F in each lane where p >= y, and
         # y ^ p selects between them.
         ge = _at_least(p, y, high)
         y = p ^ (y ^ p) & ge - (ge >> 7)
+    z = upper[0]
+    for p in upper[1:]:
         ge = _at_least(p, z, high)
         z = z ^ (z ^ p) & ge - (ge >> 7)
-    y = map(add, y.to_bytes(len(offsets), "little"), offsets)
-    z = map(add, z.to_bytes(len(offsets), "little"), offsets)
-    return SetFunctionPair(y, z, n)
+    size = 1 << n
+    return SetFunctionPair(y.to_bytes(size, "little"), z.to_bytes(size, "little"), n)
+
+
+@functools.cache
+def _lane_tables(n: int) -> tuple:
+    """The split tables (`poly._Box.split_sums`) of alpha -> the sum of
+    alpha_i R_i over the staircase box of S_n, for R_i the byte lanes of the
+    masks that hold i, each set to 1."""
+    _, steps, high = _avoiding(n)
+    return _boxes(n).split_sums([(high ^ lanes) >> 7 for _, lanes in steps])
 
 
 def _at_least(a: int, b: int, high: int) -> int:
@@ -351,23 +359,15 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     is the only candidate, and an integral paramodular pair cuts out an
     integral polytope.
 
-    The pair is recovered from the support's extremal points only: its
-    minimal points and its maxima (the view's).  y(I) and z(I) are the min
-    and max over the support of the sum over I, which is monotone in alpha:
-    below each support point lies a minimal one, whose sum is no larger, and
-    above it a maximal one, whose sum is no smaller.  The view's `lower`
-    (`poly._SupportView`) holds the support points with no unit step down
-    in the support, the minimal points among them.
+    The pair is recovered from the support's view: y from its minimal
+    points, z from its maximal ones (`recover_pair`).
 
     Every support point satisfies the pair it was recovered from, so the
     lattice points contain the support, and equal it iff there are |supp|
     of them: the search counts and stops past |supp|, and enumerates only
     to name the witness, the first point in sorted order outside the
     support."""
-    view = support_view(groth)
-    extremal = set(view.box.points(view.lower))
-    extremal.update(decode(m, view.n) for m in view.maxima)
-    pair = recover_pair(extremal)
+    pair = recover_pair(support_view(groth))
     if not is_paramodular(pair):
         return Verdict(
             False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"

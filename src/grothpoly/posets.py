@@ -183,7 +183,8 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
         up = 1 << 8 * n
         steps = {beta - up - (1 << 8 * i) for i in range(n) if beta >> 8 * i & 0xFF}
         alpha = min(s for s in steps if s in groth.terms)
-        m = min(m for m in view.maxima if ((m | high) - beta) & high == high)
+        maxima = view.box.codes_of(view.maximal)
+        m = min(m for m in maxima if ((m | high) - beta) & high == high)
         detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
         return Verdict(False, witness=decode(beta, n), detail=detail)
     return Verdict(True)
@@ -206,13 +207,11 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
 def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     """The top degree of the Grothendieck polynomial is |rajcode(w)|, and its
     leading exponent in term order is rajcode(w); a failure names the
-    leading exponent.  With the degree byte masked off, the numeric order of
-    the codes is term order, so the leading exponent is the largest masked
-    code."""
+    leading exponent.  Index order in the view's box is term order, so the
+    leading exponent is the support's highest set bit (`poly._Box`)."""
     view = support_view(groth)
     rc = perms.rajcode(w)
-    coordinates = (1 << 8 * view.n) - 1
-    leading = decode(max(map(coordinates.__and__, groth.terms)), view.n)
+    leading = decode(view.box.code_at(view.bits.bit_length() - 1), view.n)
     if view.degree == sum(rc) and leading == rc:
         return Verdict(True)
     return Verdict(False, witness=leading)

@@ -5,14 +5,17 @@ permutations; these are those proven cases (Escobar-Yong's graded supports
 and the explicit lambda/mu pair), the permutation classes they cover, the
 few polynomial operations the tests need and the engine does not, and the
 kernels the engine's code-keyed ones replaced: the divided differences and
-the pipe-dream transfer matrix on exponent tuples, the oracles they are
-compared with.
+the pipe-dream transfer matrix on exponent tuples, the pattern test by
+standardized subsequences and the pair recovered from a set of exponent
+tuples, the oracles they are compared with.
 """
-from typing import Dict, Optional, Sequence
+import itertools
+import operator
+from typing import Dict, FrozenSet, Iterable, Optional, Sequence
 
-from grothpoly import perms, pipedreams, poly
+from grothpoly import perms, pipedreams, poly, polytopes
 from grothpoly.poly import Poly, code, decode
-from grothpoly.polytopes import SetFunctionPair, is_paramodular, recover_pair
+from grothpoly.polytopes import MAX_SPAN, SetFunctionPair, is_paramodular
 from grothpoly.verdicts import NotApplicable, Verdict
 
 
@@ -39,6 +42,30 @@ def decreasing_runs(w: tuple) -> list:
             current = [v]
     runs.append(current)
     return runs
+
+
+def ranking(seq: Iterable[int]) -> tuple:
+    """The standardization of seq: each entry replaced by its rank, from 0."""
+    seq = tuple(seq)
+    order = sorted(seq)
+    return tuple(order.index(v) for v in seq)
+
+
+# The zero-one patterns standardized by `ranking`, one set per length.
+_ZERO_ONE_RANKS = {
+    k: frozenset(ranking(p) for p in perms.ZERO_ONE_PATTERNS if len(p) == k)
+    for k in sorted({len(p) for p in perms.ZERO_ONE_PATTERNS})
+}
+
+
+def is_zero_one_ranking(w: tuple) -> bool:
+    """`perms.is_zero_one` as it was: each subsequence standardized once and
+    looked up among the patterns of its length."""
+    return not any(
+        ranking(sub) in ranks
+        for k, ranks in _ZERO_ONE_RANKS.items()
+        for sub in itertools.combinations(w, k)
+    )
 
 
 def is_fireworks(w: tuple) -> bool:
@@ -251,10 +278,52 @@ def check_grassmannian_pair(w: tuple, groth: Poly) -> Verdict:
     pair = grassmannian_pair(lam, seq[-1], r)
     if not is_paramodular(pair):
         return Verdict(False, detail="explicit pair not paramodular")
-    recovered = recover_pair(truncate_support(groth.support(), r))
+    recovered = recover_pair_points(truncate_support(groth.support(), r))
     if pair != recovered:
         return Verdict(False, detail="explicit pair != recovered pair")
     return Verdict(True)
+
+
+def recover_pair_points(A: FrozenSet[tuple]) -> SetFunctionPair:
+    """The pair of `polytopes.recover_pair` from any finite set of integer
+    vectors: subset-wise min and max of coordinate sums over the points.
+
+    Packed by masks: after translating each coordinate by its minimum
+    low_i, a point p becomes one int with one byte lane per mask m, holding
+    the sum of p_i - low_i over m: the sum of (p_i - low_i) R_i, where R_i
+    has lane m equal to 1 iff i is in m.  A lane is at most the sum of the
+    ranges max_i - low_i, which must be at most MAX_SPAN (a larger sum is
+    refused with a ValueError), so it never reaches the lane's top bit.
+    y and z are then the lane-wise min and max over the points, each
+    comparison one subtract (`polytopes._at_least`), plus the sum of low_i
+    over m.  The translation is one subtract of L, the sum of low_i R_i,
+    from the sum of p_i R_i, since both are linear in p."""
+    A = list(A)
+    if not A:
+        raise ValueError("cannot recover a pair from an empty point set")
+    n = len(A[0])
+    columns = list(zip(*A))
+    lows = list(map(min, columns))
+    spread = sum(map(max, columns)) - sum(lows)
+    if spread > MAX_SPAN:
+        raise ValueError(f"coordinate ranges sum to {spread}, too large for the packed columns")
+    _, steps, high = polytopes._avoiding(n)
+    # R_i: the lanes that do not avoid i, their top bit moved to the bottom.
+    ones = [(high ^ lanes) >> 7 for _, lanes in steps]
+    offsets = [0]
+    for low in lows:
+        offsets += [o + low for o in offsets]
+    base = sum(map(operator.mul, lows, ones))
+    packed = [sum(map(operator.mul, p, ones)) - base for p in A]
+    y = z = packed[0]
+    for p in packed[1:]:
+        ge = polytopes._at_least(p, y, high)
+        y = p ^ (y ^ p) & ge - (ge >> 7)
+        ge = polytopes._at_least(p, z, high)
+        z = z ^ (z ^ p) & ge - (ge >> 7)
+    y = map(operator.add, y.to_bytes(len(offsets), "little"), offsets)
+    z = map(operator.add, z.to_bytes(len(offsets), "little"), offsets)
+    return SetFunctionPair(y, z, n)
 
 
 # The tuple kernels: the engine's operator and transfer matrix as they were

@@ -6,6 +6,7 @@ import tracemalloc
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
 from grothpoly.verdicts import NotApplicable, Verdict
@@ -533,6 +534,27 @@ class TestRun:
         assert any(e["status"] == "skip" and e["reason"] for e in entries)
         assert any(True in e.get("info", {}).values() for e in entries)
         assert {"error", "errors", "wall_seconds"} <= report["summary"].keys()
+        assert cli.render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.dictionaries(
+            st.text(max_size=4),
+            st.recursive(
+                st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+                lambda inner: st.lists(inner, max_size=3)
+                | st.tuples(inner, inner)
+                | st.dictionaries(st.text(max_size=4), inner, max_size=3)
+                | st.dictionaries(st.integers(), inner, max_size=2),
+                max_leaves=12,
+            ),
+            max_size=4,
+        )
+    )
+    def test_json_render_of_any_nesting(self, report):
+        # Empty containers, nesting at every depth, escapes, non-ASCII
+        # text, integer keys, booleans beside integers, and floats with NaN
+        # and infinity.
         assert cli.render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
     def test_json_render_peak_memory(self):

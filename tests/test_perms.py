@@ -6,7 +6,14 @@ import pytest
 
 from grothpoly import perms
 from grothpoly.perms import Diagram
-from reference import grassmannian_shape, identity, is_fireworks, rajcode_fireworks
+from reference import (
+    grassmannian_shape,
+    identity,
+    is_fireworks,
+    is_zero_one_ranking,
+    rajcode_fireworks,
+    ranking,
+)
 
 
 def naive_inversions(w):
@@ -31,8 +38,8 @@ def naive_rajcode(w):
 def contains_pattern(w, p):
     """True iff some subsequence of w is order-isomorphic to p (brute force):
     the reference for `perms.is_zero_one`."""
-    rank = perms._ranking(p)
-    return any(perms._ranking(sub) == rank for sub in itertools.combinations(w, len(p)))
+    rank = ranking(p)
+    return any(ranking(sub) == rank for sub in itertools.combinations(w, len(p)))
 
 
 class TestBasics:
@@ -283,3 +290,10 @@ class TestPatterns:
             assert perms.is_zero_one(w) == scans, w
             found += scans
         assert found == count
+
+    def test_zero_one_matches_ranking_S1_to_S7(self):
+        """The occurrence sets agree with the standardized lookup they
+        replaced (`reference.is_zero_one_ranking`) on all of S_1 to S_7."""
+        for n in range(1, 8):
+            for w in perms.all_perms(n):
+                assert perms.is_zero_one(w) == is_zero_one_ranking(w), w

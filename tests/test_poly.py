@@ -383,6 +383,14 @@ class TestCodeOperator:
     def test_random_polynomials_match_tuple_kernel(self, f, j):
         assert_operators_match_tuple_kernel(f, j)
 
+    def test_byte_pair_beyond_n(self):
+        # Entries far outside the staircase box of S_3: the move tables are
+        # filled per byte pair on first use, whatever the pair.
+        f = poly_of({(40, 9, 100): 3, (9, 40, 0): -2, (0, 200, 55): 1, (7, 7, 7): 5}, 3)
+        for j in (1, 2):
+            assert_operators_match_tuple_kernel(f, j)
+        assert (40 | 9 << 8) in poly._moves(3, 1, ISOBARIC)
+
 
 def box_points(radix):
     """Every point of the box 0 <= alpha_i < radix_i, listed by counting
@@ -431,6 +439,12 @@ class TestSupportBox:
             assert list(box.points(box.grade(d))) == [p for p in points if sum(p) == d]
 
     @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
+    def test_code_at_index(self, radix):
+        box = poly._boxes(len(radix))
+        points = box_points(radix)
+        assert [box.code_at(k) for k in range(box.size)] == list(map(poly.code, points))
+
+    @pytest.mark.parametrize("radix", STAIRCASES, ids=lambda r: ",".join(map(str, r)))
     def test_index_order_is_term_order(self, radix):
         box = poly._boxes(len(radix))
         by_term = sorted(box_points(radix), key=term_key)
@@ -445,7 +459,7 @@ class TestSupportBox:
         started = time.perf_counter()
         view = poly._SupportView(g.terms, 10)
         assert time.perf_counter() - started < 5
-        assert poly.decode(view.maxima[0], 10) == corner
+        assert poly.decode(view.box.codes_of(view.maximal)[0], 10) == corner
         assert view.low_maxima == []
         assert [poly.decode(c, 10) for c in view.uncovered] == [(2, 2, 1) + (0,) * 7]
         assert poly.decode(view.missing[0], 10) == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)

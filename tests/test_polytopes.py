@@ -29,6 +29,7 @@ from reference import (
     identity,
     pad,
     poly_of,
+    recover_pair_points,
     vector_terms,
 )
 
@@ -223,18 +224,18 @@ class TestSumset:
 
 class TestPairs:
     def test_recover_singleton(self):
-        pair = recover_pair(frozenset({(2, 1)}))
+        pair = recover_pair_points(frozenset({(2, 1)}))
         assert pair.y == pair.z
         assert pair.y[0b01] == 2 and pair.y[0b10] == 1 and pair.y[0b11] == 3
 
     def test_recover_132(self):
-        pair = recover_pair(frozenset({(1, 0), (0, 1), (1, 1)}))
+        pair = recover_pair_points(frozenset({(1, 0), (0, 1), (1, 1)}))
         assert pair.y[0b01] == 0 and pair.z[0b01] == 1
         assert pair.y[0b11] == 1 and pair.z[0b11] == 2
 
     def test_recover_empty_rejected(self):
         with pytest.raises(ValueError):
-            recover_pair(frozenset())
+            recover_pair_points(frozenset())
 
     def test_zero_pair_paramodular(self):
         n = 3
@@ -248,21 +249,21 @@ class TestPairs:
         assert not is_paramodular(SetFunctionPair(y, z, 2))
 
     def test_lattice_points_singleton(self):
-        pair = recover_pair(frozenset({(1, 2)}))
+        pair = recover_pair_points(frozenset({(1, 2)}))
         assert lattice_points_of_pair(pair) == {(1, 2)}
 
     def test_lattice_points_132(self):
-        pair = recover_pair(frozenset({(1, 0), (0, 1), (1, 1)}))
+        pair = recover_pair_points(frozenset({(1, 0), (0, 1), (1, 1)}))
         assert lattice_points_of_pair(pair) == {(1, 0), (0, 1), (1, 1)}
 
     def test_grassmannian_pair_132(self):
         pair = grassmannian_pair((1, 0), (1, 1), 2)
-        assert pair == recover_pair(frozenset({(1, 0), (0, 1), (1, 1)}))
+        assert pair == recover_pair_points(frozenset({(1, 0), (0, 1), (1, 1)}))
         assert is_paramodular(pair)
         assert lattice_points_of_pair(pair) == {(1, 0), (0, 1), (1, 1)}
 
     def test_pair_text(self):
-        pair = recover_pair(frozenset({(1, 0)}))
+        pair = recover_pair_points(frozenset({(1, 0)}))
         assert pair.to_text().splitlines()[0] == "0 0 0"
 
 
@@ -538,7 +539,8 @@ def assert_conj4_matches_support(w, groth, extremal=True):
     supp = groth.support()
     if extremal:
         points = by_degree(supp, False) | by_degree(supp, True)
-        assert recover_pair(points) == recover_pair(supp), w
+        assert recover_pair_points(points) == recover_pair_points(supp), w
+    assert recover_pair(poly.support_view(groth)) == recover_pair_points(supp), w
     verdict = check_conjecture_4(w, groth)
     assert (verdict.ok, verdict.witness, verdict.detail) == check_conjecture_4_support(w, groth), w
     return verdict
@@ -578,7 +580,7 @@ def assert_conj4_kernels_match_previous(table):
     support of a table: the same pair, and a lattice count of |supp|."""
     for w, g in table.polys.items():
         supp = g.support()
-        pair = recover_pair(supp)
+        pair = recover_pair(poly.support_view(g))
         assert pair == recover_pair_loop(supp), w
         assert polytopes.paramodular_violation(pair) == paramodular_violation_loop(pair), w
         points = lattice_points_dfs(pair)
@@ -637,7 +639,7 @@ def assert_failing_inequality(pair, witness):
 
 
 def assert_conj4_kernels_match(supp):
-    pair = recover_pair(supp)
+    pair = recover_pair_points(supp)
     assert pair == recover_pair_scan(supp)
     assert is_paramodular(pair) == is_paramodular_scan(pair)
     assert polytopes.paramodular_violation(pair) == paramodular_violation_loop(pair)
@@ -651,7 +653,7 @@ def set_function_pairs(draw):
     entry moved by -2..2: of 2000 examples, a third were paramodular."""
     n = draw(st.integers(min_value=1, max_value=4))
     points = draw(st.sets(st.tuples(*[st.integers(0, 2)] * n), min_size=1, max_size=4))
-    base = recover_pair(frozenset(points))
+    base = recover_pair_points(frozenset(points))
     tables = [list(base.y), list(base.z)]
     mask = draw(st.integers(min_value=1, max_value=(1 << n) - 1))
     tables[draw(st.integers(0, 1))][mask] += draw(st.integers(-2, 2))
@@ -870,19 +872,18 @@ class TestKernelsAgainstScans:
     @settings(max_examples=300, deadline=None)
     @given(point_sets)
     def test_recover_pair(self, A):
-        assert recover_pair(A) == recover_pair_scan(A)
-        assert recover_pair(A) == recover_pair_loop(A)
+        assert recover_pair_points(A) == recover_pair_scan(A)
+        assert recover_pair_points(A) == recover_pair_loop(A)
 
 
 def assert_lanes_fit(monkeypatch, table, n):
-    """conj4 passes extremal points whose coordinate ranges sum to at most
-    n(n-1)/2, and recovers a pair spanning at most that: the staircase box
-    bounds both."""
+    """conj4 recovers the pair of each support from its view, once per w,
+    and the pair spans at most n(n-1)/2: the staircase box bounds it."""
     passed = []
 
-    def spy(A):
-        pair = recover_pair(A)
-        passed.append((A, pair))
+    def spy(view):
+        pair = recover_pair(view)
+        passed.append(pair)
         return pair
 
     monkeypatch.setattr(polytopes, "recover_pair", spy)
@@ -890,10 +891,24 @@ def assert_lanes_fit(monkeypatch, table, n):
         assert check_conjecture_4(w, g).ok
     assert len(passed) == len(table)
     bound = n * (n - 1) // 2
-    for A, pair in passed:
-        columns = list(zip(*A))
-        assert sum(map(max, columns)) - sum(map(min, columns)) <= bound
-        assert pair.span <= bound
+    for pair in passed:
+        assert pair.lo == 0 and pair.span <= bound
+
+
+def assert_view_pairs_match_points(table):
+    """The pair from each support's view is the pair of its point set."""
+    for w, g in table.polys.items():
+        assert recover_pair(poly.support_view(g)) == recover_pair_points(g.support()), w
+
+
+class TestViewPair:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_S1_to_S6(self, n):
+        assert_view_pairs_match_points(cache.load_or_build(None, n, "G"))
+
+    @pytest.mark.slow
+    def test_S7_slow(self):
+        assert_view_pairs_match_points(cache.load_or_build(None, 7, "G"))
 
 
 class TestLaneBound:
@@ -921,10 +936,10 @@ class TestPackedRefusal:
 
     def test_recover_pair_refuses_wide_columns(self):
         # Coordinate ranges 40 + 24 > MAX_SPAN; 40 + 23 fit.
-        assert recover_pair(frozenset({(0, 0), (40, 23)})).span == polytopes.MAX_SPAN
+        assert recover_pair_points(frozenset({(0, 0), (40, 23)})).span == polytopes.MAX_SPAN
         g = poly_of({(0, 0): 1, (40, 24): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
-            recover_pair(g.support())
+            recover_pair_points(g.support())
         # conj4 reads the support view, which refuses the point first.
         entry = cli._run_check("conj4", (2, 1), g)
         assert entry["status"] == "error"
@@ -934,7 +949,7 @@ class TestPackedRefusal:
         # recover_pair packs a range of 63, but the pair it makes spans 64:
         # no pair wider than MAX_SPAN is made, so none reaches the search.
         with pytest.raises(ValueError, match="span 64, too wide for the packed kernels"):
-            recover_pair(frozenset({(1,), (64,)}))
+            recover_pair_points(frozenset({(1,), (64,)}))
         with pytest.raises(ValueError, match="span 64, too wide for the packed kernels"):
             SetFunctionPair([0, -64], [0, 0], 1)
         g = poly_of({(0,): 1, (64,): 1}, 1)
@@ -947,7 +962,7 @@ class TestPackedRefusal:
         # support, since the view refuses every point outside the staircase
         # box.
         g = poly_of({(0,): 1, (63,): 1}, 1)
-        pair = recover_pair(g.support())
+        pair = recover_pair_points(g.support())
         assert pair.span == polytopes.MAX_SPAN
         assert is_paramodular(pair)
         assert lattice_points_of_pair(pair) == {(t,) for t in range(64)}
@@ -959,7 +974,7 @@ class TestParamodularWitness:
     def test_hand_made_pair(self):
         # The pair of {(1,1,0), (0,0,1)}: z({3}) + z({1,2,3}) = 1 + 2 exceeds
         # z({1,3}) + z({2,3}) = 1 + 1, so z is not submodular at S = {3}.
-        pair = recover_pair(frozenset({(1, 1, 0), (0, 0, 1)}))
+        pair = recover_pair_points(frozenset({(1, 1, 0), (0, 0, 1)}))
         assert not is_paramodular_scan(pair)
         witness = polytopes.paramodular_violation(pair)
         assert witness == {"test": "z submodular", "mask": 0b100, "i": 1, "j": 2, "lhs": 2, "rhs": 3}
@@ -978,7 +993,7 @@ class TestParamodularWitness:
         # points add (1,0,0): the first point of the difference in sorted
         # order.
         g = poly_of({(0, 0, 0): 1, (2, 0, 0): 1}, 3)
-        assert is_paramodular(recover_pair(g.support()))
+        assert is_paramodular(recover_pair(poly.support_view(g)))
         verdict = check_conjecture_4((3, 2, 1), g)
         assert not verdict.ok
         assert verdict.witness == (1, 0, 0)

@@ -43,7 +43,7 @@ def maximal_elements(elements, n):
     """The maxima, as found by the packed support view (points in the
     staircase box of S_n)."""
     view = poly._SupportView(list(map(poly.code, elements)), n)
-    return frozenset(poly.decode(m, n) for m in view.maxima)
+    return frozenset(poly.decode(m, n) for m in view.box.codes_of(view.maximal))
 
 
 class TestComponentwise:
@@ -552,7 +552,7 @@ def assert_view_matches_scan(g):
     view = poly.support_view(g)
     top_codes, uncovered, low_maxima, maxima, conj3 = view_scan(g)
     assert (view.top_codes, view.uncovered, view.low_maxima) == (top_codes, uncovered, low_maxima)
-    assert sorted(view.maxima) == sorted(maxima)
+    assert sorted(view.box.codes_of(view.maximal)) == sorted(maxima)
     verdict = posets.check_conjecture_3(None, g)
     assert (None if verdict.ok else (verdict.witness, verdict.detail)) == conj3
 
