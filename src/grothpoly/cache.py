@@ -9,12 +9,12 @@ one-line word.
 
 The reader validates what it loads: the header (a mismatch means rebuild),
 the line shape `word|text`, a word that is a permutation of [n] not seen
-before in the file, and through `poly.parse_text` nonzero coefficients,
-exponent vectors in the staircase box of S_n (length n, entries
-0 <= alpha_i <= n - i), and no repeated exponent within a polynomial.  It
-codes each distinct exponent text once per file (`poly.code`), so equal
-exponents across the table share one int; the writer decodes each distinct
-code once.
+before in the file, and through `poly.parse_text` a nonempty polynomial (no
+𝔊_w or 𝔖_w is zero), nonzero coefficients, exponent vectors in the
+staircase box of S_n (length n, entries 0 <= alpha_i <= n - i), and no
+repeated exponent within a polynomial.  It codes each distinct exponent
+text once per file (`poly.code`), so equal exponents across the table share
+one int; the writer decodes each distinct code once.
 """
 from __future__ import annotations
 
@@ -54,9 +54,10 @@ def write_table(table: poly.PolynomialTable, path: str) -> None:
 def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]:
     """Read a cache file.  A header mismatch returns None (caller rebuilds);
     a corrupt body line (bad `word|text` shape, a word that is not a
-    permutation of [n] or repeats an earlier one, zero coefficient, exponent
-    vector outside the staircase box, repeated exponent) is a hard error
-    naming the line.  Equal codes in the returned table are one shared int.
+    permutation of [n] or repeats an earlier one, an empty polynomial, zero
+    coefficient, exponent vector outside the staircase box, repeated
+    exponent) is a hard error naming the line.  Equal codes in the returned
+    table are one shared int.
     The file is read one line at a time, so it is never held in memory
     beside the table."""
     polys = {}

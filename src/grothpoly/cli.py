@@ -13,6 +13,7 @@ import argparse
 import concurrent.futures
 import gc
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -255,9 +256,11 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 def _json(obj, indent: str) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it when its
     first line is indented by `indent`: a dict's members in key order, one
-    line each, two spaces further in.  Strings go to the C escaper; what
-    else is rare (floats, from --timings) goes to json.dumps, its lines
-    after the first indented the same."""
+    line each, two spaces further in.  Strings go to the C escaper and a
+    finite float (from --timings) to float.__repr__, as json.dumps writes
+    them; what else is rare (NaN, infinities, a dict with a key that is not
+    a string) goes to json.dumps, its lines after the first indented the
+    same."""
     cls = obj.__class__
     if cls is str:
         return _string(obj)
@@ -283,6 +286,8 @@ def _json(obj, indent: str) -> str:
         return int.__repr__(obj)
     if obj is None or cls is bool:
         return _CONSTANTS[obj]
+    if cls is float and math.isfinite(obj):
+        return float.__repr__(obj)
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 

@@ -5,6 +5,11 @@ A permutation of [n] is represented as a tuple ``w`` of the n distinct values
 1..n, so ``w[i-1] == w(i)``.  Generators act on the right: ``apply_s(w, j)``
 swaps positions j and j+1 (1-based), not values.
 
+A Rothe diagram is stored as its readers read it: as its n columns, each the
+frozenset of its rows (the column Schubert matroids of the sumset checks),
+and its upper closure as the n column heights, whose `weight` is P_w's
+bound and whose sum is the closure's size.
+
 `last_call` is the one memo for what the checks of one permutation share:
 ℓ(w), rajcode(w), the Rothe diagram and its closure here, the support view
 (`poly.support_view`) and the spanning sumset (`polytopes.spanning_sumset`)
@@ -14,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 
 def last_call(fn):
@@ -36,16 +41,6 @@ def last_call(fn):
         return result
 
     return kept
-
-
-class Diagram(NamedTuple):
-    """A finite set of grid boxes (row, col), both 1-based, inside [n] x [n]."""
-
-    boxes: frozenset
-    n: int
-
-    def column(self, j: int) -> frozenset:
-        return frozenset(i for (i, jj) in self.boxes if jj == j)
 
 
 def check_perm(w: Sequence[int]) -> tuple:
@@ -118,41 +113,33 @@ def ascents(w: tuple) -> list:
 
 
 @last_call
-def rothe_diagram(w: tuple) -> Diagram:
-    """The Rothe diagram D(w) = {(i,j) : i < w^{-1}(j) and j < w(i)}."""
-    n = len(w)
+def rothe_diagram(w: tuple) -> tuple:
+    """The Rothe diagram D(w) = {(i,j) : i < w^{-1}(j) and j < w(i)}, as its
+    columns: entry j - 1 is the frozenset of the rows of column j."""
     inv = inverse(w)
-    boxes = frozenset(
-        (i, j)
-        for i in range(1, n + 1)
-        for j in range(1, n + 1)
-        if i < inv[j - 1] and j < w[i - 1]
+    return tuple(
+        frozenset(i for i in range(1, s) if j < w[i - 1]) for j, s in enumerate(inv, 1)
     )
-    return Diagram(boxes, n)
 
 
-def upper_closure(D: Diagram) -> Diagram:
-    """Fill every column of D upward to row 1 (empty columns stay empty)."""
-    tops = {}
-    for (i, j) in D.boxes:
-        tops[j] = max(tops.get(j, 0), i)
-    boxes = frozenset((i, j) for j, top in tops.items() for i in range(1, top + 1))
-    return Diagram(boxes, D.n)
+def upper_closure(columns: tuple) -> tuple:
+    """The column heights of a diagram given by its columns, each filled
+    upward to row 1: entry j - 1 is the lowest row of column j, 0 if it is
+    empty."""
+    return tuple(max(col, default=0) for col in columns)
 
 
 @last_call
-def closed_rothe_diagram(w: tuple) -> Diagram:
+def closed_rothe_diagram(w: tuple) -> tuple:
     """upper_closure(rothe_diagram(w)): mobius's bound and converse's degree
     read one build."""
     return upper_closure(rothe_diagram(w))
 
 
-def weight(D: Diagram) -> tuple:
-    """Row-count vector wt(D): entry i is the number of boxes in row i."""
-    wt = [0] * D.n
-    for (i, _) in D.boxes:
-        wt[i - 1] += 1
-    return tuple(wt)
+def weight(heights: tuple) -> tuple:
+    """Row-count vector wt of the closed diagram with these column heights:
+    entry i - 1 is #{j : height_j >= i}, the boxes of row i."""
+    return tuple(sum(h >= i for h in heights) for i in range(1, len(heights) + 1))
 
 
 @last_call

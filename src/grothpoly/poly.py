@@ -172,10 +172,15 @@ class _Box(dict):
     its low w_i (radix_i - 1) bits set, repeated over the box.  A box of
     more than MAX_BOX points is refused with a ValueError.
 
+    `up(X)` is the union over i of (X & M_i) << w_i, the unit steps
+    alpha + e_i in the box of the points of X, and `down(X)` the union over
+    i of (X >> w_i) & M_i, the points with a unit step in X
+    (`_SupportView` has the proofs).
+
     `grade(d)` is G_d, the points of degree d, built when first asked for:
-    G_0 = {0} and G_d = union over i of (G_{d-1} & M_i) << w_i, since a
-    point of degree d >= 1 is alpha + e_i for alpha of degree d - 1 and any
-    i with a nonzero entry, and then alpha_i < radix_i - 1.
+    G_0 = {0} and G_d = up(G_{d-1}), since a point of degree d >= 1 is
+    alpha + e_i for alpha of degree d - 1 and any i with a nonzero entry,
+    and then alpha_i < radix_i - 1.
 
     `at_most(i, b)` is the set of the points with alpha_{i+1} <= b, for
     0 <= b < radix_{i+1}, built once per (i, b); M_i is
@@ -274,18 +279,25 @@ class _Box(dict):
         n = len(self.radix)
         return [decode(c, n) for c in self.codes_of(bits)]
 
-    def codes_in(self, bits: int) -> list:
-        """The codes of the points in a set, in degree, then term order."""
-        return sorted(self.codes_of(bits))
+    def up(self, X: int) -> int:
+        """The unit steps alpha + e_i inside the box of the points of X."""
+        out = 0
+        for w, mask in self.steps:
+            out |= (X & mask) << w
+        return out
+
+    def down(self, X: int) -> int:
+        """The points alpha with a unit step alpha + e_i in X."""
+        out = 0
+        for w, mask in self.steps:
+            out |= X >> w & mask
+        return out
 
     def grade(self, d: int) -> int:
         """G_d, the set of the points of degree d."""
         grades = self.grades
         while len(grades) <= d:
-            G = 0
-            for w, mask in self.steps:
-                G |= (grades[-1] & mask) << w
-            grades.append(G)
+            grades.append(self.up(grades[-1]))
         return grades[d]
 
 
@@ -304,18 +316,17 @@ class _SupportView:
     - `bits`: P, the set as a bitset over the box;
     - `degree`: the top degree;
     - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
-    - `top_codes`: the codes of the top degree, in term order;
-    - `uncovered`: the codes below the top degree with no unit step in the
-      set, in degree, then term order;
-    - `low_maxima`: the maximal codes below the top degree, in degree, then
-      term order;
-    - `lower`: the points of P with no unit step down in P, as a bitset
-      (conj4);
-    - `maximal`: the maximal points of P, the top degree and
-      `low_maxima`, as a bitset (conj3, conj4);
-    - `missing`: the unit steps beta = alpha + e_i of the set's points that
-      lie below some point of the set but not in it, in degree, then term
-      order (conj3).
+
+    and, each as a bitset over the box:
+
+    - `uncovered`: the points below the top degree with no unit step in P
+      (conj2);
+    - `low_maxima`: the maximal points below the top degree (conj1);
+    - `lower`: the points of P with no unit step down in P (conj4);
+    - `maximal`: the maximal points of P, the top degree and `low_maxima`
+      (conj3, conj4);
+    - `missing`: the unit steps beta = alpha + e_i of the points of P that
+      lie below some point of P but not in it (conj3).
 
     alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
     == H.  Proof: while every entry and both degrees are < 128, byte i < n
@@ -337,61 +348,47 @@ class _SupportView:
       is outside the box and in no X, and M_i clears bit k, whose k + w_i
       carries into digit i + 1 or past the box.  Likewise
       (X & M_i) << w_i = {alpha + e_i : alpha in X, alpha + e_i in the
-      box}.
+      box}.  `_Box.down(X)` and `_Box.up(X)` are the unions over i of the
+      two.
     - D, the down-closure of P, is P after radix_i - 1 rounds of
       D |= (D >> w_i) & M_i for each i in turn.  By induction, after the
       rounds of coordinates 1..i, D holds the points beta with
       beta_j <= alpha_j for j <= i and beta_j = alpha_j for j > i, for some
       alpha in P: each round of coordinate i lowers it by one more, and
       alpha_i <= radix_i - 1.  At i = n that is the down-closure.
-    - uncovered = P & ~T & ~U, for U the union over i of (P >> w_i) & M_i,
-      the points with a unit step in P: conj2's definition, read off.
+    - uncovered = P & ~T & ~down(P), down(P) the points with a unit step in
+      P: conj2's definition, read off.
     - alpha in P is maximal iff no alpha + e_i is in D.  If beta in P
       exceeds alpha, then alpha + e_i <= beta for some i; and
       alpha + e_i <= beta in P puts beta above alpha.  A point with a unit
       step in P is not maximal and every top-degree point is, so
-      low_maxima = uncovered & ~S, for S the union over i of
-      (D >> w_i) & M_i.
-    - With A the union over i of (P & M_i) << w_i, the unit steps up from
-      P, lower = P & ~A, and missing = A & D & ~P: the steps of points of P
-      that lie below a point of P, hence below a maximum, and are not in
-      P."""
+      low_maxima = uncovered & ~down(D).
+    - With A = up(P), the unit steps up from P, lower = P & ~A, and
+      missing = A & D & ~P: the steps of points of P that lie below a point
+      of P, hence below a maximum, and are not in P."""
 
     __slots__ = (
-        "n", "box", "bits", "degree", "high", "top_codes", "uncovered", "maximal",
-        "low_maxima", "lower", "missing",
+        "n", "box", "bits", "degree", "high", "uncovered", "maximal", "low_maxima", "lower",
+        "missing",
     )
 
     def __init__(self, codes, n: int):
         box = self.box = _boxes(n)
         P = self.bits = box.bits(codes)
         top = max(codes, default=0) >> 8 * n
-        bottom = top << 8 * n  # the least code of the top degree
-        self.top_codes = sorted(c for c in codes if c >= bottom)
-        steps = box.steps
-        U = 0
-        for w, mask in steps:
-            U |= P >> w & mask
         T = P & box.grade(top)
-        uncovered = P & ~(T | U)
+        uncovered = self.uncovered = P & ~(T | box.down(P))
         D = P
-        for r, (w, mask) in zip(box.radix, steps):
+        for r, (w, mask) in zip(box.radix, box.steps):
             for _ in range(r - 1):
                 D |= D >> w & mask
-        low = 0
-        if uncovered:
-            S = 0
-            for w, mask in steps:
-                S |= D >> w & mask
-            low = uncovered & ~S
-        above = 0
-        for w, mask in steps:
-            above |= (P & mask) << w
+        # down(D) only when some point is uncovered, which is rare.
+        low = self.low_maxima = uncovered and uncovered & ~box.down(D)
+        above = box.up(P)
         self.n, self.degree, self.lower = n, top, P & ~above
         self.high = int.from_bytes(b"\x80" * (n + 1), "little")
-        self.uncovered, self.low_maxima = box.codes_in(uncovered), box.codes_in(low)
         self.maximal = T | low
-        self.missing = box.codes_in(above & D & ~P)
+        self.missing = above & D & ~P
 
 
 @perms.last_call
@@ -418,10 +415,11 @@ def parse_text(text: str, nvars: int, codes: Dict[str, int]) -> Poly:
     separators, and what is not a digit, comma or minus sign must be those
     separators, `:` and `;` alternating, so each term has one colon.  The
     polynomial as a whole must have nonzero coefficients and no repeated
-    exponent.  The empty text is the zero polynomial.
+    exponent.  The empty text, the zero polynomial, is refused: no
+    polynomial of a table is zero.
     """
     if not text:
-        return Poly({}, nvars)
+        raise ValueError("empty polynomial; none in a table is zero")
     parts = text.replace(";", ":").split(":")
     coeffs, keys = parts[0::2], parts[1::2]
     if text.translate(_NUMERALS) != ":" + ";:" * (len(keys) - 1):

@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 from operator import itemgetter, mul, or_
-from typing import FrozenSet, List, Optional, Sequence, Tuple
+from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import perms
 from .poly import Poly, _boxes, _SupportView, support_view
@@ -379,11 +379,6 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     return Verdict(True)
 
 
-def _rothe_columns(w: tuple) -> List[FrozenSet[int]]:
-    D = perms.rothe_diagram(w)
-    return [D.column(j) for j in range(1, len(w) + 1)]
-
-
 @functools.cache
 def _spanning_indices(S: FrozenSet[int], n: int) -> Tuple[int, ...]:
     """The indices k(p) in the staircase box of S_n (`poly._Box`) of the
@@ -408,7 +403,7 @@ def spanning_sumset(w: tuple) -> int:
     most n - i: no mixed-radix digit overflows."""
     n = len(w)
     total = 1  # the zero vector
-    for col in filter(None, _rothe_columns(w)):
+    for col in filter(None, perms.rothe_diagram(w)):
         total = functools.reduce(or_, map(total.__lshift__, _spanning_indices(col, n)))
     return total
 
@@ -457,12 +452,12 @@ def check_fms(w: tuple, groth: Poly) -> Verdict:
 
 
 def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
-    """Degree saturation iff sumset equality.  A disagreement is reportable
-    data (the biconditional is conditional on open conjectures), so the
-    verdict records both sides."""
-    closure = perms.closed_rothe_diagram(w)
+    """Degree saturation, deg 𝔊_w equal to the size of the closed Rothe
+    diagram (the sum of its column heights), iff sumset equality.  A
+    disagreement is reportable data (the biconditional is conditional on
+    open conjectures), so the verdict records both sides."""
     view = support_view(groth)
-    degree_side = view.degree == len(closure.boxes)
+    degree_side = view.degree == sum(perms.closed_rothe_diagram(w))
     polytope_side = view.bits == spanning_sumset(w)
     ok = degree_side == polytope_side
     return Verdict(

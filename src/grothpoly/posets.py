@@ -138,7 +138,7 @@ def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
     degree."""
     view = support_view(groth)
     if view.low_maxima:
-        witness = decode(view.low_maxima[0], view.n)
+        witness = decode(min(view.box.codes_of(view.low_maxima)), view.n)
         return Verdict(False, witness=witness, detail="maximal below top degree")
     return Verdict(True)
 
@@ -150,7 +150,7 @@ def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
     it is alpha + e_i for some i."""
     view = support_view(groth)
     if view.uncovered:
-        witness = decode(view.uncovered[0], view.n)
+        witness = decode(min(view.box.codes_of(view.uncovered)), view.n)
         return Verdict(False, witness=witness, detail="no cover one degree up")
     return Verdict(True)
 
@@ -169,17 +169,17 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     first failing step in degree, then term order) is also the first missing
     box point in that order.
 
-    In the view's bitsets (`poly._SupportView`), with P the support, D its
-    down-closure and M_i the points whose step + e_i stays in the box, the
-    failing steps are (union over i of (P & M_i) << w_i) & D & ~P, the
-    view's `missing`: steps of support points that lie below some point of
-    the support, hence below a maximum, and are not in it.  For the first
-    of them, beta, the box named is [alpha, m]: alpha the first support
-    point one step below beta, m the first maximum above it."""
+    In the view's bitsets (`poly._SupportView`), with P the support and D
+    its down-closure, the failing steps are up(P) & D & ~P (`poly._Box.up`),
+    the view's `missing`: steps of support points that lie below some point
+    of the support, hence below a maximum, and are not in it.  For the
+    first of them, beta, the least code, the box named is [alpha, m]: alpha
+    the first support point one step below beta, m the first maximum above
+    it."""
     view = support_view(groth)
     if view.missing:
         n, high = view.n, view.high
-        beta = view.missing[0]
+        beta = min(view.box.codes_of(view.missing))
         up = 1 << 8 * n
         steps = {beta - up - (1 << 8 * i) for i in range(n) if beta >> 8 * i & 0xFF}
         alpha = min(s for s in steps if s in groth.terms)
@@ -194,13 +194,14 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
     """For each top-degree support exponent beta, the coefficients over
     {alpha in supp : alpha <= beta} sum to 1."""
     view = support_view(groth)
-    high = view.high
+    n, high = view.n, view.high
     terms = groth.terms.items()
-    for beta in view.top_codes:
+    bottom = view.degree << 8 * n  # the least code of the top degree
+    for beta in sorted(c for c in groth.terms if c >= bottom):
         beta_high = beta | high
         total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
         if total != 1:
-            return Verdict(False, witness=decode(beta, view.n), detail=f"coefficient sum {total}")
+            return Verdict(False, witness=decode(beta, n), detail=f"coefficient sum {total}")
     return Verdict(True)
 
 

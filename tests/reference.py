@@ -6,8 +6,9 @@ and the explicit lambda/mu pair), the permutation classes they cover, the
 few polynomial operations the tests need and the engine does not, and the
 kernels the engine's code-keyed ones replaced: the divided differences and
 the pipe-dream transfer matrix on exponent tuples, the pattern test by
-standardized subsequences and the pair recovered from a set of exponent
-tuples, the oracles they are compared with.
+standardized subsequences, the pair recovered from a set of exponent tuples
+and the Rothe diagram as a set of boxes, the oracles they are compared
+with.
 """
 import itertools
 import operator
@@ -65,6 +66,20 @@ def is_zero_one_ranking(w: tuple) -> bool:
         ranking(sub) in ranks
         for k, ranks in _ZERO_ONE_RANKS.items()
         for sub in itertools.combinations(w, k)
+    )
+
+
+def rothe_boxes(w: tuple) -> FrozenSet[tuple]:
+    """The Rothe diagram D(w) = {(i,j) : i < w^{-1}(j) and j < w(i)} as a
+    set of grid boxes (row, column), both 1-based: the definition
+    `perms.rothe_diagram` stores by column."""
+    n = len(w)
+    inv = perms.inverse(w)
+    return frozenset(
+        (i, j)
+        for i in range(1, n + 1)
+        for j in range(1, n + 1)
+        if i < inv[j - 1] and j < w[i - 1]
     )
 
 

@@ -182,6 +182,7 @@ class TestCache:
             "1:3,0,0",
             "1:1,0,0:1;0,1,0",
             "1;1,0,0:1:0,1,0",
+            "",
         ],
         ids=[
             "garbage",
@@ -196,6 +197,7 @@ class TestCache:
             "outside-staircase",
             "colons-shifted",
             "separators-swapped",
+            "empty-body",
         ],
     )
     def test_corrupt_line_is_hard_error(self, tmp_path, body):
@@ -245,12 +247,24 @@ class TestCache:
         with pytest.raises(ValueError, match=":4: corrupt cache line"):
             cache.read_table(path, 3, "G")
 
-    def test_empty_body_is_zero(self, tmp_path):
-        path = str(tmp_path / "zero.txt")
-        with open(path, "w") as fh:
-            fh.write("grothcache v1 n=3 flavor=G\n1,2,3|\n")
-        table = cache.read_table(path, 3, "G")
-        assert table[(1, 2, 3)] == poly.Poly({}, 3)
+    def test_empty_body_is_refused(self, tmp_path, capsys):
+        """No 𝔊_w is zero: an empty body is a corrupt line, and a verify run
+        on the cache, with one job or two, names its file and line instead
+        of failing on the zero polynomial's degree."""
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
+        path = Path(cache.cache_path(str(tmp_path), 4, "G"))
+        lines = path.read_text().splitlines(keepends=True)
+        assert lines[2].startswith("1,2,4,3|")
+        lines[2] = "1,2,4,3|\n"
+        path.write_text("".join(lines))
+        capsys.readouterr()
+        message = "corrupt cache line: empty polynomial; none in a table is zero"
+        for jobs in ("1", "2"):
+            argv = ["--n", "4", "--checks", "conj1", "--jobs", jobs, "--cache-dir", str(tmp_path)]
+            assert cli.main(argv) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert err == f"error: {path}:3: {message}\n"
 
     def test_warm_cache_skips_recompute(self, tmp_path, monkeypatch):
         real = pipedreams.pd_polynomial_all
@@ -588,11 +602,11 @@ class TestRun:
             assert len(built) == 120, checks
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
-    def test_one_build_per_permutation(self, monkeypatch):
+    def test_one_build_per_permutation(self, monkeypatch, sumset_builds):
         """An all-checks sweep of S_5 builds each fact that several readers
         of one w share once per w: the support view, the Rothe diagram, its
         closure and the spanning sumset."""
-        builds = {"view": 0, "rothe": 0, "closure": 0, "sumset": 0}
+        builds = {"view": 0, "rothe": 0, "closure": 0}
 
         def counting(key, module, name):
             real = getattr(module, name)
@@ -607,10 +621,10 @@ class TestRun:
         counting("view", poly, "_SupportView")
         counting("rothe", perms, "inverse")
         counting("closure", perms, "upper_closure")
-        counting("sumset", polytopes, "_rothe_columns")
         report, status = cli.run(cli.RunConfig(n=5))
         assert status == 0 and report["summary"]["fail"] == 0
         assert builds == dict.fromkeys(builds, 120)
+        assert sorted(sumset_builds) == perms.all_perms(5)
 
     def test_outside_staircase_is_an_error(self, monkeypatch):
         _outside_box_g(monkeypatch, (1, 3, 2))

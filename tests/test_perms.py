@@ -5,7 +5,6 @@ import weakref
 import pytest
 
 from grothpoly import perms
-from grothpoly.perms import Diagram
 from reference import (
     grassmannian_shape,
     identity,
@@ -13,6 +12,7 @@ from reference import (
     is_zero_one_ranking,
     rajcode_fireworks,
     ranking,
+    rothe_boxes,
 )
 
 
@@ -33,6 +33,11 @@ def naive_rajcode(w):
                     best = max(best, k)
         out.append(len(suffix) - best)
     return tuple(out)
+
+
+def boxes_of(columns):
+    """The boxes (row, column) of a diagram given by its columns."""
+    return frozenset((i, j) for j, col in enumerate(columns, 1) for i in col)
 
 
 def contains_pattern(w, p):
@@ -78,40 +83,60 @@ class TestLength:
 
 class TestRotheDiagram:
     def test_identity_empty(self):
-        assert perms.rothe_diagram(identity(4)).boxes == frozenset()
+        assert perms.rothe_diagram(identity(4)) == (frozenset(),) * 4
 
     def test_w0_staircase(self):
-        assert perms.rothe_diagram((3, 2, 1)).boxes == {(1, 1), (1, 2), (2, 1)}
+        assert perms.rothe_diagram((3, 2, 1)) == ({1, 2}, {1}, set())
 
     def test_21543(self):
-        boxes = perms.rothe_diagram((2, 1, 5, 4, 3)).boxes
-        assert boxes == {(1, 1), (3, 3), (3, 4), (4, 3)}
+        D = perms.rothe_diagram((2, 1, 5, 4, 3))
+        assert boxes_of(D) == {(1, 1), (3, 3), (3, 4), (4, 3)}
 
     def test_box_count_is_length(self):
         for n in (3, 4, 5, 6):
             for w in perms.all_perms(n):
-                assert len(perms.rothe_diagram(w).boxes) == perms.length(w)
+                assert sum(map(len, perms.rothe_diagram(w))) == perms.length(w)
+
+    def test_columns_and_heights_match_box_definition(self):
+        # Column j holds the rows i with (i, j) in D(w); its height is the
+        # lowest of them, and row i of the closure has a box in each column
+        # at least i high.
+        for n in range(1, 8):
+            for w in perms.all_perms(n):
+                boxes = rothe_boxes(w)
+                columns = tuple(frozenset(i for i, c in boxes if c == j) for j in range(1, n + 1))
+                assert perms.rothe_diagram(w) == columns, w
+                heights = tuple(max(col, default=0) for col in columns)
+                assert perms.closed_rothe_diagram(w) == heights, w
+                closure = {(i, j) for j, h in enumerate(heights, 1) for i in range(1, h + 1)}
+                rows = tuple(sum(1 for i, _ in closure if i == r) for r in range(1, n + 1))
+                assert perms.weight(heights) == rows, w
 
 
 class TestClosureAndWeight:
     def test_empty(self):
-        D = Diagram(frozenset(), 4)
-        assert perms.upper_closure(D).boxes == frozenset()
-        assert perms.weight(D) == (0, 0, 0, 0)
+        heights = perms.upper_closure((frozenset(),) * 4)
+        assert heights == (0, 0, 0, 0)
+        assert perms.weight(heights) == (0, 0, 0, 0)
 
     def test_idempotent(self):
+        # Closing the closed diagram, given by its filled columns, changes
+        # no height.
         for w in perms.all_perms(4):
-            closed = perms.upper_closure(perms.rothe_diagram(w))
-            assert perms.upper_closure(closed) == closed
+            heights = perms.upper_closure(perms.rothe_diagram(w))
+            filled = tuple(frozenset(range(1, h + 1)) for h in heights)
+            assert perms.upper_closure(filled) == heights
 
     def test_contains_original(self):
         for w in perms.all_perms(4):
             D = perms.rothe_diagram(w)
-            assert D.boxes <= perms.upper_closure(D).boxes
+            heights = perms.upper_closure(D)
+            assert all(col <= set(range(1, h + 1)) for col, h in zip(D, heights))
 
     def test_15324_closure_weight(self):
         D = perms.rothe_diagram((1, 5, 3, 2, 4))
-        assert D.boxes == {(2, 2), (2, 3), (2, 4), (3, 2)}
+        assert boxes_of(D) == {(2, 2), (2, 3), (2, 4), (3, 2)}
+        assert perms.upper_closure(D) == (0, 3, 2, 2, 0)
         assert perms.weight(perms.upper_closure(D)) == (3, 3, 1, 0, 0)
 
     def test_351624_closure_weight(self):
@@ -240,7 +265,7 @@ class TestFireworks:
             D = perms.rothe_diagram(w)
             cols_ok = True
             for j in range(1, len(w) + 1):
-                col = D.column(w[j - 1])
+                col = D[w[j - 1] - 1]
                 if col and max(col) != j - 1:
                     cols_ok = False
             assert is_fireworks(w) == cols_ok

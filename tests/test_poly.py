@@ -271,7 +271,7 @@ class TestTables:
             g = tables[(5, "G")][w]
             for alpha in g.support():
                 assert all(a <= b for a, b in zip(alpha, bound))
-            assert g.degree() <= len(closure.boxes)
+            assert g.degree() <= sum(closure)
 
     def test_downwards_divisibility_S5(self, tables):
         for w in perms.all_perms(5):
@@ -434,7 +434,18 @@ class TestSupportBox:
                 alpha = points[k]
                 assert points[k + w] == alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
         everything = (1 << box.size) - 1
-        assert box.codes_in(everything) == sorted(map(poly.code, points))
+        assert box.codes_of(everything) == list(map(poly.code, points))
+        # up(X) and down(X) against the unit steps of X's points, scanned.
+        steps = [
+            {alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:] for i in range(len(radix))}
+            for alpha in points
+        ]
+        for X in (everything, everything // 3, 1, 1 << box.size - 1):
+            inside = [k for k in range(box.size) if X >> k & 1]
+            members = {points[k] for k in inside}
+            above = set().union(*(steps[k] for k in inside))
+            assert box.points(box.up(X)) == [alpha for alpha in points if alpha in above]
+            assert box.points(box.down(X)) == [p for p, up in zip(points, steps) if up & members]
         for d in range(sum(radix) - len(radix) + 2):
             assert list(box.points(box.grade(d))) == [p for p in points if sum(p) == d]
 
@@ -460,8 +471,8 @@ class TestSupportBox:
         view = poly._SupportView(g.terms, 10)
         assert time.perf_counter() - started < 5
         assert poly.decode(view.box.codes_of(view.maximal)[0], 10) == corner
-        assert view.low_maxima == []
-        assert [poly.decode(c, 10) for c in view.uncovered] == [(2, 2, 1) + (0,) * 7]
-        assert poly.decode(view.missing[0], 10) == (0, 0, 0, 1, 0, 0, 0, 0, 0, 0)
+        assert view.low_maxima == 0
+        assert view.box.points(view.uncovered) == [(2, 2, 1) + (0,) * 7]
+        assert poly.decode(min(view.box.codes_of(view.missing)), 10) == (0, 0, 0, 1) + (0,) * 6
         with pytest.raises(ValueError, match="has 39916800 points"):
             poly._SupportView([poly.code((0,) * 11)], 11)

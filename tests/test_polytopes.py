@@ -63,7 +63,7 @@ def decompose_support_point(w, alpha, groth, schub):
         if step is None:
             raise AssertionError(f"no one-step descent below {beta} in supp")
         beta = step
-    columns = polytopes._rothe_columns(w)
+    columns = perms.rothe_diagram(w)
     parts = _basis_decomposition(beta, columns, n)
     if parts is None:
         raise AssertionError(f"no column-basis decomposition of {beta} exists")
@@ -381,7 +381,7 @@ class TestDecompose:
         for w in perms.all_perms(4):
             g = tables[(4, "G")][w]
             s = tables[(4, "S")][w]
-            cols = polytopes._rothe_columns(w)
+            cols = perms.rothe_diagram(w)
             for alpha in g.support():
                 eps = decompose_support_point(w, alpha, g, s)
                 assert tuple(map(sum, zip(*eps))) == alpha
@@ -697,7 +697,7 @@ def spanning_sumset_loop(w):
     """The spanning-set sumset column by column, by the basis definition."""
     n = len(w)
     total = frozenset({(0,) * n})
-    for col in polytopes._rothe_columns(w):
+    for col in perms.rothe_diagram(w):
         if not col:
             continue
         pts = frozenset(pad(p, n) for p in spanning_points_def(col, max(col)))
@@ -710,7 +710,7 @@ def base_sumset_loop(w):
     by the basis definition."""
     n = len(w)
     total = frozenset({(0,) * n})
-    for col in polytopes._rothe_columns(w):
+    for col in perms.rothe_diagram(w):
         pts = frozenset(indicator(B, n) for B in schubert_matroid_bases_def(col, n))
         total = sumset(total, pts)
     return total
@@ -777,17 +777,17 @@ class TestColumnSumsets:
         w = (1, 5, 3, 2, 4)
         assert polytopes.spanning_sumset(w) is polytopes.spanning_sumset(w)
 
-    def test_superset_and_converse_share_one_build(self, monkeypatch):
+    def test_superset_and_converse_share_one_build(self, monkeypatch, sumset_builds):
         # fms reads the degree-l(w) slice of the same build: three calls
         # per w, one build.
-        calls, builds = [], []
-        sumset, columns = polytopes.spanning_sumset, polytopes._rothe_columns
+        calls = []
+        sumset = polytopes.spanning_sumset
         monkeypatch.setattr(polytopes, "spanning_sumset", lambda w: calls.append(w) or sumset(w))
-        monkeypatch.setattr(polytopes, "_rothe_columns", lambda w: builds.append(w) or columns(w))
         config = cli.RunConfig(n=5, checks=("superset", "fms", "converse"))
         report, status = cli.run(config)
         assert status == 0 and report["summary"]["pass"] == 360
-        assert (len(builds), len(calls)) == (120, 360)
+        assert (len(sumset_builds), len(calls)) == (120, 360)
+        assert set(sumset_builds) == set(perms.all_perms(5))
 
 
 class TestKernelsAgainstScans:

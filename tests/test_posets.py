@@ -495,9 +495,9 @@ def view_scan(g):
     missing), and the maxima: the top codes, then each uncovered code, in
     decreasing degree, that no kept maximum lies above.  conj3 then checks
     every code against every maximum above it: (m - alpha) & gap(alpha)
-    names the steps below m that are missing.  Returns the top codes, the
-    uncovered, the low maxima, the maxima and conj3's (witness, detail),
-    None if it passes."""
+    names the steps below m that are missing.  Returns the uncovered, the
+    low maxima and the maxima, each sorted, the missing steps as a set, and
+    conj3's (witness, detail), None if it passes."""
     n = g.nvars
     codes = list(g.terms)
     top = max(codes) >> 8 * n
@@ -545,14 +545,19 @@ def view_scan(g):
         m = min(m for b, _, m in failing if b == beta)
         detail = f"missing in box [{poly.decode(alpha, n)}, {poly.decode(m, n)}]"
         conj3 = (poly.decode(beta, n), detail)
-    return top_codes, uncovered, low_maxima, maxima, conj3
+    missing = {b for b, _, _ in failing}
+    return uncovered, low_maxima, sorted(maxima), missing, conj3
 
 
 def assert_view_matches_scan(g):
+    """Each bitset of the view, decoded, against the scan."""
     view = poly.support_view(g)
-    top_codes, uncovered, low_maxima, maxima, conj3 = view_scan(g)
-    assert (view.top_codes, view.uncovered, view.low_maxima) == (top_codes, uncovered, low_maxima)
-    assert sorted(view.box.codes_of(view.maximal)) == sorted(maxima)
+    uncovered, low_maxima, maxima, missing, conj3 = view_scan(g)
+    codes = view.box.codes_of
+    assert sorted(codes(view.uncovered)) == uncovered
+    assert sorted(codes(view.low_maxima)) == low_maxima
+    assert sorted(codes(view.maximal)) == maxima
+    assert set(codes(view.missing)) == missing
     verdict = posets.check_conjecture_3(None, g)
     assert (None if verdict.ok else (verdict.witness, verdict.detail)) == conj3
 

@@ -1,10 +1,11 @@
 """Four checks on the package source.
 
 The package holds only code that something in it reaches.  Every top-level
-function and class in `src/grothpoly` must be referenced by name, as a bare
-name or as an attribute, somewhere in the package outside its own
-definition.  A definition that only the tests use belongs in the tests, next
-to what it is compared with.
+function and class in `src/grothpoly`, and every method of such a class
+but the dunders, must be referenced by name, as a bare name or as an
+attribute, somewhere in the package outside its own definition.  A
+definition that only the tests use belongs in the tests, next to what it is
+compared with.
 
 The span tracer of the benchmark (`perfbench/tracer.py`) wraps grothpoly's
 layer boundaries by module attribute, so renaming one of them breaks every
@@ -21,6 +22,7 @@ The package imports only the standard library, itself and the dependencies
 would pass locally and fail on a clean install.
 """
 import ast
+import collections
 import inspect
 import re
 import sys
@@ -55,19 +57,28 @@ def _names(node):
 
 
 def unreferenced_definitions():
-    """(module, name) of each top-level function or class referenced
-    nowhere in the package outside its own definition."""
+    """(module, name) of each top-level function or class, and
+    (module, "Class.method") of each method of such a class but the
+    dunders, referenced nowhere in the package outside its own definition:
+    its name occurs no more often in the package than in that definition."""
     trees = {path.stem: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
-    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
-    # Per top-level statement: the names it refers to.
-    statements = [
-        (module, stmt, set(_names(stmt))) for module, tree in trees.items() for stmt in tree.body
-    ]
+    functions = (ast.FunctionDef, ast.AsyncFunctionDef)
+    everywhere = collections.Counter(name for tree in trees.values() for name in _names(tree))
+    definitions = []
+    for module, tree in trees.items():
+        for stmt in tree.body:
+            if isinstance(stmt, (*functions, ast.ClassDef)):
+                definitions.append((module, stmt.name, stmt))
+            if isinstance(stmt, ast.ClassDef):
+                definitions += [
+                    (module, f"{stmt.name}.{method.name}", method)
+                    for method in stmt.body
+                    if isinstance(method, functions) and not method.name.startswith("__")
+                ]
     return {
-        (module, stmt.name)
-        for module, stmt, _ in statements
-        if isinstance(stmt, kinds)
-        and not any(stmt.name in names for _, other, names in statements if other is not stmt)
+        (module, name)
+        for module, name, node in definitions
+        if everywhere[node.name] == collections.Counter(_names(node))[node.name]
     }
 
 
