@@ -10,14 +10,15 @@ The packed kernels hold a subset function as one int with one byte lane
 per subset.  conj4's pair is recovered in absolute lanes: the lane of a
 support point at I is its coordinate sum over I, at most n(n-1)/2 <= 45
 in the staircase box, read from two per-n tables with no translation
-(`recover_pair`).  The paramodularity test and the lattice search bias
-their lanes by the least value of the pair.
+(`recover_pair`), and so is each candidate of conj4's lattice test
+(`_lattice_point_outside`).  The paramodularity test biases its lanes by
+the least value of the pair.
 """
 from __future__ import annotations
 
 import functools
 import itertools
-from operator import itemgetter, mul, or_
+from operator import mul, or_
 from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import perms
@@ -27,14 +28,16 @@ from .verdicts import Verdict
 MAX_SUBSET_N = 12
 # A packed lane is one byte, compared by its 0x80 bit (`_at_least`), and the
 # paramodularity test adds two lanes: a lane holding at most 63 keeps the sum
-# below 128.  In the staircase box (n <= 10) pair values lie in [0, 45].
+# below 128.  In the staircase box (n <= 10) pair values lie in [0, 45], and
+# so does every lane of a point of the box.
 MAX_SPAN = 63
 
 
 class SetFunctionPair:
     """A pair (y, z) of integer set functions on 2^[n] with y(0) = z(0) = 0,
     candidate lower/upper bounds of a generalized polymatroid, with values in
-    [lo, lo + span]; a span above MAX_SPAN is refused with a ValueError."""
+    [lo, lo + span]; a span above MAX_SPAN, too wide for the paramodularity
+    test's lanes, is refused with a ValueError."""
 
     def __init__(self, y: Sequence[int], z: Sequence[int], n: int):
         if n > MAX_SUBSET_N:
@@ -219,137 +222,63 @@ def is_paramodular(pair: SetFunctionPair) -> bool:
     return paramodular_violation(pair) is None
 
 
-class _LatticeSearch:
-    """A depth-first search for the integer vectors t satisfying every subset
-    inequality y(I) <= sum_{i in I} t_i <= z(I) of a pair.
-
-    It sets the coordinates one at a time.  When the k-th coordinate is set,
-    every mask whose last element (in that order) is the k-th has all its
-    coordinates fixed, and those masks are exactly the constraints not yet
-    checked; each bounds the new coordinate given the sum over the rest of
-    the mask, so the search tries only the values that satisfy all of them.
-    The singleton mask is among them, so the search is finite.  The
-    coordinates go in order of increasing singleton range z(i) - y(i), which
-    keeps the number of distinct prefixes at the deep levels small: on the
-    supports of S_7 it cuts the work 2.7-fold against x_1 first.
-
-    Packed: a node at depth k is one int P with one byte per mask m < 2^k,
-    the prefix's coordinate sum over m plus the bias B = -lo, where [lo, hi]
-    spans every value of y and z.  The child that sets coordinate k to t is
-    P | (P + t R_k) << 8 * 2^k, with R_k the ones in 2^k bytes.  Y_k and Z_k
-    hold y and z of the masks whose last element is k, one byte per m, plus
-    D + B, with D = hi - lo; then byte m of Y_k - P is y(m + k) - sum(m) + D.
-    A node's sums lie in [y(m), z(m)], since its parent chose t within
-    them, so every byte of P lies in [0, D] and every byte of Y_k - P and
-    Z_k - P in [0, 2 D]: none borrows, since D <= MAX_SPAN
-    (`SetFunctionPair`).  The bounds on coordinate k are then
-    max((Y_k - P).to_bytes(2^k)) - D and min((Z_k - P).to_bytes(2^k)) - D,
-    a fixed number of big-int operations per node."""
-
-    def __init__(self, pair: SetFunctionPair):
-        n = self.n = pair.n
-        self.pair = pair
-        if n == 0:
-            return  # the one point () needs no search
-        self.span, self.bias = pair.span, -pair.lo
-        self.order = tuple(sorted(range(n), key=lambda i: pair.z[1 << i] - pair.y[1 << i]))
-        pick = _search_masks(self.order)
-
-        def packed(table):
-            # Y_k: the masks whose last element is k, positions 2^k .. 2^(k+1) - 1.
-            row = bytes(map((pair.span - pair.lo).__add__, pick(table)))
-            return [int.from_bytes(row[1 << k:2 << k], "little") for k in range(n)]
-
-        self.ys, self.zs = packed(pair.y), packed(pair.z)
-        # R_k: 2^k bytes equal to 1, for the levels the search expands.
-        self.ones = [((1 << (8 << k)) - 1) // 255 for k in range(n - 2)]
-
-    def leaves(self):
-        """(P, t, lo, hi) for each node P at depth n - 2, each value t of
-        coordinate n - 2 under it, and the values lo..hi, lo <= hi, that the
-        last coordinate then takes; n >= 2.
-
-        The last level is not searched: with L and H the low and high halves
-        of Y_{n-1} (the masks without and with coordinate n - 2), the last
-        coordinate is at least max((L - P).to_bytes) - D and
-        max((H - P).to_bytes) - D - t, and Z_{n-1} bounds it above the same
-        way, so four byte extrema at P give the range for every t."""
-        n, span, ys, zs, ones = self.n, self.span, self.ys, self.zs, self.ones
-        depth = n - 2
-        half = 8 << depth
-        low = (1 << half) - 1
-        y_low, y_high = ys[n - 1] & low, ys[n - 1] >> half
-        z_low, z_high = zs[n - 1] & low, zs[n - 1] >> half
-        stack = [(0, self.bias)]
-        while stack:
-            k, P = stack.pop()
-            width = 1 << k
-            lo = max((ys[k] - P).to_bytes(width, "little")) - span
-            hi = min((zs[k] - P).to_bytes(width, "little")) - span
-            if lo > hi:
-                continue
-            if k == depth:
-                a = max((y_low - P).to_bytes(width, "little")) - span
-                b = max((y_high - P).to_bytes(width, "little")) - span
-                c = min((z_low - P).to_bytes(width, "little")) - span
-                d = min((z_high - P).to_bytes(width, "little")) - span
-                for t in range(lo, hi + 1):
-                    u, v = max(a, b - t), min(c, d - t)
-                    if u <= v:
-                        yield P, t, u, v
-                continue
-            shift = 8 * width
-            step = ones[k]
-            Q = P + lo * step
-            for _ in range(lo, hi + 1):
-                stack.append((k + 1, P | Q << shift))
-                Q += step
-
-    def count(self, limit: int) -> int:
-        """The number of lattice points, or any number above `limit` once
-        the count passes it."""
-        if self.n < 2:
-            return len(self.points())
-        total = 0
-        for _, _, lo, hi in self.leaves():
-            total += hi - lo + 1
-            if total > limit:
-                break
-        return total
-
-    def points(self) -> FrozenSet[tuple]:
-        """Every lattice point.  Byte 2^j of a node is coordinate order[j]
-        plus the bias."""
-        n, bias = self.n, self.bias
-        if n == 0:
-            return frozenset({()})
-        if n == 1:
-            return frozenset((t,) for t in range(self.pair.y[1], self.pair.z[1] + 1))
-        position = [self.order.index(i) for i in range(n)]
-        out = []
-        for P, t, lo, hi in self.leaves():
-            prefix = [(P >> (8 << j) & 0xFF) - bias for j in range(n - 2)] + [t]
-            for u in range(lo, hi + 1):
-                p = prefix + [u]
-                out.append(tuple(p[k] for k in position))
-        return frozenset(out)
-
-
-@functools.cache
-def _search_masks(order: Tuple[int, ...]) -> itemgetter:
-    """Picks the entries of a subset table in search order: entry m is the
-    subset whose bit k is order[k]."""
-    masks = [0]
-    for i in order:
-        masks += [m | 1 << i for m in masks]
-    return itemgetter(*masks)
-
-
 def lattice_points_of_pair(pair: SetFunctionPair) -> FrozenSet[tuple]:
     """All integer vectors t satisfying every subset inequality
-    y(I) <= sum_{i in I} t_i <= z(I), by the packed search of
-    `_LatticeSearch`."""
-    return _LatticeSearch(pair).points()
+    y(I) <= sum_{i in I} t_i <= z(I), by a depth-first search that sets the
+    coordinates in order.  When t_k is set, the masks whose highest element
+    is k have all their coordinates fixed, and each bounds t_k given the
+    prefix's sum over the rest of the mask: entry m of `sums` is that sum
+    over m < 2^k.  The singleton mask is among them, so the search is
+    finite."""
+    y, z, n = pair.y, pair.z, pair.n
+    points = []
+
+    def visit(prefix, sums):
+        k = len(prefix)
+        if k == n:
+            points.append(prefix)
+            return
+        top = 1 << k
+        lo = max(y[top + m] - s for m, s in enumerate(sums))
+        hi = min(z[top + m] - s for m, s in enumerate(sums))
+        for t in range(lo, hi + 1):
+            visit(prefix + (t,), sums + [s + t for s in sums])
+
+    visit((), [0])
+    return frozenset(points)
+
+
+def _lattice_point_outside(view: _SupportView, pair: SetFunctionPair) -> bool:
+    """Whether some lattice point of the pair recovered from a support
+    (`recover_pair`) lies outside it, by one bitset over the staircase box.
+
+    A lattice point t has y(i) <= t_i <= z(i) for each singleton, and the
+    support, whose min and max those are, lies in the box, so t does too;
+    and y([n]) <= |t| <= z([n]).  So every lattice point outside the support
+    is in C = (the grades G_d for y([n]) <= d <= z([n])) & (the points with
+    y(i) <= t_i <= z(i)) & ~P (`poly._Box.grade`, `poly._Box.at_most`).
+    z([n]) is the top degree, whose grade the view has built.  A candidate
+    in C is packed as in `recover_pair`, lane I holding t(I) <= 45, and is
+    a lattice point iff every lane lies in [y(I), z(I)]: one compare each
+    way (`_at_least`)."""
+    n, box = view.n, view.box
+    y, z = pair.y, pair.z
+    full = (1 << n) - 1
+    C = 0
+    for d in range(y[full], z[full] + 1):
+        C |= box.grade(d)
+    for i in range(n):
+        lo, hi = y[1 << i], z[1 << i]
+        C &= box.at_most(i, hi)
+        if lo:
+            C &= ~box.at_most(i, lo - 1)
+    C &= ~view.bits
+    high = _avoiding(n)[2]
+    Y, Z = int.from_bytes(bytes(y), "little"), int.from_bytes(bytes(z), "little")
+    return any(
+        _at_least(p, Y, high) & _at_least(Z, p, high) == high
+        for p in box.sums_of(C, _lane_tables(n))
+    )
 
 
 def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
@@ -363,17 +292,16 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     points, z from its maximal ones (`recover_pair`).
 
     Every support point satisfies the pair it was recovered from, so the
-    lattice points contain the support, and equal it iff there are |supp|
-    of them: the search counts and stops past |supp|, and enumerates only
-    to name the witness, the first point in sorted order outside the
-    support."""
-    pair = recover_pair(support_view(groth))
+    lattice points contain the support, and equal it iff none lies outside
+    it (`_lattice_point_outside`).  The points are listed only to name the
+    witness, the first point in sorted order outside the support."""
+    view = support_view(groth)
+    pair = recover_pair(view)
     if not is_paramodular(pair):
         return Verdict(
             False, witness=paramodular_violation(pair), detail="recovered pair not paramodular"
         )
-    size = len(groth.terms)
-    if _LatticeSearch(pair).count(size) != size:
+    if _lattice_point_outside(view, pair):
         diff = sorted(lattice_points_of_pair(pair) ^ groth.support())
         return Verdict(False, witness=diff[0], detail="lattice points != support")
     return Verdict(True)

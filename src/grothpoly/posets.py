@@ -221,7 +221,8 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
     negated Moebius values of the support poset with bottom; NotApplicable
-    on any other w.  A failure names the first wrong exponent in code order
+    on any other w.  A term outside P_w, which has no Moebius value, is
+    wrong too.  A failure names the first wrong exponent in code order
     (`poly.code`): degree, then term order."""
     if not perms.is_zero_one(w):
         return NotApplicable("not a zero-one permutation")
@@ -229,11 +230,12 @@ def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     mu = mobius(P)
     coefficient = groth.terms.get
     wrong = [q for q in P.elements if coefficient(q, 0) != -mu[q]]
+    wrong += groth.terms.keys() - P.elements
     if wrong:
         q = min(wrong)
-        return Verdict(
-            False,
-            witness=decode(q, P.n),
-            detail=f"coefficient {coefficient(q, 0)} != -mu = {-mu[q]}",
-        )
+        if q in mu:
+            detail = f"coefficient {coefficient(q, 0)} != -mu = {-mu[q]}"
+        else:
+            detail = f"coefficient {coefficient(q)} outside P_w"
+        return Verdict(False, witness=decode(q, P.n), detail=detail)
     return Verdict(True)

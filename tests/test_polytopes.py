@@ -547,9 +547,9 @@ def assert_conj4_matches_support(w, groth, extremal=True):
 
 
 def lattice_points_dfs(pair):
-    """The search that `polytopes._LatticeSearch` packs, unpacked: the
-    prefix sums of each node as a list, every level searched, and the points
-    collected as tuples."""
+    """A second depth-first search, with the coordinates in order of
+    increasing singleton range z(i) - y(i), the prefix sums of each node as
+    a list, and the points collected as tuples."""
     n = pair.n
     if n == 0:
         return frozenset({()})
@@ -577,15 +577,16 @@ def lattice_points_dfs(pair):
 
 def assert_conj4_kernels_match_previous(table):
     """The packed kernels against the list-based loop and search, on every
-    support of a table: the same pair, and a lattice count of |supp|."""
+    support of a table: the same pair, lattice points equal to the support,
+    and no lattice point outside it by the bitset test."""
     for w, g in table.polys.items():
         supp = g.support()
-        pair = recover_pair(poly.support_view(g))
+        view = poly.support_view(g)
+        pair = recover_pair(view)
         assert pair == recover_pair_loop(supp), w
         assert polytopes.paramodular_violation(pair) == paramodular_violation_loop(pair), w
-        points = lattice_points_dfs(pair)
-        assert points == supp, w
-        assert polytopes._LatticeSearch(pair).count(len(supp)) == len(points), w
+        assert lattice_points_dfs(pair) == supp, w
+        assert not polytopes._lattice_point_outside(view, pair), w
 
 
 def is_paramodular_scan(pair):
@@ -823,6 +824,30 @@ class TestKernelsAgainstScans:
             failures += not verdict.ok
         assert failures > lattice_failures > 0
 
+    def test_cut_supports_S4_to_S6(self, tables):
+        # Supports with up to a third of their terms dropped, whose
+        # recovered pair is paramodular: the bitset test finds a lattice
+        # point outside the support exactly when the scan does.
+        rng = random.Random(46)
+        agreed = failing = 0
+        for n in (4, 5, 6):
+            for w, g in tables[(n, "G")].polys.items():
+                terms = vector_terms(g)
+                if len(terms) < 3:
+                    continue
+                for _ in range(3):
+                    dropped = rng.sample(sorted(terms), rng.randint(1, len(terms) // 3))
+                    cut = poly_of({e: c for e, c in terms.items() if e not in dropped}, n)
+                    view = poly.support_view(cut)
+                    pair = recover_pair(view)
+                    if not is_paramodular(pair):
+                        continue
+                    outside = lattice_points_scan(pair) != cut.support()
+                    assert polytopes._lattice_point_outside(view, pair) == outside, (w, dropped)
+                    agreed += 1
+                    failing += outside
+        assert agreed > failing > 0
+
     def test_previous_kernels_S6(self, tables):
         assert_conj4_kernels_match_previous(tables[(6, "G")])
 
@@ -837,13 +862,9 @@ class TestKernelsAgainstScans:
 
     @settings(max_examples=300, deadline=None)
     @given(set_function_pairs())
-    def test_count_matches_previous_search(self, pair):
-        points = lattice_points_dfs(pair)
-        assert lattice_points_of_pair(pair) == points
-        count = polytopes._LatticeSearch(pair).count(len(points))
-        assert count == len(points)
-        if points:
-            assert polytopes._LatticeSearch(pair).count(len(points) - 1) == len(points)
+    def test_points_match_previous_search(self, pair):
+        points = lattice_points_of_pair(pair)
+        assert points == lattice_points_dfs(pair) == lattice_points_scan(pair)
 
     @settings(max_examples=300, deadline=None)
     @given(set_function_pairs())

@@ -237,6 +237,16 @@ class TestConjectureCheckers:
         # coefficient of the displayed -3 term
         assert -mu[(3, 3, 1, 1, 0, 0)] == -3
 
+    def test_mobius_fails_on_term_outside_Pw(self):
+        # P_w of the identity is {0}: the term 5 x_1 has no Moebius value.
+        w = identity(4)
+        g = poly_of({(0, 0, 0, 0): 1, (1, 0, 0, 0): 5}, 4)
+        verdict = posets.check_conjecture_mobius(w, g)
+        assert not verdict.ok
+        assert verdict.witness == (1, 0, 0, 0)
+        assert verdict.detail == "coefficient 5 outside P_w"
+        assert (verdict.ok, verdict.witness, verdict.detail) == check_mobius_tuples(w, g)
+
     def test_mobius_rejects_non_zero_one(self, tables):
         w = (1, 2, 5, 4, 3)
         verdict = posets.check_conjecture_mobius(w, tables[(5, "G")][w])
@@ -368,9 +378,12 @@ def check_mobius_tuples(w, groth):
     mu = mobius_tuples(elements, len(w))
     terms = vector_terms(groth)
     wrong = [a for a in elements if terms.get(a, 0) != -mu[a]]
+    wrong += [a for a in terms if a not in elements]
     if not wrong:
         return (True, None, "")
     alpha = min(wrong, key=order)
+    if alpha not in elements:
+        return (False, alpha, f"coefficient {terms[alpha]} outside P_w")
     return (False, alpha, f"coefficient {terms.get(alpha, 0)} != -mu = {-mu[alpha]}")
 
 
@@ -485,7 +498,7 @@ def mobius_failures(w, groth):
     P = build_Pw_scan(w, groth)
     mu = mobius_recursion(P)
     terms = vector_terms(groth)
-    return {a for a in P if terms.get(a, 0) != -mu[a]}
+    return {a for a in P if terms.get(a, 0) != -mu[a]} | (terms.keys() - P)
 
 
 def view_scan(g):

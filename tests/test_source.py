@@ -1,4 +1,4 @@
-"""Four checks on the package source.
+"""Five checks on the package source.
 
 The package holds only code that something in it reaches.  Every top-level
 function and class in `src/grothpoly`, and every method of such a class
@@ -19,7 +19,8 @@ function, which the tracer can wrap.
 
 The package imports only the standard library, itself and the dependencies
 `pyproject.toml` declares: a module that is installed here but not declared
-would pass locally and fail on a clean install.
+would pass locally and fail on a clean install.  Every name a module
+imports is used in it: an import left behind by a deletion is dead code.
 """
 import ast
 import collections
@@ -138,6 +139,30 @@ def test_imports_are_declared():
                 f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in allowed
             ]
     assert undeclared == []
+
+
+def unused_imports(source: str) -> list:
+    """The names a module's source imports (but `annotations`, which only
+    switches a compiler feature on) that it never refers to by bare name."""
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    imported = [
+        (alias.asname or alias.name).split(".")[0]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+    ]
+    return [name for name in imported if name != "annotations" and name not in used]
+
+
+def test_imports_are_used():
+    unused = {
+        path.name: names
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (names := unused_imports(path.read_text()))
+    }
+    assert unused == {}
+    assert unused_imports("from operator import itemgetter, mul\nmul(1, 2)\n") == ["itemgetter"]
 
 
 def _functions(modules):
