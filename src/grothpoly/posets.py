@@ -1,7 +1,7 @@
 """
-Componentwise-order posets on integer vectors, Moebius functions, the
-support poset of a Grothendieck polynomial, and the conjecture checkers
-that live on it.
+The support poset P_w of a Grothendieck polynomial under componentwise
+order, its Moebius function, and the conjecture checkers that live on the
+support.
 
 conj1, conj2, conj3, coeff, rajchgot and mobius read the packed view of the
 support (`poly.support_view`), one build per polynomial (`perms.last_call`).
@@ -17,17 +17,14 @@ from . import perms
 from .poly import Poly, decode, support_view
 from .verdicts import NotApplicable, Verdict
 
-# Adjoined minimum element: a distinguished sentinel, deliberately not the
-# zero vector (which is a legitimate element for w = identity).
-BOTTOM = "0^"
-
 
 class VectorPoset:
     """A finite interval-closed set of integer vectors of length n, entries
     in 0..255, held as their codes (`poly.code`), under componentwise
     order: whenever a <= c <= b with a and b in the set, c is in it too.
-    P_w (`build_Pw`) is one: such a c lies above the support point below a
-    and below the bound above b."""
+    P_w, which `build_Pw` returns and `hasse_text` prints, is one: such a c
+    lies above the support point below a and below the bound above b.
+    `mobius` builds its own P_w and reads only its elements."""
 
     def __init__(self, elements, n: int):
         self.elements = frozenset(elements)
@@ -55,21 +52,22 @@ class VectorPoset:
         return "\n".join(sorted(lines))
 
 
-def mobius(P: VectorPoset) -> Dict[object, int]:
-    """The table mu(0^, q) for every code q of P with the bottom 0^
-    adjoined (the paper's P-hat_w), for P an upper set of its box
-    [0, max P] (max taken componentwise), by inclusion-exclusion:
-    -mu(0^, q) = sum over S of [n] of (-1)^|S| h(q - e_S), where h is the
-    indicator of P on Z^n.
+def mobius(w: tuple, groth: Poly) -> Dict[int, int]:
+    """The table mu(0^, q) for every code q of P_w (`build_Pw`), with the
+    bottom 0^ adjoined (the paper's P-hat_w; mu(0^, 0^) = 1 has no entry),
+    by inclusion-exclusion: -mu(0^, q) = sum over S of [n] of
+    (-1)^|S| h(q - e_S), where h is the indicator of P_w on Z^n.
 
     The right side, d(q), is the n-fold backward difference of h, so its sum
-    over all r <= q telescopes to h(q).  It vanishes at every r >= 0 outside
-    P: no r - e_S lies in P, since P is an upper set of a box that contains
-    r.  So for q in P, the sum of d over P below q is h(q) = 1, which is
-    mu(0^, 0^) + sum_{r in P, r <= q} mu(0^, r) = 0 with mu = -d: the
+    over all r <= q telescopes to h(q).  It vanishes at every r in [0, b]
+    outside P_w: no r - e_S lies in P_w, since P_w is an upper set of the
+    box [0, b] below the closed Rothe weight b (proof in `build_Pw`).  For
+    q in P_w only r in [0, q], inside [0, b], enter the sum, so the sum of
+    d over P_w below q is h(q) = 1, which is
+    mu(0^, 0^) + sum_{r in P_w, r <= q} mu(0^, r) = 0 with mu = -d: the
     defining recursion.  The differences are taken one coordinate at a time,
-    and each partial difference vanishes off P for the same reason, so the
-    cost is O(n |P|).
+    and each partial difference vanishes off P_w in [0, b] for the same
+    reason, so the cost is O(n |P_w|).
 
     On codes, q - e_i is q - 256^(i-1) - 256^n.  Where q_i = 0 the
     subtraction borrows, and no code matches the result, whose top part
@@ -77,33 +75,24 @@ def mobius(P: VectorPoset) -> Dict[object, int]:
     to the first nonzero entry above it become 255 and that entry loses
     one (with no such entry the top part loses one more, or the result is
     negative), so the bytes sum to at least 255 more than the top part."""
-    elements, n = P.elements, P.n
-    coordinates = (1 << 8 * n) - 1
-    rows = [(q & coordinates).to_bytes(n, "little") for q in elements]
-    top = tuple(map(max, zip(*rows)))
-    for i, t in enumerate(top):
-        unit = 1 << 8 * i | 1 << 8 * n
-        for q, row in zip(elements, rows):
-            if row[i] < t and q + unit not in elements:
-                raise ValueError(
-                    f"mobius requires an upper set of the box [0, {top}]; {decode(q, n)} breaks it"
-                )
-    diff = dict.fromkeys(elements, 1)
+    P = build_Pw(w, groth)
+    n = P.n
+    diff = dict.fromkeys(P.elements, 1)
     for i in range(n):
         unit = 1 << 8 * i | 1 << 8 * n
         get = diff.get
         diff = {q: c - get(q - unit, 0) for q, c in diff.items()}
-    table: Dict[object, int] = {BOTTOM: 1}
-    table.update((q, -c) for q, c in diff.items())
-    return table
+    return {q: -c for q, c in diff.items()}
 
 
 def build_Pw(w: tuple, groth: Poly) -> VectorPoset:
     """All integer vectors sandwiched between some support exponent of the
     Grothendieck polynomial and the weight b of the closed Rothe diagram
-    (the paper's P_w; `mobius` adjoins the bottom): the upward closure of
-    the support inside the box [0, b], as a bitset over the staircase box of
-    S_n (`poly._Box`), read off the view's support P.
+    (the paper's P_w; `mobius` gives mu on it with the bottom adjoined):
+    the upward closure of the support inside the box [0, b], as a bitset
+    over the staircase box of S_n (`poly._Box`), read off the view's
+    support P.  Being an up-closure inside [0, b], P_w is an upper set of
+    [0, b], which `mobius` relies on.
 
     b lies in the staircase box, b_i <= n - i.  Entry i of b counts the
     columns j whose lowest box d_j in the Rothe diagram has d_j >= i.
@@ -223,19 +212,22 @@ def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     negated Moebius values of the support poset with bottom; NotApplicable
     on any other w.  A term outside P_w, which has no Moebius value, is
     wrong too.  A failure names the first wrong exponent in code order
-    (`poly.code`): degree, then term order."""
+    (`poly.code`): degree, then term order.
+
+    The check is one comparison of the terms with the polynomial that -mu
+    predicts, and the wrong exponents are the codes where the two differ: a
+    q of P_w with mu = 0 differs only if it is a term, and a term outside
+    P_w always differs, since no stored coefficient is 0."""
     if not perms.is_zero_one(w):
         return NotApplicable("not a zero-one permutation")
-    P = build_Pw(w, groth)
-    mu = mobius(P)
-    coefficient = groth.terms.get
-    wrong = [q for q in P.elements if coefficient(q, 0) != -mu[q]]
-    wrong += groth.terms.keys() - P.elements
-    if wrong:
-        q = min(wrong)
-        if q in mu:
-            detail = f"coefficient {coefficient(q, 0)} != -mu = {-mu[q]}"
-        else:
-            detail = f"coefficient {coefficient(q)} outside P_w"
-        return Verdict(False, witness=decode(q, P.n), detail=detail)
-    return Verdict(True)
+    mu = mobius(w, groth)
+    terms = groth.terms
+    predicted = {q: -m for q, m in mu.items() if m}
+    if predicted == terms:
+        return Verdict(True)
+    q = min(q for q in predicted.keys() | terms.keys() if predicted.get(q, 0) != terms.get(q, 0))
+    if q in mu:
+        detail = f"coefficient {terms.get(q, 0)} != -mu = {-mu[q]}"
+    else:
+        detail = f"coefficient {terms[q]} outside P_w"
+    return Verdict(False, witness=decode(q, groth.nvars), detail=detail)

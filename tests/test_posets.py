@@ -8,7 +8,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from grothpoly import cli, perms, poly, posets
 from grothpoly.poly import Poly
-from grothpoly.posets import BOTTOM, VectorPoset, build_Pw, mobius
+from grothpoly.posets import VectorPoset, build_Pw, mobius
 from grothpoly.verdicts import NotApplicable
 from reference import graded_component, identity, is_fireworks, poly_of, term_key, vector_terms
 
@@ -35,8 +35,9 @@ def covers(P):
 
 
 def by_vector(table, n):
-    """A table of `mobius`, keyed by vectors: codes decoded, the bottom kept."""
-    return {q if q == BOTTOM else poly.decode(q, n): m for q, m in table.items()}
+    """A table of `mobius`, keyed by vectors, with mu(0^, 0^) = 1 adjoined
+    as the references have it."""
+    return {BOTTOM: 1} | {poly.decode(q, n): m for q, m in table.items()}
 
 
 def maximal_elements(elements, n):
@@ -97,12 +98,14 @@ class TestHasse:
 
 class TestMobius:
     def test_chain(self):
-        mu = mobius(poset({(1,), (2,)}, 1))
-        assert by_vector(mu, 1) == {BOTTOM: 1, (1,): -1, (2,): 0}
+        chain = {(1,), (2,)}
+        expected = {BOTTOM: 1, (1,): -1, (2,): 0}
+        assert mobius_tuples(chain, 1) == mobius_recursion(chain) == expected
 
     def test_diamond(self):
-        mu = mobius(poset({(1, 0), (0, 1), (1, 1)}, 2))
-        assert by_vector(mu, 2)[(1, 1)] == 1
+        diamond = {(1, 0), (0, 1), (1, 1)}
+        assert mobius_tuples(diamond, 2) == mobius_recursion(diamond)
+        assert mobius_tuples(diamond, 2)[(1, 1)] == 1
 
     @pytest.mark.parametrize(
         "elements",
@@ -117,15 +120,16 @@ class TestMobius:
             # A negative entry has no code, so no VectorPoset holds one.
             with pytest.raises(ValueError, match=r"\(-1,\) has an entry outside 0\.\.255"):
                 poset(elements, n)
-        else:
-            with pytest.raises(ValueError, match="upper set"):
-                mobius(poset(elements, n))
 
     def test_byte_255_entries(self):
         # q - e_i borrows where q_i = 0; no code matches the result, also
         # next to entries of 255.
-        upper = {(a, b) for a in (254, 255) for b in (0, 1)}
-        assert by_vector(mobius(poset(upper, 2)), 2) == mobius_tuples(upper, 2)
+        for n in (1, 2, 3):
+            for q in itertools.product((0, 1, 254, 255), repeat=n):
+                for i in range(n):
+                    if q[i] == 0:
+                        below = poly.code(q) - (1 << 8 * i | 1 << 8 * n)
+                        assert below < 0 or poly.code(poly.decode(below, n)) != below, (q, i)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -141,18 +145,21 @@ class TestMobius:
             if any(componentwise_leq(g, v) for g in generators)
         }
         n = len(top)
-        expected = mobius_recursion(upper)
-        assert by_vector(mobius(poset(upper, n)), n) == expected
-        assert mobius_tuples(upper, n) == expected
+        assert mobius_tuples(upper, n) == mobius_recursion(upper)
 
     def test_defining_identity(self, tables):
         for w in perms.all_perms(4):
-            P = build_Pw(w, tables[(4, "G")][w])
-            mu = by_vector(mobius(P), 4)
-            elements = vectors(P)
+            g = tables[(4, "G")][w]
+            mu = by_vector(mobius(w, g), 4)
+            elements = vectors(build_Pw(w, g))
             for q in elements:
                 below = [r for r in elements if componentwise_leq(r, q)]
                 assert mu[BOTTOM] + sum(mu[r] for r in below) == 0
+
+    def test_keys_are_Pw_S5(self, tables):
+        for w in perms.all_perms(5):
+            g = tables[(5, "G")][w]
+            assert mobius(w, g).keys() == build_Pw(w, g).elements, w
 
 
 class TestBuildPw:
@@ -225,7 +232,7 @@ class TestConjectureCheckers:
 
     def test_15324_mobius_zero_off_support(self, tables):
         g = tables[(5, "G")][(1, 5, 3, 2, 4)]
-        mu = by_vector(mobius(build_Pw((1, 5, 3, 2, 4), g)), 5)
+        mu = by_vector(mobius((1, 5, 3, 2, 4), g), 5)
         assert mu[(3, 3, 0, 0, 0)] == 0
         assert mu[(3, 3, 1, 0, 0)] == 0
 
@@ -233,7 +240,7 @@ class TestConjectureCheckers:
         w = (3, 5, 1, 6, 2, 4)
         g = tables[(6, "G")][w]
         assert posets.check_conjecture_mobius(w, g).ok
-        mu = by_vector(mobius(build_Pw(w, g)), 6)
+        mu = by_vector(mobius(w, g), 6)
         # coefficient of the displayed -3 term
         assert -mu[(3, 3, 1, 1, 0, 0)] == -3
 
@@ -349,9 +356,16 @@ def build_Pw_tuples(w, groth):
     return frozenset(elements)
 
 
+# Adjoined minimum element: a distinguished sentinel, deliberately not the
+# zero vector (which is a legitimate element for w = identity).
+BOTTOM = "0^"
+
+
 def mobius_tuples(elements, n):
-    """The n backward differences of `posets.mobius` on tuples, with its
-    upper-set precondition: the kernel that the one on codes replaced."""
+    """The n backward differences of `posets.mobius` on tuples: the kernel
+    that the one on codes replaced.  It checks the premise of their proof,
+    that the set is an upper set of its box, which `posets.mobius` takes
+    from `build_Pw` and does not re-check."""
     top = tuple(map(max, zip(*elements)))
     for i, t in enumerate(top):
         for v in elements:
@@ -393,7 +407,7 @@ def assert_mobius_matches_tuples(w, groth):
     P = build_Pw(w, groth)
     elements = build_Pw_tuples(w, groth)
     assert vectors(P) == elements, w
-    assert by_vector(mobius(P), len(w)) == mobius_tuples(elements, len(w)), w
+    assert by_vector(mobius(w, groth), len(w)) == mobius_tuples(elements, len(w)), w
     verdict = posets.check_conjecture_mobius(w, groth)
     if isinstance(verdict, NotApplicable):
         assert check_mobius_tuples(w, groth) is None
@@ -603,7 +617,7 @@ class TestKernelsAgainstScans:
             assert_view_matches_scan(g)
             P = assert_mobius_matches_tuples(w, g)
             assert vectors(P) == build_Pw_scan(w, g)
-            assert by_vector(mobius(P), 6) == mobius_recursion(vectors(P))
+            assert by_vector(mobius(w, g), 6) == mobius_recursion(vectors(P))
             for checker, failures in CHECKERS:
                 assert_matches_scan(checker, failures, w, g)
 
@@ -626,7 +640,7 @@ class TestKernelsAgainstScans:
             assert_view_matches_scan(cut)
             P = assert_mobius_matches_tuples(w, cut)
             assert vectors(P) == build_Pw_scan(w, cut)
-            assert by_vector(mobius(P), 5) == mobius_recursion(vectors(P))
+            assert by_vector(mobius(w, cut), 5) == mobius_recursion(vectors(P))
             checkers = CHECKERS
             if perms.is_zero_one(w):
                 checkers += ((posets.check_conjecture_mobius, mobius_failures),)

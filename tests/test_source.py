@@ -1,4 +1,4 @@
-"""Five checks on the package source.
+"""Six checks on the package source.
 
 The package holds only code that something in it reaches.  Every top-level
 function and class in `src/grothpoly`, and every method of such a class
@@ -10,7 +10,8 @@ compared with.
 The span tracer of the benchmark (`perfbench/tracer.py`) wraps grothpoly's
 layer boundaries by module attribute, so renaming one of them breaks every
 traced benchmark run.  A traced sweep must keep its report, record a span
-for each boundary, and leave every attribute as it found it.
+for each boundary, nest each build of P_w inside the mobius that asked for
+it, and leave every attribute as it found it.
 
 What the checks of one permutation share is kept by one memo,
 `perms.last_call`: no one-slot `lru_cache`, no module global that a function
@@ -21,18 +22,24 @@ The package imports only the standard library, itself and the dependencies
 `pyproject.toml` declares: a module that is installed here but not declared
 would pass locally and fail on a clean install.  Every name a module
 imports is used in it: an import left behind by a deletion is dead code.
+
+The docs name only what exists: every backticked dotted name whose head is
+a grothpoly module (`poly.code`, `poly._Box.grade`, ...) in README.md and in
+the docstrings and comments of the package resolves to an attribute.
 """
 import ast
 import collections
 import inspect
+import io
 import re
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import grothpoly
-from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
+from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes, verdicts
 
 PACKAGE = Path(grothpoly.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +172,54 @@ def test_imports_are_used():
     assert unused_imports("from operator import itemgetter, mul\nmul(1, 2)\n") == ["itemgetter"]
 
 
+MODULES = {
+    m.__name__.rsplit(".", 1)[-1]: m
+    for m in (cache, cli, perms, pipedreams, poly, posets, polytopes, verdicts)
+}
+DOTTED = re.compile(r"`(?:grothpoly\.)?(" + "|".join(MODULES) + r")((?:\.[A-Za-z_]\w*)+)")
+
+
+def stale_names(text: str) -> list:
+    """The backticked dotted names in `text` whose head is a grothpoly
+    module and that do not resolve by getattr from it."""
+    stale = []
+    for match in DOTTED.finditer(text):
+        target = MODULES[match.group(1)]
+        for attr in match.group(2)[1:].split("."):
+            if not hasattr(target, attr):
+                stale.append(match.group(1) + match.group(2))
+                break
+            target = getattr(target, attr)
+    return stale
+
+
+def docs_of(source: str) -> str:
+    """The docstrings and comments of a module's source."""
+    tree = ast.parse(source)
+    nodes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    docs = [ast.get_docstring(node) or "" for node in ast.walk(tree) if isinstance(node, nodes)]
+    docs += [
+        token.string
+        for token in tokenize.generate_tokens(io.StringIO(source).readline)
+        if token.type == tokenize.COMMENT
+    ]
+    return "\n".join(docs)
+
+
+def test_docs_name_what_exists():
+    texts = {"README.md": (ROOT / "README.md").read_text()}
+    texts.update((path.name, docs_of(path.read_text())) for path in sorted(PACKAGE.glob("*.py")))
+    assert {name: stale for name, text in texts.items() if (stale := stale_names(text))} == {}
+    assert stale_names("`posets.gone`, `poly._Box.gone()`, `poly._Box.grade`") == [
+        "posets.gone",
+        "poly._Box.gone",
+    ]
+    assert stale_names(docs_of('"""`perms.gone`"""\n# `cli.gone`\nx = "`cli.also_gone`"\n')) == [
+        "perms.gone",
+        "cli.gone",
+    ]
+
+
 def _functions(modules):
     return {
         (module.__name__, name): fn
@@ -196,6 +251,12 @@ def test_perfbench_tracer_fits_the_package(monkeypatch):
     ]
     expected = ["pipedreams.pd_polynomial_all", "cache.load_or_build"]
     assert set(expected + checkers) - names == set()
+    # mobius builds its own P_w through the module global, so each traced
+    # build is a child of a mobius span.
+    by_id = {span["id"]: span["name"] for span in spans.spans}
+    builds = [span for span in spans.spans if span["name"] == "posets.build_Pw"]
+    assert "posets.mobius" in names and builds
+    assert {by_id.get(span["parent"]) for span in builds} == {"posets.mobius"}
     # The oracle checks the one table step by step: no second table.
     assert "poly.build_table" not in names
     after = _functions(modules)
