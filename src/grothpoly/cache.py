@@ -1,7 +1,8 @@
 """
-Polynomial tables.  `load_or_build` is the one place that picks the engine:
-every table the checkers read is built by the pipe-dream transfer matrix
-(`pipedreams.pd_polynomial_all`) and kept in a byte-stable on-disk cache.
+Polynomial tables for `--mode cache`, its only caller: `load_or_build`
+builds them by the pipe-dream transfer matrix
+(`pipedreams.pd_polynomial_all`) and keeps them in a byte-stable on-disk
+cache.  No verify or print run reads them (`poly.walk`).
 
 Format: first line `grothcache v1 n=<n> flavor=<S|G>`, then one line per
 permutation `<comma one-line word>|<canonical polynomial text>`, sorted by

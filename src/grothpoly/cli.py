@@ -1,17 +1,20 @@
 """
 Batch verification driver.
 
-Builds (or loads from cache) the Grothendieck table for S_n, the one table
-of the run, fans the requested checks across worker processes, and emits a
-deterministic machine-readable report.  The oracle check confirms the table
-by the divided-difference recursion one step per permutation, in the
-workers, with no second table.
+A verify run holds no table of S_n.  Its tasks are w_0 alone and the
+subtree below each child of w_0 in the first-ascent tree; a `--perm` run
+is one task, its w alone.  A task builds its root's 𝔊 by the chain from
+w_0 (`poly.grothendieck`), walks its subtree (`poly.walk`), and checks
+each 𝔊_w as it is made, then drops it.  The tasks run in this process
+with `--jobs 1`, else in forked workers, and their (w, record) pairs are
+sorted into `perms.all_perms` order.  `--mode print` builds its one 𝔊_w
+by the chain.  Only `--mode cache` calls `cache`.
 """
 from __future__ import annotations
 
 import argparse
 import concurrent.futures
-import gc
+import itertools
 import json
 import math
 import multiprocessing
@@ -21,6 +24,7 @@ import time
 import traceback
 from dataclasses import dataclass
 from json.encoder import encode_basestring_ascii as _string
+from operator import itemgetter
 from typing import List, Optional, Tuple
 
 from . import cache, perms, poly, posets, polytopes
@@ -30,46 +34,34 @@ ENGINE = "grothpoly 0.1.0"
 
 
 def _oracle(w, g) -> Verdict:
-    """The pipe-dream 𝔊_w must be the recursion's step from the table
-    itself: π_j 𝔊_{w·s_j} for j the first ascent of w, and the staircase
-    monomial at w_0 (`poly.recursion_parent`).  By downward induction on
-    length, the steps hold at every w exactly when the table is the one the
-    whole divided-difference recursion builds.
+    """The 0-Hecke identity π_k 𝔊_w = 𝔊_w for k the last ascent of w, which
+    holds as π_k is idempotent and 𝔊_w = π_k 𝔊_{w.s_k}, and 𝔊_{w_0} = the
+    staircase monomial.  The walk made 𝔊_w by π_j, j the first ascent, so
+    k = j only where w has one ascent, and there the check is that π_j is
+    idempotent on 𝔊_w.  One operator call per w != w_0.
 
-    A parent with an entry of its own in this run is checked there; one
-    without (the parents of a --perm run) is checked here too, and so on up
-    to w_0: at most n(n-1)/2 operator calls.  A failure names the step
-    (the permutation, its parent and j, both null at w_0), the first
-    differing exponent in term order and both coefficients."""
-    config, table = _CTX
-    n = config.n
-    term_order = ((1 << 8 * n) - 1).__and__  # a code with its degree masked off
-    u = w
-    while True:
-        step = poly.recursion_parent(u)
-        if step is None:
-            j = parent = None
-            expected = poly.staircase_monomial(n)
-        else:
-            j, parent = step
-            expected = poly.isobaric_divided_difference(table[parent], j)
-        pd_c, dd_c = table[u].terms, expected.terms
-        if pd_c != dd_c:
-            differ = (e for e in pd_c.keys() | dd_c.keys() if pd_c.get(e, 0) != dd_c.get(e, 0))
-            expo = min(differ, key=term_order)
-            witness = {
-                "perm": perms.format_perm(u),
-                "parent": perms.format_perm(parent) if parent else None,
-                "j": j,
-                "exponent": poly.decode(expo, n),
-                "divided_differences": dd_c.get(expo, 0),
-                "pipe_dreams": pd_c.get(expo, 0),
-            }
-            return Verdict(False, witness=witness)
-        # In a full sweep every permutation has an entry of its own.
-        if parent is None or config.perm is None:
-            return Verdict(True)
-        u = parent
+    π_k fixes exactly what is symmetric in x_k and x_{k+1}, so the check
+    misses an error that keeps 𝔊_w so.  The independent computation is in
+    the tests: the walk against the pipe dreams over S_1 to S_7 (S_8 in the
+    slow tier).  A failure names w, k (null at w_0), the first differing
+    exponent in term order and both coefficients."""
+    n = g.nvars
+    ascents = perms.ascents(w)
+    k = ascents[-1] if ascents else None
+    expected = poly.isobaric_divided_difference(g, k) if ascents else poly.staircase_monomial(n)
+    walked, wanted = g.terms, expected.terms
+    if walked == wanted:
+        return Verdict(True)
+    differ = (e for e in walked.keys() | wanted.keys() if walked.get(e, 0) != wanted.get(e, 0))
+    expo = min(differ, key=((1 << 8 * n) - 1).__and__)  # term order: the degree masked off
+    witness = {
+        "perm": perms.format_perm(w),
+        "k": k,
+        "exponent": poly.decode(expo, n),
+        "expected": wanted.get(expo, 0),
+        "walked": walked.get(expo, 0),
+    }
+    return Verdict(False, witness=witness)
 
 
 def _euler(w, g) -> Verdict:
@@ -132,10 +124,6 @@ class RunConfig:
                 raise ValueError("--perm length must match --n")
 
 
-# Shared read-only state for fork-based workers: (config, G table).
-_CTX = None
-
-
 def _from_verdict(v: Verdict) -> dict:
     if isinstance(v, NotApplicable):
         return {"status": "skip", "reason": v.detail}
@@ -171,10 +159,8 @@ def _run_check(name: str, w, g) -> dict:
         return {"status": "error", "witness": f"{type(exc).__name__}: {exc}"}
 
 
-def _check_one(w: tuple) -> dict:
-    config, table_g = _CTX
+def _check_one(config: RunConfig, w: tuple, g: poly.Poly) -> dict:
     started = time.perf_counter()
-    g = table_g[w]
     record = {
         "perm": perms.format_perm(w),
         "length": perms.length(w),
@@ -187,33 +173,38 @@ def _check_one(w: tuple) -> dict:
     return record
 
 
+def _sweep(task: tuple) -> list:
+    """The (w, record) pairs of one task (config, root, whole): the root,
+    its 𝔊 built by the chain, and with `whole` every w below it in the
+    walk."""
+    config, root, whole = task
+    g = poly.grothendieck(root)
+    pairs = poly.walk(root, g, poly.isobaric_divided_difference) if whole else [(root, g)]
+    return [(w, _check_one(config, w, f)) for w, f in pairs]
+
+
 def run(config: RunConfig) -> Tuple[dict, int]:
     """Execute the configured batch; return (report, exit_status), where the
     status is 3 if any checker raised, else 1 if any check failed, else 0."""
     config.validate()
     started = time.perf_counter()
-    table_g = cache.load_or_build(config.cache_dir, config.n, "G")
+    top = perms.longest_element(config.n)
+    tasks = [(config, config.perm or top, False)]
+    if not config.perm:
+        tasks += [(config, w, True) for _, w in poly.first_ascent_children(top)]
 
-    targets = [config.perm] if config.perm else perms.all_perms(config.n)
-
-    # The fork context starts every worker up front: no more than the targets
-    # or the CPUs this process may run on.
-    workers = min(config.jobs, len(targets), len(os.sched_getaffinity(0)))
-    global _CTX
-    _CTX = (config, table_g)
-    try:
-        if workers == 1:
-            results = [_check_one(w) for w in targets]
-        else:
-            mp = multiprocessing.get_context("fork")
-            # Each worker freezes what it inherits, the table among it, so
-            # that its garbage collections skip those objects.
-            with concurrent.futures.ProcessPoolExecutor(
-                max_workers=workers, mp_context=mp, initializer=gc.freeze
-            ) as pool:
-                results = list(pool.map(_check_one, targets, chunksize=16))
-    finally:
-        _CTX = None
+    # The fork context starts every worker up front: no more than the tasks
+    # or the CPUs this process may run on.  Each task carries what it needs,
+    # so a worker inherits no state of the run.
+    workers = min(config.jobs, len(tasks), len(os.sched_getaffinity(0)))
+    if workers == 1:
+        done = list(map(_sweep, tasks))
+    else:
+        mp = multiprocessing.get_context("fork")
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=mp) as pool:
+            done = list(pool.map(_sweep, tasks))
+    pairs = sorted(itertools.chain.from_iterable(done), key=itemgetter(0))
+    results = [record for _, record in pairs]
 
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
     listed = {"fail": [], "error": []}
@@ -344,10 +335,10 @@ def render(report: dict, fmt: str) -> str:
 
 
 def print_permutation(config: RunConfig) -> str:
-    """--mode print: dump the computed objects for `config.perm`; 𝔖_w is the
-    degree-l(w) part of 𝔊_w."""
+    """--mode print: dump the computed objects for `config.perm`, with 𝔊_w
+    built by its first-ascent chain; 𝔖_w is the degree-l(w) part of 𝔊_w."""
     w, length = config.perm, perms.length(config.perm)
-    g = cache.load_or_build(config.cache_dir, config.n, "G")[w]
+    g = poly.grothendieck(w)
     bottom = 8 * config.n  # a code's degree is its bits from here up
     s = poly.Poly({e: c for e, c in g.terms.items() if e >> bottom == length}, config.n)
     lines = [
@@ -383,7 +374,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated subset of: " + ",".join(ALL_CHECKS) + " (or 'all')",
     )
     parser.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
-    parser.add_argument("--cache-dir", type=str, default=None, help="polynomial cache directory")
+    parser.add_argument(
+        "--cache-dir", type=str, default=None, help="polynomial cache directory, for --mode cache only"
+    )
     parser.add_argument("--format", type=str, default="json", choices=("json", "text"))
     parser.add_argument("--mode", type=str, default="verify", choices=("verify", "print", "cache"))
     parser.add_argument("--timings", action="store_true", help="include timing fields in the report")

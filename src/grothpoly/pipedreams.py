@@ -1,4 +1,4 @@
-"""Pipe dreams: the engine that builds every Schubert and Grothendieck table.
+"""Pipe dreams: the engine of the tables `--mode cache` writes.
 
 A pipe dream places crosses only in the staircase cells (i,j), i + j <= n.
 Read in reading order (rows top to bottom, each row right to left), cross
@@ -21,9 +21,9 @@ so there are at most n! states, and the cost follows the size of the output,
 not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
 fixed by its exponent, so contributions never cancel to a zero coefficient.
 `cache.load_or_build` is its caller.  The module shares only `Poly` with
-the divided-difference recursion (`poly.recursion_parent` and the isobaric
-operator), whose step at each w the oracle check tests on the table built
-here.
+the divided-difference recursion (`poly.walk`), the engine of every verify
+and print run, and the tests compare the two over S_1 to S_7 (S_8 in the
+slow tier).
 """
 from typing import Dict, List
 

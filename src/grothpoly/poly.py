@@ -1,11 +1,13 @@
 """
 Exact sparse multivariate polynomials over the integers, divided-difference
 operators, and the weak-order recursion for Schubert and Grothendieck
-polynomials: the independent computation of the tables that
-`cache.load_or_build` builds from pipe dreams.  The oracle check applies
-one step of the recursion (`recursion_parent`) to the pipe-dream 𝔊 table
-per permutation; `build_table` runs the whole recursion, and the tests
-compare its tables with the pipe dreams.
+polynomials, the engine of every verify and print run.  Each w != w_0 has
+one parent in the recursion (`recursion_parent`), so S_n is a tree rooted
+at w_0, the first-ascent tree: `walk` goes down a subtree depth first with
+one operator call per edge and holds only its stack, and `grothendieck`
+goes down the one path from w_0 to w.  `build_table` collects the walk of
+all of S_n, the tests' reference table, which they compare with the pipe
+dreams of `cache.load_or_build`.
 
 A polynomial is a finite map from exponent codes to nonzero integer
 coefficients.  The code of an exponent vector alpha of length n is one
@@ -53,13 +55,13 @@ from __future__ import annotations
 import functools
 import math
 from operator import ge, mul
-from typing import Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple
 
 from . import perms
 
-# Counts divided-difference applications in this process.  The oracle
-# applies one per step of the recursion it checks: n! - 1 over a full sweep,
-# at most n(n-1)/2 for one --perm.  A forked worker counts in its own copy.
+# Counts divided-difference applications in this process: one per edge of
+# the walk or the chain, and one per oracle check of a w != w_0.  A forked
+# worker counts in its own copy.
 OPERATOR_APPLICATIONS = 0
 
 
@@ -470,7 +472,9 @@ def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
         for offset, multiplier in moves[expo >> shift & 0xFFFF]:
             e = expo + offset
             out[e] = get(e, 0) + multiplier * coeff
-    return Poly({e: c for e, c in out.items() if c}, n)
+    if 0 in out.values():  # terms that cancelled, in about a fifth of the calls of a sweep
+        out = {e: c for e, c in out.items() if c}
+    return Poly(out, n)
 
 
 class _Moves(dict):
@@ -550,21 +554,62 @@ def recursion_parent(w: tuple) -> Optional[Tuple[int, tuple]]:
     return (ascents[0], perms.apply_s(w, ascents[0])) if ascents else None
 
 
-def build_table(n: int, flavor: str) -> PolynomialTable:
-    """Compute the full table for S_n.
+def first_ascent_children(v: tuple) -> list:
+    """The steps (j, v.s_j) whose `recursion_parent` is (j, v).  With r the
+    length of v's initial decreasing run, v(1) > ... > v(r) and r = n or
+    v(r) < v(r+1), they are j = 1 .. r - 1, and j = r + 1 when
+    r + 1 <= n - 1 and v(r) > v(r+2).
 
-    Every w != w_0 has a parent (`recursion_parent`) one longer than w, so
-    processing permutations in decreasing length order finds each parent
-    already done.  Equal codes in the table are one shared int (S_n has at
-    most n! distinct ones, the points of the staircase box).
-    """
-    parts = _PLAIN if flavor == "S" else _ISOBARIC
-    top = staircase_monomial(n)
-    codes = {e: e for e in top.terms}
-    polys: Dict[tuple, Poly] = {perms.longest_element(n): top}
-    by_length = sorted(perms.all_perms(n), key=perms.length, reverse=True)
-    for w in by_length[1:]:
-        j, parent = recursion_parent(w)
-        terms = _closed_form(polys[parent], j, parts).terms
-        polys[w] = Poly({codes.setdefault(e, e): c for e, c in terms.items()}, n)
+    Proof: w = v.s_j has first ascent j and parent v exactly when
+    v(j) > v(j+1) and w(1) > ... > w(j).  For j < r both hold, the second
+    because w(j - 1) = v(j - 1) > v(j + 1) = w(j).  j = r is no descent of
+    v.  For j >= r + 2, w agrees with v at r and r + 1, an ascent before j.
+    For j = r + 1, w(r+1) = v(r+2), so w(1) > ... > w(r+1) iff
+    v(r) > v(r+2), which with v(r) < v(r+1) makes r + 1 a descent of v."""
+    n, r = len(v), 1
+    while r < n and v[r - 1] > v[r]:
+        r += 1
+    js = list(range(1, r))
+    if r + 1 <= n - 1 and v[r - 1] > v[r + 1]:
+        js.append(r + 1)
+    return [(j, v[: j - 1] + (v[j], v[j - 1]) + v[j + 1 :]) for j in js]
+
+
+def walk(v: tuple, f: Poly, step: Callable[[Poly, int], Poly]) -> Iterator[Tuple[tuple, Poly]]:
+    """(v, f), then (w, step(f_u, j)) for each w below v in the first-ascent
+    tree, depth first, with (j, u) = `recursion_parent(w)` and f_u what u
+    came with: (w, 𝔊_w) for f = 𝔊_v and step = π.  One step per edge.  The
+    stack holds the children still to visit beside their parent's
+    polynomial: at most one polynomial per level of the current path."""
+    yield v, f
+    stack = [(f, j, w) for j, w in first_ascent_children(v)]
+    while stack:
+        parent, j, w = stack.pop()
+        g = step(parent, j)
+        yield w, g
+        stack += [(g, k, u) for k, u in first_ascent_children(w)]
+
+
+def grothendieck(w: tuple) -> Poly:
+    """𝔊_w down its first-ascent chain: the staircase monomial at w_0, then
+    π_j along each step of `recursion_parent` from w_0 to w, that is
+    l(w_0) - l(w) <= n(n-1)/2 operator calls."""
+    step = recursion_parent(w)
+    if step is None:
+        return staircase_monomial(len(w))
+    return isobaric_divided_difference(grothendieck(step[1]), step[0])
+
+
+def build_table(n: int, flavor: str) -> PolynomialTable:
+    """The full table for S_n: the walk of the whole first-ascent tree from
+    the staircase monomial at w_0, with ∂_j (𝔖) or π_j (𝔊).  Equal codes in
+    the table are one shared int (S_n has at most n! distinct ones, the
+    points of the staircase box)."""
+    plain = functools.partial(_closed_form, parts=_PLAIN)
+    step = isobaric_divided_difference if flavor == "G" else plain
+    codes: Dict[int, int] = {}
+    polys = {
+        w: Poly({codes.setdefault(e, e): c for e, c in g.terms.items()}, n)
+        for w, g in walk(perms.longest_element(n), staircase_monomial(n), step)
+    }
     return PolynomialTable(n, flavor, polys)

@@ -159,7 +159,7 @@ def add(f: Poly, g: Poly) -> Poly:
 
 def divided_difference(f: Poly, j: int) -> Poly:
     """The operator (f - s_j.f) / (x_j - x_{j+1}), the 𝔖 step of the
-    recursion whose 𝔊 step the oracle applies: the engine's closed form
+    recursion whose 𝔊 step the walk applies: the engine's closed form
     (`poly._closed_form`) with the plain part alone, as `poly.build_table`
     applies it for 𝔖."""
     return poly._closed_form(f, j, poly._PLAIN)

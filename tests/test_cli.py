@@ -1,4 +1,3 @@
-import gc
 import hashlib
 import json
 import os
@@ -23,36 +22,24 @@ def _roundtrip(table, cache_dir):
 
 
 def _edit_g(monkeypatch, w, edit):
-    """Load 𝔊 tables in which 𝔊_w is edit(𝔊_w), as if the pipe dreams had
-    built it."""
-    real = cache.load_or_build
+    """Check edit(𝔊_w) at w, as if the walk had yielded it, while the walk
+    goes on from the true 𝔊_w."""
+    real = cli._check_one
 
-    def load(cache_dir, n, flavor):
-        table = real(cache_dir, n, flavor)
-        if flavor == "G":
-            table.polys[w] = edit(table[w])
-        return table
+    def check(config, u, g):
+        return real(config, u, edit(g) if u == w else g)
 
-    monkeypatch.setattr(cache, "load_or_build", load)
+    monkeypatch.setattr(cli, "_check_one", check)
 
 
 def _outside_box_g(monkeypatch, w):
-    """Load 𝔊 tables in which 𝔊_w is x_1^n, one past the staircase box of
-    S_n: it has a code (`poly.code`), and the packed support view refuses
-    it."""
+    """Check x_1^n at w, one past the staircase box of S_n: it has a code
+    (`poly.code`), and the packed support view refuses it."""
 
     def x1_to_the_n(g):
         return poly.Poly({poly.code((g.nvars,) + (0,) * (g.nvars - 1)): 1}, g.nvars)
 
     _edit_g(monkeypatch, w, x1_to_the_n)
-
-
-def _first_ascent_chain(w):
-    """w and each first-ascent parent w.s_j above it, up to w_0."""
-    chain = [w]
-    while ascents := perms.ascents(chain[-1]):
-        chain.append(perms.apply_s(chain[-1], ascents[0]))
-    return chain
 
 
 def _operator_calls(fn):
@@ -248,9 +235,9 @@ class TestCache:
             cache.read_table(path, 3, "G")
 
     def test_empty_body_is_refused(self, tmp_path, capsys):
-        """No 𝔊_w is zero: an empty body is a corrupt line, and a verify run
-        on the cache, with one job or two, names its file and line instead
-        of failing on the zero polynomial's degree."""
+        """No 𝔊_w is zero: an empty body is a corrupt line, and `--mode
+        cache`, the one mode that reads the cache, names its file and line
+        instead of keeping the file."""
         assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
         path = Path(cache.cache_path(str(tmp_path), 4, "G"))
         lines = path.read_text().splitlines(keepends=True)
@@ -259,12 +246,10 @@ class TestCache:
         path.write_text("".join(lines))
         capsys.readouterr()
         message = "corrupt cache line: empty polynomial; none in a table is zero"
-        for jobs in ("1", "2"):
-            argv = ["--n", "4", "--checks", "conj1", "--jobs", jobs, "--cache-dir", str(tmp_path)]
-            assert cli.main(argv) == 2
-            out, err = capsys.readouterr()
-            assert out == ""
-            assert err == f"error: {path}:3: {message}\n"
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == f"error: {path}:3: {message}\n"
 
     def test_warm_cache_skips_recompute(self, tmp_path, monkeypatch):
         real = pipedreams.pd_polynomial_all
@@ -317,91 +302,117 @@ class TestRun:
         assert report["summary"]["pass"] == 24
 
     def test_oracle_failure_witness(self, monkeypatch):
-        # The pipe-dream 𝔊_132 gains 5 x_2 + 7 x_1^2.  The step that fails is
-        # 𝔊_132 = π_1 𝔊_312, and x_1^2 comes before x_2 in term order.
+        # The walked 𝔊_132 gains 5 x_2 + 7 x_1^2.  132 has one ascent, k = 1,
+        # and π_1 sends 5 x_2 to 5 (x_1 + x_2 - 1): the constant term comes
+        # first in term order.
         extra = poly.parse_text("5:0,1,0;7:2,0,0", 3, {})
         _edit_g(monkeypatch, (1, 3, 2), lambda g: add(g, extra))
-        witness = {
-            "perm": "1,3,2",
-            "parent": "3,1,2",
-            "j": 1,
-            "exponent": [2, 0, 0],
-            "divided_differences": 0,
-            "pipe_dreams": 7,
-        }
+        witness = {"perm": "1,3,2", "k": 1, "exponent": [0, 0, 0], "expected": -5, "walked": 0}
         report, status = cli.run(cli.RunConfig(n=3, checks=("oracle",)))
         assert status == 1
         assert report["summary"]["failures"] == [{"perm": "1,3,2", "check": "oracle"}]
         assert report["results"][1]["checks"]["oracle"] == {"status": "fail", "witness": witness}
-        # 3,1,2 is checked against 𝔊_321 only, so it passes; --perm 1,2,3
-        # walks 1,2,3 -> 2,1,3 -> 2,3,1 -> 3,2,1, off the perturbed entry.
-        assert cli.run(cli.RunConfig(n=3, perm=(3, 1, 2), checks=("oracle",)))[1] == 0
+        # The walk goes on from the true 𝔊_132, so nothing else fails.
+        assert cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("oracle",)))[1] == 1
         assert cli.run(cli.RunConfig(n=3, perm=(1, 2, 3), checks=("oracle",)))[1] == 0
 
     def test_oracle_failure_witness_at_w0(self, monkeypatch):
-        # At w_0 the table is compared with the staircase monomial; the
-        # step has no parent and no j.
+        # At w_0 the walked 𝔊 is compared with the staircase monomial; there
+        # is no ascent k.
         _edit_g(monkeypatch, (3, 2, 1), lambda g: poly_of({(2, 1, 0): 1, (3, 0, 0): -2}, 3))
         report, status = cli.run(cli.RunConfig(n=3, perm=(3, 2, 1), checks=("oracle",)))
         assert status == 1
         assert report["results"][0]["checks"]["oracle"]["witness"] == {
             "perm": "3,2,1",
-            "parent": None,
-            "j": None,
+            "k": None,
             "exponent": [3, 0, 0],
-            "divided_differences": 0,
-            "pipe_dreams": -2,
+            "expected": 0,
+            "walked": -2,
         }
 
     @pytest.mark.parametrize("n", [3, 4])
-    def test_every_wrong_pipe_dream_polynomial_is_caught(self, monkeypatch, n):
-        """One term x_1^n (never a term of a 𝔊_w of S_n) added to the
-        pipe-dream 𝔊_u, for each u: the full sweep fails at u, with the
-        same report for one and two jobs, and --perm w fails exactly when u
-        is on w's first-ascent chain to w_0."""
-        extra = poly_of({(n,) + (0,) * (n - 1): 1}, n)
-        chains = {w: _first_ascent_chain(w) for w in perms.all_perms(n)}
+    def test_every_wrong_walked_polynomial_is_caught(self, monkeypatch, n):
+        """One term x_k added to the walked 𝔊_u, for each u != w_0 and k the
+        last ascent of u, the one the oracle checks: x^e with e_k != e_{k+1}
+        is not symmetric in x_k and x_{k+1}, so π_k moves it.  The full
+        sweep fails at u alone, with the same report for one and two jobs,
+        and --perm w fails exactly when w = u.
+
+        π_k cannot see a term symmetric in x_k and x_{k+1}, such as x_1^n
+        for k >= 2; the pipe-dream comparison of the tests and the euler
+        check can."""
+        top = perms.longest_element(n)
         for u in perms.all_perms(n):
+            if u == top:
+                continue
+            k = perms.ascents(u)[-1]
+            x_k = poly_of({tuple(int(i == k) for i in range(1, n + 1)): 1}, n)
             with monkeypatch.context() as m:
-                _edit_g(m, u, lambda g: add(g, extra))
+                _edit_g(m, u, lambda g: add(g, x_k))
                 reports = []
                 for jobs in (1, 2):
                     report, status = cli.run(cli.RunConfig(n=n, checks=("oracle",), jobs=jobs))
                     assert status == 1
                     reports.append(cli.render(report, "json"))
                 assert reports[0] == reports[1]
-                failed = [f["perm"] for f in report["summary"]["failures"]]
-                assert perms.format_perm(u) in failed, u
-                for w, chain in chains.items():
+                assert report["summary"]["failures"] == [{"perm": perms.format_perm(u), "check": "oracle"}]
+                entry = report["results"][perms.all_perms(n).index(u)]["checks"]["oracle"]
+                assert entry["witness"]["k"] == k
+                for w in perms.all_perms(n):
                     _, status = cli.run(cli.RunConfig(n=n, perm=w, checks=("oracle",)))
-                    assert status == (1 if u in chain else 0), (u, w)
+                    assert status == (1 if w == u else 0), (u, w)
+        # 1243 has last ascent 2, and x_1^4 is symmetric in x_2 and x_3.
+        if n == 4:
+            u = (1, 2, 4, 3)
+            _edit_g(monkeypatch, u, lambda g: add(g, poly_of({(4, 0, 0, 0): 1}, 4)))
+            report, status = cli.run(cli.RunConfig(n=4, perm=u, checks=("oracle", "euler")))
+            checks = report["results"][0]["checks"]
+            assert (checks["oracle"]["status"], checks["euler"]["status"]) == ("pass", "fail")
+
+    @pytest.mark.parametrize(
+        "parts", [((0, 1),), ((0, 1), (1, 1))], ids=["plain-d", "beta-plus-one"]
+    )
+    def test_broken_operator_fails_the_oracle(self, monkeypatch, parts):
+        """A wrong operator in place of `poly.isobaric_divided_difference`,
+        in the walk and the oracle alike: the plain d_j, or the sign of
+        β = +1, d_j((1 + x_{j+1}) f).  Neither is idempotent on what it
+        builds, so the oracle fails at every w != w_0 of S_5."""
+        monkeypatch.setattr(poly, "isobaric_divided_difference", lambda f, j: poly._closed_form(f, j, parts))
+        report, status = cli.run(cli.RunConfig(n=5, checks=("oracle",)))
+        assert status == 1
+        failed = [f["perm"] for f in report["summary"]["failures"]]
+        assert failed == [perms.format_perm(w) for w in perms.all_perms(5)[:-1]]
 
     def test_operator_calls(self, monkeypatch, tmp_path, capsys):
-        """The divided differences run only for the oracle: once per
-        permutation but w_0 in a full sweep, and once per step of the walk
-        to w_0 in a --perm run, at most n(n-1)/2.  No run builds the
-        divided-difference table."""
+        """The divided differences build every 𝔊 a verify or print run
+        reads: one per edge of the walk, n! - 1 over a full sweep, and one
+        per step of the chain from w_0, l(w_0) - l(w) for --perm w or
+        --mode print.  The oracle adds one per w != w_0.  `--mode cache`
+        builds from pipe dreams, and no run builds the divided-difference
+        table."""
 
         def refused(n, flavor):
-            raise AssertionError("cli.run built the divided-difference table")
+            raise AssertionError("a run built the divided-difference table")
 
         monkeypatch.setattr(poly, "build_table", refused)
-        for without_oracle in [
-            lambda: cli.run(cli.RunConfig(n=4, checks=("euler", "conj1"))),
-            lambda: cli.main(["--mode", "print", "--perm", "1432"]),
-            lambda: cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]),
+        for fn, expected in [
+            (lambda: cli.run(cli.RunConfig(n=4, checks=("euler", "conj1"))), 23),
+            (lambda: cli.main(["--mode", "print", "--perm", "1432"]), 6 - 3),
+            (lambda: cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]), 0),
         ]:
-            assert _operator_calls(without_oracle)[1] == 0
+            assert _operator_calls(fn)[1] == expected
         for n in (4, 5):
             (_, status), count = _operator_calls(lambda: cli.run(cli.RunConfig(n=n, checks=("oracle",))))
-            assert status == 0 and count == len(perms.all_perms(n)) - 1
-        # The walk from w has l(w_0) - l(w) steps: n(n-1)/2 = 15 at the identity.
+            assert status == 0 and count == 2 * (len(perms.all_perms(n)) - 1)
+        # The chain from w_0 has l(w_0) - l(w) steps: n(n-1)/2 = 15 at the
+        # identity.
         for w in [(1, 2, 3, 4, 5, 6), (6, 5, 4, 3, 2, 1), (2, 1, 4, 3, 6, 5), (1, 3, 2, 6, 5, 4)]:
             config = cli.RunConfig(n=6, perm=w, checks=("oracle",))
             (_, status), count = _operator_calls(lambda: cli.run(config))
-            assert status == 0 and count == 15 - perms.length(w)
+            assert status == 0 and count == 15 - perms.length(w) + (perms.length(w) < 15)
 
     def test_schubert_table_loaded_only_when_read(self, monkeypatch, tmp_path, capsys):
+        """Only `--mode cache` loads a table, and only it builds 𝔖."""
         real = cache.load_or_build
         loaded = []
 
@@ -419,12 +430,10 @@ class TestRun:
             cli.ALL_CHECKS,
         ]:
             loaded.clear()
-            _, status = cli.run(cli.RunConfig(n=4, checks=checks))
-            assert status == 0 and loaded == ["G"], checks
-        loaded.clear()
-        assert cli.main(["--mode", "print", "--perm", "1432"]) == 0
-        assert loaded == ["G"]
-        loaded.clear()
+            _, status = cli.run(cli.RunConfig(n=4, checks=checks, cache_dir=str(tmp_path)))
+            assert status == 0 and loaded == [], checks
+        assert cli.main(["--mode", "print", "--perm", "1432", "--cache-dir", str(tmp_path)]) == 0
+        assert loaded == []
         assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
         assert loaded == ["G", "S"]
 
@@ -644,10 +653,13 @@ class TestRun:
         )
 
     def test_workers_capped_by_targets(self, monkeypatch):
+        """No more workers than tasks: a --perm run is one task, and a full
+        sweep of S_n is n of them, w_0 alone and the subtree below each of
+        its n - 1 children."""
         requested = []
 
         class Recorder:
-            def __init__(self, max_workers, mp_context, initializer):
+            def __init__(self, max_workers, mp_context):
                 requested.append(max_workers)
 
             def __enter__(self):
@@ -656,7 +668,7 @@ class TestRun:
             def __exit__(self, *exc):
                 return False
 
-            def map(self, fn, items, chunksize):
+            def map(self, fn, items):
                 return map(fn, items)
 
         monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
@@ -664,27 +676,41 @@ class TestRun:
         report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
         assert requested == [] and len(report["results"]) == 1
         report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [6] and len(report["results"]) == 6
+        assert requested == [3] and len(report["results"]) == 6
         # No more workers than the CPUs the process may run on, and the
         # same report bytes.
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3})
         capped, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [6, 2] and cli.render(capped, "json") == cli.render(report, "json")
+        assert requested == [3, 2] and cli.render(capped, "json") == cli.render(report, "json")
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
         cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [6, 2]
+        assert requested == [3, 2]
 
-    def test_workers_freeze_what_they_inherit(self, monkeypatch):
-        """Each forked worker freezes the objects it inherits, so its
-        collections skip the table; the driver freezes nothing."""
+    def test_two_jobs_keep_the_n6_bytes(self, monkeypatch):
+        """Two workers split S_6 into its six tasks and give the report of
+        one process, byte for byte."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        one, two = (cli.render(cli.run(cli.RunConfig(n=6, jobs=jobs))[0], "json") for jobs in (1, 2))
+        assert one == two
 
-        def frozen(w, g):
-            return Verdict(True, info={"frozen": gc.get_freeze_count()})
+    def test_no_table_and_no_pipe_dreams(self, monkeypatch, capsys):
+        """Verify and print runs neither load a table nor build pipe dreams:
+        a full sweep with one job or two, a --perm run and --mode print all
+        pass with both refused."""
 
-        monkeypatch.setitem(cli.CHECKS, "euler", frozen)
-        report, status = cli.run(cli.RunConfig(n=4, checks=("euler",), jobs=2))
-        assert status == 0 and gc.get_freeze_count() == 0
-        assert all(r["checks"]["euler"]["info"]["frozen"] > 0 for r in report["results"])
+        def refused(*args):
+            raise AssertionError("a table of S_n was built or loaded")
+
+        monkeypatch.setattr(cache, "load_or_build", refused)
+        monkeypatch.setattr(pipedreams, "pd_polynomial_all", refused)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        for argv in [
+            ["--n", "5"],
+            ["--n", "5", "--jobs", "2"],
+            ["--perm", "15324"],
+            ["--perm", "15324", "--mode", "print"],
+        ]:
+            assert cli.main(argv) == 0, argv
 
     def test_determinism_across_jobs(self):
         config1 = cli.RunConfig(n=4, jobs=1)
@@ -783,7 +809,8 @@ class TestMain:
     def test_cache_mode_requires_dir(self, capsys):
         assert cli.main(["--n", "3", "--mode", "cache"]) == 2
 
-    @pytest.mark.parametrize("mode", ["verify", "print", "cache"])
+    # Only --mode cache reads the cache (`test_no_table_and_no_pipe_dreams`).
+    @pytest.mark.parametrize("mode", ["cache"])
     def test_corrupt_cache_is_an_error(self, tmp_path, capsys, mode):
         path = cache.cache_path(str(tmp_path), 3, "G")
         line = "1,2,3|1:0,0,0\n"
@@ -801,7 +828,7 @@ class TestMain:
             assert out == ""
             assert err == f"error: {path}:{message}\n"
 
-    @pytest.mark.parametrize("mode", ["verify", "print", "cache"])
+    @pytest.mark.parametrize("mode", ["cache"])
     def test_unusable_cache_dir_is_an_error(self, tmp_path, capsys, mode):
         blocker = tmp_path / "file"
         blocker.write_text("")

@@ -296,6 +296,33 @@ class TestTables:
     def test_schubert_is_lowest_degree_part_S7_slow(self):
         assert_schubert_is_lowest_degree_part(build_table(7, "G"), build_table(7, "S"))
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    def test_first_ascent_children(self, n):
+        """Every w != w_0 of S_n is a child of exactly one v, by the step
+        j of its `recursion_parent`: the walk visits each w once."""
+        parents = {}
+        for v in perms.all_perms(n):
+            for j, w in poly.first_ascent_children(v):
+                assert w not in parents, w
+                parents[w] = (j, v)
+        assert parents.keys() == set(perms.all_perms(n)) - {perms.longest_element(n)}
+        assert all(poly.recursion_parent(w) == step for w, step in parents.items())
+
+    def test_walk_and_chain(self, tables):
+        """The walks below the children of w_0, a full sweep's tasks, yield
+        each w != w_0 once, with 𝔊_w, the root first; the chain builds one
+        𝔊_w."""
+        table = tables[(5, "G")]
+        below = []
+        for _, v in poly.first_ascent_children((5, 4, 3, 2, 1)):
+            walked = list(poly.walk(v, table[v], isobaric_divided_difference))
+            assert walked[0] == (v, table[v])
+            assert all(g == table[w] for w, g in walked)
+            below += [w for w, _ in walked]
+        assert sorted(below) == perms.all_perms(5)[:-1]
+        for w in perms.all_perms(5):
+            assert poly.grothendieck(w) == table[w]
+
     def test_built_table_shares_vectors(self, tables):
         # Equal exponent vectors in a built table are one shared int, their
         # code.

@@ -10,8 +10,9 @@ compared with.
 The span tracer of the benchmark (`perfbench/tracer.py`) wraps grothpoly's
 layer boundaries by module attribute, so renaming one of them breaks every
 traced benchmark run.  A traced sweep must keep its report, record a span
-for each boundary, nest each build of P_w inside the mobius that asked for
-it, and leave every attribute as it found it.
+for each checker it times, nest each build of P_w inside the mobius that
+asked for it, build and load no table, and leave every attribute as it
+found it.
 
 What the checks of one permutation share is kept by one memo,
 `perms.last_call`: no one-slot `lru_cache`, no module global that a function
@@ -45,14 +46,13 @@ PACKAGE = Path(grothpoly.__file__).resolve().parent
 ROOT = Path(__file__).resolve().parents[1]
 PERFBENCH = ROOT / "perfbench"
 
-# Kept without a caller in the package: `build_table` runs the whole
-# divided-difference recursion, the reference table of the tests, and the
-# benchmark's tracer wraps it by name.
+# Kept without a caller in the package: `build_table` collects the walk of
+# all of S_n, the reference table of the tests, and the benchmark's tracer
+# wraps it by name.
 ALLOWED = {("poly", "build_table")}
 
-# The module globals that functions rebind: a counter and the forked
-# workers' shared context, neither of them a memo.
-GLOBALS = {"OPERATOR_APPLICATIONS", "_CTX"}
+# The module globals that functions rebind: a counter, not a memo.
+GLOBALS = {"OPERATOR_APPLICATIONS"}
 
 
 def _names(node):
@@ -249,15 +249,16 @@ def test_perfbench_tracer_fits_the_package(monkeypatch):
     checkers = [f"posets.check_conjecture_{k}" for k in ("1", "2", "3", "coeff", "mobius")] + [
         f"polytopes.check_{k}" for k in ("conjecture_4", "superset", "fms", "prop_converse")
     ]
-    expected = ["pipedreams.pd_polynomial_all", "cache.load_or_build"]
-    assert set(expected + checkers) - names == set()
+    assert set(checkers) - names == set()
+    # The sweep walks the first-ascent tree: no pipe dreams, no cache.
+    assert {"pipedreams.pd_polynomial_all", "cache.load_or_build"} & names == set()
     # mobius builds its own P_w through the module global, so each traced
     # build is a child of a mobius span.
     by_id = {span["id"]: span["name"] for span in spans.spans}
     builds = [span for span in spans.spans if span["name"] == "posets.build_Pw"]
     assert "posets.mobius" in names and builds
     assert {by_id.get(span["parent"]) for span in builds} == {"posets.mobius"}
-    # The oracle checks the one table step by step: no second table.
+    # Nor the divided-difference table.
     assert "poly.build_table" not in names
     after = _functions(modules)
     assert after.keys() == before.keys()
