@@ -7,8 +7,9 @@ is one task, its w alone.  A task builds its root's 𝔊 by the chain from
 w_0 (`poly.grothendieck`), walks its subtree (`poly.walk`), and checks
 each 𝔊_w as it is made, then drops it.  The tasks run in this process
 with `--jobs 1`, else in forked workers, and their (w, record) pairs are
-sorted into `perms.all_perms` order.  `--mode print` builds its one 𝔊_w
-by the chain.  Only `--mode cache` calls `cache`.
+sorted into `perms.all_perms` order.  A report's entries and check tables
+are shared and read-only, and mutating one raises TypeError.  `--mode
+print` builds its one 𝔊_w by the chain.  Only `--mode cache` calls `cache`.
 """
 from __future__ import annotations
 
@@ -116,6 +117,7 @@ class RunConfig:
         repeated = {name for name in self.checks if self.checks.count(name) > 1}
         if repeated:
             raise ValueError(f"repeated checks: {sorted(repeated)}")
+        self.checks = tuple(self.checks)
         if self.jobs < 1:
             raise ValueError("jobs must be >= 1")
         if self.perm is not None:
@@ -124,9 +126,66 @@ class RunConfig:
                 raise ValueError("--perm length must match --n")
 
 
+class _Frozen(dict):
+    """A read-only dict: an entry of a report, a check table, or a dict
+    inside an entry.  Its mutators raise TypeError, and it pickles and
+    copies as a plain dict rebuilt, so the JSON encoder, equality with a
+    dict, pickle and copy all take it as a dict."""
+
+    __slots__ = ()
+
+    def _read_only(self, *args, **kwargs):
+        raise TypeError("a report's entries and check tables are read-only")
+
+    __setitem__ = __delitem__ = __ior__ = _read_only
+    clear = pop = popitem = setdefault = update = _read_only
+
+    def __reduce__(self):
+        return self.__class__, (dict(self),)
+
+
+# The classes of the info values of a shared entry: two equal values of one
+# class render alike, but True == 1 == 1.0 render apart, so a key holds each
+# value beside its class.
+_ATOMS = frozenset({str, int, bool, type(None)})
+# The shared entries by verdict key, the ids of those entries, and the
+# shared check tables by names and entry ids.  A shared entry lives as long
+# as the process, so its id names it for good.
+_ENTRIES: dict = {}
+_SHARED: set = set()
+_TABLES: dict = {}
+
+
+def _verdict_key(v: Verdict) -> Optional[tuple]:
+    """(class, ok, detail, info) of a verdict whose entry is shared: one
+    without a witness, whose detail is a str and whose info maps str to
+    `_ATOMS`.  None for any other."""
+    if v.witness is not None or v.detail.__class__ is not str or v.info.__class__ is not dict:
+        return None
+    info = []
+    for k, x in v.info.items():
+        if k.__class__ is not str or x.__class__ not in _ATOMS:
+            return None
+        info += k, x.__class__, x
+    return v.__class__, not v.ok, v.detail, tuple(info)
+
+
 def _from_verdict(v: Verdict) -> dict:
+    """The report entry of a verdict: the shared one of its key
+    (`_verdict_key`), else built fresh."""
+    key = _verdict_key(v)
+    if key is None:
+        return _entry(v)
+    entry = _ENTRIES.get(key)
+    if entry is None:
+        entry = _ENTRIES[key] = _entry(v)
+        _SHARED.add(id(entry))
+    return entry
+
+
+def _entry(v: Verdict) -> dict:
     if isinstance(v, NotApplicable):
-        return {"status": "skip", "reason": v.detail}
+        return _Frozen(status="skip", reason=v.detail)
     out = {"status": "pass" if v.ok else "fail"}
     if v.witness is not None:
         out["witness"] = _jsonable(v.witness)
@@ -134,7 +193,7 @@ def _from_verdict(v: Verdict) -> dict:
         out["detail"] = v.detail
     if v.info:
         out["info"] = _jsonable(v.info)
-    return out
+    return _Frozen(out)
 
 
 def _jsonable(obj):
@@ -142,7 +201,7 @@ def _jsonable(obj):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [_jsonable(x) for x in items]
     if isinstance(obj, dict):
-        return {str(k): _jsonable(v) for k, v in obj.items()}
+        return _Frozen((str(k), _jsonable(v)) for k, v in obj.items())
     return obj
 
 
@@ -156,21 +215,35 @@ def _run_check(name: str, w, g) -> dict:
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
-        return {"status": "error", "witness": f"{type(exc).__name__}: {exc}"}
+        return _Frozen(status="error", witness=f"{type(exc).__name__}: {exc}")
 
 
 def _check_one(config: RunConfig, w: tuple, g: poly.Poly) -> dict:
     started = time.perf_counter()
+    entries = [_run_check(name, w, g) for name in config.checks]
     record = {
         "perm": perms.format_perm(w),
         "length": perms.length(w),
         "deg_g": g.degree(),
         "rajcode": list(perms.rajcode(w)),
-        "checks": {name: _run_check(name, w, g) for name in config.checks},
+        "checks": _table(config.checks, entries),
     }
     if config.timings:
         record["seconds"] = round(time.perf_counter() - started, 6)
     return record
+
+
+def _table(names: tuple, entries: list) -> dict:
+    """The read-only check table of one record: when every entry is shared,
+    the one table per process of these names and entries."""
+    ids = tuple(map(id, entries))
+    if not _SHARED.issuperset(ids):
+        return _Frozen(zip(names, entries))
+    key = (names, ids)
+    table = _TABLES.get(key)
+    if table is None:
+        table = _TABLES[key] = _Frozen(zip(names, entries))
+    return table
 
 
 def _sweep(task: tuple) -> list:
@@ -244,34 +317,32 @@ def run(config: RunConfig) -> Tuple[dict, int]:
 _CONSTANTS = {True: "true", False: "false", None: "null"}
 
 
-def _json(obj, indent: str) -> str:
+def _json(obj, indent: str, memo: dict) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it when its
     first line is indented by `indent`: a dict's members in key order, one
     line each, two spaces further in.  Strings go to the C escaper and a
     finite float (from --timings) to float.__repr__, as json.dumps writes
     them; what else is rare (NaN, infinities, a dict with a key that is not
     a string) goes to json.dumps, its lines after the first indented the
-    same."""
+    same.  A `_Frozen` is rendered once per (identity, indent) into `memo`,
+    which is exact: it cannot change, and the report holding it keeps it,
+    and so its id, alive while it renders."""
     cls = obj.__class__
     if cls is str:
         return _string(obj)
+    if cls is _Frozen:
+        key = (id(obj), indent)
+        text = memo.get(key)
+        if text is None:
+            text = memo[key] = _json_dict(obj, indent, memo)
+        return text
     if cls is dict:
-        if not obj:
-            return "{}"
-        inner = indent + "  "
-        try:
-            members = [
-                _string(k) + ": " + (_string(v) if v.__class__ is str else _json(v, inner))
-                for k, v in sorted(obj.items())
-            ]
-        except TypeError:  # a key that is not a string, which json.dumps converts
-            return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-        return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+        return _json_dict(obj, indent, memo)
     if cls is list or cls is tuple:
         if not obj:
             return "[]"
         inner = indent + "  "
-        members = [int.__repr__(v) if v.__class__ is int else _json(v, inner) for v in obj]
+        members = [int.__repr__(v) if v.__class__ is int else _json(v, inner, memo) for v in obj]
         return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
     if cls is int:
         return int.__repr__(obj)
@@ -282,15 +353,31 @@ def _json(obj, indent: str) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
+def _json_dict(obj: dict, indent: str, memo: dict) -> str:
+    if not obj:
+        return "{}"
+    inner = indent + "  "
+    try:
+        members = [
+            _string(k) + ": " + (_string(v) if v.__class__ is str else _json(v, inner, memo))
+            for k, v in sorted(obj.items())
+        ]
+    except TypeError:  # a key that is not a string, which json.dumps converts
+        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
+    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+
+
 def _render_json(report: dict) -> str:
     """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n",
     without the pure-Python encoder, which json.dumps uses whenever there is
     an indent.  Each value under the report's keys, a record among them, is
     one string (`_json`); the pieces of the top two levels go into one list,
-    joined once, so rendering holds those strings and the result."""
+    joined once, so rendering holds those strings and the result.  A shared
+    entry or check table is rendered once per call."""
     if not report:
         return "{}\n"
     out = []
+    memo = {}
     head = "{\n  "
     for key, value in sorted(report.items()):
         out.append(head + _string(key) + ": ")
@@ -299,11 +386,11 @@ def _render_json(report: dict) -> str:
             sep = "[\n    "
             for item in value:
                 out.append(sep)
-                out.append(_json(item, "    "))
+                out.append(_json(item, "    ", memo))
                 sep = ",\n    "
             out.append("\n  ]")
         else:
-            out.append(_json(value, "  "))
+            out.append(_json(value, "  ", memo))
     out.append("\n}\n")
     return "".join(out)
 

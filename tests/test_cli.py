@@ -1,6 +1,9 @@
+import copy
 import hashlib
 import json
+import operator
 import os
+import pickle
 import tracemalloc
 from pathlib import Path
 
@@ -535,6 +538,18 @@ class TestRun:
         assert status == 0
         assert hashlib.sha256(cli.render(report, "json").encode()).hexdigest() == expected
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_default_text_bytes(self, monkeypatch, jobs):
+        """`--n 5 --format text`, pinned beside the JSON reports above, with
+        one job or two."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        report, status = cli.run(cli.RunConfig(n=5, jobs=jobs))
+        assert status == 0
+        text = cli.render(report, "text").encode()
+        assert hashlib.sha256(text).hexdigest() == (
+            "1fe3e934a7ea990143b209de38c8a6ef095a36448c2aa4c86be7890936a17a64"
+        )
+
     def test_json_render_is_json_dumps(self, monkeypatch, capsys):
         """Every kind of entry renders to the bytes of json.dumps, across
         several blocks of encoder chunks: the 𝔊_w outside the staircase box gives error
@@ -591,6 +606,107 @@ class TestRun:
         finally:
             tracemalloc.stop()
         assert peak < 3 * len(text)
+
+    def test_task_result_pickles_each_shared_outcome_once(self):
+        """A subtree task of S_5 pickled as a worker returns it: one object
+        per distinct entry and per distinct check table, where the records
+        outnumber both."""
+        config = cli.RunConfig(n=5)
+        config.validate()
+        (_, root), *_ = poly.first_ascent_children(perms.longest_element(5))
+        pairs = pickle.loads(pickle.dumps(cli._sweep((config, root, True))))
+        tables = [record["checks"] for _, record in pairs]
+        entries = [entry for table in tables for entry in table.values()]
+        for objects in (tables, entries):
+            distinct = {json.dumps(o, sort_keys=True) for o in objects}
+            assert len({id(o) for o in objects}) == len(distinct) < len(pairs)
+
+    def test_entries_and_tables_are_read_only(self):
+        """Mutating a shared entry, a dict inside one, or a check table
+        raises TypeError and changes nothing; a deep copy and a pickle round
+        trip give an equal object of the same type."""
+        report, _ = cli.run(cli.RunConfig(n=4))
+        table = report["results"][5]["checks"]
+        entry, info = table["converse"], table["converse"]["info"]
+        mutators = [
+            lambda d: d.__setitem__("status", "fail"),
+            lambda d: d.__delitem__(next(iter(d))),
+            lambda d: d.clear(),
+            lambda d: d.pop(next(iter(d))),
+            lambda d: d.popitem(),
+            lambda d: d.setdefault("extra", 1),
+            lambda d: d.update(extra=1),
+            lambda d: operator.ior(d, {"extra": 1}),
+        ]
+        for obj in (table, entry, info):
+            before = dict(obj)
+            for mutate in mutators:
+                with pytest.raises(TypeError):
+                    mutate(obj)
+            assert obj == before
+            for again in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+                assert again == obj and type(again) is type(obj)
+
+    @pytest.mark.parametrize("broken", [False, True])
+    @pytest.mark.parametrize("timings", [False, True])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_render_of_shared_outcomes(self, monkeypatch, capsys, jobs, timings, broken):
+        """A report of shared entries and tables renders as its plain JSON
+        copy does, and without the json.dumps fallback: every value in it is
+        one the renderer knows.  With a failing and a raising checker
+        patched in, the two failing records keep their own witness
+        entries."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        failing = {(1, 3, 2, 4): "one", (2, 1, 4, 3): "two"}
+        if broken:
+            real_2, real_3 = posets.check_conjecture_2, posets.check_conjecture_3
+
+            def fails(w, g):
+                return Verdict(False, witness=[failing[w], w]) if w in failing else real_2(w, g)
+
+            def raises(w, g):
+                if w == (4, 3, 2, 1):
+                    raise RuntimeError("boom")
+                return real_3(w, g)
+
+            monkeypatch.setattr(posets, "check_conjecture_2", fails)
+            monkeypatch.setattr(posets, "check_conjecture_3", raises)
+        report, status = cli.run(cli.RunConfig(n=4, jobs=jobs, timings=timings))
+        capsys.readouterr()
+        assert status == (3 if broken else 0)
+        plain = json.loads(json.dumps(report))
+
+        def no_fallback(*args, **kwargs):
+            raise AssertionError("json.dumps fallback")
+
+        monkeypatch.setattr(cli.json, "dumps", no_fallback)
+        assert cli.render(report, "json") == cli.render(plain, "json")
+        if broken:
+            records = {r["perm"]: r["checks"] for r in report["results"]}
+            one, two = (records[perms.format_perm(w)]["conj2"] for w in failing)
+            assert one["witness"] == ["one", [1, 3, 2, 4]] and two["witness"] == ["two", [2, 1, 4, 3]]
+            assert records["4,3,2,1"]["conj3"] == {"status": "error", "witness": "RuntimeError: boom"}
+
+    @pytest.mark.parametrize(
+        "info, rendered",
+        [
+            ({"x": [1, 2]}, '{"x": [1, 2]}'),
+            # True == 1 == 1.0, but each renders its own way.
+            ({"x": True}, '{"x": true}'),
+            ({"x": 1}, '{"x": 1}'),
+            ({"x": 1.0}, '{"x": 1.0}'),
+        ],
+    )
+    def test_info_is_reported_as_given(self, monkeypatch, info, rendered):
+        """A passing verdict's info reaches the report as the checker gave
+        it, hashable or not, and shared or not."""
+        monkeypatch.setattr(posets, "check_conjecture_1", lambda w, g: Verdict(True, info=info))
+        report, status = cli.run(cli.RunConfig(n=3, checks=("conj1",)))
+        assert status == 0
+        for record in report["results"]:
+            entry = record["checks"]["conj1"]
+            assert entry == {"status": "pass", "info": info}
+            assert json.dumps(entry["info"]) == rendered
 
     def test_poset_checks_share_one_view(self, monkeypatch):
         """Every check that reads a support reads the one view of 𝔊_w:
