@@ -9,16 +9,20 @@ each 𝔊_w as it is made, then drops it.  The tasks run in this process
 with `--jobs 1`, else in forked workers, and their (w, record) pairs are
 sorted into `perms.all_perms` order.  A report's entries and check tables
 are shared and read-only, and mutating one raises TypeError.  `--mode
-print` builds its one 𝔊_w by the chain.  Only `--mode cache` calls `cache`.
+print` builds its one 𝔊_w by the chain.
+
+A run imports what its mode uses.  Verify and print runs import neither
+`cache` nor `pipedreams`; `--mode cache` imports both, to build and write
+its tables.  Only a verify run with two or more workers imports
+`concurrent.futures` and `multiprocessing` and asks for the usable CPUs,
+so `--jobs 1` makes no CPU-affinity call.
 """
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import itertools
 import json
 import math
-import multiprocessing
 import os
 import sys
 import time
@@ -28,7 +32,7 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from . import cache, perms, poly, posets, polytopes
+from . import perms, poly, posets, polytopes
 from .verdicts import NotApplicable, Verdict
 
 ENGINE = "grothpoly 0.1.0"
@@ -267,12 +271,20 @@ def run(config: RunConfig) -> Tuple[dict, int]:
         tasks += [(config, w, True) for _, w in poly.first_ascent_children(top)]
 
     # The fork context starts every worker up front: no more than the tasks
-    # or the CPUs this process may run on.  Each task carries what it needs,
-    # so a worker inherits no state of the run.
-    workers = min(config.jobs, len(tasks), len(os.sched_getaffinity(0)))
+    # or the CPUs this process may run on, its affinity set where the
+    # platform has one (Linux), else every CPU.  Each task carries what it
+    # needs, so a worker inherits no state of the run.  One worker needs
+    # neither the CPU count nor the pool's modules.
+    workers = min(config.jobs, len(tasks))
+    if workers > 1:
+        cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+        workers = min(workers, cpus or 1)
     if workers == 1:
         done = list(map(_sweep, tasks))
     else:
+        import concurrent.futures
+        import multiprocessing
+
         mp = multiprocessing.get_context("fork")
         with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=mp) as pool:
             done = list(pool.map(_sweep, tasks))
@@ -503,6 +515,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         elif args.mode == "cache":
             if not config.cache_dir:
                 raise ValueError("--mode cache requires --cache-dir")
+            from . import cache
+
             cache.load_or_build(config.cache_dir, config.n, "G")
             cache.load_or_build(config.cache_dir, config.n, "S")
             out, status = "", 0

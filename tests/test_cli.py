@@ -1,9 +1,12 @@
+import concurrent.futures
 import copy
 import hashlib
 import json
 import operator
 import os
 import pickle
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 
@@ -43,6 +46,28 @@ def _outside_box_g(monkeypatch, w):
         return poly.Poly({poly.code((g.nvars,) + (0,) * (g.nvars - 1)): 1}, g.nvars)
 
     _edit_g(monkeypatch, w, x1_to_the_n)
+
+
+def _recording_pool(monkeypatch) -> list:
+    """The max_workers of each pool `cli.run` makes, with the pool replaced
+    by one that maps in this process."""
+    requested = []
+
+    class Recorder:
+        def __init__(self, max_workers, mp_context):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return map(fn, items)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
+    return requested
 
 
 def _operator_calls(fn):
@@ -772,22 +797,7 @@ class TestRun:
         """No more workers than tasks: a --perm run is one task, and a full
         sweep of S_n is n of them, w_0 alone and the subtree below each of
         its n - 1 children."""
-        requested = []
-
-        class Recorder:
-            def __init__(self, max_workers, mp_context):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(cli.concurrent.futures, "ProcessPoolExecutor", Recorder)
+        requested = _recording_pool(monkeypatch)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
         report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
         assert requested == [] and len(report["results"]) == 1
@@ -953,6 +963,61 @@ class TestMain:
         out, err = capsys.readouterr()
         assert out == ""
         assert err == f"error: [Errno 20] Not a directory: {cache_dir!r}\n"
+
+    def test_runs_without_cpu_affinity(self, monkeypatch, capsys):
+        """`os.sched_getaffinity` exists only on Linux.  Without it one job
+        keeps the report's bytes, as it asks for no CPU count, and more jobs
+        are capped by `os.cpu_count`."""
+        assert cli.main(["--n", "4"]) == 0
+        expected = capsys.readouterr().out
+        requested = _recording_pool(monkeypatch)
+        monkeypatch.delattr(os, "sched_getaffinity")
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert cli.main(["--n", "4"]) == 0
+        assert capsys.readouterr().out == expected and requested == []
+        assert cli.main(["--n", "4", "--jobs", "8"]) == 0
+        assert capsys.readouterr().out == expected and requested == [2]
+
+    # Runs in a fresh interpreter, as pytest has imported every module
+    # watched here.  It gives the run two CPUs, so that `--jobs 2` makes a
+    # pool on any machine.
+    CHILD = """
+import contextlib, io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+from grothpoly import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    status = cli.main(sys.argv[1:])
+watched = ("multiprocessing", "concurrent.futures", "grothpoly.cache", "grothpoly.pipedreams")
+print(json.dumps([status, [name for name in watched if name in sys.modules]]))
+"""
+
+    @pytest.mark.parametrize(
+        "argv, loaded",
+        [
+            (["--n", "4"], []),
+            (["--perm", "2143"], []),
+            (["--perm", "2143", "--mode", "print"], []),
+            (["--mode", "cache", "--n", "3"], ["grothpoly.cache", "grothpoly.pipedreams"]),
+            (["--n", "4", "--jobs", "2"], ["multiprocessing", "concurrent.futures"]),
+        ],
+        ids=["verify", "perm", "print", "cache", "jobs2"],
+    )
+    def test_a_run_imports_what_it_uses(self, tmp_path, argv, loaded):
+        """A run imports the pool's modules only to make a pool, and `cache`
+        and `pipedreams` only for `--mode cache`."""
+        if "cache" in argv:
+            argv = argv + ["--cache-dir", str(tmp_path)]
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=src)
+        child = subprocess.run(
+            [sys.executable, "-c", self.CHILD, *argv],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert json.loads(child.stdout) == [0, loaded]
 
     def test_print_mode_requires_perm(self, capsys):
         assert cli.main(["--n", "3", "--mode", "print"]) == 2
