@@ -5,22 +5,28 @@ A verify run holds no table of S_n.  Its tasks are w_0 alone and the
 subtree below each child of w_0 in the first-ascent tree; a `--perm` run
 is one task, its w alone.  A task builds its root's 𝔊 by the chain from
 w_0 (`poly.grothendieck`), walks its subtree (`poly.walk`), and checks
-each 𝔊_w as it is made, then drops it.  The tasks run in this process
-with `--jobs 1`, else in forked workers, and their (w, record) pairs are
-sorted into `perms.all_perms` order.  A report's entries and check tables
-are shared and read-only, and mutating one raises TypeError.  `--mode
-print` builds its one 𝔊_w by the chain.
+each 𝔊_w as it is made, then drops it.  With `--jobs 1` the tasks run in
+this process.  With k > 1 workers, k - 1 children are forked and every
+process, this one included, takes task indices from one pipe until it is
+empty; each child sends its (w, record) pairs back as one pickle, and no
+child outlives `run` (`_fork_join`).  The pairs are sorted into
+`perms.all_perms` order.
+
+A passing check returns a shared verdict (`verdicts.shared`) and
+constructs nothing; each shared verdict has one report entry, and a
+record whose entries are all shared has one check table per process.  A
+report's entries and check tables are read-only, and mutating one raises
+TypeError.  `--mode print` builds its one 𝔊_w by the chain.
 
 A run imports what its mode uses.  Verify and print runs import neither
 `cache` nor `pipedreams`; `--mode cache` imports both, to build and write
-its tables.  Only a verify run with two or more workers imports
-`concurrent.futures` and `multiprocessing` and asks for the usable CPUs,
-so `--jobs 1` makes no CPU-affinity call.
+its tables.  No run imports `concurrent.futures` or `multiprocessing`.
+Only a verify run with two or more workers imports `pickle` and `signal`
+and asks for the usable CPUs, so `--jobs 1` makes no CPU-affinity call.
 """
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import os
@@ -32,8 +38,8 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from . import perms, poly, posets, polytopes
-from .verdicts import NotApplicable, Verdict
+from . import perms, poly, posets, polytopes, verdicts
+from .verdicts import PASS, Frozen, NotApplicable, Verdict
 
 ENGINE = "grothpoly 0.1.0"
 
@@ -56,7 +62,7 @@ def _oracle(w, g) -> Verdict:
     expected = poly.isobaric_divided_difference(g, k) if ascents else poly.staircase_monomial(n)
     walked, wanted = g.terms, expected.terms
     if walked == wanted:
-        return Verdict(True)
+        return PASS
     differ = (e for e in walked.keys() | wanted.keys() if walked.get(e, 0) != wanted.get(e, 0))
     expo = min(differ, key=((1 << 8 * n) - 1).__and__)  # term order: the degree masked off
     witness = {
@@ -71,7 +77,7 @@ def _oracle(w, g) -> Verdict:
 
 def _euler(w, g) -> Verdict:
     total = g.principal_specialization()
-    return Verdict(True) if total == 1 else Verdict(False, witness=total)
+    return PASS if total == 1 else Verdict(False, witness=total)
 
 
 # Each check maps (w, G_w) to a Verdict, NotApplicable when its statement
@@ -130,66 +136,16 @@ class RunConfig:
                 raise ValueError("--perm length must match --n")
 
 
-class _Frozen(dict):
-    """A read-only dict: an entry of a report, a check table, or a dict
-    inside an entry.  Its mutators raise TypeError, and it pickles and
-    copies as a plain dict rebuilt, so the JSON encoder, equality with a
-    dict, pickle and copy all take it as a dict."""
-
-    __slots__ = ()
-
-    def _read_only(self, *args, **kwargs):
-        raise TypeError("a report's entries and check tables are read-only")
-
-    __setitem__ = __delitem__ = __ior__ = _read_only
-    clear = pop = popitem = setdefault = update = _read_only
-
-    def __reduce__(self):
-        return self.__class__, (dict(self),)
-
-
-# The classes of the info values of a shared entry: two equal values of one
-# class render alike, but True == 1 == 1.0 render apart, so a key holds each
-# value beside its class.
-_ATOMS = frozenset({str, int, bool, type(None)})
-# The shared entries by verdict key, the ids of those entries, and the
-# shared check tables by names and entry ids.  A shared entry lives as long
-# as the process, so its id names it for good.
-_ENTRIES: dict = {}
-_SHARED: set = set()
-_TABLES: dict = {}
-
-
-def _verdict_key(v: Verdict) -> Optional[tuple]:
-    """(class, ok, detail, info) of a verdict whose entry is shared: one
-    without a witness, whose detail is a str and whose info maps str to
-    `_ATOMS`.  None for any other."""
-    if v.witness is not None or v.detail.__class__ is not str or v.info.__class__ is not dict:
-        return None
-    info = []
-    for k, x in v.info.items():
-        if k.__class__ is not str or x.__class__ not in _ATOMS:
-            return None
-        info += k, x.__class__, x
-    return v.__class__, not v.ok, v.detail, tuple(info)
-
-
 def _from_verdict(v: Verdict) -> dict:
-    """The report entry of a verdict: the shared one of its key
-    (`_verdict_key`), else built fresh."""
-    key = _verdict_key(v)
-    if key is None:
-        return _entry(v)
-    entry = _ENTRIES.get(key)
-    if entry is None:
-        entry = _ENTRIES[key] = _entry(v)
-        _SHARED.add(id(entry))
-    return entry
+    """The report entry of a verdict: the one shared entry of a shared
+    verdict (`verdicts.shared`), else built fresh."""
+    entry = _ENTRIES.get(id(v))
+    return _entry(v) if entry is None else entry
 
 
 def _entry(v: Verdict) -> dict:
     if isinstance(v, NotApplicable):
-        return _Frozen(status="skip", reason=v.detail)
+        return Frozen(status="skip", reason=v.detail)
     out = {"status": "pass" if v.ok else "fail"}
     if v.witness is not None:
         out["witness"] = _jsonable(v.witness)
@@ -197,7 +153,7 @@ def _entry(v: Verdict) -> dict:
         out["detail"] = v.detail
     if v.info:
         out["info"] = _jsonable(v.info)
-    return _Frozen(out)
+    return Frozen(out)
 
 
 def _jsonable(obj):
@@ -205,8 +161,17 @@ def _jsonable(obj):
         items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
         return [_jsonable(x) for x in items]
     if isinstance(obj, dict):
-        return _Frozen((str(k), _jsonable(v)) for k, v in obj.items())
+        return Frozen((str(k), _jsonable(v)) for k, v in obj.items())
     return obj
+
+
+# The entry of each shared verdict by its id, and the ids of those entries.
+# A shared verdict and its entry live as long as the process, so an id names
+# each for good.
+_ENTRIES = {id(v): _entry(v) for v in verdicts.SHARED}
+_SHARED = set(map(id, _ENTRIES.values()))
+# The shared check tables by names and entry ids.
+_TABLES: dict = {}
 
 
 def _run_check(name: str, w, g) -> dict:
@@ -219,7 +184,7 @@ def _run_check(name: str, w, g) -> dict:
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
-        return _Frozen(status="error", witness=f"{type(exc).__name__}: {exc}")
+        return Frozen(status="error", witness=f"{type(exc).__name__}: {exc}")
 
 
 def _check_one(config: RunConfig, w: tuple, g: poly.Poly) -> dict:
@@ -242,11 +207,11 @@ def _table(names: tuple, entries: list) -> dict:
     the one table per process of these names and entries."""
     ids = tuple(map(id, entries))
     if not _SHARED.issuperset(ids):
-        return _Frozen(zip(names, entries))
+        return Frozen(zip(names, entries))
     key = (names, ids)
     table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[key] = _Frozen(zip(names, entries))
+        table = _TABLES[key] = Frozen(zip(names, entries))
     return table
 
 
@@ -260,6 +225,94 @@ def _sweep(task: tuple) -> list:
     return [(w, _check_one(config, w, f)) for w, f in pairs]
 
 
+def _take(queue: int, tasks: list) -> list:
+    """The (w, record) pairs of each task whose index this process reads
+    from the queue, a pipe of one byte per index, until it is empty."""
+    pairs = []
+    while index := os.read(queue, 1):
+        pairs += _sweep(tasks[index[0]])
+    return pairs
+
+
+class WorkerError(RuntimeError):
+    """A forked worker died, or its task raised: the message names the
+    worker and how it ended, and the worker's traceback, if it sent one, is
+    the cause."""
+
+
+def _worker(queue: int, tasks: list, read: int, out: int) -> None:
+    """A forked child's whole life: close `read`, the read end of its
+    pipe, so a write fails if the parent is gone, take tasks (`_take`),
+    write one pickle of (None, pairs), or of (the traceback, None) if that
+    raised an Exception, to `out`, and exit, with status 0 once the pickle
+    is written.  It never returns, so nothing of the parent's call stack runs
+    twice."""
+    import pickle
+
+    status = 1
+    try:
+        os.close(read)
+        try:
+            sent = pickle.dumps((None, _take(queue, tasks)))
+        except Exception:
+            sent = pickle.dumps((traceback.format_exc(), None))
+        with open(out, "wb") as pipe:
+            pipe.write(sent)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _fork_join(tasks: list, workers: int) -> list:
+    """The (w, record) pairs of every task, over this process and
+    workers - 1 forked children.  Every process, this one included, takes
+    task indices from one pipe filled before the first fork, until it is
+    empty.  Each child sends its pairs, or the traceback of what it raised,
+    as one pickle over its own pipe and exits; this process reads each
+    child's pickle to the end, then reaps the child.  Whether it returns or
+    raises, no child outlives it: any child not yet reaped is killed and
+    reaped."""
+    import pickle
+    import signal
+
+    assert len(tasks) <= 256, "one byte per task index"
+    queue, fill = os.pipe()
+    os.write(fill, bytes(range(len(tasks))))
+    os.close(fill)
+    children = []  # (pid, the read end of its pipe), not yet reaped
+    try:
+        for _ in range(workers - 1):
+            read, write = os.pipe()
+            pid = os.fork()
+            if pid == 0:
+                _worker(queue, tasks, read, write)
+            os.close(write)
+            children.append((pid, open(read, "rb")))
+        done = _take(queue, tasks)
+        while children:
+            pid, pipe = children[0]
+            sent = pipe.read()
+            status = os.waitpid(pid, 0)[1]
+            del children[0]
+            pipe.close()
+            code = os.waitstatus_to_exitcode(status)
+            if code < 0:
+                raise WorkerError(f"worker {pid} was killed by {signal.Signals(-code).name}")
+            if code:
+                raise WorkerError(f"worker {pid} exited with status {code}")
+            trace, pairs = pickle.loads(sent)
+            if trace is not None:
+                raise WorkerError(f"worker {pid}: {trace.splitlines()[-1]}") from WorkerError(trace)
+            done += pairs
+        return done
+    finally:
+        os.close(queue)
+        for pid, pipe in children:
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
 def run(config: RunConfig) -> Tuple[dict, int]:
     """Execute the configured batch; return (report, exit_status), where the
     status is 3 if any checker raised, else 1 if any check failed, else 0."""
@@ -270,25 +323,19 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     if not config.perm:
         tasks += [(config, w, True) for _, w in poly.first_ascent_children(top)]
 
-    # The fork context starts every worker up front: no more than the tasks
-    # or the CPUs this process may run on, its affinity set where the
-    # platform has one (Linux), else every CPU.  Each task carries what it
-    # needs, so a worker inherits no state of the run.  One worker needs
-    # neither the CPU count nor the pool's modules.
+    # No more workers than the tasks or the CPUs this process may run on,
+    # its affinity set where the platform has one (Linux), else every CPU.
+    # Each task carries what it needs, so a worker inherits no state of the
+    # run.  One worker needs neither the CPU count nor a fork.
     workers = min(config.jobs, len(tasks))
     if workers > 1:
         cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
         workers = min(workers, cpus or 1)
     if workers == 1:
-        done = list(map(_sweep, tasks))
+        done = [pair for task in tasks for pair in _sweep(task)]
     else:
-        import concurrent.futures
-        import multiprocessing
-
-        mp = multiprocessing.get_context("fork")
-        with concurrent.futures.ProcessPoolExecutor(max_workers=workers, mp_context=mp) as pool:
-            done = list(pool.map(_sweep, tasks))
-    pairs = sorted(itertools.chain.from_iterable(done), key=itemgetter(0))
+        done = _fork_join(tasks, workers)
+    pairs = sorted(done, key=itemgetter(0))
     results = [record for _, record in pairs]
 
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
@@ -336,13 +383,13 @@ def _json(obj, indent: str, memo: dict) -> str:
     finite float (from --timings) to float.__repr__, as json.dumps writes
     them; what else is rare (NaN, infinities, a dict with a key that is not
     a string) goes to json.dumps, its lines after the first indented the
-    same.  A `_Frozen` is rendered once per (identity, indent) into `memo`,
+    same.  A `Frozen` is rendered once per (identity, indent) into `memo`,
     which is exact: it cannot change, and the report holding it keeps it,
     and so its id, alive while it renders."""
     cls = obj.__class__
     if cls is str:
         return _string(obj)
-    if cls is _Frozen:
+    if cls is Frozen:
         key = (id(obj), indent)
         text = memo.get(key)
         if text is None:
@@ -472,7 +519,12 @@ def build_parser() -> argparse.ArgumentParser:
         default="all",
         help="comma-separated subset of: " + ",".join(ALL_CHECKS) + " (or 'all')",
     )
-    parser.add_argument("--jobs", type=int, default=1, help="worker processes, at most the usable CPUs")
+    parser.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="worker processes, this one included, at most the usable CPUs",
+    )
     parser.add_argument(
         "--cache-dir", type=str, default=None, help="polynomial cache directory, for --mode cache only"
     )
@@ -502,7 +554,9 @@ def main(argv: Optional[List[str]] = None) -> int:
     """Exit status: `run`'s in verify mode, else 0; 2, with one `error:` line
     on stderr, for a usage error or a table that cannot be loaded or written;
     3, never a failed check's 1, with the traceback and one `error:` line,
-    when any other exception (a pool worker that died, say) aborts the run."""
+    when any other exception aborts the run: a forked worker that died
+    (the line names its exit status or signal) or whose task raised
+    outside a checker (its traceback comes first), say."""
     parser = build_parser()
     try:
         args = parser.parse_args(argv)

@@ -98,14 +98,18 @@ def parse_perm(text: str) -> tuple:
 
 def format_perm(w: tuple) -> str:
     """Serialize to the comma form, e.g. "2,1,5,4,3"."""
-    return ",".join(str(v) for v in w)
+    return ",".join(map(str, w))
 
 
 @last_call
 def length(w: tuple) -> int:
-    """Number of inversions of w."""
-    n = len(w)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+    """Number of inversions of w: for each value, the larger values to its
+    left, counted as the set bits of a mask of the values seen."""
+    seen = total = 0
+    for v in w:
+        total += (seen >> v).bit_count()
+        seen |= 1 << v
+    return total
 
 
 def ascents(w: tuple) -> list:
@@ -138,8 +142,17 @@ def closed_rothe_diagram(w: tuple) -> tuple:
 
 def weight(heights: tuple) -> tuple:
     """Row-count vector wt of the closed diagram with these column heights:
-    entry i - 1 is #{j : height_j >= i}, the boxes of row i."""
-    return tuple(sum(h >= i for h in heights) for i in range(1, len(heights) + 1))
+    entry i - 1 is #{j : height_j >= i}, the boxes of row i, summed from
+    the count of each height down."""
+    n = len(heights)
+    counts = [0] * (n + 1)
+    for h in heights:
+        counts[h] += 1
+    rows, total = [], 0
+    for c in counts[:0:-1]:
+        total += c
+        rows.append(total)
+    return tuple(rows[::-1])
 
 
 @last_call
@@ -147,15 +160,20 @@ def rajcode(w: tuple) -> tuple:
     """Rajchgot code: r_j is the number of terms of w(j..n) omitted from a
     longest increasing subsequence of w(j..n) containing w(j).
 
-    Computed by an O(n^2) DP over suffixes anchored at each position; the
-    report record and the rajchgot check of one w share it.
+    Read from the right with a value-indexed array: runs[v] is the longest
+    increasing subsequence of the suffix read so far that starts with v (0
+    for a value not yet read), so the one starting with w(j) is 1 plus the
+    largest runs[v] for v >= w(j), runs[w(j)] being still 0.  The report
+    record and the rajchgot check of one w share it.
     """
     n = len(w)
-    # lis[j] = longest increasing subsequence of w(j..n) starting with w(j)
-    lis = [1] * n
-    for j in range(n - 2, -1, -1):
-        lis[j] = 1 + max((lis[k] for k in range(j + 1, n) if w[k] > w[j]), default=0)
-    return tuple((n - j) - lis[j] for j in range(n))
+    runs = [0] * (n + 1)
+    code = [0] * n
+    for j in range(n - 1, -1, -1):
+        v = w[j]
+        run = runs[v] = 1 + max(runs[v:])
+        code[j] = n - j - run
+    return tuple(code)
 
 
 # Avoiding all of these is equivalent to every nonzero Schubert coefficient

@@ -23,7 +23,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import perms
 from .poly import Poly, _boxes, _SupportView, support_view
-from .verdicts import Verdict
+from .verdicts import PASS, Frozen, Verdict, shared
 
 MAX_SUBSET_N = 12
 # A packed lane is one byte, compared by its 0x80 bit (`_at_least`), and the
@@ -304,7 +304,7 @@ def check_conjecture_4(w: tuple, groth: Poly) -> Verdict:
     if _lattice_point_outside(view, pair):
         diff = sorted(lattice_points_of_pair(pair) ^ groth.support())
         return Verdict(False, witness=diff[0], detail="lattice points != support")
-    return Verdict(True)
+    return PASS
 
 
 @functools.cache
@@ -349,6 +349,10 @@ def base_sumset(w: tuple) -> int:
     return spanning_sumset(w) & _boxes(len(w)).grade(perms.length(w))
 
 
+# superset's passes by whether the two sets are equal.
+_SUPERSET = {equal: shared(Verdict(True, info=Frozen(equality=equal))) for equal in (False, True)}
+
+
 def check_superset(w: tuple, groth: Poly) -> Verdict:
     """The support P sits inside the spanning-set sumset T, P & ~T = 0;
     also reports whether the two lattice sets are equal, P == T.  A failure
@@ -359,7 +363,7 @@ def check_superset(w: tuple, groth: Poly) -> Verdict:
     if outside:
         missing = min(view.box.points(outside))
         return Verdict(False, witness=missing, detail="support point outside sumset")
-    return Verdict(True, info={"equality": view.bits == total})
+    return _SUPERSET[view.bits == total]
 
 
 def check_fms(w: tuple, groth: Poly) -> Verdict:
@@ -376,7 +380,14 @@ def check_fms(w: tuple, groth: Poly) -> Verdict:
     if bottom != total:
         witness = min(view.box.points(bottom ^ total))
         return Verdict(False, witness=witness, detail="support != base sumset")
-    return Verdict(True)
+    return PASS
+
+
+# converse's passes by the side both sides agree on.
+_CONVERSE = {
+    side: shared(Verdict(True, info=Frozen(degree_saturated=side, sumset_equality=side)))
+    for side in (False, True)
+}
 
 
 def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
@@ -387,10 +398,11 @@ def check_prop_converse(w: tuple, groth: Poly) -> Verdict:
     view = support_view(groth)
     degree_side = view.degree == sum(perms.closed_rothe_diagram(w))
     polytope_side = view.bits == spanning_sumset(w)
-    ok = degree_side == polytope_side
+    if degree_side == polytope_side:
+        return _CONVERSE[degree_side]
     return Verdict(
-        ok,
-        witness=None if ok else (degree_side, polytope_side),
+        False,
+        witness=(degree_side, polytope_side),
         info={"degree_saturated": degree_side, "sumset_equality": polytope_side},
     )
 

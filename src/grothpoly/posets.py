@@ -15,7 +15,7 @@ from typing import Dict, Set, Tuple
 
 from . import perms
 from .poly import Poly, decode, support_view
-from .verdicts import NotApplicable, Verdict
+from .verdicts import PASS, NotApplicable, Verdict, shared
 
 
 class VectorPoset:
@@ -129,7 +129,7 @@ def check_conjecture_1(w: tuple, groth: Poly) -> Verdict:
     if view.low_maxima:
         witness = decode(min(view.box.codes_of(view.low_maxima)), view.n)
         return Verdict(False, witness=witness, detail="maximal below top degree")
-    return Verdict(True)
+    return PASS
 
 
 def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
@@ -141,7 +141,7 @@ def check_conjecture_2(w: tuple, groth: Poly) -> Verdict:
     if view.uncovered:
         witness = decode(min(view.box.codes_of(view.uncovered)), view.n)
         return Verdict(False, witness=witness, detail="no cover one degree up")
-    return Verdict(True)
+    return PASS
 
 
 def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
@@ -176,7 +176,7 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
         m = min(m for m in maxima if ((m | high) - beta) & high == high)
         detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
         return Verdict(False, witness=decode(beta, n), detail=detail)
-    return Verdict(True)
+    return PASS
 
 
 def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
@@ -191,7 +191,7 @@ def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
         total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
         if total != 1:
             return Verdict(False, witness=decode(beta, n), detail=f"coefficient sum {total}")
-    return Verdict(True)
+    return PASS
 
 
 def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
@@ -203,8 +203,11 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     rc = perms.rajcode(w)
     leading = decode(view.box.code_at(view.bits.bit_length() - 1), view.n)
     if view.degree == sum(rc) and leading == rc:
-        return Verdict(True)
+        return PASS
     return Verdict(False, witness=leading)
+
+
+NOT_ZERO_ONE = shared(NotApplicable("not a zero-one permutation"))
 
 
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
@@ -219,12 +222,12 @@ def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     q of P_w with mu = 0 differs only if it is a term, and a term outside
     P_w always differs, since no stored coefficient is 0."""
     if not perms.is_zero_one(w):
-        return NotApplicable("not a zero-one permutation")
+        return NOT_ZERO_ONE
     mu = mobius(w, groth)
     terms = groth.terms
     predicted = {q: -m for q, m in mu.items() if m}
     if predicted == terms:
-        return Verdict(True)
+        return PASS
     q = min(q for q in predicted.keys() | terms.keys() if predicted.get(q, 0) != terms.get(q, 0))
     if q in mu:
         detail = f"coefficient {terms.get(q, 0)} != -mu = {-mu[q]}"

@@ -7,8 +7,8 @@ few polynomial operations the tests need and the engine does not, and the
 kernels the engine's code-keyed ones replaced: the divided differences and
 the pipe-dream transfer matrix on exponent tuples, the pattern test by
 standardized subsequences, the pair recovered from a set of exponent tuples
-and the Rothe diagram as a set of boxes, the oracles they are compared
-with.
+and the Rothe diagram as a set of boxes, and the quadratic definitions of
+the per-permutation statistics, the oracles they are compared with.
 """
 import itertools
 import operator
@@ -43,6 +43,29 @@ def decreasing_runs(w: tuple) -> list:
             current = [v]
     runs.append(current)
     return runs
+
+
+def length_by_pairs(w: tuple) -> int:
+    """The number of inversions, pair by pair: the oracle of `perms.length`."""
+    n = len(w)
+    return sum(1 for i in range(n) for j in range(i + 1, n) if w[i] > w[j])
+
+
+def rajcode_by_suffixes(w: tuple) -> tuple:
+    """The Rajchgot code by a DP over the suffixes, each anchored at its
+    first position: the oracle of `perms.rajcode`."""
+    n = len(w)
+    # lis[j] = longest increasing subsequence of w(j..n) starting with w(j)
+    lis = [1] * n
+    for j in range(n - 2, -1, -1):
+        lis[j] = 1 + max((lis[k] for k in range(j + 1, n) if w[k] > w[j]), default=0)
+    return tuple((n - j) - lis[j] for j in range(n))
+
+
+def weight_by_rows(heights: tuple) -> tuple:
+    """The row counts of a closed diagram, row by row: the oracle of
+    `perms.weight`."""
+    return tuple(sum(h >= i for h in heights) for i in range(1, len(heights) + 1))
 
 
 def ranking(seq: Iterable[int]) -> tuple:

@@ -1,20 +1,23 @@
-import concurrent.futures
 import copy
+import dataclasses
 import hashlib
 import json
 import operator
 import os
 import pickle
+import re
+import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes
-from grothpoly.verdicts import NotApplicable, Verdict
+from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes, verdicts
+from grothpoly.verdicts import PASS, NotApplicable, Verdict
 from reference import add, divided_difference, poly_of
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
@@ -48,26 +51,34 @@ def _outside_box_g(monkeypatch, w):
     _edit_g(monkeypatch, w, x1_to_the_n)
 
 
-def _recording_pool(monkeypatch) -> list:
-    """The max_workers of each pool `cli.run` makes, with the pool replaced
-    by one that maps in this process."""
-    requested = []
+def _counting_forks(monkeypatch) -> list:
+    """The pid of each child that `cli.run` forks from this process."""
+    forked = []
+    real = os.fork
 
-    class Recorder:
-        def __init__(self, max_workers, mp_context):
-            requested.append(max_workers)
+    def fork():
+        pid = real()
+        if pid:
+            forked.append(pid)
+        return pid
 
-        def __enter__(self):
-            return self
+    monkeypatch.setattr(os, "fork", fork)
+    return forked
 
-        def __exit__(self, *exc):
-            return False
 
-        def map(self, fn, items):
-            return map(fn, items)
+def _assert_no_children():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", Recorder)
-    return requested
+
+def _wait_for(path: Path):
+    """Block until a forked worker has created path, so that the worker
+    has taken a task before this process goes on with its own."""
+    deadline = time.monotonic() + 60
+    while not path.exists():
+        assert time.monotonic() < deadline, f"no worker created {path}"
+        time.sleep(0.005)
 
 
 def _operator_calls(fn):
@@ -485,6 +496,7 @@ class TestRun:
         assert checks["conj2"]["status"] == "pass"
         text = cli.render(report, "text")
         assert "error=1" in text and "ERROR 1,3,2 conj1" in text
+        _assert_no_children()
 
     def test_exit_three_on_error(self, monkeypatch, capsys):
         def broken(w, g):
@@ -672,6 +684,43 @@ class TestRun:
             for again in (copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
                 assert again == obj and type(again) is type(obj)
 
+    def test_shared_verdicts_are_read_only(self):
+        """Each outcome without a witness is one shared verdict: neither it
+        nor its info can be changed, and each has its one entry."""
+        constants = [
+            PASS,
+            posets.NOT_ZERO_ONE,
+            *polytopes._SUPERSET.values(),
+            *polytopes._CONVERSE.values(),
+        ]
+        assert sorted(map(id, verdicts.SHARED)) == sorted(map(id, constants))
+        for v in constants:
+            with pytest.raises(TypeError):
+                v.info["extra"] = 1
+            with pytest.raises(TypeError):
+                v.info.update(extra=1)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                v.ok = False
+            assert cli._from_verdict(v) is cli._from_verdict(v)
+        assert dict(polytopes._CONVERSE[True].info) == {"degree_saturated": True, "sumset_equality": True}
+
+    def test_passing_sweep_constructs_no_verdict(self, monkeypatch):
+        """A sweep where every check passes or skips returns the shared
+        verdicts alone: no check constructs one."""
+        made = []
+        real = Verdict.__init__
+
+        def counting(self, *args, **kwargs):
+            made.append(args)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(Verdict, "__init__", counting)
+        report, status = cli.run(cli.RunConfig(n=5))
+        assert status == 0 and report["summary"]["skip"] > 0
+        assert made == []
+        Verdict(False, witness=1)
+        assert len(made) == 1
+
     @pytest.mark.parametrize("broken", [False, True])
     @pytest.mark.parametrize("timings", [False, True])
     @pytest.mark.parametrize("jobs", [1, 2])
@@ -752,6 +801,30 @@ class TestRun:
             assert len(built) == 120, checks
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
+    def test_unread_view_facts_are_not_built(self, monkeypatch):
+        """The down-closure D of a support and the facts read off it,
+        conj3's missing steps and conj1's and conj4's maxima, are built when
+        first read: a sweep without conj1, conj3 and conj4 builds none."""
+        views = []
+        real = poly._SupportView
+
+        def keeping(codes, n):
+            views.append(real(codes, n))
+            return views[-1]
+
+        monkeypatch.setattr(poly, "_SupportView", keeping)
+        lazy = {"_closure", "missing", "low_maxima", "maximal"}
+        for checks, built in [
+            (("rajchgot", "superset", "fms", "converse"), set()),
+            (("conj2", "coeff", "mobius"), set()),
+            (("conj4",), {"low_maxima", "maximal"}),
+            (("conj3",), {"_closure", "missing"}),
+        ]:
+            views.clear()
+            report, status = cli.run(cli.RunConfig(n=5, checks=checks))
+            assert status == 0 and len(views) == 120
+            assert {frozenset(lazy & vars(view).keys()) for view in views} == {frozenset(built)}, checks
+
     def test_one_build_per_permutation(self, monkeypatch, sumset_builds):
         """An all-checks sweep of S_5 builds each fact that several readers
         of one w share once per w: the support view, the Rothe diagram, its
@@ -796,21 +869,23 @@ class TestRun:
     def test_workers_capped_by_targets(self, monkeypatch):
         """No more workers than tasks: a --perm run is one task, and a full
         sweep of S_n is n of them, w_0 alone and the subtree below each of
-        its n - 1 children."""
-        requested = _recording_pool(monkeypatch)
+        its n - 1 children.  This process is one of the workers, so k
+        workers fork k - 1 children."""
+        forked = _counting_forks(monkeypatch)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
         report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
-        assert requested == [] and len(report["results"]) == 1
+        assert forked == [] and len(report["results"]) == 1
         report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [3] and len(report["results"]) == 6
+        assert len(forked) == 2 and len(report["results"]) == 6
         # No more workers than the CPUs the process may run on, and the
         # same report bytes.
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3})
         capped, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [3, 2] and cli.render(capped, "json") == cli.render(report, "json")
+        assert len(forked) == 3 and cli.render(capped, "json") == cli.render(report, "json")
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
         cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert requested == [3, 2]
+        assert len(forked) == 3
+        _assert_no_children()
 
     def test_two_jobs_keep_the_n6_bytes(self, monkeypatch):
         """Two workers split S_6 into its six tasks and give the report of
@@ -818,6 +893,7 @@ class TestRun:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
         one, two = (cli.render(cli.run(cli.RunConfig(n=6, jobs=jobs))[0], "json") for jobs in (1, 2))
         assert one == two
+        _assert_no_children()
 
     def test_no_table_and_no_pipe_dreams(self, monkeypatch, capsys):
         """Verify and print runs neither load a table nor build pipe dreams:
@@ -892,22 +968,92 @@ class TestMain:
         assert cli.main(["--n", "99"]) == 2
         assert cli.main(["--n", "4", "--checks", "bogus"]) == 2
 
-    def test_aborted_run_exits_three(self, monkeypatch, capsys):
-        # A worker that dies breaks the pool and aborts the run: an internal
-        # error, never the status of a failed check.
+    def _worker_dies(self, monkeypatch, capsys, marker, death) -> str:
+        """Run `--n 4 --jobs 2` with a forked worker that calls death() in
+        its first check once this process has a task of its own; return the
+        last line of stderr, after checking the exit status, the traceback
+        and that no child is left."""
         main_pid = os.getpid()
 
         def dies(w, g):
             if os.getpid() != main_pid:
-                os._exit(9)
-            return Verdict(True)
+                marker.touch()
+                death()
+            _wait_for(marker)
+            return PASS
 
         monkeypatch.setitem(cli.CHECKS, "euler", dies)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
         assert cli.main(["--n", "4", "--jobs", "2", "--checks", "euler"]) == 3
         out, err = capsys.readouterr()
         assert out == "" and "Traceback" in err
-        assert err.splitlines()[-1].startswith("error: run aborted: BrokenProcessPool: ")
+        _assert_no_children()
+        return err.splitlines()[-1]
+
+    def test_aborted_run_exits_three(self, monkeypatch, capsys, tmp_path):
+        """A worker that dies aborts the run: an internal error, never the
+        status of a failed check, whose last line names the worker's exit
+        status."""
+        last = self._worker_dies(monkeypatch, capsys, tmp_path / "taken", lambda: os._exit(9))
+        assert re.fullmatch(r"error: run aborted: WorkerError: worker \d+ exited with status 9", last)
+
+    def test_killed_worker_exits_three(self, monkeypatch, capsys, tmp_path):
+        """A worker killed by a signal aborts the run the same way, and the
+        last line names the signal."""
+        last = self._worker_dies(
+            monkeypatch, capsys, tmp_path / "taken", lambda: os.kill(os.getpid(), signal.SIGKILL)
+        )
+        assert re.fullmatch(r"error: run aborted: WorkerError: worker \d+ was killed by SIGKILL", last)
+
+    def test_worker_exception_exits_three(self, monkeypatch, capsys, tmp_path):
+        """An exception in a worker's task outside any checker aborts the
+        run with status 3, and the worker's traceback reaches this
+        process's stderr."""
+        main_pid = os.getpid()
+        marker = tmp_path / "taken"
+        real = cli._sweep
+
+        def sweep(task):
+            if os.getpid() != main_pid:
+                marker.touch()
+                raise RuntimeError("boom in a worker")
+            _wait_for(marker)
+            return real(task)
+
+        monkeypatch.setattr(cli, "_sweep", sweep)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        assert cli.main(["--n", "4", "--jobs", "2"]) == 3
+        out, err = capsys.readouterr()
+        assert out == ""
+        # The worker's own frame and line, then this process's traceback.
+        assert 'raise RuntimeError("boom in a worker")' in err and "in sweep" in err
+        assert err.index("boom in a worker") < err.index("direct cause")
+        last = err.splitlines()[-1]
+        assert re.fullmatch(r"error: run aborted: WorkerError: worker \d+: RuntimeError: boom in a worker", last)
+        _assert_no_children()
+
+    def test_exception_in_this_process_leaves_no_child(self, monkeypatch, capsys, tmp_path):
+        """An exception in this process's own task kills and reaps every
+        forked worker, also one still busy with its task, before the run
+        aborts."""
+        main_pid = os.getpid()
+        marker = tmp_path / "taken"
+
+        def sweep(task):
+            if os.getpid() != main_pid:
+                marker.touch()
+                time.sleep(60)
+            _wait_for(marker)
+            raise RuntimeError("boom in this process")
+
+        monkeypatch.setattr(cli, "_sweep", sweep)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        started = time.monotonic()
+        assert cli.main(["--n", "4", "--jobs", "2"]) == 3
+        assert time.monotonic() - started < 30
+        err = capsys.readouterr().err
+        assert err.splitlines()[-1] == "error: run aborted: RuntimeError: boom in this process"
+        _assert_no_children()
 
     def test_bad_max_n_env_is_a_usage_error(self, monkeypatch, capsys):
         monkeypatch.setenv("GROTH_MAX_N", "x")
@@ -967,44 +1113,48 @@ class TestMain:
     def test_runs_without_cpu_affinity(self, monkeypatch, capsys):
         """`os.sched_getaffinity` exists only on Linux.  Without it one job
         keeps the report's bytes, as it asks for no CPU count, and more jobs
-        are capped by `os.cpu_count`."""
+        are capped by `os.cpu_count`: two workers, one of them forked."""
         assert cli.main(["--n", "4"]) == 0
         expected = capsys.readouterr().out
-        requested = _recording_pool(monkeypatch)
+        forked = _counting_forks(monkeypatch)
         monkeypatch.delattr(os, "sched_getaffinity")
         monkeypatch.setattr(os, "cpu_count", lambda: 2)
         assert cli.main(["--n", "4"]) == 0
-        assert capsys.readouterr().out == expected and requested == []
+        assert capsys.readouterr().out == expected and forked == []
         assert cli.main(["--n", "4", "--jobs", "8"]) == 0
-        assert capsys.readouterr().out == expected and requested == [2]
+        assert capsys.readouterr().out == expected and len(forked) == 1
+        _assert_no_children()
 
     # Runs in a fresh interpreter, as pytest has imported every module
-    # watched here.  It gives the run two CPUs, so that `--jobs 2` makes a
-    # pool on any machine.
+    # watched here.  It gives the run two CPUs, so that `--jobs 2` forks a
+    # worker on any machine, and counts the forks of this process.
     CHILD = """
 import contextlib, io, json, os, sys
 os.sched_getaffinity = lambda pid: {0, 1}
+forks, fork = [], os.fork
+os.fork = lambda: forks.append(1) or fork()
 from grothpoly import cli
 with contextlib.redirect_stdout(io.StringIO()):
     status = cli.main(sys.argv[1:])
 watched = ("multiprocessing", "concurrent.futures", "grothpoly.cache", "grothpoly.pipedreams")
-print(json.dumps([status, [name for name in watched if name in sys.modules]]))
+print(json.dumps([status, [name for name in watched if name in sys.modules], len(forks)]))
 """
 
     @pytest.mark.parametrize(
-        "argv, loaded",
+        "argv, loaded, forks",
         [
-            (["--n", "4"], []),
-            (["--perm", "2143"], []),
-            (["--perm", "2143", "--mode", "print"], []),
-            (["--mode", "cache", "--n", "3"], ["grothpoly.cache", "grothpoly.pipedreams"]),
-            (["--n", "4", "--jobs", "2"], ["multiprocessing", "concurrent.futures"]),
+            (["--n", "4"], [], 0),
+            (["--perm", "2143"], [], 0),
+            (["--perm", "2143", "--mode", "print"], [], 0),
+            (["--mode", "cache", "--n", "3"], ["grothpoly.cache", "grothpoly.pipedreams"], 0),
+            (["--n", "4", "--jobs", "2"], [], 1),
         ],
         ids=["verify", "perm", "print", "cache", "jobs2"],
     )
-    def test_a_run_imports_what_it_uses(self, tmp_path, argv, loaded):
-        """A run imports the pool's modules only to make a pool, and `cache`
-        and `pipedreams` only for `--mode cache`."""
+    def test_a_run_imports_what_it_uses(self, tmp_path, argv, loaded, forks):
+        """A run imports `cache` and `pipedreams` only for `--mode cache`,
+        and no run imports a process pool's modules: two jobs fork one
+        worker, with neither `multiprocessing` nor `concurrent.futures`."""
         if "cache" in argv:
             argv = argv + ["--cache-dir", str(tmp_path)]
         src = str(Path(cli.__file__).resolve().parents[1])
@@ -1017,7 +1167,7 @@ print(json.dumps([status, [name for name in watched if name in sys.modules]]))
             timeout=120,
         )
         assert child.returncode == 0, child.stderr
-        assert json.loads(child.stdout) == [0, loaded]
+        assert json.loads(child.stdout) == [0, loaded, forks]
 
     def test_print_mode_requires_perm(self, capsys):
         assert cli.main(["--n", "3", "--mode", "print"]) == 2

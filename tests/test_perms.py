@@ -10,9 +10,12 @@ from reference import (
     identity,
     is_fireworks,
     is_zero_one_ranking,
+    length_by_pairs,
+    rajcode_by_suffixes,
     rajcode_fireworks,
     ranking,
     rothe_boxes,
+    weight_by_rows,
 )
 
 
@@ -111,6 +114,24 @@ class TestRotheDiagram:
                 closure = {(i, j) for j, h in enumerate(heights, 1) for i in range(1, h + 1)}
                 rows = tuple(sum(1 for i, _ in closure if i == r) for r in range(1, n + 1))
                 assert perms.weight(heights) == rows, w
+
+
+class TestStatisticsMatchTheirOracles:
+    """The per-permutation statistics of a report record and of mobius's
+    bound, each a linear scan, against their quadratic definitions."""
+
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_length_rajcode_and_weight(self, n):
+        for w in perms.all_perms(n):
+            assert perms.length(w) == length_by_pairs(w), w
+            assert perms.rajcode(w) == rajcode_by_suffixes(w), w
+            heights = perms.closed_rothe_diagram(w)
+            assert perms.weight(heights) == weight_by_rows(heights), w
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_weight_of_every_height_vector(self, n):
+        for heights in itertools.product(range(n + 1), repeat=n):
+            assert perms.weight(heights) == weight_by_rows(heights), heights
 
 
 class TestClosureAndWeight:
