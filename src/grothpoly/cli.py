@@ -243,7 +243,7 @@ class WorkerError(RuntimeError):
 def _worker(queue: int, tasks: list, read: int, out: int) -> None:
     """A forked child's whole life: close `read`, the read end of its
     pipe, so a write fails if the parent is gone, take tasks (`_take`),
-    write one pickle of (None, pairs), or of (the traceback, None) if that
+    stream one pickle of (None, pairs), or of (the traceback, None) if that
     raised an Exception, to `out`, and exit, with status 0 once the pickle
     is written.  It never returns, so nothing of the parent's call stack runs
     twice."""
@@ -253,11 +253,11 @@ def _worker(queue: int, tasks: list, read: int, out: int) -> None:
     try:
         os.close(read)
         try:
-            sent = pickle.dumps((None, _take(queue, tasks)))
+            sent = (None, _take(queue, tasks))
         except Exception:
-            sent = pickle.dumps((traceback.format_exc(), None))
+            sent = (traceback.format_exc(), None)
         with open(out, "wb") as pipe:
-            pipe.write(sent)
+            pickle.dump(sent, pipe)
         status = 0
     finally:
         os._exit(status)
@@ -268,8 +268,8 @@ def _fork_join(tasks: list, workers: int) -> list:
     workers - 1 forked children.  Every process, this one included, takes
     task indices from one pipe filled before the first fork, until it is
     empty.  Each child sends its pairs, or the traceback of what it raised,
-    as one pickle over its own pipe and exits; this process reads each
-    child's pickle to the end, then reaps the child.  Whether it returns or
+    as one pickle over its own pipe and exits; this process unpickles each
+    child's pipe as it reads it, then reaps the child.  Whether it returns or
     raises, no child outlives it: any child not yet reaped is killed and
     reaped."""
     import pickle
@@ -291,7 +291,10 @@ def _fork_join(tasks: list, workers: int) -> list:
         done = _take(queue, tasks)
         while children:
             pid, pipe = children[0]
-            sent = pipe.read()
+            try:
+                trace, pairs = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                trace = pairs = None  # the child died: its status says how
             status = os.waitpid(pid, 0)[1]
             del children[0]
             pipe.close()
@@ -300,7 +303,6 @@ def _fork_join(tasks: list, workers: int) -> list:
                 raise WorkerError(f"worker {pid} was killed by {signal.Signals(-code).name}")
             if code:
                 raise WorkerError(f"worker {pid} exited with status {code}")
-            trace, pairs = pickle.loads(sent)
             if trace is not None:
                 raise WorkerError(f"worker {pid}: {trace.splitlines()[-1]}") from WorkerError(trace)
             done += pairs

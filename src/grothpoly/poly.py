@@ -309,25 +309,6 @@ def _boxes(n: int) -> _Box:
     return _Box(n)
 
 
-class _cached:
-    """A method of the instance alone, read as an attribute: the first read
-    computes it and stores it in the instance's __dict__, where every later
-    read finds it first.  It is `functools.cached_property` without the
-    lock that Python 3.11 takes on each first read."""
-
-    def __init__(self, fn):
-        self.fn = fn
-
-    def __set_name__(self, owner, name):
-        self.name = name
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
-            return self
-        value = obj.__dict__[self.name] = self.fn(obj)
-        return value
-
-
 class _SupportView:
     """Packed facts about a set of exponent vectors in the staircase box of
     S_n, given as a collection of their codes (`_Box`; any other vector is
@@ -386,44 +367,30 @@ class _SupportView:
       low_maxima = uncovered & ~down(D).
     - With A = up(P), the unit steps up from P, lower = P & ~A, and
       missing = A & D & ~P: the steps of points of P that lie below a point
-      of P, hence below a maximum, and are not in P.
+      of P, hence below a maximum, and are not in P."""
 
-    D, `missing`, `low_maxima` and `maximal` are computed when first read.
-    conj3 needs D for every support; conj1 and conj4 need it only where
-    some point is uncovered; the other checks never."""
+    __slots__ = (
+        "n", "box", "bits", "degree", "high", "uncovered", "maximal", "low_maxima", "lower",
+        "missing",
+    )
 
     def __init__(self, codes, n: int):
         box = self.box = _boxes(n)
         P = self.bits = box.bits(codes)
         top = max(codes, default=0) >> 8 * n
-        T = self._top = P & box.grade(top)
-        self.uncovered = P & ~(T | box.down(P))
-        above = self._above = box.up(P)
-        self.n, self.degree, self.lower = n, top, P & ~above
-        self.high = int.from_bytes(b"\x80" * (n + 1), "little")
-
-    @_cached
-    def _closure(self) -> int:
-        """D, the down-closure of P."""
-        box, D = self.box, self.bits
+        T = P & box.grade(top)
+        uncovered = self.uncovered = P & ~(T | box.down(P))
+        D = P
         for r, (w, mask) in zip(box.radix, box.steps):
             for _ in range(r - 1):
                 D |= D >> w & mask
-        return D
-
-    @_cached
-    def low_maxima(self) -> int:
         # down(D) only when some point is uncovered, which is rare.
-        uncovered = self.uncovered
-        return uncovered and uncovered & ~self.box.down(self._closure)
-
-    @_cached
-    def maximal(self) -> int:
-        return self._top | self.low_maxima
-
-    @_cached
-    def missing(self) -> int:
-        return self._above & self._closure & ~self.bits
+        low = self.low_maxima = uncovered and uncovered & ~box.down(D)
+        above = box.up(P)
+        self.n, self.degree, self.lower = n, top, P & ~above
+        self.high = int.from_bytes(b"\x80" * (n + 1), "little")
+        self.maximal = T | low
+        self.missing = above & D & ~P
 
 
 @perms.last_call

@@ -801,30 +801,6 @@ class TestRun:
             assert len(built) == 120, checks
         assert report["summary"]["pass"] + report["summary"]["skip"] == 12 * 120
 
-    def test_unread_view_facts_are_not_built(self, monkeypatch):
-        """The down-closure D of a support and the facts read off it,
-        conj3's missing steps and conj1's and conj4's maxima, are built when
-        first read: a sweep without conj1, conj3 and conj4 builds none."""
-        views = []
-        real = poly._SupportView
-
-        def keeping(codes, n):
-            views.append(real(codes, n))
-            return views[-1]
-
-        monkeypatch.setattr(poly, "_SupportView", keeping)
-        lazy = {"_closure", "missing", "low_maxima", "maximal"}
-        for checks, built in [
-            (("rajchgot", "superset", "fms", "converse"), set()),
-            (("conj2", "coeff", "mobius"), set()),
-            (("conj4",), {"low_maxima", "maximal"}),
-            (("conj3",), {"_closure", "missing"}),
-        ]:
-            views.clear()
-            report, status = cli.run(cli.RunConfig(n=5, checks=checks))
-            assert status == 0 and len(views) == 120
-            assert {frozenset(lazy & vars(view).keys()) for view in views} == {frozenset(built)}, checks
-
     def test_one_build_per_permutation(self, monkeypatch, sumset_builds):
         """An all-checks sweep of S_5 builds each fact that several readers
         of one w share once per w: the support view, the Rothe diagram, its

@@ -118,7 +118,8 @@ class TestRotheDiagram:
 
 class TestStatisticsMatchTheirOracles:
     """The per-permutation statistics of a report record and of mobius's
-    bound, each a linear scan, against their quadratic definitions."""
+    bound, against their quadratic definitions: `length` and `weight` are
+    linear scans, and `rajcode` a scan of C-level slice maxima."""
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_length_rajcode_and_weight(self, n):
