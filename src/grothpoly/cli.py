@@ -12,11 +12,14 @@ empty; each child sends its (w, record) pairs back as one pickle, and no
 child outlives `run` (`_fork_join`).  The pairs are sorted into
 `perms.all_perms` order.
 
-A passing check returns a shared verdict (`verdicts.shared`) and
-constructs nothing; each shared verdict has one report entry, and a
-record whose entries are all shared has one check table per process.  A
-report's entries and check tables are read-only, and mutating one raises
-TypeError.  `--mode print` builds its one 𝔊_w by the chain.
+A check's report entry is its verdict's (`verdicts.Verdict.entry`), and
+`cli` reads only its status and whether it has a witness.  A passing
+check returns a module-level constant and constructs nothing, so the
+process has one entry of it; a record whose entries carry no witness
+shares one check table per process with every record of the same
+entries.  A report's entries and check tables are read-only, and
+mutating one raises TypeError.  `--mode print` builds its one 𝔊_w by the
+chain.
 
 A run imports what its mode uses.  Verify and print runs import neither
 `cache` nor `pipedreams`; `--mode cache` imports both, to build and write
@@ -38,8 +41,8 @@ from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from typing import List, Optional, Tuple
 
-from . import perms, poly, posets, polytopes, verdicts
-from .verdicts import PASS, Frozen, NotApplicable, Verdict
+from . import perms, poly, posets, polytopes
+from .verdicts import PASS, Frozen, Verdict, error_entry
 
 ENGINE = "grothpoly 0.1.0"
 
@@ -136,55 +139,17 @@ class RunConfig:
                 raise ValueError("--perm length must match --n")
 
 
-def _from_verdict(v: Verdict) -> dict:
-    """The report entry of a verdict: the one shared entry of a shared
-    verdict (`verdicts.shared`), else built fresh."""
-    entry = _ENTRIES.get(id(v))
-    return _entry(v) if entry is None else entry
-
-
-def _entry(v: Verdict) -> dict:
-    if isinstance(v, NotApplicable):
-        return Frozen(status="skip", reason=v.detail)
-    out = {"status": "pass" if v.ok else "fail"}
-    if v.witness is not None:
-        out["witness"] = _jsonable(v.witness)
-    if v.detail:
-        out["detail"] = v.detail
-    if v.info:
-        out["info"] = _jsonable(v.info)
-    return Frozen(out)
-
-
-def _jsonable(obj):
-    if isinstance(obj, (tuple, list, set, frozenset)):
-        items = sorted(obj) if isinstance(obj, (set, frozenset)) else obj
-        return [_jsonable(x) for x in items]
-    if isinstance(obj, dict):
-        return Frozen((str(k), _jsonable(v)) for k, v in obj.items())
-    return obj
-
-
-# The entry of each shared verdict by its id, and the ids of those entries.
-# A shared verdict and its entry live as long as the process, so an id names
-# each for good.
-_ENTRIES = {id(v): _entry(v) for v in verdicts.SHARED}
-_SHARED = set(map(id, _ENTRIES.values()))
-# The shared check tables by names and entry ids.
-_TABLES: dict = {}
-
-
 def _run_check(name: str, w, g) -> dict:
     """One report entry, from the check's Verdict.  An exception inside a
     checker is an internal error, not a verdict on the conjecture: the entry
     gets status `error` with the exception as its witness, the traceback
     goes to stderr, and the sweep goes on."""
     try:
-        return _from_verdict(CHECKS[name](w, g))
+        return CHECKS[name](w, g).entry
     except Exception as exc:
         print(f"error: check {name} on {perms.format_perm(w)}:", file=sys.stderr)
         traceback.print_exc()
-        return Frozen(status="error", witness=f"{type(exc).__name__}: {exc}")
+        return error_entry(exc)
 
 
 def _check_one(config: RunConfig, w: tuple, g: poly.Poly) -> dict:
@@ -202,16 +167,20 @@ def _check_one(config: RunConfig, w: tuple, g: poly.Poly) -> dict:
     return record
 
 
+# The check tables without a witness, by names and entry ids.  A table kept
+# here keeps its entries alive, so no id in a key is ever reused.
+_TABLES: dict = {}
+
+
 def _table(names: tuple, entries: list) -> dict:
-    """The read-only check table of one record: when every entry is shared,
-    the one table per process of these names and entries."""
-    ids = tuple(map(id, entries))
-    if not _SHARED.issuperset(ids):
-        return Frozen(zip(names, entries))
-    key = (names, ids)
+    """The read-only check table of one record: when no entry has a
+    witness, the one table per process of these names and entries."""
+    key = (names, tuple(map(id, entries)))
     table = _TABLES.get(key)
     if table is None:
-        table = _TABLES[key] = Frozen(zip(names, entries))
+        table = Frozen(zip(names, entries))
+        if not any("witness" in entry for entry in entries):
+            _TABLES[key] = table
     return table
 
 
@@ -433,8 +402,8 @@ def _render_json(report: dict) -> str:
     without the pure-Python encoder, which json.dumps uses whenever there is
     an indent.  Each value under the report's keys, a record among them, is
     one string (`_json`); the pieces of the top two levels go into one list,
-    joined once, so rendering holds those strings and the result.  A shared
-    entry or check table is rendered once per call."""
+    joined once, so rendering holds those strings and the result.  An entry
+    or check table that records share is rendered once per call."""
     if not report:
         return "{}\n"
     out = []

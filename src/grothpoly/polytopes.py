@@ -23,7 +23,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 from . import perms
 from .poly import Poly, _boxes, _SupportView, support_view
-from .verdicts import PASS, Frozen, Verdict, shared
+from .verdicts import PASS, Frozen, Verdict
 
 MAX_SUBSET_N = 12
 # A packed lane is one byte, compared by its 0x80 bit (`_at_least`), and the
@@ -350,7 +350,7 @@ def base_sumset(w: tuple) -> int:
 
 
 # superset's passes by whether the two sets are equal.
-_SUPERSET = {equal: shared(Verdict(True, info=Frozen(equality=equal))) for equal in (False, True)}
+_SUPERSET = {equal: Verdict(True, info=Frozen(equality=equal)) for equal in (False, True)}
 
 
 def check_superset(w: tuple, groth: Poly) -> Verdict:
@@ -385,7 +385,7 @@ def check_fms(w: tuple, groth: Poly) -> Verdict:
 
 # converse's passes by the side both sides agree on.
 _CONVERSE = {
-    side: shared(Verdict(True, info=Frozen(degree_saturated=side, sumset_equality=side)))
+    side: Verdict(True, info=Frozen(degree_saturated=side, sumset_equality=side))
     for side in (False, True)
 }
 

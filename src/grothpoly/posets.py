@@ -15,7 +15,7 @@ from typing import Dict, Set, Tuple
 
 from . import perms
 from .poly import Poly, decode, support_view
-from .verdicts import PASS, NotApplicable, Verdict, shared
+from .verdicts import PASS, NotApplicable, Verdict
 
 
 class VectorPoset:
@@ -207,7 +207,7 @@ def check_rajchgot(w: tuple, groth: Poly) -> Verdict:
     return Verdict(False, witness=leading)
 
 
-NOT_ZERO_ONE = shared(NotApplicable("not a zero-one permutation"))
+NOT_ZERO_ONE = NotApplicable("not a zero-one permutation")
 
 
 def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:

@@ -1,5 +1,6 @@
 import copy
 import dataclasses
+import gc
 import hashlib
 import json
 import operator
@@ -685,15 +686,17 @@ class TestRun:
                 assert again == obj and type(again) is type(obj)
 
     def test_shared_verdicts_are_read_only(self):
-        """Each outcome without a witness is one shared verdict: neither it
-        nor its info can be changed, and each has its one entry."""
+        """Each outcome without a witness is one module-level constant:
+        neither it nor its info can be changed, and it builds its one entry,
+        whose own dicts cannot be changed either."""
         constants = [
             PASS,
             posets.NOT_ZERO_ONE,
-            *polytopes._SUPERSET.values(),
-            *polytopes._CONVERSE.values(),
+            polytopes._SUPERSET[False],
+            polytopes._SUPERSET[True],
+            polytopes._CONVERSE[False],
+            polytopes._CONVERSE[True],
         ]
-        assert sorted(map(id, verdicts.SHARED)) == sorted(map(id, constants))
         for v in constants:
             with pytest.raises(TypeError):
                 v.info["extra"] = 1
@@ -701,8 +704,34 @@ class TestRun:
                 v.info.update(extra=1)
             with pytest.raises(dataclasses.FrozenInstanceError):
                 v.ok = False
-            assert cli._from_verdict(v) is cli._from_verdict(v)
+            assert v.entry is v.entry
+            for obj in (v.entry, v.entry.get("info", verdicts.Frozen())):
+                with pytest.raises(TypeError):
+                    obj["extra"] = 1
+                with pytest.raises(TypeError):
+                    obj.update(extra=1)
         assert dict(polytopes._CONVERSE[True].info) == {"degree_saturated": True, "sumset_equality": True}
+        assert polytopes._CONVERSE[True].entry["info"] == polytopes._CONVERSE[True].info
+        assert posets.NOT_ZERO_ONE.entry == {"status": "skip", "reason": "not a zero-one permutation"}
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_fresh_outcomes_keep_their_own_info(self, monkeypatch, jobs):
+        """A checker that returns a fresh witness-free verdict each call, its
+        info changing per call, gets each info in its own record, in a
+        second run too, after the first run's entries were collected: no
+        shared check table is mistaken for another by a reused id."""
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        config = cli.RunConfig(n=4, checks=("conj1", "euler"), jobs=jobs)
+        for run in range(2):
+            monkeypatch.setattr(
+                posets, "check_conjecture_1", lambda w, g: Verdict(True, info={"w": list(w), "run": run})
+            )
+            report, status = cli.run(config)
+            assert status == 0
+            infos = [record["checks"]["conj1"]["info"] for record in report["results"]]
+            assert infos == [{"w": list(w), "run": run} for w in perms.all_perms(4)]
+            del report, infos
+            gc.collect()
 
     def test_passing_sweep_constructs_no_verdict(self, monkeypatch):
         """A sweep where every check passes or skips returns the shared

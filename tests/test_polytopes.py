@@ -1019,7 +1019,7 @@ class TestParamodularWitness:
         assert not verdict.ok
         assert verdict.witness == (1, 0, 0)
         assert verdict.detail == "lattice points != support"
-        assert cli._from_verdict(verdict)["witness"] == [1, 0, 0]
+        assert verdict.entry["witness"] == [1, 0, 0]
 
     def test_conj4_failure_carries_witness(self):
         # test_hand_made_pair's points with a zero x_4 appended, inside the
@@ -1028,4 +1028,4 @@ class TestParamodularWitness:
         assert not verdict.ok
         assert verdict.detail == "recovered pair not paramodular"
         assert verdict.witness["test"] == "z submodular"
-        assert cli._from_verdict(verdict)["witness"]["mask"] == 0b100
+        assert verdict.entry["witness"]["mask"] == 0b100
