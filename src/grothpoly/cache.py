@@ -1,8 +1,10 @@
 """
 Polynomial tables for `--mode cache`, its only caller: `load_or_build`
-builds them by the pipe-dream transfer matrix
-(`pipedreams.pd_polynomial_all`) and keeps them in a byte-stable on-disk
-cache.  No verify or print run reads them (`poly.walk`).
+builds 𝔊 by the pipe-dream transfer matrix
+(`pipedreams.pd_polynomial_all`) and keeps it, with 𝔖, in a byte-stable
+on-disk cache.  𝔖_w is the degree-l(w) part of 𝔊_w (Lascoux–Schützenberger),
+so one pass over 𝔊 writes both files (`write_tables`), and no run builds
+𝔖 on its own.  No verify or print run reads the tables (`poly.walk`).
 
 Format: first line `grothcache v1 n=<n> flavor=<S|G>`, then one line per
 permutation `<comma one-line word>|<canonical polynomial text>`, sorted by
@@ -15,14 +17,15 @@ before in the file, and through `poly.parse_text` a nonempty polynomial (no
 staircase box of S_n (length n, entries 0 <= alpha_i <= n - i), and no
 repeated exponent within a polynomial.  It codes each distinct exponent
 text once per file (`poly.code`), so equal exponents across the table share
-one int; the writer decodes each distinct code once.
+one int.
 """
 from __future__ import annotations
 
 import contextlib
+import itertools
 import math
 import os
-from typing import Optional
+from typing import Dict, Optional
 
 from . import perms, pipedreams, poly
 
@@ -33,23 +36,59 @@ def cache_path(cache_dir: str, n: int, flavor: str) -> str:
     return os.path.join(cache_dir, f"grothcache_n{n}_{flavor}.txt")
 
 
-def write_table(table: poly.PolynomialTable, path: str) -> None:
-    """Write the file under a temporary name in the same directory, then
-    rename it over `path`, so a concurrent reader sees the old file or the
-    whole new one, never a torn last line.  Each line is written as it is
-    formatted, so the file is never held in memory."""
-    texts: dict = {}
-    tmp = f"{path}.{os.getpid()}.tmp"
+def _box_texts(n: int) -> Dict[int, str]:
+    """code -> text of every exponent vector in the staircase box of S_n,
+    inserted in term order: alpha_n = 0, then each alpha_i, i = n - 1 down
+    to 1, ranges over 0 .. n - i inside each prefix of the coordinates above
+    it, adding alpha_i (256^(i-1) + 256^n) to the code (`poly.code`)."""
+    points = [(0, "0")]
+    for i in range(n - 1, 0, -1):
+        unit = (1 << 8 * (i - 1)) + (1 << 8 * n)
+        points = [(c + a * unit, f"{a},{text}") for c, text in points for a in range(n - i + 1)]
+    return dict(points)
+
+
+def write_tables(table: poly.PolynomialTable, paths: Dict[str, str]) -> None:
+    """Write the file of each flavor in `paths` from `table`, in one pass
+    over S_n: each polynomial's terms are sorted into term order, by their
+    rank in the staircase box, and formatted once; its G line joins them
+    all, its S line those of degree l(w), the lowest degree of 𝔊_w and the
+    only one of 𝔖_w.  Each file is written under a temporary name in its
+    directory, then renamed over its path, so a concurrent reader sees the
+    old file or the whole new one, never a torn last line; lines are
+    written as they are formatted, so no file is held in memory."""
+    n, bottom = table.n, 8 * table.n  # a code's degree is its bits from `bottom` up
+    texts = _box_texts(n)
+    rank = {c: k for k, c in enumerate(texts)}.__getitem__
+    tmps = {flavor: f"{path}.{os.getpid()}.tmp" for flavor, path in paths.items()}
     try:
-        with open(tmp, "w") as fh:
-            fh.write(f"{HEADER_PREFIX} n={table.n} flavor={table.flavor}\n")
+        with contextlib.ExitStack() as stack:
+            files = {flavor: stack.enter_context(open(tmp, "w")) for flavor, tmp in tmps.items()}
+            for flavor, fh in files.items():
+                fh.write(f"{HEADER_PREFIX} n={n} flavor={flavor}\n")
+            g_file, s_file = files.get("G"), files.get("S")
             for w in sorted(table.polys):
-                fh.write(f"{perms.format_perm(w)}|{table[w].to_text(texts)}\n")
-        os.replace(tmp, path)
+                terms = table[w].terms
+                keys = sorted(terms, key=rank)
+                chunks = [f"{terms[c]}:{texts[c]}" for c in keys]
+                word = perms.format_perm(w)
+                if g_file:
+                    g_file.write(f"{word}|{';'.join(chunks)}\n")
+                if s_file:
+                    low = map(((perms.length(w) + 1) << bottom).__gt__, keys)
+                    s_file.write(f"{word}|{';'.join(itertools.compress(chunks, low))}\n")
+        for flavor, tmp in tmps.items():
+            os.replace(tmp, paths[flavor])
     except BaseException:
-        with contextlib.suppress(FileNotFoundError):
-            os.remove(tmp)
+        for tmp in tmps.values():
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
         raise
+
+
+def write_table(table: poly.PolynomialTable, path: str) -> None:
+    """Write `table` to `path` as its flavor (`write_tables`)."""
+    write_tables(table, {table.flavor: path})
 
 
 def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]:
@@ -83,20 +122,30 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
     return poly.PolynomialTable(n, flavor, polys)
 
 
-def load_or_build(cache_dir: Optional[str], n: int, flavor: str) -> poly.PolynomialTable:
-    """Warm path: read a matching cache file.  Cold path: build with the
-    pipe-dream transfer matrix and, when a cache directory is configured,
-    persist."""
-    if cache_dir:
+def load_or_build(cache_dir: str, n: int, flavors: str) -> None:
+    """Make the cache file of each flavor in `flavors` ("G", "S" or "GS")
+    current.  A warm file, one whose header matches and that holds all n!
+    permutations, is read, and so checked, and kept.  The cold ones are
+    written from one 𝔊 table, in one pass: the table read from a warm G
+    file, else one pipe-dream build.  Nothing is returned: `--mode cache`
+    wants the files, and a 𝔖 table beside them would cost about as much to
+    build as the pass that writes 𝔖."""
+    tables, cold = {}, {}
+    for flavor in flavors:
         path = cache_path(cache_dir, n, flavor)
-        if os.path.exists(path):
-            table = read_table(path, n, flavor)
-            if table is not None and len(table) == math.factorial(n):
-                return table
-    mode = {"G": "grothendieck", "S": "schubert"}[flavor]
-    table = poly.PolynomialTable(n, flavor, pipedreams.pd_polynomial_all(n, mode))
-    if cache_dir:
-        os.makedirs(cache_dir, exist_ok=True)
-        write_table(table, cache_path(cache_dir, n, flavor))
-    return table
-
+        table = read_table(path, n, flavor) if os.path.exists(path) else None
+        if table is not None and len(table) == math.factorial(n):
+            tables[flavor] = table
+        else:
+            cold[flavor] = path
+    if not cold:
+        return
+    if "G" in tables:
+        table = tables["G"]
+    else:
+        table = poly.PolynomialTable(n, "G", pipedreams.pd_polynomial_all(n, "grothendieck"))
+    os.makedirs(cache_dir, exist_ok=True)
+    if "S" in cold:
+        write_tables(table, cold)
+    else:  # 𝔊 alone: the one-file writer, which the benchmark's tracer times
+        write_table(table, cold["G"])

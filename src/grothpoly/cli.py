@@ -542,8 +542,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                 raise ValueError("--mode cache requires --cache-dir")
             from . import cache
 
-            cache.load_or_build(config.cache_dir, config.n, "G")
-            cache.load_or_build(config.cache_dir, config.n, "S")
+            cache.load_or_build(config.cache_dir, config.n, "GS")
             out, status = "", 0
         else:
             report, status = run(config)

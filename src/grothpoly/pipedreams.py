@@ -1,4 +1,4 @@
-"""Pipe dreams: the engine of the tables `--mode cache` writes.
+"""Pipe dreams: the 𝔊 engine of the tables `--mode cache` writes.
 
 A pipe dream places crosses only in the staircase cells (i,j), i + j <= n.
 Read in reading order (rows top to bottom, each row right to left), cross
@@ -20,10 +20,13 @@ subwords form the Bruhat lower interval below the product of the whole prefix,
 so there are at most n! states, and the cost follows the size of the output,
 not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
 fixed by its exponent, so contributions never cancel to a zero coefficient.
-`cache.load_or_build` is its caller.  The module shares only `Poly` with
-the divided-difference recursion (`poly.walk`), the engine of every verify
-and print run, and the tests compare the two over S_1 to S_7 (S_8 in the
-slow tier).
+`cache.load_or_build` calls the 𝔊 branch, and writes 𝔖 as the
+lowest-degree part of 𝔊 (`cache.write_tables`), so the 𝔖 branch has no
+caller in the package: the tests keep it as 𝔖's independent check, equal to
+the S file `--mode cache` writes over S_1 to S_6 (S_7 in the slow tier).
+The module shares only `Poly` with the divided-difference recursion
+(`poly.walk`), the engine of every verify and print run, and the tests
+compare the two over S_1 to S_7 (S_8 in the slow tier).
 """
 from typing import Dict, List
 

@@ -7,7 +7,7 @@ at w_0, the first-ascent tree: `walk` goes down a subtree depth first with
 one operator call per edge and holds only its stack, and `grothendieck`
 goes down the one path from w_0 to w.  `build_table` collects the walk of
 all of S_n, the tests' reference table, which they compare with the pipe
-dreams of `cache.load_or_build`.
+dreams (`pipedreams.pd_polynomial_all`).
 
 A polynomial is a finite map from exponent codes to nonzero integer
 coefficients.  The code of an exponent vector alpha of length n is one
@@ -97,24 +97,14 @@ class Poly:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
         return sum(self.terms.values())
 
-    def to_text(self, texts: Optional[Dict[int, str]] = None) -> str:
+    def to_text(self) -> str:
         """Canonical text form: `coeff:e1,...,en` joined by `;`, in term
-        order, the order of the codes with the degree masked off.
-
-        `texts` maps a code to the text of its vector and grows as new codes
-        are seen, as `parse_text`'s `codes` does the other way: a writer
-        that passes one dict per table decodes each distinct code once.
-        Without it, a fresh dict is used."""
-        if texts is None:
-            texts = {}
+        order, the order of the codes with the degree masked off."""
         n, terms = self.nvars, self.terms
-        chunks = []
-        for c in sorted(terms, key=((1 << 8 * n) - 1).__and__):
-            text = texts.get(c)
-            if text is None:
-                text = texts[c] = ",".join(map(str, decode(c, n)))
-            chunks.append(f"{terms[c]}:{text}")
-        return ";".join(chunks)
+        return ";".join(
+            f"{terms[c]}:{','.join(map(str, decode(c, n)))}"
+            for c in sorted(terms, key=((1 << 8 * n) - 1).__and__)
+        )
 
     def __repr__(self) -> str:
         return f"Poly({self.to_text()!r}, nvars={self.nvars})"
@@ -529,8 +519,10 @@ def staircase_monomial(n: int) -> Poly:
 
 class PolynomialTable:
     """Schubert ("S") or Grothendieck ("G") polynomials for all of S_n, keyed
-    by permutation; read-only once built.  `cache.load_or_build` fills it
-    from pipe dreams, `build_table` from the divided differences."""
+    by permutation; read-only once built.  `cache.read_table` fills it from
+    a cache file, `cache.load_or_build` a 𝔊 table from pipe dreams, and
+    `build_table` either flavor from the divided differences.  No 𝔖 table
+    is built for the cache: `cache.write_tables` writes 𝔖 from 𝔊."""
 
     def __init__(self, n: int, flavor: str, polys: Dict[tuple, Poly]):
         self.n = n

@@ -3,6 +3,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import math
 import operator
 import os
 import pickle
@@ -90,6 +91,35 @@ def _operator_calls(fn):
     return result, poly.OPERATOR_APPLICATIONS - before
 
 
+def _counting_builds(monkeypatch) -> list:
+    """The (n, mode) of each `pipedreams.pd_polynomial_all` call from now on."""
+    real = pipedreams.pd_polynomial_all
+    built = []
+
+    def counting(n, mode):
+        built.append((n, mode))
+        return real(n, mode)
+
+    monkeypatch.setattr(pipedreams, "pd_polynomial_all", counting)
+    return built
+
+
+def _stamps(cache_dir, n, flavors="GS") -> dict:
+    """flavor -> (bytes, mtime in ns) of the cache files of S_n."""
+    stamps = {}
+    for flavor in flavors:
+        path = Path(cache.cache_path(cache_dir, n, flavor))
+        stamps[flavor] = (path.read_bytes(), path.stat().st_mtime_ns)
+    return stamps
+
+
+def _assert_written_s_is_pipe_dreams(tmp_path, n):
+    # What `--mode cache` calls, which also takes n = 1.
+    cache.load_or_build(str(tmp_path), n, "GS")
+    table = cache.read_table(cache.cache_path(str(tmp_path), n, "S"), n, "S")
+    assert table.polys == pipedreams.pd_polynomial_all(n, "schubert")
+
+
 class TestCache:
     # The keys of the `tables` fixture.
     @pytest.mark.parametrize("n, flavor", [(n, f) for n in (3, 4, 5, 6) for f in "SG"])
@@ -104,8 +134,18 @@ class TestCache:
             for expo in p.terms:
                 assert shared.setdefault(expo, expo) is expo
 
+    @pytest.mark.parametrize("n", range(1, 9))
+    def test_box_texts_in_term_order(self, n):
+        # The writer's texts and sort ranks: every point of the staircase box
+        # of S_n, in the order of the codes with the degree masked off.
+        texts = cache._box_texts(n)
+        assert len(texts) == math.factorial(n)
+        assert list(texts) == sorted(texts, key=((1 << 8 * n) - 1).__and__)
+        assert all(text == ",".join(map(str, poly.decode(c, n))) for c, text in texts.items())
+        assert all(poly.code(poly._staircase_point(poly.decode(c, n), n)) == c for c in texts)
+
     def test_write_matches_to_text(self, tables, tmp_path):
-        # One vector-text dict per file gives the bytes of `to_text` per line.
+        # Each line of either flavor's file is the polynomial's `to_text`.
         for (n, flavor), table in tables.items():
             path = cache.cache_path(str(tmp_path), n, flavor)
             cache.write_table(table, path)
@@ -120,8 +160,8 @@ class TestCache:
             (6, "S", "2c850f1a4aec6e80133bd14db1ee80d8d3b965008a49fc848fffa5888e01c589"),
             (6, "G", "57f6d23f68186eddd3b626fa2ab20feeb7e2d2240aab7c7a8e8a9ea2dbf9a4d6"),
             # The benchmark's set-up gate on `--mode cache --n 7`.
-            pytest.param(7, "S", json.loads(DIGESTS.read_text())["n7_S"], marks=pytest.mark.slow),
-            pytest.param(7, "G", json.loads(DIGESTS.read_text())["n7_G"], marks=pytest.mark.slow),
+            (7, "S", json.loads(DIGESTS.read_text())["n7_S"]),
+            (7, "G", json.loads(DIGESTS.read_text())["n7_G"]),
         ],
     )
     def test_cache_mode_file_bytes(self, tmp_path, n, flavor, expected):
@@ -163,25 +203,28 @@ class TestCache:
         assert os.listdir(tmp_path) == [os.path.basename(path)]
 
     def test_failed_format_keeps_old_file(self, tables, tmp_path, monkeypatch):
-        # The writer streams lines into the temp file; a failure after some
-        # lines are written still leaves the old file whole and no temp file.
-        path = cache.cache_path(str(tmp_path), 3, "G")
-        cache.write_table(tables[(3, "G")], path)
-        first = open(path, "rb").read()
-        to_text = poly.Poly.to_text
-        calls = []
+        # The writer streams lines into the temp files; a failure after some
+        # lines are written still leaves the old files whole and no temp file.
+        format_perm = perms.format_perm
+        for flavors in ("G", "GS"):
+            paths = {f: cache.cache_path(str(tmp_path), 3, f) for f in flavors}
+            cache.write_tables(tables[(3, "G")], paths)
+            first = {f: open(path, "rb").read() for f, path in paths.items()}
+            calls = []
 
-        def failing(self, texts=None):
-            calls.append(self)
-            if len(calls) > 2:
-                raise MemoryError("out of memory")
-            return to_text(self, texts)
+            def failing(w):
+                calls.append(w)
+                if len(calls) > 2:
+                    raise MemoryError("out of memory")
+                return format_perm(w)
 
-        monkeypatch.setattr(poly.Poly, "to_text", failing)
-        with pytest.raises(MemoryError):
-            cache.write_table(tables[(4, "G")], path)
-        assert open(path, "rb").read() == first
-        assert os.listdir(tmp_path) == [os.path.basename(path)]
+            monkeypatch.setattr(perms, "format_perm", failing)
+            with pytest.raises(MemoryError):
+                cache.write_tables(tables[(4, "G")], paths)
+            monkeypatch.setattr(perms, "format_perm", format_perm)
+            assert len(calls) == 3
+            assert {f: open(path, "rb").read() for f, path in paths.items()} == first
+            assert sorted(os.listdir(tmp_path)) == sorted(map(os.path.basename, paths.values()))
 
     def test_empty_table(self, tmp_path):
         table = poly.PolynomialTable(3, "G", {})
@@ -292,20 +335,58 @@ class TestCache:
         assert err == f"error: {path}:3: {message}\n"
 
     def test_warm_cache_skips_recompute(self, tmp_path, monkeypatch):
-        real = pipedreams.pd_polynomial_all
-        built = []
-
-        def counting(n, mode):
-            built.append((n, mode))
-            return real(n, mode)
-
-        monkeypatch.setattr(pipedreams, "pd_polynomial_all", counting)
+        built = _counting_builds(monkeypatch)
         cache_dir = str(tmp_path)
-        cold = cache.load_or_build(cache_dir, 4, "G")
+        cache.load_or_build(cache_dir, 4, "GS")
         assert built == [(4, "grothendieck")]
-        warm = cache.load_or_build(cache_dir, 4, "G")
+        cold = _stamps(cache_dir, 4)
+        cache.load_or_build(cache_dir, 4, "GS")
         assert built == [(4, "grothendieck")]
-        assert warm.polys == cold.polys
+        assert _stamps(cache_dir, 4) == cold
+
+    def test_cold_cache_mode_builds_g_once(self, tmp_path, monkeypatch):
+        """A cold `--mode cache` runs the pipe dreams once, for 𝔊, and
+        writes 𝔖 as its lowest-degree part."""
+        built = _counting_builds(monkeypatch)
+        assert cli.main(["--n", "5", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
+        assert built == [(5, "grothendieck")]
+
+    @pytest.mark.parametrize("cold", ["S", "G"])
+    @pytest.mark.parametrize("fault", ["missing", "stale header", "short"])
+    def test_partly_warm_rewrites_only_the_cold_file(self, tmp_path, monkeypatch, cold, fault):
+        """One cold file at n = 4 is rewritten with its bytes of a cold run,
+        and the warm one keeps its bytes and mtime: 𝔖 comes from the warm
+        𝔊 table, with no pipe dreams, and 𝔊 from the pipe dreams alone."""
+        cache_dir = str(tmp_path)
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", cache_dir]) == 0
+        fresh = _stamps(cache_dir, 4)
+        path = Path(cache.cache_path(cache_dir, 4, cold))
+        if fault == "missing":
+            path.unlink()
+        elif fault == "stale header":
+            path.write_text(path.read_text().replace("n=4", "n=5", 1))
+        else:
+            path.write_text("".join(path.read_text().splitlines(keepends=True)[:-1]))
+        (warm,) = set("GS") - {cold}
+        kept = _stamps(cache_dir, 4, warm)
+        built = _counting_builds(monkeypatch)
+        assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", cache_dir]) == 0
+        assert built == ([(4, "grothendieck")] if cold == "G" else [])
+        assert _stamps(cache_dir, 4, warm) == kept
+        assert _stamps(cache_dir, 4, cold)[cold][0] == fresh[cold][0]
+        assert sorted(os.listdir(cache_dir)) == sorted(
+            os.path.basename(cache.cache_path(cache_dir, 4, f)) for f in "GS"
+        )
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_written_schubert_table_is_the_nilcoxeter_pipe_dreams(self, tmp_path, n):
+        """The S file `--mode cache` writes, the lowest-degree parts of 𝔊,
+        read back, is the nilCoxeter pipe-dream table."""
+        _assert_written_s_is_pipe_dreams(tmp_path, n)
+
+    @pytest.mark.slow
+    def test_written_schubert_table_is_the_nilcoxeter_pipe_dreams_S7_slow(self, tmp_path):
+        _assert_written_s_is_pipe_dreams(tmp_path, 7)
 
 
 class TestRun:
@@ -452,7 +533,7 @@ class TestRun:
             assert status == 0 and count == 15 - perms.length(w) + (perms.length(w) < 15)
 
     def test_schubert_table_loaded_only_when_read(self, monkeypatch, tmp_path, capsys):
-        """Only `--mode cache` loads a table, and only it builds 𝔖."""
+        """Only `--mode cache` loads tables: one call, for both flavors."""
         real = cache.load_or_build
         loaded = []
 
@@ -475,7 +556,7 @@ class TestRun:
         assert cli.main(["--mode", "print", "--perm", "1432", "--cache-dir", str(tmp_path)]) == 0
         assert loaded == []
         assert cli.main(["--n", "4", "--mode", "cache", "--cache-dir", str(tmp_path)]) == 0
-        assert loaded == ["G", "S"]
+        assert loaded == ["GS"]
 
     def test_checker_exception_is_an_error(self, monkeypatch):
         real = posets.check_conjecture_1

@@ -6,7 +6,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from grothpoly import cache, cli, perms, poly, polytopes
+from grothpoly import cli, perms, pipedreams, poly, polytopes
 from grothpoly.polytopes import (
     SetFunctionPair,
     check_conjecture_4,
@@ -32,6 +32,11 @@ from reference import (
     recover_pair_points,
     vector_terms,
 )
+
+
+def g_table(n):
+    """The 𝔊 table of S_n, built by the pipe dreams."""
+    return poly.PolynomialTable(n, "G", pipedreams.pd_polynomial_all(n, "grothendieck"))
 
 
 @functools.lru_cache(maxsize=None)
@@ -853,7 +858,7 @@ class TestKernelsAgainstScans:
 
     @pytest.mark.slow
     def test_previous_kernels_S7_slow(self):
-        table = cache.load_or_build(None, 7, "G")
+        table = g_table(7)
         assert_conj4_kernels_match_previous(table)
         # The pairwise scans for the extremal points cost |supp|^2: conj4's
         # verdicts alone are compared with the whole-support reference.
@@ -925,11 +930,11 @@ def assert_view_pairs_match_points(table):
 class TestViewPair:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_S1_to_S6(self, n):
-        assert_view_pairs_match_points(cache.load_or_build(None, n, "G"))
+        assert_view_pairs_match_points(g_table(n))
 
     @pytest.mark.slow
     def test_S7_slow(self):
-        assert_view_pairs_match_points(cache.load_or_build(None, 7, "G"))
+        assert_view_pairs_match_points(g_table(7))
 
 
 class TestLaneBound:
@@ -948,7 +953,7 @@ class TestLaneBound:
 
     @pytest.mark.slow
     def test_S7_slow(self, monkeypatch):
-        assert_lanes_fit(monkeypatch, cache.load_or_build(None, 7, "G"), 7)
+        assert_lanes_fit(monkeypatch, g_table(7), 7)
 
 
 class TestPackedRefusal:
