@@ -1,16 +1,21 @@
 """
 Batch verification driver.
 
-A verify run holds no table of S_n.  Its tasks are w_0 alone and the
-subtree below each child of w_0 in the first-ascent tree; a `--perm` run
-is one task, its w alone.  A task builds its root's 𝔊 by the chain from
-w_0 (`poly.grothendieck`), walks its subtree (`poly.walk`), and checks
+A verify run holds no table of S_n.  Its tasks (`_tasks`) are the
+subtree below each w at depth 3 of the first-ascent tree and each w above
+depth 3 alone: 76 at S_7, and never more than the 256 the queue holds
+(from S_11 on, depth 2).  This process brings 𝔊 down the first three
+levels, one π_j per edge as `poly.walk` does, so each task carries its
+root's 𝔊 and a sweep applies n! - 1 operators.  A `--perm` run is one
+task, its w alone, with 𝔊_w built by the chain from w_0
+(`poly.grothendieck`).  A task walks its subtree (`poly.walk`) and checks
 each 𝔊_w as it is made, then drops it.  With `--jobs 1` the tasks run in
 this process.  With k > 1 workers, k - 1 children are forked and every
 process, this one included, takes task indices from one pipe until it is
-empty; each child sends its (w, record) pairs back as one pickle, and no
-child outlives `run` (`_fork_join`).  The pairs are sorted into
-`perms.all_perms` order.
+empty; each child sends its (bytes(w), record) pairs back as one pickle,
+and no child outlives `run` (`_fork_join`).  The pairs are sorted into
+`perms.all_perms` order.  The summary counts each distinct check table
+once, times the records that share it.
 
 A check's report entry is its verdict's (`verdicts.Verdict.entry`), and
 `cli` reads only its status and whether it has a witness.  A passing
@@ -36,7 +41,9 @@ import os
 import sys
 import time
 import traceback
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain, islice
 from json.encoder import encode_basestring_ascii as _string
 from operator import itemgetter
 from typing import List, Optional, Tuple
@@ -185,17 +192,41 @@ def _table(names: tuple, entries: list) -> dict:
 
 
 def _sweep(task: tuple) -> list:
-    """The (w, record) pairs of one task (config, root, whole): the root,
-    its 𝔊 built by the chain, and with `whole` every w below it in the
-    walk."""
-    config, root, whole = task
-    g = poly.grothendieck(root)
+    """The (bytes(w), record) pairs of one task (config, root, 𝔊_root,
+    whole): the root, and with `whole` every w below it in the walk.  The
+    bytes of w sort as w does, an entry of w being at most n < 256, and
+    compare and pickle faster than the tuple."""
+    config, root, g, whole = task
     pairs = poly.walk(root, g, poly.isobaric_divided_difference) if whole else [(root, g)]
-    return [(w, _check_one(config, w, f)) for w, f in pairs]
+    return [(bytes(w), _check_one(config, w, f)) for w, f in pairs]
+
+
+# The deepest level of the first-ascent tree whose subtrees are tasks, and
+# the most tasks: a task index is one byte of the queue.
+TASK_DEPTH = 3
+MAX_TASKS = 256
+
+
+def _tasks(config: RunConfig) -> list:
+    """The tasks of a full sweep of S_n, each (config, root, 𝔊_root,
+    whole): the subtree below each w at depth d of the first-ascent tree,
+    then each w above depth d alone, the cheapest tasks last, for the
+    largest d <= TASK_DEPTH that gives at most MAX_TASKS tasks.  𝔊 comes
+    down the levels by one π_j per edge, as `poly.walk` makes it, so a
+    sweep applies n! - 1 operators and runs no chain."""
+    level = [(perms.longest_element(config.n), poly.staircase_monomial(config.n))]
+    above = []
+    for _ in range(TASK_DEPTH):
+        steps = [(f, j, w) for v, f in level for j, w in poly.first_ascent_children(v)]
+        if len(above) + len(level) + len(steps) > MAX_TASKS:
+            break
+        above += level
+        level = [(w, poly.isobaric_divided_difference(f, j)) for f, j, w in steps]
+    return [(config, w, g, True) for w, g in level] + [(config, w, g, False) for w, g in above]
 
 
 def _take(queue: int, tasks: list) -> list:
-    """The (w, record) pairs of each task whose index this process reads
+    """The `_sweep` pairs of each task whose index this process reads
     from the queue, a pipe of one byte per index, until it is empty."""
     pairs = []
     while index := os.read(queue, 1):
@@ -233,7 +264,7 @@ def _worker(queue: int, tasks: list, read: int, out: int) -> None:
 
 
 def _fork_join(tasks: list, workers: int) -> list:
-    """The (w, record) pairs of every task, over this process and
+    """The `_sweep` pairs of every task, over this process and
     workers - 1 forked children.  Every process, this one included, takes
     task indices from one pipe filled before the first fork, until it is
     empty.  Each child sends its pairs, or the traceback of what it raised,
@@ -244,7 +275,8 @@ def _fork_join(tasks: list, workers: int) -> list:
     import pickle
     import signal
 
-    assert len(tasks) <= 256, "one byte per task index"
+    if len(tasks) > MAX_TASKS:
+        raise RuntimeError(f"{len(tasks)} tasks, but the queue holds at most {MAX_TASKS}")
     queue, fill = os.pipe()
     os.write(fill, bytes(range(len(tasks))))
     os.close(fill)
@@ -289,10 +321,10 @@ def run(config: RunConfig) -> Tuple[dict, int]:
     status is 3 if any checker raised, else 1 if any check failed, else 0."""
     config.validate()
     started = time.perf_counter()
-    top = perms.longest_element(config.n)
-    tasks = [(config, config.perm or top, False)]
-    if not config.perm:
-        tasks += [(config, w, True) for _, w in poly.first_ascent_children(top)]
+    if config.perm:
+        tasks = [(config, config.perm, poly.grothendieck(config.perm), False)]
+    else:
+        tasks = _tasks(config)
 
     # No more workers than the tasks or the CPUs this process may run on,
     # its affinity set where the platform has one (Linux), else every CPU.
@@ -306,16 +338,27 @@ def run(config: RunConfig) -> Tuple[dict, int]:
         done = [pair for task in tasks for pair in _sweep(task)]
     else:
         done = _fork_join(tasks, workers)
-    pairs = sorted(done, key=itemgetter(0))
-    results = [record for _, record in pairs]
+    done.sort(key=itemgetter(0))
+    results = list(map(itemgetter(1), done))
 
+    # Records share their check tables, so each distinct table is counted
+    # once, times its records, and only the records of a table holding a
+    # failure or an error are searched for them, in record order.
+    tables = list(map(itemgetter("checks"), results))
+    uses = Counter(map(id, tables))
     counts = {"pass": 0, "fail": 0, "skip": 0, "error": 0}
+    flagged = set()
+    for key, table in dict(zip(map(id, tables), tables)).items():
+        for entry in table.values():
+            counts[entry["status"]] += uses[key]
+            if entry["status"] in ("fail", "error"):
+                flagged.add(key)
     listed = {"fail": [], "error": []}
-    for rec in results:
-        for name, entry in rec["checks"].items():
-            counts[entry["status"]] += 1
-            if entry["status"] in listed:
-                listed[entry["status"]].append({"perm": rec["perm"], "check": name})
+    for rec in results if flagged else ():
+        if id(rec["checks"]) in flagged:
+            for name, entry in rec["checks"].items():
+                if entry["status"] in listed:
+                    listed[entry["status"]].append({"perm": rec["perm"], "check": name})
     summary = {
         "permutations": len(results),
         "pass": counts["pass"],
@@ -350,13 +393,14 @@ _CONSTANTS = {True: "true", False: "false", None: "null"}
 def _json(obj, indent: str, memo: dict) -> str:
     """obj as json.dumps(obj, indent=2, sort_keys=True) writes it when its
     first line is indented by `indent`: a dict's members in key order, one
-    line each, two spaces further in.  Strings go to the C escaper and a
-    finite float (from --timings) to float.__repr__, as json.dumps writes
-    them; what else is rare (NaN, infinities, a dict with a key that is not
-    a string) goes to json.dumps, its lines after the first indented the
-    same.  A `Frozen` is rendered once per (identity, indent) into `memo`,
-    which is exact: it cannot change, and the report holding it keeps it,
-    and so its id, alive while it renders."""
+    line each, two spaces further in (`_dicts`), and a list's items one a
+    line (`_items`).  Strings go to the C escaper and a finite float (from
+    --timings) to float.__repr__, as json.dumps writes them; what else is
+    rare (NaN, infinities, a dict with a key that is not a string) goes to
+    json.dumps, its lines after the first indented the same.  A `Frozen` is
+    rendered once per (identity, indent) into `memo`, which is exact: it
+    cannot change, and the report holding it keeps it, and so its id, alive
+    while it renders."""
     cls = obj.__class__
     if cls is str:
         return _string(obj)
@@ -364,16 +408,15 @@ def _json(obj, indent: str, memo: dict) -> str:
         key = (id(obj), indent)
         text = memo.get(key)
         if text is None:
-            text = memo[key] = _json_dict(obj, indent, memo)
+            text = memo[key] = _dicts([obj], indent, memo)[0]
         return text
     if cls is dict:
-        return _json_dict(obj, indent, memo)
+        return _dicts([obj], indent, memo)[0]
     if cls is list or cls is tuple:
         if not obj:
             return "[]"
         inner = indent + "  "
-        members = [int.__repr__(v) if v.__class__ is int else _json(v, inner, memo) for v in obj]
-        return "[\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "]"
+        return "[\n" + inner + (",\n" + inner).join(_items(obj, inner, memo)) + "\n" + indent + "]"
     if cls is int:
         return int.__repr__(obj)
     if obj is None or cls is bool:
@@ -383,27 +426,71 @@ def _json(obj, indent: str, memo: dict) -> str:
     return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
 
 
-def _json_dict(obj: dict, indent: str, memo: dict) -> str:
-    if not obj:
-        return "{}"
+def _items(items, indent: str, memo: dict) -> list:
+    """The texts of a list's items, each first indented by `indent`.  Items
+    all of one class that C writes (str, int, finite float) are mapped
+    through it; plain dicts go to `_dicts`; lists, or tuples, are split out
+    of one list of all their members, rendered as one.  Any other list is
+    rendered once per distinct item, each `Frozen` through `_json`'s memo:
+    an item cannot change while it renders, and `items` keeps its id."""
+    kinds = set(map(type, items))
+    kind = kinds.pop() if len(kinds) == 1 else None
+    if kind is str:
+        return list(map(_string, items))
+    if kind is int:
+        return list(map(int.__repr__, items))
+    if kind is float and all(map(math.isfinite, items)):
+        return list(map(float.__repr__, items))
+    if kind is dict:
+        return _dicts(items, indent, memo)
+    if kind is list or kind is tuple:
+        inner = indent + "  "
+        members = iter(_items(list(chain.from_iterable(items)), inner, memo))
+        head, sep, tail = "[\n" + inner, ",\n" + inner, "\n" + indent + "]"
+        return [head + sep.join(islice(members, len(item))) + tail if item else "[]" for item in items]
+    ids = list(map(id, items))
+    texts = {key: _json(item, indent, memo) for key, item in dict(zip(ids, items)).items()}
+    return list(map(texts.__getitem__, ids))
+
+
+# The rows `_dicts` renders column by column at once: the columns of a
+# block are freed before the next is made, so the render's peak memory is
+# its texts, not also the columns of every row.
+ROWS_PER_BLOCK = 64
+
+
+def _dicts(rows: list, indent: str, memo: dict) -> list:
+    """The texts of dicts, each first indented by `indent`.  Dicts whose
+    keys are the same strings in the same order, as a run's records are,
+    share one template of their members in key order, filled column by
+    column: each key's values go to `_items` as one list.  Other dicts are
+    rendered one by one."""
+    keys = tuple(rows[0])
+    if len(rows) > 1 and not all(map(keys.__eq__, map(tuple, rows))):
+        return [_json(row, indent, memo) for row in rows]
+    if not all(key.__class__ is str for key in keys):  # json.dumps converts them
+        return [json.dumps(row, indent=2, sort_keys=True).replace("\n", "\n" + indent) for row in rows]
+    if not keys:
+        return ["{}"] * len(rows)
+    keys = sorted(keys)
     inner = indent + "  "
-    try:
-        members = [
-            _string(k) + ": " + (_string(v) if v.__class__ is str else _json(v, inner, memo))
-            for k, v in sorted(obj.items())
-        ]
-    except TypeError:  # a key that is not a string, which json.dumps converts
-        return json.dumps(obj, indent=2, sort_keys=True).replace("\n", "\n" + indent)
-    return "{\n" + inner + (",\n" + inner).join(members) + "\n" + indent + "}"
+    heads = [_string(key).replace("%", "%%") + ": %s" for key in keys]
+    template = "{\n" + inner + (",\n" + inner).join(heads) + "\n" + indent + "}"
+    texts = []
+    for start in range(0, len(rows), ROWS_PER_BLOCK):
+        block = rows[start : start + ROWS_PER_BLOCK]
+        columns = [_items(list(map(itemgetter(key), block)), inner, memo) for key in keys]
+        texts += map(template.__mod__, zip(*columns))
+    return texts
 
 
 def _render_json(report: dict) -> str:
     """The bytes of json.dumps(report, indent=2, sort_keys=True) + "\n",
     without the pure-Python encoder, which json.dumps uses whenever there is
     an indent.  Each value under the report's keys, a record among them, is
-    one string (`_json`); the pieces of the top two levels go into one list,
-    joined once, so rendering holds those strings and the result.  An entry
-    or check table that records share is rendered once per call."""
+    one string (`_json`, `_items`); the pieces of the top two levels go into
+    one list, joined once, so rendering holds those strings and the result.
+    An entry or check table that records share is rendered once per call."""
     if not report:
         return "{}\n"
     out = []
@@ -414,9 +501,9 @@ def _render_json(report: dict) -> str:
         head = ",\n  "
         if value and value.__class__ is list:
             sep = "[\n    "
-            for item in value:
+            for text in _items(value, "    ", memo):
                 out.append(sep)
-                out.append(_json(item, "    ", memo))
+                out.append(text)
                 sep = ",\n    "
             out.append("\n  ]")
         else:

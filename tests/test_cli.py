@@ -714,6 +714,44 @@ class TestRun:
         # and infinity.
         assert cli.render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
 
+    # One strategy per column of the rows below: each class that C writes,
+    # NaN and infinities among the floats, the constants, lists of ints, of
+    # lists and of tuples, dicts, and a column of ints and strings mixed.
+    _COLUMNS = (
+        st.integers(),
+        st.floats(),
+        st.sampled_from([math.nan, math.inf, -math.inf, 0.5]),
+        st.text(max_size=3),
+        st.booleans() | st.none(),
+        st.lists(st.integers(), max_size=3),
+        st.lists(st.lists(st.integers() | st.text(max_size=2), max_size=2), max_size=2),
+        st.lists(st.tuples(st.integers(), st.floats()), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers() | st.lists(st.integers(), max_size=2), max_size=2),
+        st.integers() | st.text(max_size=2),
+    )
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_json_render_of_rows(self, data):
+        """Lists of dicts with one key order, as a run's records are, render
+        column by column to the bytes of json.dumps: also read-only rows,
+        one row with its keys reversed, one item that is no dict, a row
+        shared by two lists, and a row repeated within one."""
+        keys = data.draw(st.lists(st.text(max_size=4), unique=True, max_size=4))
+        row = st.fixed_dictionaries({key: data.draw(st.sampled_from(self._COLUMNS)) for key in keys})
+        rows = data.draw(st.lists(row, min_size=1, max_size=4))
+        change = data.draw(st.sampled_from(["none", "frozen", "reversed", "not a dict", "repeated"]))
+        if change == "frozen":
+            rows = [verdicts.Frozen(r) for r in rows]
+        elif change == "reversed":
+            rows[-1] = dict(reversed(rows[-1].items()))
+        elif change == "not a dict":
+            rows.append(len(rows))
+        elif change == "repeated":
+            rows.append(rows[0])
+        report = {"results": rows, "nested": [rows[:1], rows]}
+        assert cli.render(report, "json") == json.dumps(report, indent=2, sort_keys=True) + "\n"
+
     def test_json_render_peak_memory(self):
         """Rendering holds the blocks and the result, not every encoder
         chunk at once: the traced peak stays below 3x the output."""
@@ -733,7 +771,7 @@ class TestRun:
         config = cli.RunConfig(n=5)
         config.validate()
         (_, root), *_ = poly.first_ascent_children(perms.longest_element(5))
-        pairs = pickle.loads(pickle.dumps(cli._sweep((config, root, True))))
+        pairs = pickle.loads(pickle.dumps(cli._sweep((config, root, poly.grothendieck(root), True))))
         tables = [record["checks"] for _, record in pairs]
         entries = [entry for table in tables for entry in table.values()]
         for objects in (tables, entries):
@@ -954,31 +992,108 @@ class TestRun:
 
     def test_workers_capped_by_targets(self, monkeypatch):
         """No more workers than tasks: a --perm run is one task, and a full
-        sweep of S_n is n of them, w_0 alone and the subtree below each of
-        its n - 1 children.  This process is one of the workers, so k
+        sweep of S_3 is six of them, one per w, the identity's being the
+        subtree below depth 3.  This process is one of the workers, so k
         workers fork k - 1 children."""
         forked = _counting_forks(monkeypatch)
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: set(range(16)))
         report, _ = cli.run(cli.RunConfig(n=3, perm=(1, 3, 2), checks=("conj1",), jobs=8))
         assert forked == [] and len(report["results"]) == 1
         report, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert len(forked) == 2 and len(report["results"]) == 6
+        assert len(forked) == 5 and len(report["results"]) == 6
         # No more workers than the CPUs the process may run on, and the
         # same report bytes.
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 3})
         capped, _ = cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert len(forked) == 3 and cli.render(capped, "json") == cli.render(report, "json")
+        assert len(forked) == 6 and cli.render(capped, "json") == cli.render(report, "json")
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {5})
         cli.run(cli.RunConfig(n=3, checks=("conj1",), jobs=8))
-        assert len(forked) == 3
+        assert len(forked) == 6
         _assert_no_children()
 
     def test_two_jobs_keep_the_n6_bytes(self, monkeypatch):
-        """Two workers split S_6 into its six tasks and give the report of
-        one process, byte for byte."""
+        """Two workers split S_6 into its 49 tasks, the 29 subtrees below
+        depth 3 and each w above it alone, and give the report of one
+        process, byte for byte."""
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
         one, two = (cli.render(cli.run(cli.RunConfig(n=6, jobs=jobs))[0], "json") for jobs in (1, 2))
         assert one == two
+        _assert_no_children()
+
+    @pytest.mark.parametrize("most", [cli.MAX_TASKS, 20, 5])
+    def test_tasks_cover_the_group_once(self, monkeypatch, most):
+        """The tasks of a full sweep of S_n, n = 2..8, hold each w once: a
+        whole task's subtree walked with a no-op step, so no 𝔊 is built
+        below the task roots, and any other task its root.  With fewer
+        tasks allowed, the roots lie higher up the tree."""
+        monkeypatch.setattr(cli, "MAX_TASKS", most)
+        for n in range(2, 9):
+            seen = []
+            for config, root, g, whole in cli._tasks(cli.RunConfig(n=n)):
+                assert config.n == n and g.nvars == n
+                seen += [w for w, _ in poly.walk(root, g, lambda f, j: f)] if whole else [root]
+            assert sorted(seen) == perms.all_perms(n), n
+
+    def test_task_count_fits_the_queue(self):
+        """The subtrees below depth 3 and each w above it: 76 tasks at S_7,
+        111 at S_8, 155 at S_9 and 209 at S_10.  From S_11 on depth 3
+        holds too many for the one-byte queue, and depth 2 is taken."""
+        counts = [len(cli._tasks(cli.RunConfig(n=n))) for n in range(2, 13)]
+        assert counts == [2, 6, 15, 29, 49, 76, 111, 155, 209, 65, 77]
+        assert max(counts) <= 256
+
+    def test_too_many_tasks_refused_before_forking(self, monkeypatch):
+        """The one-byte queue is checked also under `python -O`: more than
+        256 tasks raise before any fork."""
+        forked = _counting_forks(monkeypatch)
+        with pytest.raises(RuntimeError, match="257 tasks, but the queue holds at most 256"):
+            cli._fork_join([None] * 257, 2)
+        assert forked == []
+        script = "from grothpoly import cli\ntry:\n    cli._fork_join([None] * 257, 2)\nexcept RuntimeError:\n    print('refused')"
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).resolve().parents[1]))
+        out = subprocess.run([sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True)
+        assert out.stdout == "refused\n"
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_summary_counts_each_table_once(self, monkeypatch, capsys, jobs):
+        """Counting each distinct check table once, times its records, gives
+        the summary that counting every entry gives, with failures and
+        errors in record order: a failure with a witness, a failure that
+        records share, an error and a real check over S_5, with one job and
+        with two, all of the same bytes."""
+        bare = Verdict(False)  # one entry, so one check table, for every w it fails
+
+        def witnessed(w, g):
+            return Verdict(False, witness=list(w)) if w[0] == 2 else PASS
+
+        def raises(w, g):
+            if w[-1] == 1:
+                raise ArithmeticError(f"no {perms.format_perm(w)}")
+            return PASS
+
+        monkeypatch.setitem(cli.CHECKS, "euler", witnessed)
+        monkeypatch.setitem(cli.CHECKS, "rajchgot", lambda w, g: bare if perms.length(w) % 3 == 0 else PASS)
+        monkeypatch.setitem(cli.CHECKS, "coeff", raises)
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: {0, 1})
+        checks = ("conj1", "euler", "rajchgot", "coeff")
+        report, status = cli.run(cli.RunConfig(n=5, checks=checks, jobs=jobs))
+        capsys.readouterr()
+        counts = dict.fromkeys(("pass", "fail", "skip", "error"), 0)
+        listed = {"fail": [], "error": []}
+        for record in report["results"]:
+            for name, entry in record["checks"].items():
+                counts[entry["status"]] += 1
+                if entry["status"] in listed:
+                    listed[entry["status"]].append({"perm": record["perm"], "check": name})
+        summary = report["summary"]
+        assert status == 3 and counts["fail"] > 0 and counts["error"] == 24
+        assert {key: summary[key] for key in counts} == counts
+        assert (summary["failures"], summary["errors"]) == (listed["fail"], listed["error"])
+        failed = {f["check"] for f in summary["failures"]}
+        assert failed == {"euler", "rajchgot"}
+        one, _ = cli.run(cli.RunConfig(n=5, checks=checks, jobs=1))
+        capsys.readouterr()
+        assert cli.render(report, "json") == cli.render(one, "json")
         _assert_no_children()
 
     def test_no_table_and_no_pipe_dreams(self, monkeypatch, capsys):
