@@ -15,9 +15,10 @@ the line shape `word|text`, a word that is a permutation of [n] not seen
 before in the file, and through `poly.parse_text` a nonempty polynomial (no
 𝔊_w or 𝔖_w is zero), nonzero coefficients, exponent vectors in the
 staircase box of S_n (length n, entries 0 <= alpha_i <= n - i), and no
-repeated exponent within a polynomial.  It codes each distinct exponent
+repeated exponent within a polynomial.  It keys each distinct exponent
 text once per file (`poly.code`), so equal exponents across the table share
-one int.
+one int.  The writer reads term order and the degree off the keys
+themselves: kappa mod n! and kappa // n!.
 """
 from __future__ import annotations
 
@@ -37,13 +38,13 @@ def cache_path(cache_dir: str, n: int, flavor: str) -> str:
 
 
 def _box_texts(n: int) -> Dict[int, str]:
-    """code -> text of every exponent vector in the staircase box of S_n,
+    """key -> text of every exponent vector in the staircase box of S_n,
     inserted in term order: alpha_n = 0, then each alpha_i, i = n - 1 down
     to 1, ranges over 0 .. n - i inside each prefix of the coordinates above
-    it, adding alpha_i (256^(i-1) + 256^n) to the code (`poly.code`)."""
+    it, adding alpha_i (w_i + n!) to the key (`poly.code`)."""
     points = [(0, "0")]
     for i in range(n - 1, 0, -1):
-        unit = (1 << 8 * (i - 1)) + (1 << 8 * n)
+        unit = poly._unit_keys(n)[i - 1]
         points = [(c + a * unit, f"{a},{text}") for c, text in points for a in range(n - i + 1)]
     return dict(points)
 
@@ -51,15 +52,16 @@ def _box_texts(n: int) -> Dict[int, str]:
 def write_tables(table: poly.PolynomialTable, paths: Dict[str, str]) -> None:
     """Write the file of each flavor in `paths` from `table`, in one pass
     over S_n: each polynomial's terms are sorted into term order, by their
-    rank in the staircase box, and formatted once; its G line joins them
-    all, its S line those of degree l(w), the lowest degree of 𝔊_w and the
-    only one of 𝔖_w.  Each file is written under a temporary name in its
-    directory, then renamed over its path, so a concurrent reader sees the
-    old file or the whole new one, never a torn last line; lines are
-    written as they are formatted, so no file is held in memory."""
-    n, bottom = table.n, 8 * table.n  # a code's degree is its bits from `bottom` up
+    keys mod n!, and formatted once; its G line joins them all, its S line
+    those of degree l(w), the keys below (l(w) + 1) n!, the lowest degree
+    of 𝔊_w and the only one of 𝔖_w.  Each file is written under a
+    temporary name in its directory, then renamed over its path, so a
+    concurrent reader sees the old file or the whole new one, never a torn
+    last line; lines are written as they are formatted, so no file is held
+    in memory."""
+    n, unit = table.n, math.factorial(table.n)  # a key's degree is key // unit
     texts = _box_texts(n)
-    rank = {c: k for k, c in enumerate(texts)}.__getitem__
+    rank = {c: c % unit for c in texts}.__getitem__  # term order; sorts faster than int.__rmod__
     tmps = {flavor: f"{path}.{os.getpid()}.tmp" for flavor, path in paths.items()}
     try:
         with contextlib.ExitStack() as stack:
@@ -75,7 +77,7 @@ def write_tables(table: poly.PolynomialTable, paths: Dict[str, str]) -> None:
                 if g_file:
                     g_file.write(f"{word}|{';'.join(chunks)}\n")
                 if s_file:
-                    low = map(((perms.length(w) + 1) << bottom).__gt__, keys)
+                    low = map(((perms.length(w) + 1) * unit).__gt__, keys)
                     s_file.write(f"{word}|{';'.join(itertools.compress(chunks, low))}\n")
         for flavor, tmp in tmps.items():
             os.replace(tmp, paths[flavor])
@@ -96,7 +98,7 @@ def read_table(path: str, n: int, flavor: str) -> Optional[poly.PolynomialTable]
     a corrupt body line (bad `word|text` shape, a word that is not a
     permutation of [n] or repeats an earlier one, an empty polynomial, zero
     coefficient, exponent vector outside the staircase box, repeated
-    exponent) is a hard error naming the line.  Equal codes in the returned
+    exponent) is a hard error naming the line.  Equal keys in the returned
     table are one shared int.
     The file is read one line at a time, so it is never held in memory
     beside the table."""

@@ -65,7 +65,8 @@ def _oracle(w, g) -> Verdict:
     misses an error that keeps 𝔊_w so.  The independent computation is in
     the tests: the walk against the pipe dreams over S_1 to S_7 (S_8 in the
     slow tier).  A failure names w, k (null at w_0), the first differing
-    exponent in term order and both coefficients."""
+    exponent in term order, the least key mod n! (`poly.code`), and both
+    coefficients."""
     n = g.nvars
     ascents = perms.ascents(w)
     k = ascents[-1] if ascents else None
@@ -74,7 +75,7 @@ def _oracle(w, g) -> Verdict:
     if walked == wanted:
         return PASS
     differ = (e for e in walked.keys() | wanted.keys() if walked.get(e, 0) != wanted.get(e, 0))
-    expo = min(differ, key=((1 << 8 * n) - 1).__and__)  # term order: the degree masked off
+    expo = min(differ, key=math.factorial(n).__rmod__)  # term order: the key mod n!
     witness = {
         "perm": perms.format_perm(w),
         "k": k,
@@ -543,8 +544,8 @@ def print_permutation(config: RunConfig) -> str:
     built by its first-ascent chain; 𝔖_w is the degree-l(w) part of 𝔊_w."""
     w, length = config.perm, perms.length(config.perm)
     g = poly.grothendieck(w)
-    bottom = 8 * config.n  # a code's degree is its bits from here up
-    s = poly.Poly({e: c for e, c in g.terms.items() if e >> bottom == length}, config.n)
+    unit = math.factorial(config.n)  # a key's degree is key // unit
+    s = poly.Poly({e: c for e, c in g.terms.items() if e // unit == length}, config.n)
     lines = [
         f"perm {perms.format_perm(w)}",
         f"length {length}",

@@ -20,6 +20,9 @@ subwords form the Bruhat lower interval below the product of the whole prefix,
 so there are at most n! states, and the cost follows the size of the output,
 not the 2^(n(n-1)/2) cross subsets.  A term's sign is (-1)^(degree - l(u)),
 fixed by its exponent, so contributions never cancel to a zero coefficient.
+Terms are keyed by the graded staircase index (`poly.code`): a cross in row
+i adds w_i + n! to the key, and row i has n - i cells, so every exponent
+stays in the staircase box and each sum is a key, with no carry (`_Times`).
 `cache.load_or_build` calls the 𝔊 branch, and writes 𝔖 as the
 lowest-degree part of 𝔊 (`cache.write_tables`), so the 𝔖 branch has no
 caller in the package: the tests keep it as 𝔖's independent check, equal to
@@ -31,7 +34,7 @@ compare the two over S_1 to S_7 (S_8 in the slow tier).
 from typing import Dict, List
 
 from . import perms
-from .poly import Poly
+from .poly import Poly, _unit_keys
 
 
 def staircase_cells(n: int) -> List[tuple]:
@@ -40,12 +43,14 @@ def staircase_cells(n: int) -> List[tuple]:
 
 
 class _Times(dict):
-    """e -> the code of x_i x^e, e + 256^(i-1) + 256^n (`poly.code`), one
-    shared int per distinct code in `codes`."""
+    """e -> the key of x_i x^e, e + w_i + n! (`poly.code`), one shared int
+    per distinct key in `codes`.  The sum is that key, with no carry, as
+    long as x_i x^e lies in the staircase box: a cross set's exponent of
+    x_i counts its crosses in row i, which has n - i cells."""
 
     def __init__(self, i: int, n: int, codes: Dict[int, int]):
         super().__init__()
-        self.unit, self.codes = 1 << 8 * (i - 1) | 1 << 8 * n, codes
+        self.unit, self.codes = _unit_keys(n)[i - 1], codes
 
     def __missing__(self, e: int) -> int:
         up = e + self.unit
@@ -54,12 +59,12 @@ class _Times(dict):
 
 
 def pd_polynomial_all(n: int, mode: str) -> Dict[tuple, Poly]:
-    """The pipe-dream polynomial of every w in S_n, keyed by exponent code
+    """The pipe-dream polynomial of every w in S_n, keyed by exponent key
     (`poly.code`): 𝔖_w for mode="schubert", 𝔊_w for mode="grothendieck".
-    The empty cross set has weight x^0, code 0."""
+    The empty cross set has weight x^0, key 0."""
     if mode not in ("schubert", "grothendieck"):
         raise ValueError(f"unknown mode {mode!r}")
-    codes: Dict[int, int] = {}  # one int per distinct code, as in poly.parse_text
+    codes: Dict[int, int] = {}  # one int per distinct key, as in poly.parse_text
     times = {i: _Times(i, n, codes) for i in range(1, n)}
     states = {tuple(range(1, n + 1)): {0: 1}}
     for i, j in sorted(staircase_cells(n), key=lambda c: (c[0], -c[1])):

@@ -9,46 +9,48 @@ goes down the one path from w_0 to w.  `build_table` collects the walk of
 all of S_n, the tests' reference table, which they compare with the pipe
 dreams (`pipedreams.pd_polynomial_all`).
 
-A polynomial is a finite map from exponent codes to nonzero integer
-coefficients.  The code of an exponent vector alpha of length n is one
-integer: one byte per coordinate, x_1 lowest, and the degree above them,
-code(alpha) = sum of alpha_i 256^(i-1) + |alpha| 256^n (`code`; a vector
-with an entry outside 0..255 has none).  `decode` masks off the degree.
-While every entry is < 256 no byte carries, so the code of a sum is the sum
-of the codes, alpha + e_i is code(alpha) + 256^(i-1) + 256^n, the degree
-is code >> 8n, and the numeric order of the codes is degree, then the
-canonical term order (compare the exponent of x_n first, then x_{n-1}, and
-so on: a term order with x_1 < x_2 < ... < x_n); with the degree masked off
-it is term order alone.  Every exponent of a polynomial here lies in the
-staircase box of S_n, entries < n, so the bound holds for n <= 256.  All
-arithmetic is exact; the divided differences are written in closed form
-on codes, with move tables: per (n, j), a table maps the bytes of x_j and
-x_{j+1} in a code to the code offsets and multipliers of the output terms,
-so a monomial costs one lookup and one update per output (`_Moves`).
-`Poly` stores the terms it is given, which the program builds itself;
-terms from outside enter only through `parse_text` (behind the cache
-reader), which checks them.  Exponent
+A polynomial is a finite map from exponent keys to nonzero integer
+coefficients.  Every exponent of 𝔊_w for w in S_n lies in the staircase
+box alpha_i <= n - i, because row i of a pipe dream has n - i cells, and
+the operators of the recursion keep every monomial of the box inside it
+(`_moves`).  The box has n! points, numbered
+k(alpha) = sum of alpha_i w_i, with radix r_i = n - i + 1, w_1 = 1 and
+w_{i+1} = w_i r_i, so w_i = n!/(n - i + 1)!: the digits of k in mixed
+radix are alpha, x_n the most significant, so index order is the canonical
+term order (compare the exponent of x_n first, then x_{n-1}, and so on: a
+term order with x_1 < x_2 < ... < x_n).  The key of alpha is its graded
+staircase index kappa(alpha) = |alpha| n! + k(alpha) (`code`; a vector
+outside the box has none, and `decode` inverts it).  So the degree is
+kappa // n!, term order is kappa mod n!, and the numeric order of the keys
+is degree, then term order.  Up to n = 10 every key is below 46 * 10!,
+less than 2^30: one digit of a Python int.  A unit step alpha + e_i inside
+the box is kappa(alpha) + w_i + n!.  An integer whose degree part
+kappa // n! is not the digit sum of kappa mod n! is no key: a step that
+leaves the box shows so, since a digit that carries or borrows moves the
+digit sum and the degree part apart (`posets.VectorPoset.covers`,
+`posets.mobius`).
+
+All arithmetic is exact; the divided differences are written in closed
+form on keys, with move tables: per (n, j), a list maps the digits of x_j
+and x_{j+1}, kappa // w_j mod r_j r_{j+1}, to the key offsets and
+multipliers of the output terms, so a monomial costs one lookup and one
+update per output (`_moves`).  `Poly` stores the terms it is given, which
+the program builds itself; terms from outside enter only through
+`parse_text` (behind the cache reader), which checks them.  Exponent
 vectors appear only where a person reads them: witnesses, `to_text` and
 `support`.
 
 `support_view` packs one support as a bitset with its top degree, maxima,
 elements with no unit step up or down, and the unit steps conj3 finds
 missing; every check that reads a support reads that view, built once per
-polynomial (`perms.last_call`).
-
-The view finds those order facts with a second encoding, a bitset over a
-box.  Every exponent of 𝔊_w for w in S_n lies in the staircase box
-alpha_i <= n - i, because row i of a pipe dream has n - i cells; that box
-has n! points, and it is the only box (`_Box`): a point outside it is
-refused with a ValueError that names it, and the cache reader refuses such
-a vector where it enters (`parse_text`).  The box numbers its points
-k(alpha) = sum of alpha_i w_i, with radix r_i = n - i + 1, w_1 = 1 and
-w_{i+1} = w_i r_i: the digits of k in mixed radix are alpha, x_n the most
-significant, so index order is term order.  A set of points is one
-integer, with bit k(alpha) set for each alpha in it, and a unit step of a
-whole set is one shift by w_i and one mask (`_SupportView` has the proofs).
-Boxes of more than 10! points, the staircase box of S_10, are refused with
-a ValueError: at n >= 11 the view refuses every support.
+polynomial (`perms.last_call`).  A set of points is one integer, with bit
+k(alpha) set for each alpha in it, and a unit step of a whole set is one
+shift by w_i and one mask (`_SupportView` has the proofs).  The box
+(`_Box`) maps a key to its bit k = kappa mod n!, and refuses with a
+ValueError that names it an integer that is no key; the cache reader
+refuses a vector outside the box where it enters (`parse_text`).  Boxes of
+more than 10! points, the staircase box of S_10, are refused with a
+ValueError: at n >= 11 the view refuses every support.
 """
 from __future__ import annotations
 
@@ -67,8 +69,8 @@ OPERATOR_APPLICATIONS = 0
 
 class Poly:
     """Immutable exact sparse polynomial in nvars variables: `terms` maps
-    the code of each exponent vector (see the module docstring) to its
-    nonzero coefficient."""
+    the key of each exponent vector (`code`, see the module docstring) to
+    its nonzero coefficient."""
 
     __slots__ = ("terms", "nvars")
 
@@ -91,7 +93,7 @@ class Poly:
     def degree(self) -> int:
         if not self.terms:
             raise ValueError("degree of the zero polynomial is undefined")
-        return max(self.terms) >> 8 * self.nvars
+        return max(self.terms) // math.factorial(self.nvars)
 
     def principal_specialization(self) -> int:
         """Evaluate at x_1 = ... = x_n = 1, i.e. sum all coefficients."""
@@ -99,11 +101,11 @@ class Poly:
 
     def to_text(self) -> str:
         """Canonical text form: `coeff:e1,...,en` joined by `;`, in term
-        order, the order of the codes with the degree masked off."""
+        order, the order of the keys mod n!."""
         n, terms = self.nvars, self.terms
         return ";".join(
             f"{terms[c]}:{','.join(map(str, decode(c, n)))}"
-            for c in sorted(terms, key=((1 << 8 * n) - 1).__and__)
+            for c in sorted(terms, key=math.factorial(n).__rmod__)
         )
 
     def __repr__(self) -> str:
@@ -111,19 +113,44 @@ class Poly:
 
 
 def code(alpha: tuple) -> int:
-    """code(alpha) (see the module docstring).  A vector with an entry
-    outside 0..255, negative ones included, has no code and is refused with
-    a ValueError that names it."""
-    try:
-        low = int.from_bytes(bytes(alpha), "little")
-    except ValueError:
-        raise ValueError(f"{alpha} has an entry outside 0..255 and no code") from None
-    return low + (sum(alpha) << 8 * len(alpha))
+    """kappa(alpha), the key of alpha (see the module docstring).  A vector
+    outside the staircase box of S_n, n its length, has no key and is
+    refused with a ValueError that names it."""
+    n = len(alpha)
+    _staircase_point(alpha, n)
+    return sum(alpha) * math.factorial(n) + sum(map(mul, alpha, _weights(n)))
 
 
-def decode(code: int, n: int) -> tuple:
-    """The exponent vector of length n with this code."""
-    return tuple((code & ((1 << 8 * n) - 1)).to_bytes(n, "little"))
+def decode(key: int, n: int) -> tuple:
+    """The exponent vector of length n with this key: the mixed-radix
+    digits of key mod n!, x_1 lowest.  An integer whose degree part
+    key // n! is not their sum is no key and is refused with a ValueError
+    that names it."""
+    degree, k = divmod(key, math.factorial(n))
+    alpha = []
+    for radix in range(n, 0, -1):
+        k, digit = divmod(k, radix)
+        alpha.append(digit)
+    if sum(alpha) != degree:
+        raise ValueError(
+            f"{key} is no key of S_{n}: its degree part is {degree}, its digit sum {sum(alpha)}"
+        )
+    return tuple(alpha)
+
+
+@functools.cache
+def _weights(n: int) -> tuple:
+    """w_1, ..., w_n, the place values of the staircase box of S_n:
+    w_i = n!/(n - i + 1)!, the product of the first i - 1 radices."""
+    return tuple(math.perm(n, i) for i in range(n))
+
+
+@functools.cache
+def _unit_keys(n: int) -> tuple:
+    """code(e_i) = w_i + n! for i = 1, ..., n: a unit step alpha + e_i
+    inside the staircase box adds code(e_i) to the key."""
+    unit = math.factorial(n)
+    return tuple(w + unit for w in _weights(n))
 
 
 def _staircase_point(alpha: tuple, n: int) -> tuple:
@@ -156,9 +183,12 @@ class _Box(dict):
     (see the module docstring).  A set of points is the integer with bit
     k(alpha) set for each alpha in it.
 
-    As a dict it maps code(alpha) to (byte, bit), the place of bit k(alpha)
-    in a little-endian bytearray, filled once per distinct code; a code
-    outside the box raises a ValueError that names its point.
+    As a dict it maps the key kappa(alpha) to (byte, bit, packed): the
+    place of bit k = kappa mod n! in a little-endian bytearray, and the
+    byte form of alpha, one byte per coordinate, x_1 lowest, with which
+    `_SupportView` tests componentwise order.  It is filled once per
+    distinct key; an integer whose degree part kappa // n! is not the digit
+    sum of k is no key and raises a ValueError that names it (`decode`).
     `steps` holds (w_i, M_i) for each coordinate, where M_i is the set of
     points alpha with alpha_i < radix_i - 1: one block of w_i radix_i bits,
     its low w_i (radix_i - 1) bits set, repeated over the box.  A box of
@@ -184,8 +214,8 @@ class _Box(dict):
     m radices, l < W the index of its first m coordinates and h that of the
     rest, and the sum is that of those two parts, low[l] + high[h].  m is
     the least with W^2 >= n!, so both tables are short.  `codes_of` is
-    `sums_of` with u_i = code(e_i), whose tables are built when first asked
-    for; `code_at(k)` is one lookup in them."""
+    `sums_of` with u_i = code(e_i) = w_i + n!, whose tables are built when
+    first asked for; `code_at(k)` is one lookup in them."""
 
     def __init__(self, n: int):
         super().__init__()
@@ -195,24 +225,16 @@ class _Box(dict):
                 f"the staircase box of S_{n} has {size} points, more than the {MAX_BOX} "
                 "the bitset view builds"
             )
-        self.radix, self.weights, self.size = radix, [math.perm(n, i) for i in range(n)], size
+        self.radix, self.weights, self.size = radix, _weights(n), size
         self.columns: Dict[Tuple[int, int], int] = {}
         self.steps = [(w, self.at_most(i, r - 2)) for i, (w, r) in enumerate(zip(self.weights, radix))]
         self.grades = [1]
 
-    def __missing__(self, code: int) -> tuple:
-        alpha = _staircase_point(decode(code, len(self.radix)), len(self.radix))
-        k = sum(map(mul, alpha, self.weights))
-        place = self[code] = (k >> 3, 1 << (k & 7))
+    def __missing__(self, key: int) -> tuple:
+        packed = int.from_bytes(bytes(decode(key, len(self.radix))), "little")
+        k = key % self.size
+        place = self[key] = (k >> 3, 1 << (k & 7), packed)
         return place
-
-    def bits(self, codes) -> int:
-        """The set of the points with these codes."""
-        buf = bytearray(-(-self.size // 8))
-        for code in codes:
-            byte, bit = self[code]
-            buf[byte] |= bit
-        return int.from_bytes(buf, "little")
 
     def at_most(self, i: int, b: int) -> int:
         """The set of the points with alpha_{i+1} <= b: one block of
@@ -238,9 +260,8 @@ class _Box(dict):
 
     @functools.cached_property
     def code_tables(self) -> tuple:
-        """The tables of `codes_of`, u_i = code(e_i)."""
-        n = len(self.radix)
-        return self.split_sums([1 << 8 * i | 1 << 8 * n for i in range(n)])
+        """The tables of `codes_of`, u_i = code(e_i) = w_i + n!."""
+        return self.split_sums(_unit_keys(len(self.radix)))
 
     def sums_of(self, bits: int, tables: tuple) -> list:
         """low[l] + high[h] for each point k = l + W h of a set, in index
@@ -257,11 +278,11 @@ class _Box(dict):
         return out
 
     def codes_of(self, bits: int) -> list:
-        """The codes of the points of a set, in index order."""
+        """The keys of the points of a set, in index order."""
         return self.sums_of(bits, self.code_tables)
 
     def code_at(self, k: int) -> int:
-        """The code of the point with index k."""
+        """The key of the point with index k."""
         low, high = self.code_tables
         h, l = divmod(k, len(low))
         return low[l] + high[h]
@@ -301,13 +322,15 @@ def _boxes(n: int) -> _Box:
 
 class _SupportView:
     """Packed facts about a set of exponent vectors in the staircase box of
-    S_n, given as a collection of their codes (`_Box`; any other vector is
-    refused with a ValueError that names it):
+    S_n, given as a collection of their keys (`code`; an integer that is no
+    key is refused with a ValueError that names it, `_Box`):
 
     - `box`: that box;
     - `bits`: P, the set as a bitset over the box;
     - `degree`: the top degree;
-    - `high`: H, the mask with 0x80 in each of the n + 1 bytes;
+    - `packed`: the byte form of each vector (`_Box`), in the order of the
+      keys given, collected in the pass that sets the bits (coeff);
+    - `high`: H, the mask with 0x80 in each of the n bytes;
 
     and, each as a bitset over the box:
 
@@ -320,15 +343,12 @@ class _SupportView:
     - `missing`: the unit steps beta = alpha + e_i of the points of P that
       lie below some point of P but not in it (conj3).
 
-    alpha <= beta componentwise iff ((code(beta) | H) - code(alpha)) & H
-    == H.  Proof: while every entry and both degrees are < 128, byte i < n
-    of the difference is beta_i + 128 - alpha_i and byte n is
-    |beta| + 128 - |alpha|; each lies in 1..255, so no byte borrows from
-    the next.  The high bit of byte i < n is set iff beta_i >= alpha_i, and
-    that of byte n is set whenever every beta_i >= alpha_i, since then
-    |beta| >= |alpha|.  The box exists only for n <= 10 (MAX_BOX), so every
-    entry is at most 9 and every degree at most 45, and the unit steps have
-    entries at most 10 and degrees at most 46: the identity always holds.
+    For byte forms a and b of alpha and beta, alpha <= beta componentwise
+    iff ((b | H) - a) & H == H.  Proof: while every entry is < 128, byte i
+    of the difference is beta_i + 128 - alpha_i, which lies in 1..255, so
+    no byte borrows from the next, and its high bit is set iff
+    beta_i >= alpha_i.  The box exists only for n <= 10 (MAX_BOX), so every
+    entry is at most 9: the identity always holds.
 
     The order facts come from bitsets over the box, radix_i = n - i + 1.
     T = P & G_top is the bitset of the top degree (`_Box.grade`).
@@ -360,14 +380,21 @@ class _SupportView:
       of P, hence below a maximum, and are not in P."""
 
     __slots__ = (
-        "n", "box", "bits", "degree", "high", "uncovered", "maximal", "low_maxima", "lower",
-        "missing",
+        "n", "box", "bits", "degree", "packed", "high", "uncovered", "maximal", "low_maxima",
+        "lower", "missing",
     )
 
-    def __init__(self, codes, n: int):
+    def __init__(self, keys, n: int):
         box = self.box = _boxes(n)
-        P = self.bits = box.bits(codes)
-        top = max(codes, default=0) >> 8 * n
+        buf = bytearray(-(-box.size // 8))
+        packed = self.packed = []
+        append = packed.append
+        for key in keys:
+            byte, bit, form = box[key]
+            buf[byte] |= bit
+            append(form)
+        P = self.bits = int.from_bytes(buf, "little")
+        top = max(keys, default=0) // box.size
         T = P & box.grade(top)
         uncovered = self.uncovered = P & ~(T | box.down(P))
         D = P
@@ -378,7 +405,7 @@ class _SupportView:
         low = self.low_maxima = uncovered and uncovered & ~box.down(D)
         above = box.up(P)
         self.n, self.degree, self.lower = n, top, P & ~above
-        self.high = int.from_bytes(b"\x80" * (n + 1), "little")
+        self.high = int.from_bytes(b"\x80" * n, "little")
         self.maximal = T | low
         self.missing = above & D & ~P
 
@@ -400,7 +427,7 @@ _NUMERALS = dict.fromkeys(map(ord, "0123456789,-"))
 def parse_text(text: str, nvars: int, codes: Dict[str, int]) -> Poly:
     """Parse the canonical text form `coeff:e1,...,en;...` into a Poly.
 
-    `codes` maps exponent text to its code and grows as new texts are seen:
+    `codes` maps exponent text to its key and grows as new texts are seen:
     each distinct vector is converted and checked (in the staircase box of
     S_nvars, see `_Box`) once per table, and every polynomial parsed against
     the same table shares that one int.  The text is split once on both
@@ -447,19 +474,20 @@ def isobaric_divided_difference(f: Poly, j: int) -> Poly:
 def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
     """The sum of sign * d_j(x_{j+1}^lift f) over the (lift, sign) pairs in
     parts, in one pass over the monomials of f: one lookup of the term's
-    bytes j - 1 and j in the move table (`_Moves`) and one update per
-    output term.  The entries of the result must stay below 256, as every
-    exponent in the staircase box does."""
+    digits of x_j and x_{j+1} in the move table (`_moves`) and one update
+    per output term.  f must lie in the staircase box, as every polynomial
+    of the recursion does, and then so does the result."""
     global OPERATOR_APPLICATIONS
     OPERATOR_APPLICATIONS += 1
     n = f.nvars
     if not 1 <= j <= n - 1:
         raise ValueError(f"operator index {j} out of range for nvars={n}")
-    moves, shift = _moves(n, j, parts), 8 * (j - 1)
+    moves = _moves(n, j, parts)
+    weight, fields = _weights(n)[j - 1], len(moves)
     out: Dict[int, int] = {}
     get = out.get
     for expo, coeff in f.terms.items():
-        for offset, multiplier in moves[expo >> shift & 0xFFFF]:
+        for offset, multiplier in moves[expo // weight % fields]:
             e = expo + offset
             out[e] = get(e, 0) + multiplier * coeff
     if 0 in out.values():  # terms that cancelled, in about a fifth of the calls of a sweep
@@ -467,49 +495,43 @@ def _closed_form(f: Poly, j: int, parts: tuple) -> Poly:
     return Poly(out, n)
 
 
-class _Moves(dict):
-    """The move table of `_closed_form` for one (n, j, parts): it maps the
-    field a + 256 b, for a and b the exponents of x_j and x_{j+1} (bytes
-    j - 1 and j of a code), to the (offset, multiplier) pairs of the
-    output: the monomial x^alpha with that field goes to the sum of
-    multiplier * x^beta, code(beta) = code(alpha) + offset, over them.
-    Offsets that meet are combined and zero multipliers dropped.  Each
-    field is filled when first looked up, so any pair of bytes has one.
-
-    A part first multiplies by x_{j+1}^lift: b = b0 + lift for b0 the
-    field's exponent of x_{j+1}.  The divided difference of x_j^a x_{j+1}^b
-    is the sum of x_j^p x_{j+1}^{a+b-1-p} over min(a, b) <= p < max(a, b),
-    negated when a < b (so 0 when a = b), and the other coordinates ride
-    along.  On codes, the first p moves byte j - 1 from a to p and byte j
-    from b0 to a + b - 1 - p, the degree moves by lift - 1, and each next p
-    adds 256^(j-1) - 256^j."""
-
-    def __init__(self, n: int, j: int, parts: tuple):
-        super().__init__()
-        self.parts = parts
-        self.unit_j, self.unit_next, self.unit_degree = 1 << 8 * (j - 1), 1 << 8 * j, 1 << 8 * n
-
-    def __missing__(self, field: int) -> tuple:
-        unit_j, unit_next = self.unit_j, self.unit_next
-        a, b0 = field & 0xFF, field >> 8
-        combined: Dict[int, int] = {}
-        for lift, sign in self.parts:
-            b = b0 + lift
-            p, c = min(a, b), sign if a > b else -sign
-            offset = (p - a) * unit_j + (a + b - 1 - p - b0) * unit_next
-            offset += (lift - 1) * self.unit_degree
-            for _ in range(abs(a - b)):
-                combined[offset] = combined.get(offset, 0) + c
-                offset += unit_j - unit_next
-        moves = self[field] = tuple((e, c) for e, c in combined.items() if c)
-        return moves
-
-
 @functools.cache
-def _moves(n: int, j: int, parts: tuple) -> _Moves:
-    """The move table of d_j's parts on polynomials in n variables, one per
-    (n, j, parts)."""
-    return _Moves(n, j, parts)
+def _moves(n: int, j: int, parts: tuple) -> list:
+    """The move table of `_closed_form` for one (n, j, parts), built when
+    first asked for: entry a + r_j b, for a < r_j = n - j + 1 and
+    b < r_{j+1} = n - j the exponents of x_j and x_{j+1} (the digits
+    kappa // w_j mod r_j r_{j+1} of a key kappa, `code`), holds the
+    (offset, multiplier) pairs of the output: the monomial x^alpha with
+    those exponents goes to the sum of multiplier * x^beta,
+    code(beta) = code(alpha) + offset, over them.  Offsets that meet are
+    combined and zero multipliers dropped.
+
+    A part first multiplies by x_{j+1}^lift: b' = b + lift.  The divided
+    difference of x_j^a x_{j+1}^b' is the sum of x_j^p x_{j+1}^{a+b'-1-p}
+    over min(a, b') <= p < max(a, b'), negated when a < b' (so 0 when
+    a = b'), and the other coordinates ride along.  On keys, the first p
+    moves digit j from a to p and digit j + 1 from b to a + b' - 1 - p, the
+    degree moves by lift - 1, and each next p adds w_j - w_{j+1}.
+
+    The offsets are exact because every output stays in the box: a <= n - j
+    and b' <= b + 1 <= n - j, so p < max(a, b') <= n - j < r_j, and
+    a + b' - 1 - p <= max(a, b') - 1 < r_{j+1}.  No digit carries or
+    borrows, so the offset moves those two digits and the degree alone."""
+    unit, w_j = math.factorial(n), math.perm(n, j - 1)
+    w_next = w_j * (n - j + 1)
+    table = []
+    for b in range(n - j):
+        for a in range(n - j + 1):
+            combined: Dict[int, int] = {}
+            for lift, sign in parts:
+                lifted = b + lift
+                p, c = min(a, lifted), sign if a > lifted else -sign
+                offset = (p - a) * w_j + (a + lifted - 1 - p - b) * w_next + (lift - 1) * unit
+                for _ in range(abs(a - lifted)):
+                    combined[offset] = combined.get(offset, 0) + c
+                    offset += w_j - w_next
+            table.append(tuple((e, c) for e, c in combined.items() if c))
+    return table
 
 
 def staircase_monomial(n: int) -> Poly:
@@ -594,7 +616,7 @@ def grothendieck(w: tuple) -> Poly:
 
 def build_table(n: int, flavor: str) -> PolynomialTable:
     """The full table for S_n: the walk of the whole first-ascent tree from
-    the staircase monomial at w_0, with ∂_j (𝔖) or π_j (𝔊).  Equal codes in
+    the staircase monomial at w_0, with ∂_j (𝔖) or π_j (𝔊).  Equal keys in
     the table are one shared int (S_n has at most n! distinct ones, the
     points of the staircase box)."""
     plain = functools.partial(_closed_form, parts=_PLAIN)

@@ -5,23 +5,28 @@ support.
 
 conj1, conj2, conj3, coeff, rajchgot and mobius read the packed view of the
 support (`poly.support_view`), one build per polynomial (`perms.last_call`).
-P_w is a bitset over the view's staircase box, and its elements are codes
-(`poly.code`), as are the keys of every polynomial, decoded only where they
-are printed.
+P_w is a bitset over the view's staircase box, and its elements are keys,
+the graded staircase indices kappa = |alpha| n! + k(alpha) (`poly.code`),
+as are the keys of every polynomial, decoded only where they are printed.
+A unit step alpha +- e_i is kappa +- (w_i + n!) while it stays in the box;
+where it leaves the box a digit carries or borrows, and the result's degree
+part kappa // n! is not its digit sum, so it is no key and matches no
+element (`VectorPoset.covers`, `mobius`).
 """
 from __future__ import annotations
 
+from operator import le
 from typing import Dict, Set, Tuple
 
 from . import perms
-from .poly import Poly, decode, support_view
+from .poly import Poly, _unit_keys, decode, support_view
 from .verdicts import PASS, NotApplicable, Verdict
 
 
 class VectorPoset:
-    """A finite interval-closed set of integer vectors of length n, entries
-    in 0..255, held as their codes (`poly.code`), under componentwise
-    order: whenever a <= c <= b with a and b in the set, c is in it too.
+    """A finite interval-closed set of vectors of the staircase box of S_n,
+    held as their keys (`poly.code`), under componentwise order: whenever
+    a <= c <= b with a and b in the set, c is in it too.
     P_w, which `build_Pw` returns and `hasse_text` prints, is one: such a c
     lies above the support point below a and below the bound above b.
     `mobius` builds its own P_w and reads only its elements."""
@@ -35,12 +40,13 @@ class VectorPoset:
         its covers are the minimal vectors): b covers a iff b = a + e_i.  If
         a < b otherwise, then a < a + e_i < b for some i, and interval
         closure puts a + e_i in the set; no vector lies strictly between a
-        and a + e_i.  The code of a + e_i is a + 256^(i-1) + 256^n; where
-        a_i = 255 the sum carries, its bytes sum to less than its degree
-        |a| + 1, and no code has it."""
+        and a + e_i.  The key of a + e_i is a + w_i + n!; where a_i is
+        n - i, the top digit of coordinate i, the sum carries: that digit
+        drops by n - i and the carry adds one to the digit above or, past
+        the last digit, to the degree part.  So the sum's digit sum is less
+        than its degree part, |a| + 1 or more, and no key has it."""
         elements, n = self.elements, self.n
-        units = [1 << 8 * i | 1 << 8 * n for i in range(n)]
-        return {(a, a + u) for a in elements for u in units if a + u in elements}
+        return {(a, a + u) for a in elements for u in _unit_keys(n) if a + u in elements}
 
     def hasse_text(self) -> str:
         """Line-oriented export `vector -> vector` of the Hasse covers."""
@@ -53,7 +59,7 @@ class VectorPoset:
 
 
 def mobius(w: tuple, groth: Poly) -> Dict[int, int]:
-    """The table mu(0^, q) for every code q of P_w (`build_Pw`), with the
+    """The table mu(0^, q) for every key q of P_w (`build_Pw`), with the
     bottom 0^ adjoined (the paper's P-hat_w; mu(0^, 0^) = 1 has no entry),
     by inclusion-exclusion: -mu(0^, q) = sum over S of [n] of
     (-1)^|S| h(q - e_S), where h is the indicator of P_w on Z^n.
@@ -69,17 +75,19 @@ def mobius(w: tuple, groth: Poly) -> Dict[int, int]:
     and each partial difference vanishes off P_w in [0, b] for the same
     reason, so the cost is O(n |P_w|).
 
-    On codes, q - e_i is q - 256^(i-1) - 256^n.  Where q_i = 0 the
-    subtraction borrows, and no code matches the result, whose top part
-    would have to be the sum of its bytes: the bytes from coordinate i up
-    to the first nonzero entry above it become 255 and that entry loses
-    one (with no such entry the top part loses one more, or the result is
-    negative), so the bytes sum to at least 255 more than the top part."""
+    On keys, q - e_i is q - w_i - n!.  Where q_i = 0 the subtraction
+    borrows, and no key matches the result, whose degree part would have to
+    be its digit sum: the digits from coordinate i up to the first nonzero
+    entry above it become their tops, digit j becoming n - j, and that entry
+    loses one, so the digit sum is at least |q| - 1 + n - i, and the degree
+    part is |q| - 1; with no such entry the borrow reaches the degree part,
+    which is then |q| - 2.  Either way the digit sum exceeds the degree
+    part: n - i >= 1 for i < n, and coordinate n, whose digit is always 0,
+    has no entry above it."""
     P = build_Pw(w, groth)
     n = P.n
     diff = dict.fromkeys(P.elements, 1)
-    for i in range(n):
-        unit = 1 << 8 * i | 1 << 8 * n
+    for unit in _unit_keys(n):
         get = diff.get
         diff = {q: c - get(q - unit, 0) for q, c in diff.items()}
     return {q: -c for q, c in diff.items()}
@@ -162,35 +170,37 @@ def check_conjecture_3(w: tuple, groth: Poly) -> Verdict:
     its down-closure, the failing steps are up(P) & D & ~P (`poly._Box.up`),
     the view's `missing`: steps of support points that lie below some point
     of the support, hence below a maximum, and are not in it.  For the
-    first of them, beta, the least code, the box named is [alpha, m]: alpha
-    the first support point one step below beta, m the first maximum above
-    it."""
+    first of them, beta, the least key, the box named is [alpha, m]: alpha
+    the first support point one step below beta, beta - e_i for a nonzero
+    beta_i, whose key is beta's less w_i + n!, and m the first maximum
+    above it."""
     view = support_view(groth)
     if view.missing:
-        n, high = view.n, view.high
-        beta = min(view.box.codes_of(view.missing))
-        up = 1 << 8 * n
-        steps = {beta - up - (1 << 8 * i) for i in range(n) if beta >> 8 * i & 0xFF}
+        n, box = view.n, view.box
+        beta = min(box.codes_of(view.missing))
+        vector = decode(beta, n)
+        steps = {beta - u for u, b in zip(_unit_keys(n), vector) if b}
         alpha = min(s for s in steps if s in groth.terms)
-        maxima = view.box.codes_of(view.maximal)
-        m = min(m for m in maxima if ((m | high) - beta) & high == high)
+        m = min(m for m in box.codes_of(view.maximal) if all(map(le, vector, decode(m, n))))
         detail = f"missing in box [{decode(alpha, n)}, {decode(m, n)}]"
-        return Verdict(False, witness=decode(beta, n), detail=detail)
+        return Verdict(False, witness=vector, detail=detail)
     return PASS
 
 
 def check_conjecture_coeff(w: tuple, groth: Poly) -> Verdict:
     """For each top-degree support exponent beta, the coefficients over
-    {alpha in supp : alpha <= beta} sum to 1."""
+    {alpha in supp : alpha <= beta} sum to 1.  The order is tested on the
+    byte forms the view collected, one per term (`poly._SupportView`); the
+    top-degree terms are the keys from degree * n! up, taken in key order."""
     view = support_view(groth)
-    n, high = view.n, view.high
-    terms = groth.terms.items()
-    bottom = view.degree << 8 * n  # the least code of the top degree
+    box, high = view.box, view.high
+    packed, coeffs = view.packed, groth.terms.values()
+    bottom = view.degree * box.size  # the least key of the top degree
     for beta in sorted(c for c in groth.terms if c >= bottom):
-        beta_high = beta | high
-        total = sum(c for alpha, c in terms if (beta_high - alpha) & high == high)
+        beta_high = box[beta][2] | high
+        total = sum(c for alpha, c in zip(packed, coeffs) if (beta_high - alpha) & high == high)
         if total != 1:
-            return Verdict(False, witness=decode(beta, n), detail=f"coefficient sum {total}")
+            return Verdict(False, witness=decode(beta, view.n), detail=f"coefficient sum {total}")
     return PASS
 
 
@@ -214,11 +224,11 @@ def check_conjecture_mobius(w: tuple, groth: Poly) -> Verdict:
     """On zero-one permutations, the Grothendieck coefficients equal the
     negated Moebius values of the support poset with bottom; NotApplicable
     on any other w.  A term outside P_w, which has no Moebius value, is
-    wrong too.  A failure names the first wrong exponent in code order
+    wrong too.  A failure names the first wrong exponent in key order
     (`poly.code`): degree, then term order.
 
     The check is one comparison of the terms with the polynomial that -mu
-    predicts, and the wrong exponents are the codes where the two differ: a
+    predicts, and the wrong exponents are the keys where the two differ: a
     q of P_w with mu = 0 differs only if it is a term, and a term outside
     P_w always differs, since no stored coefficient is 0."""
     if not perms.is_zero_one(w):

@@ -3,9 +3,12 @@
 The paper proves its conjectures for Grassmannian and fireworks
 permutations; these are those proven cases (Escobar-Yong's graded supports
 and the explicit lambda/mu pair), the permutation classes they cover, the
-few polynomial operations the tests need and the engine does not, and the
-kernels the engine's code-keyed ones replaced: the divided differences and
-the pipe-dream transfer matrix on exponent tuples, the pattern test by
+few polynomial operations the tests need and the engine does not, the byte
+code that keyed every polynomial before the graded staircase index
+(`poly.code`) and is now its oracle, and the kernels the engine's keyed
+ones replaced: the divided differences and the pipe-dream transfer matrix
+on exponent tuples, which take any exponents, in the staircase box or not,
+the pattern test by
 standardized subsequences, the pair recovered from a set of exponent tuples
 and the Rothe diagram as a set of boxes, and the quadratic definitions of
 the per-permutation statistics, the oracles they are compared with.
@@ -153,8 +156,16 @@ def term_key(expo: tuple) -> tuple:
     return expo[::-1]
 
 
+def byte_code(alpha: tuple) -> int:
+    """One byte per coordinate, x_1 lowest, and the degree above them:
+    sum of alpha_i 256^(i-1) + |alpha| 256^n, for entries in 0..255.  Its
+    numeric order is degree, then term order, which `poly.code` keeps."""
+    return int.from_bytes(bytes(alpha), "little") + (sum(alpha) << 8 * len(alpha))
+
+
 def poly_of(terms: dict, n: int) -> Poly:
-    """The polynomial with these terms, keyed by exponent vector."""
+    """The polynomial with these terms, keyed by exponent vector; each must
+    lie in the staircase box of S_n (`poly.code` refuses any other)."""
     return Poly({code(e): c for e, c in terms.items()}, n)
 
 
@@ -365,7 +376,8 @@ def recover_pair_points(A: FrozenSet[tuple]) -> SetFunctionPair:
 
 
 # The tuple kernels: the engine's operator and transfer matrix as they were
-# written on exponent tuples, before every polynomial was keyed by its code.
+# written on exponent tuples, before every polynomial was keyed by one
+# integer per exponent.
 
 # The (lift, sign) parts of the two operators, as in `grothpoly.poly`.
 PLAIN = ((0, 1),)

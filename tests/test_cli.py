@@ -20,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from grothpoly import cache, cli, perms, pipedreams, poly, posets, polytopes, verdicts
 from grothpoly.verdicts import PASS, NotApplicable, Verdict
-from reference import add, divided_difference, poly_of
+from reference import add, divided_difference, poly_of, term_key
 
 DIGESTS = Path(__file__).resolve().parents[1] / "perfbench" / "digests.json"
 
@@ -44,11 +44,14 @@ def _edit_g(monkeypatch, w, edit):
 
 
 def _outside_box_g(monkeypatch, w):
-    """Check x_1^n at w, one past the staircase box of S_n: it has a code
-    (`poly.code`), and the packed support view refuses it."""
+    """Check at w the polynomial whose one term is the sum of the keys of
+    x_1^(n-1) and of x_1 (`poly.code`): x_1^n lies one past the staircase
+    box of S_n, so the sum carries and is no key, and the packed support
+    view refuses it."""
 
     def x1_to_the_n(g):
-        return poly.Poly({poly.code((g.nvars,) + (0,) * (g.nvars - 1)): 1}, g.nvars)
+        n = g.nvars
+        return poly.Poly({poly.code((n - 1,) + (0,) * (n - 1)) + 1 + math.factorial(n): 1}, n)
 
     _edit_g(monkeypatch, w, x1_to_the_n)
 
@@ -136,13 +139,16 @@ class TestCache:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_box_texts_in_term_order(self, n):
-        # The writer's texts and sort ranks: every point of the staircase box
-        # of S_n, in the order of the codes with the degree masked off.
+        # The writer's texts: every point of the staircase box of S_n, in
+        # term order, which is the order of the keys mod n!, the writer's
+        # sort key.
         texts = cache._box_texts(n)
         assert len(texts) == math.factorial(n)
-        assert list(texts) == sorted(texts, key=((1 << 8 * n) - 1).__and__)
-        assert all(text == ",".join(map(str, poly.decode(c, n))) for c, text in texts.items())
-        assert all(poly.code(poly._staircase_point(poly.decode(c, n), n)) == c for c in texts)
+        assert list(texts) == sorted(texts, key=math.factorial(n).__rmod__)
+        vectors = [poly.decode(c, n) for c in texts]
+        assert vectors == sorted(vectors, key=term_key)
+        assert [",".join(map(str, v)) for v in vectors] == list(texts.values())
+        assert list(map(poly.code, vectors)) == list(texts)
 
     def test_write_matches_to_text(self, tables, tmp_path):
         # Each line of either flavor's file is the polynomial's `to_text`.
@@ -440,13 +446,13 @@ class TestRun:
     def test_oracle_failure_witness_at_w0(self, monkeypatch):
         # At w_0 the walked 𝔊 is compared with the staircase monomial; there
         # is no ascent k.
-        _edit_g(monkeypatch, (3, 2, 1), lambda g: poly_of({(2, 1, 0): 1, (3, 0, 0): -2}, 3))
+        _edit_g(monkeypatch, (3, 2, 1), lambda g: poly_of({(2, 1, 0): 1, (2, 0, 0): -2}, 3))
         report, status = cli.run(cli.RunConfig(n=3, perm=(3, 2, 1), checks=("oracle",)))
         assert status == 1
         assert report["results"][0]["checks"]["oracle"]["witness"] == {
             "perm": "3,2,1",
             "k": None,
-            "exponent": [3, 0, 0],
+            "exponent": [2, 0, 0],
             "expected": 0,
             "walked": -2,
         }
@@ -459,9 +465,9 @@ class TestRun:
         sweep fails at u alone, with the same report for one and two jobs,
         and --perm w fails exactly when w = u.
 
-        π_k cannot see a term symmetric in x_k and x_{k+1}, such as x_1^n
-        for k >= 2; the pipe-dream comparison of the tests and the euler
-        check can."""
+        π_k cannot see a term symmetric in x_k and x_{k+1}, such as
+        x_1^(n-1) for k >= 2; the pipe-dream comparison of the tests and the
+        euler check can."""
         top = perms.longest_element(n)
         for u in perms.all_perms(n):
             if u == top:
@@ -482,10 +488,10 @@ class TestRun:
                 for w in perms.all_perms(n):
                     _, status = cli.run(cli.RunConfig(n=n, perm=w, checks=("oracle",)))
                     assert status == (1 if w == u else 0), (u, w)
-        # 1243 has last ascent 2, and x_1^4 is symmetric in x_2 and x_3.
+        # 1243 has last ascent 2, and x_1^3 is symmetric in x_2 and x_3.
         if n == 4:
             u = (1, 2, 4, 3)
-            _edit_g(monkeypatch, u, lambda g: add(g, poly_of({(4, 0, 0, 0): 1}, 4)))
+            _edit_g(monkeypatch, u, lambda g: add(g, poly_of({(3, 0, 0, 0): 1}, 4)))
             report, status = cli.run(cli.RunConfig(n=4, perm=u, checks=("oracle", "euler")))
             checks = report["results"][0]["checks"]
             assert (checks["oracle"]["status"], checks["euler"]["status"]) == ("pass", "fail")
@@ -986,7 +992,7 @@ class TestRun:
         entries = report["results"][1]["checks"]
         assert all(
             e["status"] == "error"
-            and e["witness"] == "ValueError: (3, 0, 0) lies outside the staircase box of S_3"
+            and e["witness"] == "ValueError: 21 is no key of S_3: its degree part is 3, its digit sum 1"
             for e in entries.values()
         )
 

@@ -296,6 +296,15 @@ class TestPolynomials:
         for flavor, mode in (("S", "schubert"), ("G", "grothendieck")):
             assert build_table(n, flavor).polys == pipedreams.pd_polynomial_all(n, mode)
 
+    def test_keys_are_one_digit_S7(self):
+        """Every key of 𝔊_w over S_7, from the walk and from the pipe
+        dreams, is below 2^30, one digit of a Python int (`poly.code`)."""
+        one_digit = 2**30
+        walked = poly.walk(perms.longest_element(7), poly.staircase_monomial(7), isobaric_divided_difference)
+        assert all(max(f.terms) < one_digit for _, f in walked)
+        dreamed = pipedreams.pd_polynomial_all(7, "grothendieck")
+        assert all(max(f.terms) < one_digit for f in dreamed.values())
+
     @pytest.mark.parametrize("mode", ["schubert", "grothendieck"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_recursion_matches_walk(self, n, mode):
@@ -304,8 +313,8 @@ class TestPolynomials:
     @pytest.mark.parametrize("mode", ["schubert", "grothendieck"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     def test_codes_match_tuple_engine(self, n, mode):
-        # The transfer matrix on codes, decoded, is the one on exponent
-        # tuples that it replaced, and equal codes are one shared int.
+        # The transfer matrix on keys, decoded, is the one on exponent
+        # tuples that it replaced, and equal keys are one shared int.
         built = pipedreams.pd_polynomial_all(n, mode)
         assert {w: vector_terms(f) for w, f in built.items()} == pd_polynomial_all_vectors(n, mode)
         assert_shares_codes(built)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import re
 import time
 
@@ -16,7 +17,7 @@ from grothpoly.poly import (
 from reference import (
     ISOBARIC,
     PLAIN,
-    add,
+    byte_code,
     closed_form_vectors,
     divided_difference,
     graded_component,
@@ -28,30 +29,57 @@ from reference import (
 )
 
 
-def P(text, nvars):
-    """The polynomial with this canonical text.  Unlike `parse_text`, which
-    reads the cache, it takes exponents outside the staircase box."""
+def V(text):
+    """The terms, keyed by exponent vector, of the polynomial with this
+    canonical text, whatever its exponents."""
     terms = {}
     for chunk in text.split(";"):
         coeff, key = chunk.split(":")
         terms[tuple(map(int, key.split(",")))] = int(coeff)
-    return poly_of(terms, nvars)
+    return terms
 
 
-# Reference definitions of operations the engine does not need.
+def P(text, nvars):
+    """The polynomial with this canonical text.  Unlike `parse_text`, which
+    reads the cache, it checks nothing but that each exponent lies in the
+    staircase box (`poly.code`)."""
+    return poly_of(V(text), nvars)
+
+
+# Reference definitions of operations the engine does not need, on
+# polynomials given by their terms keyed by exponent vector, so that they
+# take any exponents, in the staircase box or not.
 
 
 def one(nvars):
-    return poly_of({(0,) * nvars: 1}, nvars)
+    return {(0,) * nvars: 1}
 
 
 def variable(j, nvars):
     """The variable x_j (1-based)."""
-    return poly_of({tuple(1 if k == j else 0 for k in range(1, nvars + 1)): 1}, nvars)
+    return {tuple(1 if k == j else 0 for k in range(1, nvars + 1)): 1}
+
+
+def same_nvars(*polys):
+    lengths = sorted({len(e) for f in polys for e in f})
+    if len(lengths) > 1:
+        raise ValueError(f"nvars mismatch: {lengths}")
+
+
+def add(f, g):
+    same_nvars(f, g)
+    out = dict(f)
+    for expo, coeff in g.items():
+        c = out.get(expo, 0) + coeff
+        if c:
+            out[expo] = c
+        else:
+            out.pop(expo, None)
+    return out
 
 
 def neg(f):
-    return Poly({e: -c for e, c in f.terms.items()}, f.nvars)
+    return {e: -c for e, c in f.items()}
 
 
 def sub(f, g):
@@ -59,26 +87,25 @@ def sub(f, g):
 
 
 def mul(f, g):
-    if f.nvars != g.nvars:
-        raise ValueError(f"nvars mismatch: {f.nvars} and {g.nvars}")
+    same_nvars(f, g)
     out = {}
-    for e1, c1 in vector_terms(f).items():
-        for e2, c2 in vector_terms(g).items():
+    for e1, c1 in f.items():
+        for e2, c2 in g.items():
             e = tuple(a + b for a, b in zip(e1, e2))
             c = out.get(e, 0) + c1 * c2
             if c:
                 out[e] = c
             else:
                 out.pop(e, None)
-    return poly_of(out, f.nvars)
+    return out
 
 
 def swap_vars(f, j):
     """Exchange x_j and x_{j+1} (1-based j, 1 <= j <= nvars - 1)."""
-    if not 1 <= j <= f.nvars - 1:
-        raise ValueError(f"swap index {j} out of range for nvars={f.nvars}")
-    swapped = {e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :]: c for e, c in vector_terms(f).items()}
-    return poly_of(swapped, f.nvars)
+    nvars = len(next(iter(f)))
+    if not 1 <= j <= nvars - 1:
+        raise ValueError(f"swap index {j} out of range for nvars={nvars}")
+    return {e[: j - 1] + (e[j], e[j - 1]) + e[j + 1 :]: c for e, c in f.items()}
 
 
 def top_component(f):
@@ -114,11 +141,19 @@ G_15324 = {
 }
 
 
+# Polynomials in four variables with exponents up to 3, most outside the
+# staircase box of S_4, for the vector operators; and polynomials in that
+# box, alpha_i <= 4 - i, for the engine.
+coefficients = st.integers(min_value=-6, max_value=6).filter(bool)
 small_polys = st.dictionaries(
-    st.tuples(*[st.integers(min_value=0, max_value=3)] * 4),
-    st.integers(min_value=-6, max_value=6).filter(bool),
+    st.tuples(*[st.integers(min_value=0, max_value=3)] * 4), coefficients, min_size=1, max_size=8
+)
+box_polys = st.dictionaries(
+    st.tuples(*[st.integers(min_value=0, max_value=r) for r in (3, 2, 1, 0)]),
+    coefficients,
+    min_size=1,
     max_size=8,
-).map(lambda d: poly_of(d, 4))
+)
 
 
 class TestPolyBasics:
@@ -136,8 +171,8 @@ class TestPolyBasics:
             swap_vars(variable(1, 3), j)
 
     def test_add_cancels(self):
-        f = P("1:1,0", 2)
-        assert sub(f, f) == Poly({}, 2)
+        f = V("1:1,0")
+        assert sub(f, f) == {}
 
     def test_text_roundtrip(self):
         f = P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
@@ -152,64 +187,98 @@ class TestPolyBasics:
             Poly({}, 2).degree()
 
     def test_graded_component(self):
-        f = P("1:1,0;1:0,1;-1:1,1", 2)
-        assert graded_component(f, 1) == P("1:1,0;1:0,1", 2)
-        assert top_component(f) == P("-1:1,1", 2)
+        f = P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
+        assert graded_component(f, 1) == P("1:1,0,0;1:0,1,0", 3)
+        assert top_component(f) == P("-1:1,1,0", 3)
 
 
 class TestDividedDifference:
+    """The engine's ∂_j and π_j on polynomials in the staircase box, which
+    they keep inside it; the same identities on any exponents are
+    `TestVectorOperators`."""
+
     def test_x1(self):
-        assert divided_difference(variable(1, 2), 1) == one(2)
+        assert divided_difference(P("1:1,0", 2), 1) == P("1:0,0", 2)
 
     def test_symmetric_input_killed(self):
-        x1x2 = mul(variable(1, 2), variable(2, 2))
-        assert divided_difference(x1x2, 1) == Poly({}, 2)
+        assert divided_difference(P("1:1,1,0", 3), 1) == Poly({}, 3)
 
     def test_x1_squared(self):
-        f = divided_difference(P("1:2,0", 2), 1)
-        assert f == P("1:1,0;1:0,1", 2)
+        f = divided_difference(P("1:2,0,0", 3), 1)
+        assert f == P("1:1,0,0;1:0,1,0", 3)
 
     def test_result_symmetric(self):
-        f = P("3:3,1,0;-2:2,0,2", 3)
-        g = divided_difference(f, 1)
-        assert g == swap_vars(g, 1)
+        f = P("3:3,1,0,0;-2:2,0,1,0", 4)
+        g = vector_terms(divided_difference(f, 1))
+        assert g and g == swap_vars(g, 1)
 
     @settings(max_examples=150, deadline=None)
-    @given(small_polys, st.integers(min_value=1, max_value=3))
+    @given(box_polys, st.integers(min_value=1, max_value=3))
     def test_dd_squares_to_zero(self, f, j):
+        f = poly_of(f, 4)
         assert divided_difference(divided_difference(f, j), j) == Poly({}, 4)
 
     @settings(max_examples=150, deadline=None)
-    @given(small_polys, st.integers(min_value=1, max_value=3))
+    @given(box_polys, st.integers(min_value=1, max_value=3))
     def test_dd_times_divisor_is_numerator(self, f, j):
         # (x_j - x_{j+1}) * d_j f == f - s_j f, checked by multiplication
         divisor = sub(variable(j, 4), variable(j + 1, 4))
-        assert mul(divisor, divided_difference(f, j)) == sub(f, swap_vars(f, j))
+        quotient = vector_terms(divided_difference(poly_of(f, 4), j))
+        assert mul(divisor, quotient) == sub(f, swap_vars(f, j))
 
     @settings(max_examples=150, deadline=None)
-    @given(small_polys, st.integers(min_value=1, max_value=3))
+    @given(box_polys, st.integers(min_value=1, max_value=3))
     def test_isobaric_is_dd_of_one_minus_x(self, f, j):
+        # (1 - x_{j+1}) f may leave the box: its d_j is the vector operator's.
         one_minus_x = sub(one(4), variable(j + 1, 4))
-        assert isobaric_divided_difference(f, j) == divided_difference(mul(one_minus_x, f), j)
+        expected = closed_form_vectors(mul(one_minus_x, f), j, PLAIN)
+        assert vector_terms(isobaric_divided_difference(poly_of(f, 4), j)) == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(box_polys, st.integers(min_value=1, max_value=3))
+    def test_isobaric_idempotent(self, f, j):
+        once = isobaric_divided_difference(poly_of(f, 4), j)
+        assert isobaric_divided_difference(once, j) == once
+
+
+class TestVectorOperators:
+    """The identities of `TestDividedDifference` on any exponents, for the
+    vector operators (`reference.closed_form_vectors`) that the engine is
+    compared with."""
+
+    def test_x1_squared(self):
+        assert closed_form_vectors(V("1:2,0"), 1, PLAIN) == V("1:1,0;1:0,1")
+        assert closed_form_vectors(V("1:2,0"), 1, ISOBARIC) == V("1:1,0;1:0,1;-1:1,1")
+
+    def test_symmetric_fixed_and_killed(self):
+        f = V("1:1,1,0;2:2,2,1")  # symmetric in x_1, x_2
+        assert closed_form_vectors(f, 1, PLAIN) == {}
+        assert closed_form_vectors(f, 1, ISOBARIC) == f
 
     @settings(max_examples=150, deadline=None)
     @given(small_polys, st.integers(min_value=1, max_value=3))
-    def test_isobaric_idempotent(self, f, j):
-        once = isobaric_divided_difference(f, j)
-        assert isobaric_divided_difference(once, j) == once
+    def test_identities(self, f, j):
+        dd = closed_form_vectors(f, j, PLAIN)
+        assert closed_form_vectors(dd, j, PLAIN) == {}
+        divisor = sub(variable(j, 4), variable(j + 1, 4))
+        assert mul(divisor, dd) == sub(f, swap_vars(f, j))
+        once = closed_form_vectors(f, j, ISOBARIC)
+        one_minus_x = sub(one(4), variable(j + 1, 4))
+        assert once == closed_form_vectors(mul(one_minus_x, f), j, PLAIN)
+        assert closed_form_vectors(once, j, ISOBARIC) == once
 
 
 class TestIsobaric:
     def test_x1(self):
-        assert isobaric_divided_difference(variable(1, 2), 1) == one(2)
+        assert isobaric_divided_difference(P("1:1,0", 2), 1) == P("1:0,0", 2)
 
     def test_fixes_symmetric(self):
-        f = P("1:1,1,0;2:2,2,1", 3)  # symmetric in x_1, x_2
+        f = P("1:1,1,0,0;2:2,2,1,0", 4)  # symmetric in x_1, x_2
         assert isobaric_divided_difference(f, 1) == f
 
     def test_x1_squared(self):
-        f = isobaric_divided_difference(P("1:2,0", 2), 1)
-        assert f == P("1:1,0;1:0,1;-1:1,1", 2)
+        f = isobaric_divided_difference(P("1:2,0,0", 3), 1)
+        assert f == P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
 
 
 class TestTables:
@@ -219,8 +288,8 @@ class TestTables:
 
     def test_identity_is_one(self, tables):
         for n in (3, 4, 5):
-            assert tables[(n, "G")][identity(n)] == one(n)
-            assert tables[(n, "S")][identity(n)] == one(n)
+            assert vector_terms(tables[(n, "G")][identity(n)]) == one(n)
+            assert vector_terms(tables[(n, "S")][identity(n)]) == one(n)
 
     def test_g_132(self, tables):
         assert tables[(3, "G")][(1, 3, 2)] == P("1:1,0,0;1:0,1,0;-1:1,1,0", 3)
@@ -341,33 +410,110 @@ def assert_schubert_is_lowest_degree_part(table_g, table_s):
         assert graded_component(g, length) == table_s[w], w
 
 
+def box_vectors(n):
+    """A vector of the staircase box of S_n."""
+    return st.tuples(*[st.integers(0, n - i) for i in range(1, n + 1)])
+
+
+# Two vectors of the staircase box of S_n, for n from 1 to 10.
+box_pairs = st.integers(min_value=1, max_value=10).flatmap(
+    lambda n: st.tuples(box_vectors(n), box_vectors(n))
+)
+
+
 class TestTermOrder:
     def test_x1_less_than_xn(self):
         # x_1 < x_2 < x_3 under the implemented order
         assert term_key((1, 0, 0)) < term_key((0, 1, 0)) < term_key((0, 0, 1))
 
     @settings(max_examples=300, deadline=None)
-    @given(
-        st.integers(min_value=1, max_value=12).flatmap(
-            lambda n: st.tuples(*[st.lists(st.integers(0, 255), min_size=n, max_size=n)] * 2)
-        )
-    )
+    @given(box_pairs)
     def test_code_decodes_and_masked_order_is_term_order(self, pair):
-        alpha, beta = map(tuple, pair)
+        # The key with its degree part masked off, key mod n!, orders the
+        # exponents as term order does.
+        alpha, beta = pair
         n = len(alpha)
-        mask = (1 << 8 * n) - 1
+        unit = math.factorial(n)
         for v in (alpha, beta):
             assert poly.decode(poly.code(v), n) == v
-            assert poly.code(v) >> 8 * n == sum(v)
-        masked = (poly.code(alpha) & mask) < (poly.code(beta) & mask)
+        masked = poly.code(alpha) % unit < poly.code(beta) % unit
         assert masked == (term_key(alpha) < term_key(beta))
-        by_code = poly.code(alpha) < poly.code(beta)
-        assert by_code == ((sum(alpha), term_key(alpha)) < (sum(beta), term_key(beta)))
 
     @pytest.mark.parametrize("alpha", [(300, 0), (-1, 0), (0, 256)])
     def test_code_refuses_entries_outside_a_byte(self, alpha):
-        with pytest.raises(ValueError, match=rf"^{re.escape(str(alpha))} has an entry outside 0..255"):
+        # These lie outside the staircase box of S_2 too, which alone has
+        # keys.
+        with pytest.raises(ValueError, match=rf"^{re.escape(str(alpha))} lies outside the staircase box of S_2"):
             poly.code(alpha)
+
+
+class TestKey:
+    """The graded staircase index kappa = |alpha| n! + k(alpha)
+    (`poly.code`) against the byte code it replaced
+    (`reference.byte_code`)."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(box_pairs)
+    def test_matches_byte_code(self, pair):
+        alpha, beta = pair
+        n = len(alpha)
+        unit, weights = math.factorial(n), [math.perm(n, i) for i in range(n)]
+        assert (poly.code(alpha) < poly.code(beta)) == (byte_code(alpha) < byte_code(beta))
+        assert (poly.code(alpha) == poly.code(beta)) == (alpha == beta)
+        for v in (alpha, beta):
+            key = poly.code(v)
+            assert 0 <= key < 2**30
+            assert key // unit == sum(v)
+            assert poly.decode(key, n) == v
+            for i in range(n):
+                if v[i] < n - 1 - i:
+                    step = v[:i] + (v[i] + 1,) + v[i + 1 :]
+                    assert poly.code(step) == key + weights[i] + unit
+                else:
+                    with pytest.raises(ValueError, match="outside the staircase box"):
+                        poly.code(v[:i] + (v[i] + 1,) + v[i + 1 :])
+
+    @pytest.mark.parametrize("n", range(1, 11))
+    def test_largest_key_is_one_digit(self, n):
+        # The corner of the box has the top degree and the last index.
+        corner = tuple(range(n - 1, -1, -1))
+        assert poly.code(corner) == (n * (n - 1) // 2 + 1) * math.factorial(n) - 1 < 2**30
+
+    @pytest.mark.parametrize(
+        "key, n", [(-1, 3), (1, 3), (6, 3), (5 * 6 + 5, 3), (2 * 24 + 23, 4)]
+    )
+    def test_decode_and_box_refuse_what_is_no_key(self, key, n):
+        # Each integer's degree part key // n! differs from the digit sum of
+        # key mod n!; the box refuses it each time it is asked, and keeps it
+        # out of its memo.
+        with pytest.raises(ValueError, match=rf"^{key} is no key of S_{n}"):
+            poly.decode(key, n)
+        box = poly._boxes(n)
+        for _ in range(2):
+            with pytest.raises(ValueError, match=rf"^{key} is no key of S_{n}"):
+                box[key]
+        assert key not in box
+
+    @pytest.mark.parametrize("n", range(2, 11))
+    def test_move_tables_stay_in_the_box(self, n):
+        """For every j, both operators and every field (a, b) of the box,
+        the digits of x_j and x_{j+1}, each output of the move table lies in
+        the box and is the tuple kernel's: so an offset never carries or
+        borrows, and the engine's operator is exact on the box."""
+        for j in range(1, n):
+            for parts in (PLAIN, ISOBARIC):
+                table = poly._moves(n, j, parts)
+                assert len(table) == (n - j + 1) * (n - j)
+                for b in range(n - j):
+                    for a in range(n - j + 1):
+                        alpha = (0,) * (j - 1) + (a, b) + (0,) * (n - j - 1)
+                        key = poly.code(alpha)
+                        assert key // math.perm(n, j - 1) % len(table) == a + (n - j + 1) * b
+                        out = {poly.decode(key + e, n): c for e, c in table[a + (n - j + 1) * b]}
+                        expected = closed_form_vectors({alpha: 1}, j, parts)
+                        assert out == expected, (n, j, parts, a, b)
+                        for vector in expected:
+                            poly.code(vector)  # refuses a vector outside the box
 
 
 def assert_operators_match_tuple_kernel(f, j):
@@ -394,8 +540,9 @@ def assert_recursion_steps_match_tuple_kernel(n, table_s, table_g):
 
 
 class TestCodeOperator:
-    """The operators on codes against the tuple kernel they replaced
-    (`reference.closed_form_vectors`)."""
+    """The operators on keys against the tuple kernel they replaced
+    (`reference.closed_form_vectors`), on polynomials in the staircase
+    box."""
 
     @pytest.mark.parametrize("n", [3, 4, 5, 6])
     def test_recursion_steps_match_tuple_kernel(self, tables, n):
@@ -406,17 +553,18 @@ class TestCodeOperator:
         assert_recursion_steps_match_tuple_kernel(7, build_table(7, "S"), build_table(7, "G"))
 
     @settings(max_examples=300, deadline=None)
-    @given(small_polys, st.integers(min_value=1, max_value=3))
+    @given(box_polys, st.integers(min_value=1, max_value=3))
     def test_random_polynomials_match_tuple_kernel(self, f, j):
-        assert_operators_match_tuple_kernel(f, j)
+        assert_operators_match_tuple_kernel(poly_of(f, 4), j)
 
-    def test_byte_pair_beyond_n(self):
-        # Entries far outside the staircase box of S_3: the move tables are
-        # filled per byte pair on first use, whatever the pair.
-        f = poly_of({(40, 9, 100): 3, (9, 40, 0): -2, (0, 200, 55): 1, (7, 7, 7): 5}, 3)
-        for j in (1, 2):
+    def test_fields_at_the_box_edge(self):
+        # Every term has the top exponent of x_j or x_{j+1} for some j,
+        # where a step out of the box would carry: the move tables, one
+        # entry per field of the box, keep each output inside it.
+        f = poly_of({(3, 2, 1, 0): 3, (3, 0, 0, 0): -2, (0, 2, 1, 0): 1, (1, 1, 1, 0): 5}, 4)
+        for j in (1, 2, 3):
             assert_operators_match_tuple_kernel(f, j)
-        assert (40 | 9 << 8) in poly._moves(3, 1, ISOBARIC)
+            assert len(poly._moves(4, j, ISOBARIC)) == (5 - j) * (4 - j)
 
 
 def box_points(radix):
@@ -427,7 +575,9 @@ def box_points(radix):
 
 
 def box_index(box, alpha):
-    byte, bit = box[poly.code(alpha)]
+    """The bit the box sets for alpha; its byte form is checked too."""
+    byte, bit, packed = box[poly.code(alpha)]
+    assert packed.to_bytes(len(alpha), "little") == bytes(alpha)
     return 8 * byte + bit.bit_length() - 1
 
 

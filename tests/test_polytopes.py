@@ -1,12 +1,15 @@
 import functools
 import itertools
+import math
 import operator
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from grothpoly import cli, perms, pipedreams, poly, polytopes
+from grothpoly.poly import Poly
 from grothpoly.polytopes import (
     SetFunctionPair,
     check_conjecture_4,
@@ -938,8 +941,8 @@ class TestViewPair:
 
 
 class TestLaneBound:
-    # The byte lanes hold every support conj4 can see: the view refuses
-    # points outside the staircase box, which exists only for n <= 10.
+    # The byte lanes hold every support conj4 can see: the view holds only
+    # keys, points of the staircase box, which exists only for n <= 10.
 
     def test_bound_within_max_span(self):
         with pytest.raises(ValueError, match="staircase box of S_11"):
@@ -956,20 +959,38 @@ class TestLaneBound:
         assert_lanes_fit(monkeypatch, g_table(7), 7)
 
 
+def formal_key(alpha):
+    """|alpha| n! + sum of alpha_i w_i, the formula of `poly.code`, for a
+    vector outside the staircase box too: there a digit carries, its digit
+    sum falls below its degree part, and it is no key."""
+    n = len(alpha)
+    return sum(alpha) * math.factorial(n) + sum(a * math.perm(n, i) for i, a in enumerate(alpha))
+
+
+def no_key_support(alpha):
+    """The polynomial 1 + x^alpha for alpha outside the staircase box: no
+    polynomial can hold alpha (`poly.code` refuses it), so this one holds
+    its formal key, which the support view refuses."""
+    n = len(alpha)
+    with pytest.raises(ValueError, match=rf"^{re.escape(str(alpha))} lies outside the staircase box of S_{n}$"):
+        poly_of({(0,) * n: 1, alpha: 1}, n)
+    return Poly({0: 1, formal_key(alpha): 1}, n)
+
+
 class TestPackedRefusal:
     # The packed kernels refuse inputs whose bytes would carry or borrow;
-    # the driver reports the refusal as an internal error, not a verdict.
+    # conj4 never sees one, since no key lies outside the staircase box,
+    # and the driver reports the view's refusal of an integer that is no
+    # key as an internal error, not a verdict.
 
     def test_recover_pair_refuses_wide_columns(self):
         # Coordinate ranges 40 + 24 > MAX_SPAN; 40 + 23 fit.
         assert recover_pair_points(frozenset({(0, 0), (40, 23)})).span == polytopes.MAX_SPAN
-        g = poly_of({(0, 0): 1, (40, 24): 1}, 2)
         with pytest.raises(ValueError, match="packed columns"):
-            recover_pair_points(g.support())
-        # conj4 reads the support view, which refuses the point first.
-        entry = cli._run_check("conj4", (2, 1), g)
+            recover_pair_points(frozenset({(0, 0), (40, 24)}))
+        entry = cli._run_check("conj4", (2, 1), no_key_support((40, 24)))
         assert entry["status"] == "error"
-        assert entry["witness"] == "ValueError: (40, 24) lies outside the staircase box of S_2"
+        assert entry["witness"] == "ValueError: 216 is no key of S_2: its degree part is 108, its digit sum 0"
 
     def test_lattice_search_refuses_wide_pair(self):
         # recover_pair packs a range of 63, but the pair it makes spans 64:
@@ -978,22 +999,20 @@ class TestPackedRefusal:
             recover_pair_points(frozenset({(1,), (64,)}))
         with pytest.raises(ValueError, match="span 64, too wide for the packed kernels"):
             SetFunctionPair([0, -64], [0, 0], 1)
-        g = poly_of({(0,): 1, (64,): 1}, 1)
-        entry = cli._run_check("conj4", (1,), g)
+        entry = cli._run_check("conj4", (1,), no_key_support((64,)))
         assert entry["status"] == "error"
-        assert entry["witness"] == "ValueError: (64,) lies outside the staircase box of S_1"
+        assert entry["witness"] == "ValueError: 128 is no key of S_1: its degree part is 128, its digit sum 0"
 
     def test_widest_accepted_pair(self):
         # Every kernel takes a span of MAX_SPAN; conj4 never sees such a
-        # support, since the view refuses every point outside the staircase
-        # box.
-        g = poly_of({(0,): 1, (63,): 1}, 1)
-        pair = recover_pair_points(g.support())
+        # support, since no key lies outside the staircase box.
+        support = frozenset({(0,), (63,)})
+        pair = recover_pair_points(support)
         assert pair.span == polytopes.MAX_SPAN
         assert is_paramodular(pair)
         assert lattice_points_of_pair(pair) == {(t,) for t in range(64)}
-        with pytest.raises(ValueError, match=r"^\(63,\) lies outside the staircase box of S_1$"):
-            check_conjecture_4((1,), g)
+        with pytest.raises(ValueError, match=r"^126 is no key of S_1"):
+            check_conjecture_4((1,), no_key_support((63,)))
 
 
 class TestParamodularWitness:

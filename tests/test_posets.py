@@ -1,5 +1,6 @@
 import collections
 import itertools
+import math
 import random
 import re
 
@@ -10,7 +11,15 @@ from grothpoly import cli, perms, poly, posets
 from grothpoly.poly import Poly
 from grothpoly.posets import VectorPoset, build_Pw, mobius
 from grothpoly.verdicts import NotApplicable
-from reference import graded_component, identity, is_fireworks, poly_of, term_key, vector_terms
+from reference import (
+    byte_code,
+    graded_component,
+    identity,
+    is_fireworks,
+    poly_of,
+    term_key,
+    vector_terms,
+)
 
 
 def componentwise_leq(alpha, beta):
@@ -20,7 +29,7 @@ def componentwise_leq(alpha, beta):
 
 
 def poset(elements, n):
-    """The VectorPoset of these vectors, held as their codes."""
+    """The VectorPoset of these vectors, held as their keys."""
     return VectorPoset(map(poly.code, elements), n)
 
 
@@ -57,12 +66,19 @@ class TestComponentwise:
 
 class TestHasse:
     def test_chain(self):
-        P = poset({(0,), (1,), (2,)}, 1)
-        assert covers(P) == {((0,), (1,)), ((1,), (2,))}
+        P = poset({(0, 0, 0), (1, 0, 0), (2, 0, 0)}, 3)
+        assert covers(P) == {((0, 0, 0), (1, 0, 0)), ((1, 0, 0), (2, 0, 0))}
 
     def test_antichain(self):
-        P = poset({(1, 0), (0, 1)}, 2)
+        P = poset({(1, 0, 0), (0, 1, 0)}, 3)
         assert P.covers() == set()
+
+    def test_carry_is_no_cover(self):
+        # Each element has the top entry of some coordinate, where a + e_i
+        # carries into the next digit: the sum is no key, so it matches no
+        # element, though (0, 1, 0) has the carried index of (2, 0, 0).
+        P = poset({(2, 0, 0), (0, 1, 0), (2, 1, 0)}, 3)
+        assert covers(P) == {((2, 0, 0), (2, 1, 0))}
 
     def test_support_poset_15324_cover_count(self, tables):
         # frozen regression: Hasse diagram of the 14-point support
@@ -90,10 +106,10 @@ class TestHasse:
             assert maximal_elements(g.support(), 5) == {wt}
 
     def test_hasse_text(self):
-        P = poset({(0,), (1,)}, 1)
-        assert P.hasse_text() == "0 -> 1"
-        P = poset({(0, 1), (1, 1), (0, 2)}, 2)
-        assert P.hasse_text() == "0,1 -> 0,2\n0,1 -> 1,1"
+        P = poset({(0, 0, 0), (1, 0, 0)}, 3)
+        assert P.hasse_text() == "0,0,0 -> 1,0,0"
+        P = poset({(0, 1, 0, 0), (1, 1, 0, 0), (0, 2, 0, 0)}, 4)
+        assert P.hasse_text() == "0,1,0,0 -> 0,2,0,0\n0,1,0,0 -> 1,1,0,0"
 
 
 class TestMobius:
@@ -117,19 +133,29 @@ class TestMobius:
         with pytest.raises(ValueError, match="upper set"):
             mobius_tuples(elements, n)
         if min(map(min, elements)) < 0:
-            # A negative entry has no code, so no VectorPoset holds one.
-            with pytest.raises(ValueError, match=r"\(-1,\) has an entry outside 0\.\.255"):
+            # A negative entry lies outside the staircase box and has no
+            # key, so no VectorPoset holds one.
+            with pytest.raises(ValueError, match=r"\(-1,\) lies outside the staircase box of S_1"):
                 poset(elements, n)
 
-    def test_byte_255_entries(self):
-        # q - e_i borrows where q_i = 0; no code matches the result, also
-        # next to entries of 255.
-        for n in (1, 2, 3):
-            for q in itertools.product((0, 1, 254, 255), repeat=n):
-                for i in range(n):
-                    if q[i] == 0:
-                        below = poly.code(q) - (1 << 8 * i | 1 << 8 * n)
-                        assert below < 0 or poly.code(poly.decode(below, n)) != below, (q, i)
+    def test_borrow_is_no_key(self):
+        # Over the whole staircase box of S_n, n <= 6: q - e_i borrows where
+        # q_i = 0, and q + e_i carries where q_i = n - i; neither result is
+        # a key, so neither matches an element.  Inside the box both are
+        # the keys of the unit steps.
+        for n in range(1, 7):
+            unit, weights = math.factorial(n), [math.perm(n, i) for i in range(n)]
+            for q in itertools.product(*(range(n - i + 1) for i in range(1, n + 1))):
+                key = poly.code(q)
+                for i, weight in enumerate(weights):
+                    for sign, inside in ((-1, q[i] > 0), (1, q[i] < n - 1 - i)):
+                        moved = key + sign * (weight + unit)
+                        if inside:
+                            step = q[:i] + (q[i] + sign,) + q[i + 1 :]
+                            assert poly.decode(moved, n) == step
+                        else:
+                            with pytest.raises(ValueError, match=f"^{moved} is no key of S_{n}"):
+                                poly.decode(moved, n)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -516,20 +542,26 @@ def mobius_failures(w, groth):
 
 
 def view_scan(g):
-    """The per-code scan that the support view's bitsets replace: the gap of
-    each code below the top degree (0xFF in byte i iff the unit step
-    alpha + e_i is not in the support), the uncovered codes (every step
-    missing), and the maxima: the top codes, then each uncovered code, in
-    decreasing degree, that no kept maximum lies above.  conj3 then checks
-    every code against every maximum above it: (m - alpha) & gap(alpha)
-    names the steps below m that are missing.  Returns the uncovered, the
-    low maxima and the maxima, each sorted, the missing steps as a set, and
-    conj3's (witness, detail), None if it passes."""
+    """The per-code scan that the support view's bitsets replace, on the
+    byte codes of the exponents (`reference.byte_code`), which order them
+    as the keys do: the gap of each code below the top degree (0xFF in
+    byte i iff the unit step alpha + e_i is not in the support), the
+    uncovered codes (every step missing), and the maxima: the top codes,
+    then each uncovered code, in decreasing degree, that no kept maximum
+    lies above.  conj3 then checks every code against every maximum above
+    it: (m - alpha) & gap(alpha) names the steps below m that are missing.
+    Returns the uncovered, the low maxima and the maxima, each as vectors in
+    code order, the missing steps as a set of vectors, and conj3's
+    (witness, detail), None if it passes."""
     n = g.nvars
-    codes = list(g.terms)
-    top = max(codes) >> 8 * n
-    present = set(codes)
+
+    def vector(code):
+        return tuple((code & (up - 1)).to_bytes(n, "little"))
+
+    codes = list(map(byte_code, vector_terms(g)))
     up = 1 << 8 * n
+    top = max(codes) // up
+    present = set(codes)
     steps = [(up + (1 << 8 * i), 0xFF << 8 * i) for i in range(n)]
     full = up - 1
     high = int.from_bytes(b"\x80" * (n + 1), "little")
@@ -570,21 +602,30 @@ def view_scan(g):
         beta = min(b for b, _, _ in failing)
         alpha = min(a for b, a, _ in failing if b == beta)
         m = min(m for b, _, m in failing if b == beta)
-        detail = f"missing in box [{poly.decode(alpha, n)}, {poly.decode(m, n)}]"
-        conj3 = (poly.decode(beta, n), detail)
-    missing = {b for b, _, _ in failing}
-    return uncovered, low_maxima, sorted(maxima), missing, conj3
+        conj3 = (vector(beta), f"missing in box [{vector(alpha)}, {vector(m)}]")
+    missing = {vector(b) for b, _, _ in failing}
+    return (
+        list(map(vector, uncovered)),
+        list(map(vector, low_maxima)),
+        list(map(vector, sorted(maxima))),
+        missing,
+        conj3,
+    )
 
 
 def assert_view_matches_scan(g):
     """Each bitset of the view, decoded, against the scan."""
     view = poly.support_view(g)
     uncovered, low_maxima, maxima, missing, conj3 = view_scan(g)
-    codes = view.box.codes_of
-    assert sorted(codes(view.uncovered)) == uncovered
-    assert sorted(codes(view.low_maxima)) == low_maxima
-    assert sorted(codes(view.maximal)) == maxima
-    assert set(codes(view.missing)) == missing
+    n = g.nvars
+
+    def points(bits):
+        return [poly.decode(k, n) for k in sorted(view.box.codes_of(bits))]
+
+    assert points(view.uncovered) == uncovered
+    assert points(view.low_maxima) == low_maxima
+    assert points(view.maximal) == maxima
+    assert set(points(view.missing)) == missing
     verdict = posets.check_conjecture_3(None, g)
     assert (None if verdict.ok else (verdict.witness, verdict.detail)) == conj3
 
@@ -699,24 +740,29 @@ class TestSupportView:
     @settings(max_examples=300, deadline=None)
     @given(
         st.integers(min_value=1, max_value=8).flatmap(
-            # Entries and degrees below 127, where the packed order holds.
+            # Points of the staircase box of S_n and a coordinate.
             lambda n: st.tuples(
-                st.tuples(*[st.integers(0, 126 // n)] * n),
-                st.tuples(*[st.integers(0, 126 // n)] * n),
+                st.tuples(*[st.integers(0, n - i) for i in range(1, n + 1)]),
+                st.tuples(*[st.integers(0, n - i) for i in range(1, n + 1)]),
                 st.integers(0, n - 1),
             )
         )
     )
     def test_packed_leq_and_unit_step(self, case):
+        # The byte forms the box keeps beside each key test componentwise
+        # order by one subtraction; a unit step inside the box adds
+        # w_i + n! to the key.
         alpha, beta, i = case
         n = len(alpha)
-        code = poly.code
-        high = sum(0x80 << 8 * k for k in range(n + 1))
-        packed = ((code(beta) | high) - code(alpha)) & high == high
+        code, box = poly.code, poly._boxes(n)
+        high = int.from_bytes(b"\x80" * n, "little")
+        packed = ((box[code(beta)][2] | high) - box[code(alpha)][2]) & high == high
         assert packed == componentwise_leq(alpha, beta)
-        step = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
-        assert code(alpha) + 256**i + 256**n == code(step)
-        assert poly.decode(code(step), n) == step
+        assert poly.support_view(poly_of({alpha: 1}, n)).high == high
+        if alpha[i] < n - 1 - i:
+            step = alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]
+            assert code(alpha) + math.perm(n, i) + math.factorial(n) == code(step)
+            assert poly.decode(code(step), n) == step
         assert poly.decode(code(alpha), n) == alpha
         order = (sum(alpha), term_key(alpha)) < (sum(beta), term_key(beta))
         assert (code(alpha) < code(beta)) == order
@@ -732,19 +778,18 @@ class TestSupportView:
         ids=["conj1", "conj2", "conj3", "coeff"],
     )
     def test_outside_staircase_and_zero(self, checker):
-        # The staircase box of S_2 is {(0, 0), (1, 0)}: the view refuses any
-        # other point, naming it, and the zero polynomial.  A vector with an
-        # entry that has no byte has no code: `poly.code` refuses it, naming
-        # it, before any polynomial holds it.
+        # The staircase box of S_2 is {(0, 0), (1, 0)}, keys 0 and 3: a
+        # vector outside it has no key, and `poly.code` refuses it, naming
+        # it, before any polynomial holds it.  The view refuses an integer
+        # that is no key, naming it, and the zero polynomial.
         assert checker((2, 1), poly_of({(1, 0): 2, (0, 0): -1}, 2)).ok
-        for outside in [(2, 0), (0, 1), (127, 0)]:
+        for outside in [(2, 0), (0, 1), (127, 0), (300, 0), (-1, 0)]:
             message = f"{outside} lies outside the staircase box of S_2"
             with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
-                checker((2, 1), poly_of({(0, 0): 1, outside: 1}, 2))
-        for outside in [(300, 0), (-1, 0)]:
-            message = f"{outside} has an entry outside 0..255 and no code"
-            with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                 poly_of({(0, 0): 1, outside: 1}, 2)
+        for key in (1, 2, 4, -3):
+            with pytest.raises(ValueError, match=f"^{key} is no key of S_2"):
+                checker((2, 1), Poly({0: 1, key: 1}, 2))
         with pytest.raises(ValueError, match="zero polynomial"):
             checker((2, 1), Poly({}, 2))
 
